@@ -20,9 +20,9 @@ from .datamodel import (CovSpec, FitConfig, FitReport, HomogRIParams,
 from .em import classify_marginals, e_step, ecm_fit
 from .errors import (BadInit, BadK, BoundaryParameter,
                      DegenerateLikelihood, EnumerationTooLarge,
-                     GridTooSmall, MonotonicityViolation, NewtonDiverged,
-                     NonIncreasingGrid, NonPositiveSigma, NotConverged,
-                     NotSPD, NumericalError, OutOfDomain,
+                     GridTooSmall, MonotonicityViolation,
+                     NonIncreasingGrid, NonPositiveSigma, NotSPD,
+                     NumericalError, OutOfDomain,
                      SingularInformation, SingularSystem, SpecMismatch,
                      SwitchCurveError, ValidationError, XInconsistent)
 from .inference import standard_errors_for_fit
@@ -43,8 +43,8 @@ __all__ = [
     "classify_marginals", "e_step", "ecm_fit",
     "BadInit", "BadK", "BoundaryParameter", "DegenerateLikelihood",
     "EnumerationTooLarge", "GridTooSmall", "MonotonicityViolation",
-    "NewtonDiverged", "NonIncreasingGrid", "NonPositiveSigma",
-    "NotConverged", "NotSPD", "NumericalError", "OutOfDomain",
+    "NonIncreasingGrid", "NonPositiveSigma", "NotSPD",
+    "NumericalError", "OutOfDomain",
     "SingularInformation", "SingularSystem", "SpecMismatch",
     "SwitchCurveError", "ValidationError", "XInconsistent",
     "standard_errors_for_fit",

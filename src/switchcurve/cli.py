@@ -53,7 +53,6 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=0)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("cv", help="select smoothing parameters by "
@@ -61,7 +60,6 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=0)
     p.set_defaults(func=_cmd_cv)
 
     p = sub.add_parser("classify", help="posteriors and hard labels for a "

@@ -7,12 +7,12 @@ leave-one-replicate-out score
 
     CV_j(lam) = sum_k (y_k - fhat_j^(-k))' W_kj (y_k - fhat_j^(-k)).
 
-The score never refits N times: with f fitted to all replicates and H_kj
-the hat matrix of replicate k, the left-out residual satisfies
-(I - H_kj)(fhat^(-k) - y_k) = fhat - y_k, so one solve per replicate
-recovers each left-out term.  Replicates whose (I - H_kj) is numerically
-near-singular (condition estimate above 1e12) fall back to the literal
-leave-one-out refit.
+Each fhat^(-k) is the literal refit without replicate k, assembled cheaply:
+its normal equations are the full K x K system with replicate k's terms
+subtracted, M - B' W_k B and rhs - B' W_k y_k, and all N of them are solved
+at once by one batched symmetric eigendecomposition.  A left-out system
+that is rank-deficient (eigenvalues at or below K * eps times the largest)
+gets its minimum-norm solution, as a least-squares refit would.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +23,6 @@ from . import em as em_mod
 
 DEFAULT_GRID = np.logspace(-6.0, 2.0, 25)
 DEFAULT_LAMBDA0 = 1e-2
-COND_MAX = 1e12
 
 
 @dataclass
@@ -41,20 +40,7 @@ class CVConfig:
             raise ValueError("grid must hold non-negative values")
 
 
-def _loo_refit(B, R, lam, weights, y, k):
-    """Literal leave-one-replicate-out fit, min-norm when degenerate."""
-    keep = np.ones(weights.shape[0], dtype=bool)
-    keep[k] = False
-    M, rhs = em_mod.diagonal_normal_system(
-        B, R, lam, weights[keep], y[keep])
-    try:
-        phi = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        phi = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return B @ phi
-
-
-def cv_score(B, R, lam, y, weights, cond_max=COND_MAX):
+def cv_score(B, R, lam, y, weights):
     """One state's CV score at one lambda, with frozen weights.
 
     Parameters
@@ -67,37 +53,26 @@ def cv_score(B, R, lam, y, weights, cond_max=COND_MAX):
 
     Returns
     -------
-    (score, n_fallback) where n_fallback counts replicates computed by the
-    literal refit.
+    (score, n_fallback) where n_fallback counts replicates whose left-out
+    system is rank-deficient and so is scored by its minimum-norm fit.
     """
-    N, n = y.shape
     M, rhs = em_mod.diagonal_normal_system(B, R, lam, weights, y)
-    phi = em_mod._solve_spd(M, rhs, "cv fit")
-    fhat = B @ phi
-    CtB = np.linalg.solve(M, B.T)           # (K, n), shared across k
-    score = 0.0
-    n_fallback = 0
-    eye = np.eye(n)
-    for k in range(N):
-        wk = weights[k]
-        if not np.any(wk > 0):
-            continue
-        H = B @ (CtB * wk[None, :])
-        D = eye - H
-        if np.linalg.cond(D) > cond_max:
-            n_fallback += 1
-            f_loo = _loo_refit(B, R, lam, weights, y, k)
-            r = y[k] - f_loo
-        else:
-            r = -np.linalg.solve(D, fhat - y[k])
-        score += float(np.sum(wk * r * r))
-    return score, n_fallback
+    M_loo = M - (B.T[None] * weights[:, None, :]) @ B     # (N, K, K)
+    rhs_loo = rhs - (weights * y) @ B                     # (N, K)
+    ev, V = np.linalg.eigh(M_loo)
+    cut = B.shape[1] * np.finfo(float).eps * np.abs(ev).max(
+        axis=1, keepdims=True)
+    full = np.abs(ev) > cut
+    inv_ev = np.divide(1.0, ev, out=np.zeros_like(ev), where=full)
+    coef = inv_ev * np.einsum("kab,ka->kb", V, rhs_loo)
+    r = y - np.einsum("kab,kb->ka", V, coef) @ B.T
+    return float(np.sum(weights * r * r)), int(np.sum(~full.all(axis=1)))
 
 
 @dataclass
 class CVResult:
     lambdas: np.ndarray             # selected, one per state
-    scores: np.ndarray              # (J, len(grid)) from the last sweep
+    scores: np.ndarray              # (J, len(grid)) from the picking sweep
     grid: np.ndarray
     n_outer: int
     converged: bool
@@ -112,8 +87,10 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
 
     Convergence means every state picks the same grid point twice in a
     row, or the relative change of every selected lambda drops below the
-    outer tolerance.  Returns a CVResult whose ``fit`` is the final ECM
-    fit at the selected lambdas.
+    outer tolerance.  Picks that repeat an earlier step's picks end the
+    loop unconverged, with the result the loop would have reached at
+    ``outer_max_iter``; ``n_outer`` counts the steps actually run.  Returns
+    a CVResult whose ``fit`` is the final ECM fit at the selected lambdas.
     """
     if not cov_spec.diagonal:
         raise ValueError(
@@ -138,10 +115,10 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
     lambdas = np.full(J, config.lambda0)
     picks = np.full(J, -1)
     scores = np.zeros((J, grid.size))
+    history = []                    # (picks, scores) of each outer step
     n_fallback = 0
     converged = False
     n_outer = 0
-    fit = None
     for n_outer in range(1, config.outer_max_iter + 1):
         fit = em_mod.ecm_fit(
             dataset, latent_spec, cov_spec, lambdas=lambdas, K=K, tol=tol,
@@ -150,13 +127,13 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
             np.atleast_1d(np.asarray(fit.theta.cov.sigma2, dtype=float)),
             (J,))
         weights = fit.posteriors / sigma2
-        new_picks = np.empty(J, dtype=int)
+        scores = np.empty((J, grid.size))
         for j in range(J):
             for g, lam in enumerate(grid):
                 scores[j, g], nf = cv_score(
                     B, R, lam, dataset.y, weights[:, :, j])
                 n_fallback += nf
-            new_picks[j] = int(np.argmin(scores[j]))
+        new_picks = np.argmin(scores, axis=1)
         new_lambdas = grid[new_picks]
         same_points = np.array_equal(new_picks, picks)
         small_change = np.all(
@@ -166,10 +143,24 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
         if same_points or small_change:
             converged = True
             break
+        # Each step is a deterministic function of the previous picks, so
+        # picks seen before start a cycle whose every transition has
+        # already failed the test above.  Return the cycle member the
+        # capped loop would stop on instead of running out the cap.
+        seen = [i for i, (p, _) in enumerate(history)
+                if np.array_equal(p, picks)]
+        history.append((picks, scores))
+        if seen:
+            start = seen[0] + 1
+            period = len(history) - start
+            picks, scores = history[
+                start + (config.outer_max_iter - 1 - start) % period]
+            lambdas = grid[picks]
+            break
 
     final = em_mod.ecm_fit(
         dataset, latent_spec, cov_spec, lambdas=lambdas, K=K, tol=tol,
         max_iter=max_iter, init=init, compute_se=compute_se)
-    return CVResult(lambdas=lambdas, scores=scores.copy(), grid=grid,
+    return CVResult(lambdas=lambdas, scores=scores, grid=grid,
                     n_outer=n_outer, converged=converged,
                     n_fallback=n_fallback, fit=final)

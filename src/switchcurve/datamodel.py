@@ -11,7 +11,7 @@ External formats
   once and all replicates must agree on x (tolerance 1e-9).
 * Config JSON: keys ``latent`` ({kind, J}), ``covariance`` ({kind}),
   ``lambdas`` (number, array, or "cv"), and optional ``K, tol, max_iter,
-  seed, enumeration_cap, init, cv``.
+  enumeration_cap, init, cv``.
 * Fit-report JSON: full-precision floats; parsing then re-serializing
   reproduces the document bit for bit.
 """
@@ -275,7 +275,6 @@ class FitReport:
     converged: bool
     std_errors: dict | None = None
     warnings: list = field(default_factory=list)
-    joint_posteriors: np.ndarray | None = None   # (N, J**n), optional
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +438,6 @@ class FitConfig:
     K: int | None = None
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    seed: int | None = None
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     init: object = "quantile-split"
     cv: dict = field(default_factory=dict)
@@ -473,7 +471,6 @@ def parse_config(doc):
         K=None if doc.get("K") is None else int(doc["K"]),
         tol=float(doc.get("tol", DEFAULT_TOL)),
         max_iter=int(doc.get("max_iter", DEFAULT_MAX_ITER)),
-        seed=None if doc.get("seed") is None else int(doc["seed"]),
         enumeration_cap=int(
             doc.get("enumeration_cap", DEFAULT_ENUMERATION_CAP)),
         init=doc.get("init", "quantile-split"),

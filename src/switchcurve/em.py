@@ -98,7 +98,7 @@ def _use_enumeration(cov_spec, force):
 
 
 def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None,
-           force_enumeration=False, want_joint=False):
+           force_enumeration=False):
     """Posterior tables at the given curve values F (J, n) and theta."""
     y = dataset.y
     cov = cov_mod.make_structure(cov_spec, theta.cov, dataset.n_points)
@@ -141,15 +141,6 @@ def penalty_value(theta, R):
         for lam, phi in zip(theta.lambdas, theta.phi)))
 
 
-def observed_objective(dataset, B, R, theta, latent_spec, cov_spec,
-                       enum=None, force_enumeration=False):
-    """Penalized observed-data objective at theta."""
-    F = theta.phi @ B.T
-    step = e_step(dataset, F, theta, latent_spec, cov_spec, enum=enum,
-                  force_enumeration=force_enumeration)
-    return float(step.loglik.sum()) - penalty_value(theta, R)
-
-
 # ---------------------------------------------------------------------------
 # coefficient updates
 # ---------------------------------------------------------------------------
@@ -190,16 +181,6 @@ def update_f_diagonal(B, R, lambdas, y, marginals, sigma2):
         M, rhs = diagonal_normal_system(B, R, lambdas[j], W[:, :, j], y)
         phi[j] = _solve_spd(M, rhs, f"coefficient update, state {j + 1}")
     return phi
-
-
-def smoother_matrix(B, R, lam, weights_all, weights_k):
-    """Replicate k's hat matrix mapping y_k into the shared fit.
-
-    ``weights_all`` is the (n,) column sum of every replicate's weights;
-    ``weights_k`` the (n,) weights of replicate k.
-    """
-    M = B.T @ (weights_all[:, None] * B) + 2.0 * lam * R
-    return B @ np.linalg.solve(M, B.T * weights_k[None, :])
 
 
 def general_normal_system(B, R, lambdas, y, cov, enum, P):
@@ -430,7 +411,7 @@ def _check_supplied(theta, latent_spec, cov_spec, J, K, n, M):
 def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
             max_iter=500, init="quantile-split",
             enumeration_cap=2 ** 20, compute_se=True,
-            force_enumeration=False, store_joint=False):
+            force_enumeration=False):
     """Run the penalized ECM to convergence and assemble a FitReport.
 
     ``init`` is either the string "quantile-split" or a supplied-theta
@@ -448,8 +429,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
     lambdas = np.broadcast_to(
         np.asarray(lambdas, dtype=float).ravel(), (J,)).copy()
     use_enum = _use_enumeration(cov_spec, force_enumeration)
-    enum = lat_mod.enumerate_states(n, J) if use_enum or store_joint \
-        else None
+    enum = lat_mod.enumerate_states(n, J) if use_enum else None
     theta = initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
                        init=init)
     theta.lambdas = lambdas
@@ -511,8 +491,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
         theta=theta, knots=basis.knots, x=dataset.x,
         curves=theta.phi @ B.T, posteriors=step.marginals,
         loglik_trace=np.asarray(trace), iterations=iterations,
-        converged=converged, warnings=warnings,
-        joint_posteriors=step.joint if store_joint else None)
+        converged=converged, warnings=warnings)
 
     if compute_se and J >= 2:
         from . import inference

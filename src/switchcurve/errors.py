@@ -86,18 +86,6 @@ class MonotonicityViolation(NumericalError):
         self.current = current
 
 
-class NotConverged(NumericalError):
-    """Iteration limit reached before the convergence test was met."""
-
-
-class NewtonDiverged(NumericalError):
-    """Newton iteration failed to make progress."""
-
-
-class OptimizerStalled(NumericalError):
-    """Simplex search exhausted its evaluation budget."""
-
-
 class BoundaryParameter(NumericalError):
     """An estimate sits on the parameter-space boundary; SEs unreliable."""
 

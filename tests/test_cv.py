@@ -1,9 +1,9 @@
-"""Leave-one-replicate-out scores: shortcut vs literal refits.
+"""Leave-one-replicate-out scores: downdated systems vs literal refits.
 
 The literal oracle below deletes a replicate, reassembles the weighted
 penalized normal equations from scratch, and sums the weighted squared
-left-out residuals.  The package path computes the same score from one fit
-to all replicates plus one linear solve per replicate.
+left-out residuals.  The package path subtracts each replicate's terms
+from the full normal equations and solves all left-out systems together.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from switchcurve.basis import basis_matrix, build_basis, penalty_matrix
 from switchcurve.cv import CVConfig, cv_score, select_lambdas
 from switchcurve.datamodel import CovSpec, LatentSpec, MultiCurveDataset
+from switchcurve.sim import SimDesign, generate_dataset
 
 
 def design(n, K):
@@ -48,7 +49,7 @@ def test_shortcut_matches_literal_refits():
         _, B, R = design(n, K)
         y = rng.standard_normal((N, n)) * 2.0
         weights = rng.uniform(0.2, 3.0, (N, n))
-        for lam in (1e-4, 1e-1, 10.0):
+        for lam in (0.0, 1e-4, 1e-1, 10.0):
             got, n_fallback = cv_score(B, R, lam, y, weights)
             want = literal_cv_score(B, R, lam, y, weights)
             assert n_fallback == 0
@@ -56,9 +57,10 @@ def test_shortcut_matches_literal_refits():
 
 
 def test_single_replicate_score_is_its_weighted_norm():
-    """With N = 1 the deleted fit has no data: the hat matrix is too close
-    to a projection for the shortcut, the literal path takes over, and the
-    minimum-norm refit is zero, so the score collapses to y' W y."""
+    """With N = 1 the deleted fit has no data: the left-out system is the
+    bare penalty, rank-deficient along straight lines, so it counts in
+    n_fallback; its right-hand side is zero, so the minimum-norm refit is
+    zero and the score collapses to y' W y."""
     rng = np.random.default_rng(1)
     n = 8
     _, B, R = design(n, 6)
@@ -70,8 +72,9 @@ def test_single_replicate_score_is_its_weighted_norm():
 
 
 def test_near_singular_replicate_falls_back_to_literal():
-    # the other replicate carries weight at a single point, so the deleted
-    # fit cannot pin the linear component and I - H is numerically singular
+    # the other replicate carries weight at a single point, so the fit
+    # without replicate 0 cannot pin the linear component: its left-out
+    # system is rank-deficient and is scored by the minimum-norm fit
     rng = np.random.default_rng(2)
     n = 6
     _, B, R = design(n, n)
@@ -143,6 +146,29 @@ def test_select_lambdas_two_states():
     for j in range(2):
         assert 0 < int(np.argmin(res.scores[j])) < grid.size - 1
     np.testing.assert_array_equal(res.fit.theta.lambdas, res.lambdas)
+
+
+def test_select_lambdas_stops_a_cycle_with_the_capped_result():
+    # with the default grid the picks alternate between [20, 21] and
+    # [20, 20] on this dataset; the loop stops at the first repeat and
+    # returns the member the outer cap would reach
+    design = SimDesign(kind="markov", N=100, x=np.linspace(0.0, 1.0, 30),
+                       sigma2=1e-4, tau2=0.0)
+    data, _ = generate_dataset(design, 3764184123)
+
+    def select(config):
+        return select_lambdas(data, LatentSpec(kind="markov", J=2),
+                              CovSpec(kind="state_diag"), config=config,
+                              compute_se=False)
+
+    res = select(CVConfig())
+    assert not res.converged
+    assert res.n_outer <= 3
+    np.testing.assert_array_equal(
+        res.lambdas, select(CVConfig(outer_max_iter=2)).lambdas)
+    np.testing.assert_array_equal(
+        select(CVConfig(outer_max_iter=19)).lambdas,
+        select(CVConfig(outer_max_iter=1)).lambdas)
 
 
 def test_select_lambdas_rejects_structured_covariance():

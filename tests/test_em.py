@@ -17,7 +17,7 @@ from switchcurve.datamodel import (CovSpec, CovariateParams, HomogRIParams,
                                    UnrestrictedParams, theta_to_dict)
 from switchcurve.em import (classify_marginals, e_step, ecm_fit,
                             gather_curves, general_normal_system, initialize,
-                            penalty_value, smoother_matrix, update_f_diagonal,
+                            penalty_value, update_f_diagonal,
                             update_f_general, weight_matrices)
 from switchcurve.errors import BadInit, EnumerationTooLarge
 from switchcurve.latent import enumerate_states, pairwise_from_joint
@@ -202,26 +202,6 @@ def test_estep_diagonal_route_matches_enumeration(lat_kind, cov_kind):
     if lat_kind == "markov":
         np.testing.assert_allclose(
             fast.pairwise, pairwise_from_joint(slow.joint, enum), atol=1e-11)
-
-
-def test_smoother_matrix_reassembles_the_fit():
-    rng = np.random.default_rng(6)
-    n, N, K = 8, 5, 6
-    x, B, R = design(n, K)
-    y = rng.standard_normal((N, n))
-    w = rng.uniform(0.5, 2.0, (N, n))
-    marg = np.ones((N, n, 1))
-    phi = update_f_diagonal(B, R, [0.1], y, marg * w[:, :, None], [1.0])
-    total = np.zeros(n)
-    for k in range(N):
-        H_k = smoother_matrix(B, R, 0.1, w.sum(axis=0), w[k])
-        total += H_k @ y[k]
-    np.testing.assert_allclose(total, B @ phi[0], rtol=1e-10, atol=1e-12)
-
-    # the curvature penalty leaves straight lines alone
-    H = smoother_matrix(B, R, 10.0, w[0], w[0])
-    line = 2.0 + 3.0 * x
-    np.testing.assert_allclose(H @ line, line, rtol=1e-8, atol=1e-8)
 
 
 def test_single_state_fit_is_a_penalized_spline():
