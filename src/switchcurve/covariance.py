@@ -6,13 +6,17 @@ shared random intercept, V = sigma2 (I + d 11'); ``nonhomog_ri`` (J = 2
 only) adds a second intercept acting on the state-2 points of each
 replicate, V_s = sigma2 (I + d1 11' + d2 u_s u_s').
 
-Structured kinds never materialize V: quadratic forms and log-determinants
-use the rank-one (Sherman-Morrison) or rank-two (Woodbury) identities, so
-everything stays O(n) per state vector.
+Structured kinds never materialize V: inverses and log-determinants use
+the rank-one (Sherman-Morrison) or rank-two (Woodbury) identities.  For
+nonhomog_ri, V_s^{-1} is I / sigma2 less a rank-two term whose 2 x 2 core
+depends on the state vector only through its number of state-2 points, so
+no per-state-vector matrix is ever formed.
 
-Log-density tables over enumerated state vectors are computed from the
-sufficient statistics r'r, 1'r, and u_s'r, which come out of plain matrix
-products rather than an (N, S, n) residual tensor.
+Log-density tables over enumerated state vectors come from one (N, S)
+matrix product y V^{-1} Fs' plus per-replicate and per-state-vector terms
+(and, for nonhomog_ri, the sums 1'r and u_s'r), never from an (N, S, n)
+residual tensor.  The M-step statistics are products with the joint
+posterior table P (P Fs, P'y, P'1) rather than (N, S) residual tables.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .errors import NonPositiveSigma, NotSPD
+from .latent import replicate_sums, state_mass
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -83,14 +88,30 @@ class CovStructure:
             return self._logdet
         raise ValueError(f"{self.kind} has state-dependent V")
 
-    def vinv_for_state(self, u):
-        """Dense V_s^{-1} for one nonhomog_ri state indicator u."""
+    def vinv_shared(self):
+        """V^{-1} of the state-independent kinds; for nonhomog_ri the
+        I / sigma2 that every V_s^{-1} shares, less its rank-two term
+        (``intercept_cores``)."""
+        if self.kind == "nonhomog_ri":
+            return np.eye(self.n) / self.params.sigma2
+        return self.vinv()
+
+    def intercept_cores(self):
+        """(n+1, 2, 2) Woodbury cores of nonhomog_ri, one per m = 0..n.
+
+        With U_s = [1, u_s] and C = diag(d1, d2),
+        V_s^{-1} = (I - U_s H_m U_s') / sigma2, where the core
+        H_m = C (I + U_s'U_s C)^{-1} depends on the state vector only
+        through m = |u_s|.
+        """
         p, n = self.params, self.n
-        u = np.asarray(u, dtype=float)
-        U = np.column_stack([np.ones(n), u])
-        C = np.diag([p.d1, p.d2])
-        core = np.linalg.solve(np.eye(2) + (U.T @ U) @ C, U.T)
-        return (np.eye(n) - U @ C @ core) / p.sigma2
+        m = np.arange(n + 1.0)
+        det = _ri_det(n, m, p.d1, p.d2)
+        H = np.empty((n + 1, 2, 2))
+        H[:, 0, 0] = p.d1 * (1.0 + m * p.d2) / det
+        H[:, 0, 1] = H[:, 1, 0] = -p.d1 * p.d2 * m / det
+        H[:, 1, 1] = p.d2 * (1.0 + n * p.d1) / det
+        return H
 
     # -- log densities -------------------------------------------------------
 
@@ -121,43 +142,53 @@ class CovStructure:
             ``nonhomog_ri``.
         """
         p, n = self.params, self.n
-        yy = np.einsum("ki,ki->k", y, y)
-        ff = np.einsum("si,si->s", Fs, Fs)
-        rr = yy[:, None] - 2.0 * (y @ Fs.T) + ff[None, :]
-        np.maximum(rr, 0.0, out=rr)
-        if self.kind == "iso_diag":
-            quad = rr / p.sigma2
-            ld = n * np.log(p.sigma2)
-        elif self.kind == "unrestricted":
-            Vi = self.vinv()
-            g1 = np.einsum("ki,ki->k", y @ Vi, y)
-            g3 = np.einsum("si,si->s", Fs @ Vi, Fs)
-            quad = g1[:, None] - 2.0 * (y @ Vi @ Fs.T) + g3[None, :]
-            ld = self._logdet
-        elif self.kind == "homog_ri":
-            t1 = y.sum(axis=1)[:, None] - Fs.sum(axis=1)[None, :]
-            c = p.d / (1.0 + n * p.d)
-            quad = (rr - c * t1 ** 2) / p.sigma2
-            ld = n * np.log(p.sigma2) + np.log(1.0 + n * p.d)
-        elif self.kind == "nonhomog_ri":
-            if E2 is None:
-                raise ValueError("nonhomog_ri needs state-2 indicators")
-            t1 = y.sum(axis=1)[:, None] - Fs.sum(axis=1)[None, :]
-            t2 = y @ E2.T - np.einsum("si,si->s", E2, Fs)[None, :]
-            m = E2.sum(axis=1)
-            det = (1.0 + n * p.d1) * (1.0 + m * p.d2) - m ** 2 * p.d1 * p.d2
-            q = (p.d1 * (1.0 + m * p.d2) * t1 ** 2
-                 - 2.0 * p.d1 * p.d2 * m * t1 * t2
-                 + p.d2 * (1.0 + n * p.d1) * t2 ** 2) / det
-            quad = (rr - q) / p.sigma2
-            ld = n * np.log(p.sigma2) + np.log(det)[None, :]
-        else:
+        if self.kind == "state_diag":
             # state_diag factorizes over points; contract the pointwise
             # table with the caller's state one-hots instead.
             raise ValueError(
                 "state_diag tables decompose pointwise; build them from "
                 "pointwise_loglik and the enumeration one-hots")
-        return -0.5 * (quad + ld + n * LOG_2PI)
+        nonhomog = self.kind == "nonhomog_ri"
+        if nonhomog and E2 is None:
+            raise ValueError("nonhomog_ri needs state-2 indicators")
+        yc, Fc = _centered(y, Fs)
+        Vi = self.vinv_shared()
+        ld = n * np.log(p.sigma2) if nonhomog else self.logdet()
+        yV = yc @ Vi
+        row = -0.5 * (np.einsum("ki,ki->k", yV, yc) + ld + n * LOG_2PI)
+        col = -0.5 * np.einsum("si,si->s", Fc @ Vi, Fc)
+        out = yV @ Fc.T                 # the cross term, built in place
+        if nonhomog:
+            col -= 0.5 * np.log(_ri_det(n, E2.sum(axis=1), p.d1, p.d2))
+            out += self._intercept_quad(yc, Fc, E2)
+        out += row[:, None]
+        out += col[None, :]
+        return out
+
+    def _intercept_quad(self, yc, Fc, E2):
+        """(N, S) table of (t1, t2) H_m (t1, t2)' / (2 sigma2), with
+        t1 = 1'r and t2 = u_s'r: the nonhomog_ri Woodbury term."""
+        H = self.intercept_cores()[E2.sum(axis=1).astype(int)]
+        t1 = np.subtract.outer(yc.sum(axis=1), Fc.sum(axis=1))
+        t2 = yc @ E2.T
+        t2 -= np.einsum("si,si->s", E2, Fc)[None, :]
+        q = t1 * t2
+        q *= 2.0 * H[:, 0, 1]
+        t1 *= t1
+        t1 *= H[:, 0, 0]
+        q += t1
+        del t1
+        t2 *= t2
+        t2 *= H[:, 1, 1]
+        q += t2
+        q *= 0.5 / self.params.sigma2
+        return q
+
+
+def _ri_det(n, m, d1, d2):
+    """det(I + U'U C) for nonhomog_ri with m state-2 points; V_s has
+    determinant sigma2**n times this."""
+    return (1.0 + n * d1) * (1.0 + m * d2) - m ** 2 * d1 * d2
 
 
 def log_mvn_density(cov, r, states=None):
@@ -187,22 +218,46 @@ def update_unrestricted(P, y, Fs):
     ``P`` is the (N, S) joint posterior table, ``Fs`` the (S, n) gathered
     curves at the updated coefficients.
     """
-    w = P.sum(axis=0)
+    w = state_mass(P)
     PF = P @ Fs
     V = (y.T @ y - y.T @ PF - PF.T @ y + Fs.T @ (w[:, None] * Fs))
     V /= P.shape[0]
     return 0.5 * (V + V.T)
 
 
+def _posterior_sums(P, y, Fs):
+    """Posterior-weighted residual sums for the intercept kinds.
+
+    With r_ks = y_k - Fs_s, returns ``(A, b2, w, tf, Pt)``: A the sum over
+    k, s of P_ks r_ks'r_ks, b2 the per-s sums over k of P_ks (1'r_ks)^2,
+    w = P'1, tf = Fs 1 and Pt = P'(y 1).  Everything comes from products
+    with P; no (N, S) residual table is built.  Callers pass centred
+    arrays (see ``_centered``).
+    """
+    w = state_mass(P)
+    ty = y.sum(axis=1)
+    tf = Fs.sum(axis=1)
+    Pt = replicate_sums(P, np.column_stack([ty, ty * ty]))
+    b2 = Pt[:, 1] - 2.0 * tf * Pt[:, 0] + w * tf * tf
+    A = ((P @ np.ones(P.shape[1])) @ np.einsum("ki,ki->k", y, y)
+         - 2.0 * np.einsum("ki,ki->", y, P @ Fs)
+         + w @ np.einsum("si,si->s", Fs, Fs))
+    return float(A), b2, w, tf, Pt[:, 0]
+
+
+def _centered(y, Fs):
+    """y and Fs less the mean response.  Every residual y_k - Fs_s is
+    unchanged, and the expanded quadratic forms built from the centred
+    arrays cancel far less."""
+    ybar = y.mean(axis=0)
+    return y - ybar, Fs - ybar
+
+
 def update_homog_ri(P, y, Fs):
     """Closed-form sigma2 and d for the shared random-intercept model."""
     N, n = y.shape
-    yy = np.einsum("ki,ki->k", y, y)
-    ff = np.einsum("si,si->s", Fs, Fs)
-    rr = yy[:, None] - 2.0 * (y @ Fs.T) + ff[None, :]
-    t1 = y.sum(axis=1)[:, None] - Fs.sum(axis=1)[None, :]
-    ss_full = float(np.sum(P * rr))
-    ss_mean = float(np.sum(P * t1 ** 2))
+    ss_full, b2, _, _, _ = _posterior_sums(P, *_centered(y, Fs))
+    ss_mean = float(b2.sum())
     sigma2 = (ss_full - ss_mean / n) / (N * (n - 1))
     if sigma2 <= 0:
         raise NonPositiveSigma(f"sigma2 update gave {sigma2!r}")
@@ -217,17 +272,19 @@ def nonhomog_sufficient_stats(P, y, Fs, E2):
     through m and u_s'r.  Returns (A, counts m, mass W_m, S1, S2, S3)
     where S1/S2/S3 aggregate P * 1'r 1'r, P * 1'r u'r, P * u'r u'r per m.
     """
-    yy = np.einsum("ki,ki->k", y, y)
-    ff = np.einsum("si,si->s", Fs, Fs)
-    rr = yy[:, None] - 2.0 * (y @ Fs.T) + ff[None, :]
-    t1 = y.sum(axis=1)[:, None] - Fs.sum(axis=1)[None, :]
-    t2 = y @ E2.T - np.einsum("si,si->s", E2, Fs)[None, :]
+    y, Fs = _centered(y, Fs)
+    A, b2, w, tf, Pt = _posterior_sums(P, y, Fs)
+    n = y.shape[1]
+    g = np.einsum("si,si->s", E2, Fs)                  # u_s'Fs_s
+    Q = replicate_sums(P, np.hstack([y, y.sum(axis=1)[:, None] * y]))
+    Pu = np.einsum("si,si->s", E2, Q[:, :n])           # sum_k P u'y
+    Ptu = np.einsum("si,si->s", E2, Q[:, n:])          # sum_k P 1'y u'y
+    yu = y @ E2.T                                      # the one (N, S) table
+    yu *= yu
+    Puu = np.einsum("ks,ks->s", P, yu)                 # sum_k P (u'y)^2
+    bc = Ptu - g * Pt - tf * Pu + w * tf * g
+    c2 = Puu - 2.0 * g * Pu + w * g * g
     m_s = E2.sum(axis=1).astype(int)
-    A = float(np.sum(P * rr))
-    b2 = (P * t1 ** 2).sum(axis=0)
-    bc = (P * t1 * t2).sum(axis=0)
-    c2 = (P * t2 ** 2).sum(axis=0)
-    w = P.sum(axis=0)
     m_vals = np.arange(m_s.max() + 1)
     S1 = np.bincount(m_s, weights=b2, minlength=m_vals.size)
     S2 = np.bincount(m_s, weights=bc, minlength=m_vals.size)
@@ -243,7 +300,7 @@ def nonhomog_expected_term(sigma2, d1, d2, n, N, stats):
     -0.5 sum_k sum_s posterior * (quadratic form + log det V_s + n log 2pi).
     """
     A, m, W, S1, S2, S3 = stats
-    det = (1.0 + n * d1) * (1.0 + m * d2) - m ** 2 * d1 * d2
+    det = _ri_det(n, m, d1, d2)
     q = (d1 * (1.0 + m * d2) * S1 - 2.0 * d1 * d2 * m * S2
          + d2 * (1.0 + n * d1) * S3) / det
     quad = (A - q.sum()) / sigma2

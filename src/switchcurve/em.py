@@ -14,9 +14,9 @@ iteration.
 Two E-step routes exist.  Diagonal covariance kinds factorize over grid
 points, so posteriors come from pointwise Bayes rules (independent-state
 models) or a forward-backward pass (Markov).  The structured kinds need the
-joint posterior over all J**n state vectors; those tables are built from
-matrix products against the cached enumeration, never from explicit loops
-over state vectors.
+joint posterior over all J**n state vectors; those tables, and the joint
+coefficient system built from them, are matrix products against the cached
+enumeration, never explicit loops over state vectors.
 """
 
 import logging
@@ -105,7 +105,7 @@ def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None,
     if _use_enumeration(cov_spec, force_enumeration):
         if cov_spec.kind == "state_diag":
             pw = cov.pointwise_loglik(y, F)
-            table = np.einsum("kij,sij->ks", pw, enum.onehot)
+            table = pw.reshape(pw.shape[0], -1) @ enum.flat.T
         elif cov_spec.kind == "iso_diag":
             table = cov.loglik_table(y, gather_curves(F, enum.states))
         else:
@@ -186,18 +186,22 @@ def update_f_diagonal(B, R, lambdas, y, marginals, sigma2):
 def general_normal_system(B, R, lambdas, y, cov, enum, P):
     """Stacked JK x JK normal equations for the joint coefficient update.
 
-    Valid for any covariance structure; state-dependent kinds take the
-    slower per-state-vector route.
+    Valid for any covariance structure.  Blocks are
+    A_jl = sum_s w_s (D_sj B)' V_s^{-1} (D_sl B) and
+    b_j = sum_s (D_sj B)' V_s^{-1} ytil_s, with w = P'1, ytil = P'y and D_sj
+    the state-j indicator matrix of state vector s.  nonhomog_ri writes
+    V_s^{-1} as I / sigma2 minus a rank-two Woodbury term (see
+    ``CovStructure.intercept_cores``).
     """
     n, K = B.shape
     J = enum.J
     JK = J * K
-    w = P.sum(axis=0)
-    ytil = P.T @ y                                      # (S, n)
-    A = np.zeros((JK, JK))
-    b = np.zeros(JK)
+    w = lat_mod.state_mass(P)
+    ytil = lat_mod.replicate_sums(P, y)                 # (S, n)
 
     if cov.kind == "state_diag":
+        A = np.zeros((JK, JK))
+        b = np.zeros(JK)
         marg = lat_mod.marginals_from_joint(P, enum)
         W = weight_matrices(marg, cov.params.sigma2)
         for j in range(J):
@@ -205,31 +209,52 @@ def general_normal_system(B, R, lambdas, y, cov, enum, P):
                 B, R, 0.0, W[:, :, j], y)
             A[j * K:(j + 1) * K, j * K:(j + 1) * K] = M
             b[j * K:(j + 1) * K] = rhs
-    elif cov.kind == "nonhomog_ri":
-        for s in range(enum.size):
-            Vi = cov.vinv_for_state(enum.onehot[s, :, 1])
-            ind = enum.onehot[s]                        # (n, J)
-            Bw = [B * ind[:, j][:, None] for j in range(J)]
-            for j in range(J):
-                ViBj = Vi @ Bw[j]
-                for l in range(J):
-                    A[j * K:(j + 1) * K, l * K:(l + 1) * K] += \
-                        w[s] * (ViBj.T @ Bw[l])
-                b[j * K:(j + 1) * K] += ViBj.T @ ytil[s]
     else:
-        Vi = cov.vinv()
-        E = enum.onehot.reshape(enum.size, n * J)
+        Vi = cov.vinv_shared()
+        E = enum.flat
         Pi = E.T @ (w[:, None] * E)
         Mexp = Pi.reshape(n, J, n, J) * Vi[:, None, :, None]
         A = np.einsum("ia,ijpq,pb->jaqb", B, Mexp, B,
                       optimize=True).reshape(JK, JK)
-        Z = ytil @ Vi
-        agg = np.einsum("si,sij->ij", Z, enum.onehot)
+        C = (ytil.T @ E).reshape(n, n, J)        # sum_s ytil_sq D_s(i, j)
+        agg = np.einsum("qi,qij->ij", Vi, C)
         b = np.einsum("ia,ij->ja", B, agg).reshape(JK)
+        if cov.kind == "nonhomog_ri":
+            dA, db = _intercept_terms(B, cov, enum, w, ytil)
+            A -= dA
+            b -= db
 
     for j in range(J):
         A[j * K:(j + 1) * K, j * K:(j + 1) * K] += 2.0 * lambdas[j] * R
     return A, b
+
+
+def _intercept_terms(B, cov, enum, w, ytil):
+    """The Woodbury part of the nonhomog_ri normal system.
+
+    G1[s] = vec_j (D_sj B)'1 is the (JK,) image of the intercept column of
+    U_s = [1, u_s]; the u_s column's image is G1[s] with every block but
+    state 2's zeroed, since u_s D_sj = D_sj [j = 2].  So the terms are
+    weighted Gram products of G1 and its state-2 block g.
+    """
+    n, K = B.shape
+    J = enum.J
+    H = cov.intercept_cores()[enum.counts[:, 1].astype(int)]   # (S, 2, 2)
+    Bk = np.einsum("ia,jl->ijla", B, np.eye(J)).reshape(n * J, J * K)
+    G1 = enum.flat @ Bk                                 # (S, JK)
+    g = G1[:, K:2 * K]
+    h11, h12, h22 = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
+    A = G1.T @ ((w * h11)[:, None] * G1)
+    cross = G1.T @ ((w * h12)[:, None] * g)             # (JK, K)
+    A[:, K:2 * K] += cross
+    A[K:2 * K, :] += cross.T
+    A[K:2 * K, K:2 * K] += g.T @ ((w * h22)[:, None] * g)
+    t1 = ytil.sum(axis=1)
+    t2 = np.einsum("si,si->s", enum.onehot[:, :, 1], ytil)
+    b = G1.T @ (h11 * t1 + h12 * t2)
+    b[K:2 * K] += g.T @ (h12 * t1 + h22 * t2)
+    s2 = cov.params.sigma2
+    return A / s2, b / s2
 
 
 def update_f_general(B, R, lambdas, y, cov, enum, P):

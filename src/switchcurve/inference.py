@@ -85,22 +85,43 @@ def _markov_score_table(enum, pi, A):
     return G, H
 
 
-def _covariate_score_tables(enum, beta, covariates):
-    """Per-replicate scores for the two-state logistic model.
+def _score_second_moment(P, G):
+    """sum_k sum_s P_ks G_s G_s' as one GEMM over the S state vectors."""
+    return (lat_mod.state_mass(P)[:, None] * G).T @ G
 
-    Returns (G list of (S, M+1), H (M+1, M+1) deterministic curvature
-    summed over replicates and points).
+
+def _expected_curvature(P, H):
+    """sum_k sum_s P_ks H_s for an (S, a, b) curvature table."""
+    w = lat_mod.state_mass(P)
+    return (w @ H.reshape(H.shape[0], -1)).reshape(H.shape[1:])
+
+
+def _covariate_moments(P, enum, beta, covariates):
+    """Louis terms of the two-state logistic model over enumerated states.
+
+    Returns (T2, gbar, H): T2 = sum_k E(g_k g_k' | y_k) written as
+    sum_k X_k' D_k X_k with the state-2 co-occupancy
+    D_k = E((u - mu_k)(u - mu_k)' | y_k), the (N, M+1) mean scores gbar,
+    and the deterministic curvature H summed over replicates and points.
+    Rows of P must sum to one.  Temporaries are O(N n^2 + S n); none is
+    N x S sized.
     """
     N, n, M = covariates.shape
     X = np.concatenate([np.ones((N, n, 1)), covariates], axis=2)
     eta = X @ np.concatenate([[beta[0, 0]], beta[0, 1:]])
     mu = 1.0 / (1.0 + np.exp(-eta))                      # (N, n)
-    ind2 = enum.onehot[:, :, 1]                          # (S, n)
-    G_per_k = [
-        np.einsum("si,ip->sp", ind2 - mu[k][None, :], X[k])
-        for k in range(N)]
+    u = enum.onehot[:, :, 1]                             # (S, n)
+    ubar = P @ u                                         # (N, n)
+    Q = np.empty((N, n, n))                              # E(u u' | y_k)
+    for i in range(n):
+        Q[:, i, :] = P @ (u * u[:, i:i + 1])
+    e = ubar - mu
+    D = (Q - ubar[:, :, None] * ubar[:, None, :]
+         + e[:, :, None] * e[:, None, :])
+    T2 = np.einsum("kip,kij,kjq->pq", X, D, X, optimize=True)
+    gbar = np.einsum("kip,ki->kp", X, e)
     H = -np.einsum("ki,kip,kiq->pq", mu * (1 - mu), X, X)
-    return G_per_k, H
+    return T2, gbar, H
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +139,8 @@ def louis_information_generic(P, enum, latent_spec, params,
     if kind == "iid":
         G, H = _iid_score_table(enum, params.p)
         labels = [f"p{j}" for j in range(1, params.p.size)]
-        T1 = -np.einsum("ks,sab->ab", P, H)
-        T2 = np.einsum("ks,sa,sb->ab", P, G, G)
+        T1 = -_expected_curvature(P, H)
+        T2 = _score_second_moment(P, G)
         gbar = P @ G                                     # (N, J-1)
     elif kind == "markov":
         if params.pi.size != 2:
@@ -127,21 +148,16 @@ def louis_information_generic(P, enum, latent_spec, params,
                 "markov information implemented for J = 2")
         G, H = _markov_score_table(enum, params.pi, params.A)
         labels = ["pi1", "a12", "a21"]
-        T1 = -np.einsum("ks,sab->ab", P, H)
-        T2 = np.einsum("ks,sa,sb->ab", P, G, G)
+        T1 = -_expected_curvature(P, H)
+        T2 = _score_second_moment(P, G)
         gbar = P @ G
     else:
         if params.beta.shape[0] != 1:
             raise SingularInformation(
                 "covariate information implemented for J = 2")
-        Gk, Hc = _covariate_score_tables(enum, params.beta, covariates)
+        T2, gbar, Hc = _covariate_moments(P, enum, params.beta, covariates)
         labels = [f"beta{m}" for m in range(params.beta.shape[1])]
         T1 = -Hc
-        T2 = np.zeros_like(T1)
-        gbar = np.empty((P.shape[0], T1.shape[0]))
-        for k, G in enumerate(Gk):
-            T2 += np.einsum("s,sa,sb->ab", P[k], G, G)
-            gbar[k] = P[k] @ G
     total = gbar.sum(axis=0)
     cross = np.outer(total, total) - np.einsum("ka,kb->ab", gbar, gbar)
     return T1 - (T2 + cross), labels
@@ -166,7 +182,7 @@ def louis_information_iid_closed(P, enum, p):
     T1 = np.full((J - 1, J - 1), N * n / p[-1])
     T1[np.diag_indices(J - 1)] = N * n * (1.0 / p[:-1] + 1.0 / p[-1])
     G, _ = _iid_score_table(enum, p)
-    T2 = np.einsum("ks,sa,sb->ab", P, G, G)
+    T2 = _score_second_moment(P, G)
     gbar = P @ G
     T2 -= np.einsum("ka,kb->ab", gbar, gbar)
     labels = [f"p{j}" for j in range(1, J)]
@@ -197,7 +213,7 @@ def louis_information_markov_closed(P, enum, params):
         occ[0] / (A[0, 1] * (1 - A[0, 1])),
         occ[1] / (A[1, 0] * (1 - A[1, 0]))])
     G, _ = _markov_score_table(enum, pi, A)
-    T2 = np.einsum("ks,sa,sb->ab", P, G, G)
+    T2 = _score_second_moment(P, G)
     gbar = P @ G
     total = gbar.sum(axis=0)
     cross = np.outer(total, total) - np.einsum("ka,kb->ab", gbar, gbar)

@@ -1,12 +1,15 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import switchcurve
 from switchcurve import datamodel as dm
 from switchcurve.cli import main
 from switchcurve.datamodel import MultiCurveDataset
@@ -207,8 +210,13 @@ def test_simstudy_writes_summaries(tmp_path):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same package as this session, installed or not
+    src = str(Path(switchcurve.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "switchcurve.cli", "--help"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "fit" in proc.stdout and "simstudy" in proc.stdout

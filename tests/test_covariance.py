@@ -25,6 +25,8 @@ from switchcurve.datamodel import (CovSpec, HomogRIParams, IsoDiagParams,
 from switchcurve.errors import NonPositiveSigma, NotSPD
 from switchcurve.latent import enumerate_states
 
+from oracles import intercept_sums_tables, vinv_for_state
+
 
 def dense_v(kind, params, n, u=None):
     """Materialize V (or V_s) for any kind, from its definition."""
@@ -92,12 +94,17 @@ def test_vinv_and_logdet_match_dense():
 
     params = NonHomogRIParams(sigma2=0.4, d1=0.3, d2=1.7)
     cov = make_structure(CovSpec(kind="nonhomog_ri"), params, n)
+    cores = cov.intercept_cores()
     for m in range(n + 1):
         u = np.zeros(n)
         u[:m] = 1.0
         Vs = dense_v("nonhomog_ri", params, n, u=u)
-        np.testing.assert_allclose(cov.vinv_for_state(u), np.linalg.inv(Vs),
-                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(vinv_for_state(params, n, u),
+                                   np.linalg.inv(Vs), rtol=1e-10, atol=1e-12)
+        U = np.column_stack([np.ones(n), u])
+        np.testing.assert_allclose(
+            (np.eye(n) - U @ cores[m] @ U.T) / params.sigma2,
+            np.linalg.inv(Vs), rtol=1e-10, atol=1e-12)
         # the rank-two determinant factorization
         det = (1.0 + n * params.d1) * (1.0 + m * params.d2) \
             - m ** 2 * params.d1 * params.d2
@@ -119,7 +126,11 @@ def test_loglik_table_matches_per_pair_loop(kind, make):
     Fs = gathered_curves(F, enum.states)
     y = rng.standard_normal((N, n)) * 2.0
     E2 = (enum.states == 1).astype(float)
+    inputs = (y, Fs, E2)
+    before = [a.copy() for a in inputs]
     table = cov.loglik_table(y, Fs, E2=E2 if kind == "nonhomog_ri" else None)
+    for a, b in zip(inputs, before):    # in-place table arithmetic only
+        np.testing.assert_array_equal(a, b)
     for k in range(N):
         for s in range(enum.size):
             V = dense_v(kind, params, n, u=enum.states[s])
@@ -313,6 +324,36 @@ def test_nonhomog_expected_term_matches_dense_loop():
             enum.states)
         got = nonhomog_expected_term(s2, d1, d2, n, N, stats)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_intercept_sums_match_residual_tensor():
+    """The P-contracted statistics of update_homog_ri and
+    nonhomog_sufficient_stats against sums over every residual r_ks, on
+    curves far from zero so the expanded squares would cancel."""
+    rng = np.random.default_rng(14)
+    n, N = 6, 5
+    enum = enumerate_states(n, 2)
+    F = rng.standard_normal((2, n)) + 50.0
+    Fs = gathered_curves(F, enum.states)
+    y = F[0] + rng.standard_normal((N, n)) + rng.standard_normal((N, 1))
+    E2 = (enum.states == 1).astype(float)
+    P = random_posterior(rng, N, enum.size)
+    A, b2, bc, c2 = intercept_sums_tables(P, y, Fs, E2)
+    got = nonhomog_sufficient_stats(P, y, Fs, E2)
+    m = E2.sum(axis=1).astype(int)
+    assert got[0] == pytest.approx(A, rel=1e-12)
+    np.testing.assert_allclose(got[2], np.bincount(m, weights=P.sum(axis=0)),
+                               rtol=1e-12)
+    for have, per_s in zip(got[3:], (b2, bc, c2)):
+        want = np.bincount(m, weights=per_s)
+        np.testing.assert_allclose(have, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+    sigma2, d = update_homog_ri(P, y, Fs)
+    ss_mean = float(b2.sum())
+    want_s2 = (A - ss_mean / n) / (N * (n - 1))
+    assert sigma2 == pytest.approx(want_s2, rel=1e-12)
+    assert d == pytest.approx(
+        max(ss_mean / (want_s2 * N * n ** 2) - 1.0 / n, 0.0), rel=1e-12)
 
 
 def test_update_nonhomog_never_degrades_the_objective():

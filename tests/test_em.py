@@ -22,6 +22,8 @@ from switchcurve.em import (classify_marginals, e_step, ecm_fit,
 from switchcurve.errors import BadInit, EnumerationTooLarge
 from switchcurve.latent import enumerate_states, pairwise_from_joint
 
+from oracles import nonhomog_normal_system_loop
+
 LAM = 1e-4
 
 
@@ -169,6 +171,31 @@ def test_general_coefficient_update_solves_loop_system(kind, params):
     got_A, got_b = general_normal_system(B, R, lambdas, y, cov, enum, P)
     np.testing.assert_allclose(got_A, A, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(got_b, b, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("d1,d2", [(0.3, 1.1), (0.0, 0.7), (0.9, 0.0)])
+def test_nonhomog_normal_system_matches_state_vector_loop(n, d1, d2):
+    """The Woodbury Gram-product form against V_s^{-1} built per state
+    vector."""
+    rng = np.random.default_rng(40 + n)
+    N, K, J = 6, min(n, 5), 2
+    _, B, R = design(n, K)
+    enum = enumerate_states(n, J)
+    y = rng.standard_normal((N, n)) + 3.0
+    P = rng.uniform(0.1, 1.0, (N, enum.size))
+    P /= P.sum(axis=1, keepdims=True)
+    lambdas = np.array([0.05, 0.4])
+    params = NonHomogRIParams(sigma2=0.5, d1=d1, d2=d2)
+
+    from switchcurve.covariance import make_structure
+    cov = make_structure(CovSpec(kind="nonhomog_ri"), params, n)
+    got_A, got_b = general_normal_system(B, R, lambdas, y, cov, enum, P)
+    A, b = nonhomog_normal_system_loop(B, R, lambdas, y, params, enum, P)
+    np.testing.assert_allclose(got_A, A, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(A)))
+    np.testing.assert_allclose(got_b, b, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(b)))
 
 
 @pytest.mark.parametrize("lat_kind", ["iid", "markov", "covariate"])

@@ -20,6 +20,8 @@ from switchcurve.em import e_step, ecm_fit
 from switchcurve.errors import BoundaryParameter, SingularInformation
 from switchcurve.latent import enumerate_states, update_alpha
 
+from oracles import covariate_moments_loop, score_second_moment_einsum
+
 N_TOY, N_POINTS, J = 3, 3, 2
 COV_SPEC = CovSpec(kind="iso_diag")
 COV_PARAMS = IsoDiagParams(sigma2=0.09)
@@ -151,6 +153,32 @@ def test_covariate_marginal_form_matches_generic():
         diag_step.marginals, data.covariates, alpha.beta)
     assert labels == ["beta0", "beta1"]
     np.testing.assert_allclose(I_marg, I_gen, rtol=1e-9, atol=1e-10)
+
+
+@pytest.mark.parametrize("n,J", [(10, 2), (5, 3)])
+def test_score_second_moment_matches_einsum_form(n, J):
+    rng = np.random.default_rng(n * J)
+    enum = enumerate_states(n, J)
+    P = rng.dirichlet(np.ones(enum.size), size=4)
+    G, _ = inf_mod._iid_score_table(enum, rng.dirichlet(np.ones(J)))
+    want = score_second_moment_einsum(P, G)
+    np.testing.assert_allclose(inf_mod._score_second_moment(P, G), want,
+                               rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_covariate_moments_match_per_replicate_tables():
+    rng = np.random.default_rng(31)
+    N, n, M = 5, 7, 2
+    enum = enumerate_states(n, 2)
+    P = rng.dirichlet(np.ones(enum.size), size=N)
+    v = rng.standard_normal((N, n, M))
+    beta = rng.standard_normal((1, M + 1))
+    T2, gbar, _ = inf_mod._covariate_moments(P, enum, beta, v)
+    want_T2, want_gbar = covariate_moments_loop(P, enum, beta, v)
+    np.testing.assert_allclose(T2, want_T2, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(want_T2)))
+    np.testing.assert_allclose(gbar, want_gbar, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(want_gbar)))
 
 
 def test_boundary_estimates_are_rejected():

@@ -21,6 +21,8 @@ from switchcurve.latent import (enumerate_states, expected_latent_loglik,
                                 marginals_from_joint, pairwise_from_joint,
                                 update_alpha)
 
+from oracles import marginals_einsum, pairwise_einsum
+
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
@@ -268,6 +270,25 @@ def test_joint_summaries_match_brute_force():
             marginals_from_joint(P, enum), want_m, atol=1e-13)
         np.testing.assert_allclose(
             pairwise_from_joint(P, enum), want_p, atol=1e-13)
+
+
+@pytest.mark.parametrize("n,J", [(10, 2), (5, 3)])
+def test_flat_table_contractions_match_einsum_forms(n, J):
+    """Marginal and pair posteriors as products with the flat (S, n*J)
+    and (S, (n-1)*J*J) tables; J = 3 catches a wrong column order."""
+    rng = np.random.default_rng(n * J)
+    enum = enumerate_states(n, J)
+    loglik = rng.standard_normal((4, enum.size)) * 3.0
+    for prior in (np.log(rng.dirichlet(np.ones(enum.size))),
+                  rng.standard_normal((4, enum.size))):
+        before = (loglik.copy(), prior.copy())
+        P, _ = joint_posterior(loglik, prior)
+        np.testing.assert_array_equal(loglik, before[0])
+        np.testing.assert_array_equal(prior, before[1])
+        np.testing.assert_allclose(marginals_from_joint(P, enum),
+                                   marginals_einsum(P, enum), atol=1e-13)
+        np.testing.assert_allclose(pairwise_from_joint(P, enum),
+                                   pairwise_einsum(P, enum), atol=1e-13)
 
 
 def test_pointwise_bayes_matches_enumeration():
