@@ -8,10 +8,9 @@ so their products are piecewise quadratic and a two-point Gauss-Legendre
 rule per knot interval integrates them without error.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import BadK, GridTooSmall, NonIncreasingGrid, OutOfDomain
 
@@ -36,11 +35,6 @@ class SplineBasis:
 
     knots: np.ndarray
     K: int
-    _spl: BSpline = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_spl", BSpline(self.knots, np.eye(self.K), DEGREE))
 
     @property
     def domain(self):
@@ -103,6 +97,35 @@ def build_basis(x, K=None):
     return SplineBasis(knots=knots, K=K)
 
 
+def _bspline_table(t, x, deriv):
+    """All cubic B-splines on knots ``t`` (or their ``deriv``-th
+    derivatives) at the points ``x``, shape (len(x), len(t) - 4).
+
+    Cox-de Boor recursion over whole columns: the degree-0 table marks the
+    knot interval holding each point (half-open, with the domain's right
+    end in the last non-empty interval), the first ``3 - deriv`` steps
+    raise the degree of the values, and the last ``deriv`` steps apply the
+    derivative recursion B'_{v,q} = q B_{v,q-1} / (t_{v+q} - t_v)
+    - q B_{v+1,q-1} / (t_{v+q+1} - t_{v+1}).  Zero-length spans contribute
+    nothing.
+    """
+    nk = t.size
+    cell = np.clip(np.searchsorted(t, x, side="right") - 1,
+                   DEGREE, nk - DEGREE - 2)
+    b = np.zeros((x.size, nk - 1))
+    b[np.arange(x.size), cell] = 1.0
+    for q in range(1, DEGREE + 1):
+        span = t[q:] - t[:-q]               # t_{v+q} - t_v, v = 0..nk-q-1
+        inv = np.divide(1.0, span, out=np.zeros_like(span), where=span > 0)
+        if q > DEGREE - deriv:
+            s = b * (q * inv)
+            b = s[:, :-1] - s[:, 1:]
+        else:
+            a = b * ((x[:, None] - t[:-q]) * inv)
+            b = a[:, :-1] + (b - a)[:, 1:]
+    return b
+
+
 def basis_matrix(basis, x):
     """Evaluate all basis functions at the points x.
 
@@ -110,14 +133,12 @@ def basis_matrix(basis, x):
     must lie in the closed domain; the right endpoint evaluates as the limit
     from the left.
     """
-    pts = basis._clamp(x)
-    return BSpline.design_matrix(pts, basis.knots, DEGREE).toarray()
+    return _bspline_table(basis.knots, basis._clamp(x), 0)
 
 
 def second_derivative_matrix(basis, x):
     """Evaluate second derivatives ``b_v''(x_m)``, shape (len(x), K)."""
-    pts = basis._clamp(x)
-    return basis._spl.derivative(2)(pts)
+    return _bspline_table(basis.knots, basis._clamp(x), 2)
 
 
 def penalty_matrix(basis):
@@ -127,18 +148,17 @@ def penalty_matrix(basis):
     two-dimensional null space spanned by the coefficient vectors that
     reproduce 1 and x.
     """
-    t = basis.knots
-    d2 = basis._spl.derivative(2)
-    R = np.zeros((basis.K, basis.K))
+    t = basis.knots[DEGREE:-DEGREE]
+    a, b = t[:-1], t[1:]
+    keep = b > a
+    a, b = a[keep], b[keep]
     # Integrand is quadratic on each knot interval: 2-point Gauss-Legendre
     # per interval is exact.
-    offset = 0.5 / np.sqrt(3.0)
-    for a, b in zip(t[DEGREE:-DEGREE - 1], t[DEGREE + 1:-DEGREE]):
-        if b <= a:
-            continue
-        h = b - a
-        mid = 0.5 * (a + b)
-        for g in (mid - offset * h, mid + offset * h):
-            row = d2(np.array([g]))[0]
-            R += (0.5 * h) * np.outer(row, row)
-    return R
+    offset = 0.5 / np.sqrt(3.0) * (b - a)
+    mid = 0.5 * (a + b)
+    nodes = np.concatenate([mid - offset, mid + offset])
+    root_w = np.sqrt(np.tile(0.5 * (b - a), 2))
+    D = _bspline_table(basis.knots, nodes, 2) * root_w[:, None]
+    # numpy evaluates X.T @ X as a symmetric rank-k update, so R comes out
+    # exactly symmetric
+    return D.T @ D

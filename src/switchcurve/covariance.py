@@ -21,7 +21,6 @@ posterior table P (P Fs, P'y, P'1) rather than (N, S) residual tables.
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from .errors import NonPositiveSigma, NotSPD
 from .latent import replicate_sums, state_mass
@@ -320,6 +319,11 @@ def update_nonhomog_ri(P, y, Fs, E2, prev, max_fev=400, fatol=1e-10):
     when the evaluation budget ran out before the objective spread fell
     below ``fatol``.
     """
+    # scipy.optimize is imported here, not at module level: only this
+    # covariance kind needs it, and it costs every import of the package
+    # about 20 MB of resident memory.
+    from scipy.optimize import minimize
+
     N, n = y.shape
     stats = nonhomog_sufficient_stats(P, y, Fs, E2)
 

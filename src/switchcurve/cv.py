@@ -7,12 +7,22 @@ leave-one-replicate-out score
 
     CV_j(lam) = sum_k (y_k - fhat_j^(-k))' W_kj (y_k - fhat_j^(-k)).
 
-Each fhat^(-k) is the literal refit without replicate k, assembled cheaply:
-its normal equations are the full K x K system with replicate k's terms
-subtracted, M - B' W_k B and rhs - B' W_k y_k, and all N of them are solved
-at once by one batched symmetric eigendecomposition.  A left-out system
-that is rank-deficient (eigenvalues at or below K * eps times the largest)
-gets its minimum-norm solution, as a least-squares refit would.
+Each fhat^(-k) is the literal refit without replicate k, assembled cheaply.
+Its normal equations are the full K x K system with replicate k's terms
+subtracted, M_k(lam) = M(lam) - B' W_k B with right-hand side
+rhs - B' W_k y_k, and the whole grid is scored from one simultaneous
+diagonalization per replicate (Demmler & Reinsch 1975).  With lo the
+smallest grid value, eigh(M_k(lo)) = V e V' and
+eigh(e^-1/2 V' R V e^-1/2) = U d U' give G_k = V e^-1/2 U, for which
+
+    M_k(lam)^-1 = G_k diag(1 / (1 + 2 (lam - lo) d)) G_k',
+
+so every lambda costs O(K) per replicate on top of two batched
+eigendecompositions.  A left-out system that is rank-deficient somewhere
+on the grid (eigenvalues at or below K * eps times the largest) cannot be
+whitened at lo; such replicates are solved per lambda by a symmetric
+eigendecomposition and get the minimum-norm solution where rank-deficient,
+as a least-squares refit would.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +33,7 @@ from . import em as em_mod
 
 DEFAULT_GRID = np.logspace(-6.0, 2.0, 25)
 DEFAULT_LAMBDA0 = 1e-2
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -40,33 +51,74 @@ class CVConfig:
             raise ValueError("grid must hold non-negative values")
 
 
+def _min_norm_solve(M, rhs):
+    """Minimum-norm solutions of a stack of symmetric systems (N, K, K),
+    dropping eigenvalues at or below K * eps times the largest, as
+    ``lstsq(rcond=None)`` does; also returns how many were rank-deficient.
+    """
+    ev, V = np.linalg.eigh(M)
+    cut = M.shape[-1] * _EPS * np.abs(ev).max(axis=1, keepdims=True)
+    full = np.abs(ev) > cut
+    inv_ev = np.divide(1.0, ev, out=np.zeros_like(ev), where=full)
+    coef = inv_ev * np.einsum("kab,ka->kb", V, rhs)
+    return (np.einsum("kab,kb->ka", V, coef),
+            int(np.sum(~full.all(axis=1))))
+
+
 def cv_score(B, R, lam, y, weights):
-    """One state's CV score at one lambda, with frozen weights.
+    """One state's CV score over a grid of lambdas, with frozen weights.
 
     Parameters
     ----------
     B, R : basis and curvature penalty matrices.
-    lam : smoothing parameter.
+    lam : smoothing parameter, or a 1-D array of them.
     y : (N, n) responses.
     weights : (N, n) nonnegative frozen weights W_kj (posterior mass over
         noise variance).  Zero-weight points contribute nothing.
 
     Returns
     -------
-    (score, n_fallback) where n_fallback counts replicates whose left-out
-    system is rank-deficient and so is scored by its minimum-norm fit.
+    (scores, n_fallback): scores has one entry per lambda (a float for a
+    scalar ``lam``); n_fallback counts the (replicate, lambda) pairs whose
+    left-out system is rank-deficient and so is scored by its minimum-norm
+    fit.
     """
-    M, rhs = em_mod.diagonal_normal_system(B, R, lam, weights, y)
-    M_loo = M - (B.T[None] * weights[:, None, :]) @ B     # (N, K, K)
+    grid = np.atleast_1d(np.asarray(lam, dtype=float))
+    lo = grid.min()
+    K = B.shape[1]
+    M, rhs = em_mod.diagonal_normal_system(B, R, lo, weights, y)
+    own = (B.T[None] * weights[:, None, :]) @ B           # (N, K, K)
     rhs_loo = rhs - (weights * y) @ B                     # (N, K)
-    ev, V = np.linalg.eigh(M_loo)
-    cut = B.shape[1] * np.finfo(float).eps * np.abs(ev).max(
-        axis=1, keepdims=True)
-    full = np.abs(ev) > cut
-    inv_ev = np.divide(1.0, ev, out=np.zeros_like(ev), where=full)
-    coef = inv_ev * np.einsum("kab,ka->kb", V, rhs_loo)
-    r = y - np.einsum("kab,kb->ka", V, coef) @ B.T
-    return float(np.sum(weights * r * r)), int(np.sum(~full.all(axis=1)))
+    e, V = np.linalg.eigh(M - own)
+    # M_k(lam) grows with lam and its top eigenvalue by at most
+    # 2 (lam - lo) ||R||, so a replicate clear of the cutoff at lo by that
+    # margin is full-rank everywhere on the grid.
+    top = e[:, -1] + 2.0 * (grid.max() - lo) * np.linalg.eigvalsh(R)[-1]
+    slow = e[:, 0] <= K * _EPS * top
+    fits = np.empty(y.shape + grid.shape)                 # (N, n, G)
+
+    fast = ~slow
+    Wh = V[fast] / np.sqrt(e[fast])[:, None, :]           # V e^-1/2
+    d, U = np.linalg.eigh(np.swapaxes(Wh, 1, 2) @ R @ Wh)
+    G = Wh @ U
+    proj = np.einsum("kab,ka->kb", G, rhs_loo[fast])     # G' rhs
+    # R is PSD: negative d are rounding
+    shrink = 1.0 / (1.0 + 2.0 * (grid - lo) * np.maximum(d, 0.0)[:, :, None])
+    fits[fast] = (B @ G) @ (proj[:, :, None] * shrink)
+
+    n_fallback = 0
+    if slow.any():
+        for g, lam_g in enumerate(grid):
+            M_g, _ = em_mod.diagonal_normal_system(B, R, lam_g, weights, y)
+            coef, deficient = _min_norm_solve(M_g - own[slow], rhs_loo[slow])
+            fits[slow, :, g] = coef @ B.T
+            n_fallback += deficient
+
+    r = y[:, :, None] - fits
+    scores = np.einsum("kn,kng->g", weights, r * r)
+    if np.ndim(lam) == 0:
+        return float(scores[0]), n_fallback
+    return scores, n_fallback
 
 
 @dataclass
@@ -129,10 +181,8 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
         weights = fit.posteriors / sigma2
         scores = np.empty((J, grid.size))
         for j in range(J):
-            for g, lam in enumerate(grid):
-                scores[j, g], nf = cv_score(
-                    B, R, lam, dataset.y, weights[:, :, j])
-                n_fallback += nf
+            scores[j], nf = cv_score(B, R, grid, dataset.y, weights[:, :, j])
+            n_fallback += nf
         new_picks = np.argmin(scores, axis=1)
         new_lambdas = grid[new_picks]
         same_points = np.array_equal(new_picks, picks)

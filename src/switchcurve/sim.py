@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy.linalg import lstsq
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .basis import basis_matrix, build_basis
 from .datamodel import CovSpec, LatentSpec, MultiCurveDataset
@@ -301,7 +301,7 @@ def run_study(design, n_reps=300, seed=0, threads=1,
     estimates = {k: np.array([res["params"][k] for res in results])
                  for k in results[0]["params"]}
     ses = {k: np.array([res["se"][k] for res in results]) for k in names}
-    zs = {lev: float(norm.ppf(0.5 + lev / 2.0)) for lev in levels}
+    zs = {lev: float(ndtri(0.5 + lev / 2.0)) for lev in levels}
 
     params = {}
     n_missing = 0

@@ -1,12 +1,25 @@
-"""Slow reference forms of the enumeration-route kernels.
+"""Reference forms of package kernels, for the tests to hold them to.
 
-The package computes these contractions as matrix products against
-flattened state tables.  The forms here follow the definitions term by
-term (explicit einsums, per-state-vector and per-replicate loops), so the
-tests can hold the fast paths to them.
+The package computes the enumeration-route contractions as matrix products
+against flattened state tables.  The forms here follow the definitions term
+by term (explicit einsums, per-state-vector and per-replicate loops).  The
+B-spline tables come from scipy's ``BSpline``, which the package itself
+does not import.
 """
 
 import numpy as np
+from scipy.interpolate import BSpline
+
+
+def bspline_design_matrix(knots, x):
+    """Cubic B-spline values b_v(x_m) on ``knots``, shape (len(x), K)."""
+    return BSpline.design_matrix(x, knots, 3).toarray()
+
+
+def bspline_second_derivatives(knots, x):
+    """Cubic B-spline second derivatives b_v''(x_m), shape (len(x), K)."""
+    K = len(knots) - 4
+    return BSpline(knots, np.eye(K), 3).derivative(2)(x)
 
 
 def vinv_for_state(params, n, u):

@@ -1,14 +1,16 @@
-"""Basis construction against an independent recursion oracle.
+"""Basis construction against independent oracles.
 
-The oracle evaluates B-splines by the textbook recursion (values and
+One oracle evaluates B-splines by the textbook recursion (values and
 derivatives), sharing no code with the package path, and integrates the
 curvature products with Simpson's rule per knot interval, which is exact
-for the piecewise-quadratic integrand.
+for the piecewise-quadratic integrand.  The other is scipy's ``BSpline``
+(in ``tests/oracles.py``), held to rounding level.
 """
 
 import numpy as np
 import pytest
 
+from oracles import bspline_design_matrix, bspline_second_derivatives
 from switchcurve.basis import (SplineBasis, basis_matrix, build_basis,
                                penalty_matrix, second_derivative_matrix)
 from switchcurve.errors import (BadK, GridTooSmall, NonIncreasingGrid,
@@ -105,6 +107,27 @@ def test_values_match_recursion_oracle():
                 want = bspline_value_oracle(
                     basis.knots, v, 3, p, basis.knots[-1])
                 assert B[m, v] == pytest.approx(want, abs=1e-10)
+
+
+def test_values_and_second_derivatives_match_scipy_bspline():
+    rng = np.random.default_rng(8)
+    for trial in range(12):
+        n = int(rng.integers(4, 25))
+        x = np.sort(rng.uniform(-2.0, 7.0, size=n))
+        while np.min(np.diff(x)) < 1e-3:
+            x = np.sort(rng.uniform(-2.0, 7.0, size=n))
+        K = (4, n + 2, int(rng.integers(4, n + 3)))[trial % 3]
+        basis = build_basis(x, K)
+        pts = np.concatenate([[x[0], x[-1]], x, basis.knots[4:-4],
+                              rng.uniform(x[0], x[-1], size=30)])
+        B = basis_matrix(basis, pts)
+        np.testing.assert_allclose(
+            B, bspline_design_matrix(basis.knots, pts),
+            rtol=0.0, atol=1e-14)
+        D2 = second_derivative_matrix(basis, pts)
+        want = bspline_second_derivatives(basis.knots, pts)
+        np.testing.assert_allclose(
+            D2, want, rtol=0.0, atol=1e-14 * max(1.0, np.abs(want).max()))
 
 
 def test_second_derivatives_match_recursion_oracle():

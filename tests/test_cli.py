@@ -209,14 +209,31 @@ def test_simstudy_writes_summaries(tmp_path):
         assert len(parts) == 3 and min(parts[1:]) >= 0.0
 
 
-def test_module_entry_point_runs():
-    # the child imports the same package as this session, installed or not
+def child_env():
+    """Environment in which a child process imports the same package as
+    this session, installed or not."""
     src = str(Path(switchcurve.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "switchcurve.cli", "--help"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "fit" in proc.stdout and "simstudy" in proc.stdout
+
+
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    # each of these costs every process that imports the package (every
+    # simstudy worker, every CLI call) tens of MB of resident memory
+    heavy = ["scipy.stats", "scipy.interpolate", "scipy.optimize",
+             "scipy.sparse"]
+    code = ("import sys, switchcurve, switchcurve.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,14 +3,16 @@
 The literal oracle below deletes a replicate, reassembles the weighted
 penalized normal equations from scratch, and sums the weighted squared
 left-out residuals.  The package path subtracts each replicate's terms
-from the full normal equations and solves all left-out systems together.
+from the full normal equations and scores a whole lambda grid from one
+simultaneous diagonalization per left-out system, or per lambda for
+systems that are rank-deficient somewhere on the grid.
 """
 
 import numpy as np
 import pytest
 
 from switchcurve.basis import basis_matrix, build_basis, penalty_matrix
-from switchcurve.cv import CVConfig, cv_score, select_lambdas
+from switchcurve.cv import DEFAULT_GRID, CVConfig, cv_score, select_lambdas
 from switchcurve.datamodel import CovSpec, LatentSpec, MultiCurveDataset
 from switchcurve.sim import SimDesign, generate_dataset
 
@@ -101,6 +103,73 @@ def test_zero_weight_replicate_contributes_nothing():
     reduced, nf_red = cv_score(B, R, 0.1, y[keep], weights[keep])
     assert full == pytest.approx(reduced, rel=1e-12)
     assert nf_full == nf_red == 0
+
+
+GRID_WITH_ZERO = np.concatenate([[0.0], np.logspace(-6.0, 2.0, 9)])
+
+
+def test_grid_scores_match_literal_refits_with_near_zero_weights():
+    # posterior-like weights: a state holds most of the mass left of a cut
+    # and almost none beyond it, so the left-out systems at lambda = 0 are
+    # badly conditioned but full-rank
+    rng = np.random.default_rng(5)
+    for floor in (1e-4, 1e-8):
+        for trial in range(4):
+            N = int(rng.integers(4, 10))
+            n = int(rng.integers(8, 14))
+            K = int(rng.integers(5, min(n, 10) + 1))
+            x, B, R = design(n, K)
+            y = rng.standard_normal((N, n))
+            cut = rng.uniform(0.3, 0.7)
+            post = np.where(x < cut, rng.uniform(0.6, 1.0, (N, n)),
+                            floor * rng.uniform(0.5, 1.0, (N, n)))
+            weights = post / 0.04
+            got, n_fallback = cv_score(B, R, GRID_WITH_ZERO, y, weights)
+            assert got.shape == GRID_WITH_ZERO.shape
+            assert n_fallback == 0
+            for lam, score in zip(GRID_WITH_ZERO, got):
+                want = literal_cv_score(B, R, lam, y, weights)
+                assert score == pytest.approx(want, rel=1e-8)
+
+
+def test_grid_call_equals_scalar_calls_with_mixed_routes():
+    # replicate 0 alone covers every point; the other two carry weight at
+    # four points between them.  Without replicate 0 the system is singular
+    # at lambda = 0 (rank 4 < K) but full-rank once the penalty pins the
+    # curvature, so that replicate is solved per lambda and counts once.
+    rng = np.random.default_rng(6)
+    n, K = 8, 6
+    _, B, R = design(n, K)
+    y = rng.standard_normal((3, n))
+    weights = np.zeros((3, n))
+    weights[0] = rng.uniform(0.5, 2.0, n)
+    weights[1, [1, 5]] = 1.0
+    weights[2, [2, 6]] = 1.5
+    grid = np.array([0.0, 1e-3, 0.1, 10.0])
+    got, n_fallback = cv_score(B, R, grid, y, weights)
+    scalar = [cv_score(B, R, lam, y, weights) for lam in grid]
+    assert n_fallback == sum(nf for _, nf in scalar) == 1
+    np.testing.assert_allclose(got, [s for s, _ in scalar], rtol=1e-10)
+    for lam, score in zip(grid[1:], got[1:]):
+        assert score == pytest.approx(
+            literal_cv_score(B, R, lam, y, weights), rel=1e-8)
+
+    # with every left-out system full-rank the grid route alone runs
+    weights[1] = rng.uniform(0.5, 2.0, n)
+    got, n_fallback = cv_score(B, R, grid, y, weights)
+    scalar = [cv_score(B, R, lam, y, weights) for lam in grid]
+    assert n_fallback == 0 and all(nf == 0 for _, nf in scalar)
+    np.testing.assert_allclose(got, [s for s, _ in scalar], rtol=1e-10)
+
+    # a state with almost no posterior mass: its left-out systems are
+    # full-rank at the bottom of the default grid but rank-deficient along
+    # straight lines at the top, where the penalty swamps the data
+    weights = 1e-12 * rng.uniform(0.5, 2.0, (3, n))
+    got, n_fallback = cv_score(B, R, DEFAULT_GRID, y, weights)
+    scalar = [cv_score(B, R, lam, y, weights) for lam in DEFAULT_GRID]
+    assert scalar[0][1] == 0
+    assert n_fallback == sum(nf for _, nf in scalar) > 0
+    np.testing.assert_allclose(got, [s for s, _ in scalar], rtol=1e-10)
 
 
 def test_select_lambdas_finds_an_interior_minimum():
