@@ -125,9 +125,12 @@ def _cmd_cv(args):
 
 
 def _run_cv(dataset, cfg):
-    cv_cfg = cv_mod.CVConfig(**{
-        k: (np.asarray(v, dtype=float) if k == "grid" else v)
-        for k, v in cfg.cv.items()})
+    try:
+        cv_cfg = cv_mod.CVConfig(**{
+            k: (np.asarray(v, dtype=float) if k == "grid" else v)
+            for k, v in cfg.cv.items()})
+    except (TypeError, ValueError) as exc:
+        raise SpecMismatch(f"malformed cv config: {exc}") from None
     return cv_mod.select_lambdas(
         dataset, cfg.latent, cfg.cov, config=cv_cfg, K=cfg.K, tol=cfg.tol,
         max_iter=cfg.max_iter, init=cfg.init)

@@ -29,6 +29,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 _MASS_EPS = 1e-12     # posterior mass below this means an empty state
 _D_FLOOR = 1e-12      # intercept ratios are clamped to [0, inf)
+_SIMPLEX_MAX_FEV = 400    # nonhomog_ri Nelder-Mead evaluation budget
+_SIMPLEX_FATOL = 1e-10    # and its objective-spread stopping rule
 
 
 class CovStructure:
@@ -58,10 +60,6 @@ class CovStructure:
             except np.linalg.LinAlgError as exc:
                 raise NotSPD(f"V is not positive definite: {exc}") from None
             self._logdet = 2.0 * np.sum(np.log(np.diag(self._chol[0])))
-
-    @property
-    def state_dependent(self):
-        return self.kind in ("state_diag", "nonhomog_ri")
 
     # -- whole-matrix views (state-independent kinds only) ------------------
 
@@ -307,7 +305,7 @@ def nonhomog_expected_term(sigma2, d1, d2, n, N, stats):
     return -0.5 * (quad + ld + N * n * LOG_2PI)
 
 
-def update_nonhomog_ri(P, y, Fs, E2, prev, max_fev=400, fatol=1e-10):
+def update_nonhomog_ri(P, y, Fs, E2, prev):
     """Simplex search for (sigma2, d1, d2), warm-started at ``prev``.
 
     Runs Nelder-Mead in (log sigma2, log d1, log d2).  The start point is
@@ -316,8 +314,8 @@ def update_nonhomog_ri(P, y, Fs, E2, prev, max_fev=400, fatol=1e-10):
     conditional ascent is preserved by construction.
 
     Returns ``(sigma2, d1, d2, flags)``; flags contains "optimizer_stalled"
-    when the evaluation budget ran out before the objective spread fell
-    below ``fatol``.
+    when the evaluation budget ``_SIMPLEX_MAX_FEV`` ran out before the
+    objective spread fell below ``_SIMPLEX_FATOL``.
     """
     # scipy.optimize is imported here, not at module level: only this
     # covariance kind needs it, and it costs every import of the package
@@ -336,7 +334,8 @@ def update_nonhomog_ri(P, y, Fs, E2, prev, max_fev=400, fatol=1e-10):
                  max(prev.d2, _D_FLOOR)])
     res = minimize(
         neg, z0, method="Nelder-Mead",
-        options={"maxfev": max_fev, "fatol": fatol, "xatol": np.inf,
+        options={"maxfev": _SIMPLEX_MAX_FEV, "fatol": _SIMPLEX_FATOL,
+                 "xatol": np.inf,
                  "initial_simplex": _start_simplex(z0)})
     flags = []
     if not res.success:

@@ -47,6 +47,9 @@ class CVConfig:
 
     def __post_init__(self):
         self.grid = np.sort(np.asarray(self.grid, dtype=float).ravel())
+        self.lambda0 = float(self.lambda0)
+        self.outer_max_iter = int(self.outer_max_iter)
+        self.outer_tol = float(self.outer_tol)
         if self.grid.size < 1 or np.any(self.grid < 0):
             raise ValueError("grid must hold non-negative values")
 

@@ -281,9 +281,6 @@ class FitReport:
 # validation
 # ---------------------------------------------------------------------------
 
-ENUMERATION_COV_KINDS = ("unrestricted", "homog_ri", "nonhomog_ri")
-
-
 @dataclass(frozen=True)
 class NormalizedModel:
     """Checked combination of dataset, latent spec, and covariance spec."""
@@ -298,11 +295,13 @@ class NormalizedModel:
 
 
 def validate(dataset, latent_spec, cov_spec,
-             enumeration_cap=DEFAULT_ENUMERATION_CAP, collect=False):
+             enumeration_cap=DEFAULT_ENUMERATION_CAP):
     """Check that the model triple is internally consistent.
 
-    Returns a :class:`NormalizedModel` on success.  With ``collect=True``
-    returns a list of violation messages instead of raising on the first.
+    Returns a :class:`NormalizedModel` on success.  Raises
+    ``EnumerationTooLarge`` when a structured covariance kind would need
+    more than ``enumeration_cap`` state vectors and nothing else is wrong,
+    and ``SpecMismatch`` naming every violation otherwise.
     """
     violations = []
     J, n = latent_spec.J, dataset.n_points
@@ -312,14 +311,12 @@ def validate(dataset, latent_spec, cov_spec,
     if cov_spec.kind == "nonhomog_ri" and J != 2:
         violations.append(
             f"nonhomog_ri covariance is defined for J = 2 only, got J = {J}")
-    needs_enum = cov_spec.kind in ENUMERATION_COV_KINDS
+    needs_enum = not cov_spec.diagonal
     n_states = J ** n
     if needs_enum and n_states > enumeration_cap:
         violations.append(
             f"J**n = {n_states} state vectors exceed the enumeration cap "
             f"{enumeration_cap}")
-    if collect:
-        return violations
     if violations:
         if needs_enum and n_states > enumeration_cap and len(violations) == 1:
             raise EnumerationTooLarge(violations[0])
@@ -451,8 +448,9 @@ def parse_config(doc):
         latent = LatentSpec(kind=doc["latent"]["kind"],
                             J=int(doc["latent"]["J"]))
         cov = CovSpec(kind=doc["covariance"]["kind"])
-    except (KeyError, TypeError) as exc:
-        raise SpecMismatch(f"config missing required field: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecMismatch(
+            f"config missing or malformed required field: {exc}") from None
     lambdas = doc.get("lambdas", "cv")
     if isinstance(lambdas, str):
         if lambdas != "cv":
@@ -462,26 +460,33 @@ def parse_config(doc):
             raise SpecMismatch(
                 "lambdas='cv' requires a diagonal covariance kind")
     else:
-        lambdas = np.broadcast_to(
-            np.asarray(lambdas, dtype=float).ravel(), (latent.J,)).copy()
+        try:
+            lambdas = np.broadcast_to(
+                np.asarray(lambdas, dtype=float).ravel(), (latent.J,)).copy()
+        except (TypeError, ValueError):
+            raise SpecMismatch(f"lambdas must be 'cv', one number or "
+                               f"J = {latent.J} numbers") from None
         if np.any(lambdas < 0):
             raise SpecMismatch("lambdas must be non-negative")
-    cfg = FitConfig(
-        latent=latent, cov=cov, lambdas=lambdas,
-        K=None if doc.get("K") is None else int(doc["K"]),
-        tol=float(doc.get("tol", DEFAULT_TOL)),
-        max_iter=int(doc.get("max_iter", DEFAULT_MAX_ITER)),
-        enumeration_cap=int(
-            doc.get("enumeration_cap", DEFAULT_ENUMERATION_CAP)),
-        init=doc.get("init", "quantile-split"),
-        cv=dict(doc.get("cv", {})))
+    try:
+        cfg = FitConfig(
+            latent=latent, cov=cov, lambdas=lambdas,
+            K=None if doc.get("K") is None else int(doc["K"]),
+            tol=float(doc.get("tol", DEFAULT_TOL)),
+            max_iter=int(doc.get("max_iter", DEFAULT_MAX_ITER)),
+            enumeration_cap=int(
+                doc.get("enumeration_cap", DEFAULT_ENUMERATION_CAP)),
+            init=doc.get("init", "quantile-split"),
+            cv=dict(doc.get("cv", {})))
+    except (TypeError, ValueError) as exc:
+        raise SpecMismatch(f"malformed config value: {exc}") from None
     if isinstance(cfg.init, str):
         if cfg.init != "quantile-split":
             raise SpecMismatch(f"unknown init strategy {cfg.init!r}")
     elif not isinstance(cfg.init, dict):
         raise SpecMismatch("init must be 'quantile-split' or an object")
-    if cfg.tol <= 0 or cfg.max_iter < 1:
-        raise SpecMismatch("tol must be > 0 and max_iter >= 1")
+    if not 0 < cfg.tol < math.inf or cfg.max_iter < 1:
+        raise SpecMismatch("tol must be finite and > 0, and max_iter >= 1")
     return cfg
 
 

@@ -11,12 +11,13 @@ observed-data objective
 and the trace of that objective is checked for monotone ascent every
 iteration.
 
-Two E-step routes exist.  Diagonal covariance kinds factorize over grid
-points, so posteriors come from pointwise Bayes rules (independent-state
-models) or a forward-backward pass (Markov).  The structured kinds need the
-joint posterior over all J**n state vectors; those tables, and the joint
-coefficient system built from them, are matrix products against the cached
-enumeration, never explicit loops over state vectors.
+The covariance kind alone picks the E-step route.  Diagonal kinds
+factorize over grid points, so posteriors come from pointwise Bayes rules
+(independent-state models) or a forward-backward pass (Markov).  The
+structured kinds need the joint posterior over all J**n state vectors;
+those tables, and the joint coefficient system built from them, are matrix
+products against the cached enumeration, never explicit loops over state
+vectors.
 """
 
 import logging
@@ -53,6 +54,7 @@ log = logging.getLogger(__name__)
 _RIDGE_SCALE = 1e-10
 _ASCENT_RTOL = 1e-8
 _ALPHA_FLOOR = 0.05
+_TIE_TOL = 1e-12
 
 
 @dataclass
@@ -78,14 +80,15 @@ def gather_curves(F, states):
     return F[states.astype(int), np.arange(F.shape[1])[None, :]]
 
 
-def classify_marginals(marginals, tie_tol=1e-12):
+def classify_marginals(marginals):
     """Argmax states (0-based) with ties broken toward the lower index.
 
-    Returns ``(labels, tie_mask)``.
+    Returns ``(labels, tie_mask)``; a tie is a second state within 1e-12
+    of the top posterior.
     """
     labels = np.argmax(marginals, axis=2)
     top = np.max(marginals, axis=2)
-    tie = (np.abs(marginals - top[:, :, None]) <= tie_tol).sum(axis=2) > 1
+    tie = (np.abs(marginals - top[:, :, None]) <= _TIE_TOL).sum(axis=2) > 1
     return labels, tie
 
 
@@ -93,26 +96,19 @@ def classify_marginals(marginals, tie_tol=1e-12):
 # E-step
 # ---------------------------------------------------------------------------
 
-def _use_enumeration(cov_spec, force):
-    return force or not cov_spec.diagonal
+def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
+    """Posterior tables at the given curve values F (J, n) and theta.
 
-
-def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None,
-           force_enumeration=False):
-    """Posterior tables at the given curve values F (J, n) and theta."""
+    ``enum`` (the J**n state enumeration) is needed by the structured
+    covariance kinds only.
+    """
     y = dataset.y
     cov = cov_mod.make_structure(cov_spec, theta.cov, dataset.n_points)
-    if _use_enumeration(cov_spec, force_enumeration):
-        if cov_spec.kind == "state_diag":
-            pw = cov.pointwise_loglik(y, F)
-            table = pw.reshape(pw.shape[0], -1) @ enum.flat.T
-        elif cov_spec.kind == "iso_diag":
-            table = cov.loglik_table(y, gather_curves(F, enum.states))
-        else:
-            Fs = gather_curves(F, enum.states)
-            E2 = enum.onehot[:, :, 1] if cov_spec.kind == "nonhomog_ri" \
-                else None
-            table = cov.loglik_table(y, Fs, E2=E2)
+    if not cov_spec.diagonal:
+        Fs = gather_curves(F, enum.states)
+        E2 = enum.onehot[:, :, 1] if cov_spec.kind == "nonhomog_ri" \
+            else None
+        table = cov.loglik_table(y, Fs, E2=E2)
         prior = lat_mod.log_prior_table(
             enum, latent_spec, theta.latent, covariates=dataset.covariates)
         P, ll = lat_mod.joint_posterior(table, prior)
@@ -186,7 +182,7 @@ def update_f_diagonal(B, R, lambdas, y, marginals, sigma2):
 def general_normal_system(B, R, lambdas, y, cov, enum, P):
     """Stacked JK x JK normal equations for the joint coefficient update.
 
-    Valid for any covariance structure.  Blocks are
+    Used by the structured covariance kinds.  Blocks are
     A_jl = sum_s w_s (D_sj B)' V_s^{-1} (D_sl B) and
     b_j = sum_s (D_sj B)' V_s^{-1} ytil_s, with w = P'1, ytil = P'y and D_sj
     the state-j indicator matrix of state vector s.  nonhomog_ri writes
@@ -199,30 +195,19 @@ def general_normal_system(B, R, lambdas, y, cov, enum, P):
     w = lat_mod.state_mass(P)
     ytil = lat_mod.replicate_sums(P, y)                 # (S, n)
 
-    if cov.kind == "state_diag":
-        A = np.zeros((JK, JK))
-        b = np.zeros(JK)
-        marg = lat_mod.marginals_from_joint(P, enum)
-        W = weight_matrices(marg, cov.params.sigma2)
-        for j in range(J):
-            M, rhs = diagonal_normal_system(
-                B, R, 0.0, W[:, :, j], y)
-            A[j * K:(j + 1) * K, j * K:(j + 1) * K] = M
-            b[j * K:(j + 1) * K] = rhs
-    else:
-        Vi = cov.vinv_shared()
-        E = enum.flat
-        Pi = E.T @ (w[:, None] * E)
-        Mexp = Pi.reshape(n, J, n, J) * Vi[:, None, :, None]
-        A = np.einsum("ia,ijpq,pb->jaqb", B, Mexp, B,
-                      optimize=True).reshape(JK, JK)
-        C = (ytil.T @ E).reshape(n, n, J)        # sum_s ytil_sq D_s(i, j)
-        agg = np.einsum("qi,qij->ij", Vi, C)
-        b = np.einsum("ia,ij->ja", B, agg).reshape(JK)
-        if cov.kind == "nonhomog_ri":
-            dA, db = _intercept_terms(B, cov, enum, w, ytil)
-            A -= dA
-            b -= db
+    Vi = cov.vinv_shared()
+    E = enum.flat
+    Pi = E.T @ (w[:, None] * E)
+    Mexp = Pi.reshape(n, J, n, J) * Vi[:, None, :, None]
+    A = np.einsum("ia,ijpq,pb->jaqb", B, Mexp, B,
+                  optimize=True).reshape(JK, JK)
+    C = (ytil.T @ E).reshape(n, n, J)        # sum_s ytil_sq D_s(i, j)
+    agg = np.einsum("qi,qij->ij", Vi, C)
+    b = np.einsum("ia,ij->ja", B, agg).reshape(JK)
+    if cov.kind == "nonhomog_ri":
+        dA, db = _intercept_terms(B, cov, enum, w, ytil)
+        A -= dA
+        b -= db
 
     for j in range(J):
         A[j * K:(j + 1) * K, j * K:(j + 1) * K] += 2.0 * lambdas[j] * R
@@ -300,7 +285,7 @@ def _floor_probs(p, floor=_ALPHA_FLOOR):
 
 
 def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
-               init="quantile-split", rng=None):
+               init="quantile-split"):
     """Starting parameters.
 
     The default "quantile-split" strategy fits one pooled penalized spline,
@@ -435,8 +420,7 @@ def _check_supplied(theta, latent_spec, cov_spec, J, K, n, M):
 
 def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
             max_iter=500, init="quantile-split",
-            enumeration_cap=2 ** 20, compute_se=True,
-            force_enumeration=False):
+            enumeration_cap=2 ** 20, compute_se=True):
     """Run the penalized ECM to convergence and assemble a FitReport.
 
     ``init`` is either the string "quantile-split" or a supplied-theta
@@ -444,8 +428,8 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
     falls in the supported set; failures demote to report warnings rather
     than errors.
     """
-    model = validate(dataset, latent_spec, cov_spec,
-                     enumeration_cap=enumeration_cap)
+    validate(dataset, latent_spec, cov_spec,
+             enumeration_cap=enumeration_cap)
     J, n, N = latent_spec.J, dataset.n_points, dataset.n_replicates
     basis = build_basis(dataset.x, K)
     B = basis_matrix(basis, dataset.x)
@@ -453,7 +437,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
 
     lambdas = np.broadcast_to(
         np.asarray(lambdas, dtype=float).ravel(), (J,)).copy()
-    use_enum = _use_enumeration(cov_spec, force_enumeration)
+    use_enum = not cov_spec.diagonal
     enum = lat_mod.enumerate_states(n, J) if use_enum else None
     theta = initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
                        init=init)
@@ -466,8 +450,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
     iterations = 0
     for it in range(max_iter):
         F = theta.phi @ B.T
-        step = e_step(dataset, F, theta, latent_spec, cov_spec, enum=enum,
-                      force_enumeration=force_enumeration)
+        step = e_step(dataset, F, theta, latent_spec, cov_spec, enum=enum)
         obj = float(step.loglik.sum()) - penalty_value(theta, R)
         if trace:
             scale = max(1.0, abs(trace[-1]))
@@ -501,8 +484,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
     else:
         # one final objective evaluation at the last parameters
         F = theta.phi @ B.T
-        step = e_step(dataset, F, theta, latent_spec, cov_spec, enum=enum,
-                      force_enumeration=force_enumeration)
+        step = e_step(dataset, F, theta, latent_spec, cov_spec, enum=enum)
         obj = float(step.loglik.sum()) - penalty_value(theta, R)
         scale = max(1.0, abs(trace[-1]))
         if obj < trace[-1] - _ASCENT_RTOL * scale:

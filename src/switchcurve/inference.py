@@ -18,10 +18,17 @@ curvature blocks also have closed forms, used as the fast route and checked
 against the generic one in the tests.  The covariate model factorizes over
 points when the covariance is diagonal, so Simulation-scale datasets never
 need enumeration there.
+
+The iid and Markov information still needs the joint posterior over all
+J**n state vectors.  Structured covariance kinds reuse the E-step's table;
+diagonal kinds have none, so ``_joint_for`` builds it from the pointwise
+densities.  This is the one place a diagonal kind is enumerated, and it
+stops at the enumeration cap with ``EnumerationTooLarge``.
 """
 
 import numpy as np
 
+from . import covariance as cov_mod
 from . import latent as lat_mod
 from .errors import (
     BoundaryParameter,
@@ -296,6 +303,14 @@ def _joint_for(dataset, theta, latent_spec, cov_spec, step,
         return step.joint, enum
     F = theta.phi @ em_mod.basis_matrix(
         em_mod.build_basis(dataset.x, theta.phi.shape[1]), dataset.x).T
-    redo = em_mod.e_step(dataset, F, theta, latent_spec, cov_spec,
-                         enum=enum, force_enumeration=True)
-    return redo.joint, enum
+    if not cov_spec.diagonal:
+        redo = em_mod.e_step(dataset, F, theta, latent_spec, cov_spec,
+                             enum=enum)
+        return redo.joint, enum
+    pw = cov_mod.make_structure(cov_spec, theta.cov, n).pointwise_loglik(
+        dataset.y, F)
+    P, _ = lat_mod.joint_posterior(
+        pw.reshape(pw.shape[0], -1) @ enum.flat.T,
+        lat_mod.log_prior_table(enum, latent_spec, theta.latent,
+                                covariates=dataset.covariates))
+    return P, enum

@@ -24,6 +24,11 @@ from .errors import DegenerateLikelihood, EnumerationTooLarge
 
 _OCCUPANCY_EPS = 1e-12
 
+# stopping rules of the covariate alpha M-step's Newton search
+_NEWTON_GRAD_TOL = 1e-10
+_NEWTON_MAX_STEPS = 50
+_NEWTON_MAX_HALVINGS = 30
+
 
 # ---------------------------------------------------------------------------
 # enumeration
@@ -273,8 +278,7 @@ def forward_backward(pointwise_loglik, pi, A):
 # ---------------------------------------------------------------------------
 
 def update_alpha(latent_spec, prev, marginals, pairwise=None,
-                 covariates=None, grad_tol=1e-10, max_steps=50,
-                 max_halvings=30):
+                 covariates=None):
     """Conditional M-step for the latent parameters.
 
     Returns ``(params, flags)``.  Markov rows with vanishing occupancy keep
@@ -303,31 +307,9 @@ def update_alpha(latent_spec, prev, marginals, pairwise=None,
         return MarkovParams(pi=pi, A=A), flags
 
     beta, newton_flags = _newton_beta(
-        marginals, covariates, prev.beta, grad_tol, max_steps, max_halvings)
+        marginals, covariates, prev.beta, _NEWTON_GRAD_TOL,
+        _NEWTON_MAX_STEPS, _NEWTON_MAX_HALVINGS)
     return CovariateParams(beta=beta), flags + newton_flags
-
-
-def expected_latent_loglik(latent_spec, params, marginals, pairwise=None,
-                           covariates=None):
-    """Posterior-expected complete-data log prior, the alpha M-step target."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if latent_spec.kind == "iid":
-            lp = np.log(params.p)
-            return float(np.sum(marginals.sum(axis=(0, 1))
-                                * np.where(np.isfinite(lp), lp, 0.0)))
-        if latent_spec.kind == "markov":
-            lpi = np.log(params.pi)
-            lA = np.log(params.A)
-            init = marginals[:, 0, :].sum(axis=0)
-            tr = pairwise.sum(axis=(0, 1))
-            val = np.sum(init * np.where(np.isfinite(lpi), lpi, 0.0))
-            val += np.sum(tr * np.where(np.isfinite(lA), lA, 0.0))
-            if (np.any(init[np.isneginf(lpi)] > 0)
-                    or np.any(tr[np.isneginf(lA)] > 0)):
-                return -np.inf
-            return float(val)
-    lp = log_state_probs(params.beta, covariates)
-    return float(np.sum(marginals * lp))
 
 
 def _newton_beta(marginals, covariates, beta0, grad_tol, max_steps,

@@ -283,8 +283,7 @@ def run_replication(design, seed, rep):
     }
 
 
-def run_study(design, n_reps=300, seed=0, threads=1,
-              levels=(0.90, 0.95)):
+def run_study(design, n_reps=300, seed=0, threads=1):
     """Run the full replication study and aggregate."""
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(threads) as pool:
@@ -301,7 +300,7 @@ def run_study(design, n_reps=300, seed=0, threads=1,
     estimates = {k: np.array([res["params"][k] for res in results])
                  for k in results[0]["params"]}
     ses = {k: np.array([res["se"][k] for res in results]) for k in names}
-    zs = {lev: float(ndtri(0.5 + lev / 2.0)) for lev in levels}
+    zs = {lev: float(ndtri(0.5 + lev / 2.0)) for lev in (0.90, 0.95)}
 
     params = {}
     n_missing = 0

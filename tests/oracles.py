@@ -4,11 +4,17 @@ The package computes the enumeration-route contractions as matrix products
 against flattened state tables.  The forms here follow the definitions term
 by term (explicit einsums, per-state-vector and per-replicate loops).  The
 B-spline tables come from scipy's ``BSpline``, which the package itself
-does not import.
+does not import.  ``enumerated_e_step`` is the brute-force E-step of the
+diagonal covariance kinds, which the package runs pointwise or by
+forward-backward instead.
 """
 
 import numpy as np
 from scipy.interpolate import BSpline
+
+from switchcurve.em import EStep
+from switchcurve.latent import (joint_posterior, log_prior_table,
+                                log_state_probs)
 
 
 def bspline_design_matrix(knots, x):
@@ -100,3 +106,50 @@ def intercept_sums_tables(P, y, Fs, E2):
     return (float(np.einsum("ks,ksi,ksi->", P, r, r)),
             (P * t1 * t1).sum(axis=0), (P * t1 * t2).sum(axis=0),
             (P * t2 * t2).sum(axis=0))
+
+
+def enumerated_e_step(dataset, F, theta, latent_spec, cov_spec, enum):
+    """E-step of a diagonal covariance kind over all J**n state vectors.
+
+    Each state vector's log density is the sum over points of the normal
+    log densities of y_ki about F[s_i, i] with variance sigma2[s_i].
+    Returns an ``EStep`` with the joint table and, for Markov, pairwise
+    posteriors.
+    """
+    if not cov_spec.diagonal:
+        raise ValueError(f"{cov_spec.kind} is not a diagonal kind")
+    s2 = np.broadcast_to(np.asarray(theta.cov.sigma2, dtype=float),
+                         (F.shape[0],))
+    r = dataset.y[:, :, None] - F.T[None, :, :]
+    pointwise = -0.5 * (r * r / s2 + np.log(2.0 * np.pi * s2))
+    table = np.einsum("kij,sij->ks", pointwise, enum.onehot)
+    prior = log_prior_table(enum, latent_spec, theta.latent,
+                            covariates=dataset.covariates)
+    P, ll = joint_posterior(table, prior)
+    pair = (pairwise_einsum(P, enum) if latent_spec.kind == "markov"
+            else None)
+    return EStep(marginals=marginals_einsum(P, enum), loglik=ll,
+                 pairwise=pair, joint=P)
+
+
+def expected_latent_loglik(latent_spec, params, marginals, pairwise=None,
+                           covariates=None):
+    """Posterior-expected complete-data log prior, the alpha M-step target."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if latent_spec.kind == "iid":
+            lp = np.log(params.p)
+            return float(np.sum(marginals.sum(axis=(0, 1))
+                                * np.where(np.isfinite(lp), lp, 0.0)))
+        if latent_spec.kind == "markov":
+            lpi = np.log(params.pi)
+            lA = np.log(params.A)
+            init = marginals[:, 0, :].sum(axis=0)
+            tr = pairwise.sum(axis=(0, 1))
+            val = np.sum(init * np.where(np.isfinite(lpi), lpi, 0.0))
+            val += np.sum(tr * np.where(np.isfinite(lA), lA, 0.0))
+            if (np.any(init[np.isneginf(lpi)] > 0)
+                    or np.any(tr[np.isneginf(lA)] > 0)):
+                return -np.inf
+            return float(val)
+    lp = log_state_probs(params.beta, covariates)
+    return float(np.sum(marginals * lp))

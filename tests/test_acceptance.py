@@ -22,7 +22,7 @@ from switchcurve.cv import cv_score
 from switchcurve.datamodel import (CovSpec, CovariateParams, IIDParams,
                                    IsoDiagParams, LatentSpec, MarkovParams,
                                    MultiCurveDataset, Theta)
-from switchcurve.em import e_step, ecm_fit
+from switchcurve.em import ecm_fit
 from switchcurve.inference import (louis_information_generic,
                                    louis_information_iid_closed,
                                    louis_information_markov_closed)
@@ -31,6 +31,8 @@ from switchcurve.latent import (enumerate_states, forward_backward,
                                 log_state_probs, marginal_posterior_pointwise,
                                 marginals_from_joint, pairwise_from_joint,
                                 update_alpha)
+
+from oracles import enumerated_e_step
 
 LATENT_KINDS = ["iid", "markov", "covariate"]
 COV_KINDS = ["iso_diag", "state_diag", "unrestricted", "homog_ri",
@@ -269,16 +271,16 @@ def toy_fixed_point(kind):
     lat = LatentSpec(kind=kind, J=2)
     alpha, coords, _ = TOY_KINDS[kind]
     for _ in range(3000):
-        step = e_step(data, f, toy_theta(alpha), lat, TOY_COV_SPEC,
-                      enum=enum, force_enumeration=True)
+        step = enumerated_e_step(data, f, toy_theta(alpha), lat,
+                                 TOY_COV_SPEC, enum)
         new, _ = update_alpha(lat, alpha, step.marginals, step.pairwise,
                               data.covariates)
         delta = np.max(np.abs(coords(new) - coords(alpha)))
         alpha = new
         if delta < 1e-14:
             break
-    step = e_step(data, f, toy_theta(alpha), lat, TOY_COV_SPEC, enum=enum,
-                  force_enumeration=True)
+    step = enumerated_e_step(data, f, toy_theta(alpha), lat, TOY_COV_SPEC,
+                             enum)
     return data, enum, lat, alpha, step
 
 
@@ -304,8 +306,8 @@ def test_04_information_matches_numerical_hessian():
         _, f = toy_data()
 
         def observed(vec):
-            s = e_step(data, f, toy_theta(unpack(vec)), lat, TOY_COV_SPEC,
-                       enum=enum, force_enumeration=True)
+            s = enumerated_e_step(data, f, toy_theta(unpack(vec)), lat,
+                                  TOY_COV_SPEC, enum)
             return float(s.loglik.sum())
 
         info_fd = -fd_hessian(observed, coords(alpha))

@@ -168,6 +168,28 @@ def test_malformed_csv_exits_with_validation_code(tmp_path):
     assert "duplicate" in err["message"]
 
 
+@pytest.mark.parametrize("overrides", [
+    {"lambdas": [1, 2, 3]},
+    {"K": "abc"},
+    {"tol": float("nan")},
+    {"latent": {"kind": "iid", "J": "two"}},
+    {"lambdas": "cv", "cv": {"gird": [1, 2]}},
+    {"lambdas": "cv", "cv": {"grid": [-1, 2]}},
+    {"lambdas": "cv", "cv": {"outer_max_iter": "abc"}},
+], ids=["lambdas-count", "K-text", "tol-nan", "J-text", "cv-unknown-key",
+        "cv-negative-grid", "cv-outer-text"])
+def test_malformed_config_values_exit_with_validation_code(tmp_path,
+                                                           overrides):
+    data = write_data(tmp_path / "data.csv", N=4, n=6)
+    config = write_config(tmp_path / "config.json", **overrides)
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", data, "--config", config,
+               "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "SpecMismatch"
+
+
 def test_numerical_failure_exits_with_code_three(tmp_path):
     data = write_data(tmp_path / "data.csv", n=6)
     init = {"phi": [[0.0] * 6, [1.0] * 6],

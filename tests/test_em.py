@@ -2,8 +2,8 @@
 
 Coefficient updates are compared against normal equations assembled with
 explicit loops over state vectors and grid points.  The pointwise and
-forward-backward E-step routes are compared against the enumeration route,
-which earlier test modules pin to brute force.
+forward-backward E-step routes are compared against the brute-force
+enumeration E-step in the test oracles.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from switchcurve.em import (classify_marginals, e_step, ecm_fit,
 from switchcurve.errors import BadInit, EnumerationTooLarge
 from switchcurve.latent import enumerate_states, pairwise_from_joint
 
-from oracles import nonhomog_normal_system_loop
+from oracles import enumerated_e_step, nonhomog_normal_system_loop
 
 LAM = 1e-4
 
@@ -104,8 +104,6 @@ def dense_vinv(kind, params, states_row):
     ones = np.ones((n, n))
     if kind == "iso_diag":
         V = params.sigma2 * np.eye(n)
-    elif kind == "state_diag":
-        V = np.diag(params.sigma2[states_row.astype(int)])
     elif kind == "unrestricted":
         V = params.V
     elif kind == "homog_ri":
@@ -117,12 +115,16 @@ def dense_vinv(kind, params, states_row):
     return np.linalg.inv(V)
 
 
+# explicit ids keep each case's test name stable across edits of the list
 GENERAL_KINDS = [
-    ("iso_diag", IsoDiagParams(sigma2=0.5)),
-    ("state_diag", StateDiagParams(sigma2=[0.4, 1.3])),
-    ("unrestricted", None),
-    ("homog_ri", HomogRIParams(sigma2=0.5, d=0.8)),
-    ("nonhomog_ri", NonHomogRIParams(sigma2=0.5, d1=0.3, d2=1.1)),
+    pytest.param("iso_diag", IsoDiagParams(sigma2=0.5),
+                 id="iso_diag-params0"),
+    pytest.param("unrestricted", None, id="unrestricted-None"),
+    pytest.param("homog_ri", HomogRIParams(sigma2=0.5, d=0.8),
+                 id="homog_ri-params3"),
+    pytest.param("nonhomog_ri",
+                 NonHomogRIParams(sigma2=0.5, d1=0.3, d2=1.1),
+                 id="nonhomog_ri-params4"),
 ]
 
 
@@ -222,8 +224,7 @@ def test_estep_diagonal_route_matches_enumeration(lat_kind, cov_kind):
 
     fast = e_step(data, F, theta, spec, cspec)
     enum = enumerate_states(n, J)
-    slow = e_step(data, F, theta, spec, cspec, enum=enum,
-                  force_enumeration=True)
+    slow = enumerated_e_step(data, F, theta, spec, cspec, enum)
     np.testing.assert_allclose(fast.loglik, slow.loglik, rtol=1e-12)
     np.testing.assert_allclose(fast.marginals, slow.marginals, atol=1e-11)
     if lat_kind == "markov":
@@ -276,19 +277,6 @@ def test_fit_stops_with_warning_at_iteration_cap():
     assert "not_converged" in report.warnings
     assert report.iterations == 1
     assert report.loglik_trace.size == 2
-
-
-def test_forced_enumeration_reproduces_the_diagonal_fit():
-    data, _, _ = two_state_data(seed=10, N=6, n=6)
-    kw = dict(lambdas=LAM, K=5, max_iter=15, tol=1e-10, compute_se=False)
-    spec, cspec = LatentSpec(kind="iid", J=2), CovSpec(kind="iso_diag")
-    fast = ecm_fit(data, spec, cspec, **kw)
-    slow = ecm_fit(data, spec, cspec, force_enumeration=True, **kw)
-    np.testing.assert_allclose(fast.loglik_trace, slow.loglik_trace,
-                               rtol=1e-8)
-    np.testing.assert_allclose(fast.curves, slow.curves, atol=1e-7)
-    np.testing.assert_allclose(fast.theta.latent.p, slow.theta.latent.p,
-                               atol=1e-8)
 
 
 def test_relabeling_the_init_permutes_the_fit():

@@ -20,7 +20,8 @@ from switchcurve.em import e_step, ecm_fit
 from switchcurve.errors import BoundaryParameter, SingularInformation
 from switchcurve.latent import enumerate_states, update_alpha
 
-from oracles import covariate_moments_loop, score_second_moment_einsum
+from oracles import (covariate_moments_loop, enumerated_e_step,
+                     score_second_moment_einsum)
 
 N_TOY, N_POINTS, J = 3, 3, 2
 COV_SPEC = CovSpec(kind="iso_diag")
@@ -71,8 +72,8 @@ def fixed_point(kind):
     alpha, coords, unpack = KINDS[kind]
     delta = np.inf
     for _ in range(3000):
-        step = e_step(data, f, make_theta(alpha), lat, COV_SPEC, enum=enum,
-                      force_enumeration=True)
+        step = enumerated_e_step(data, f, make_theta(alpha), lat, COV_SPEC,
+                                 enum)
         new, _ = update_alpha(lat, alpha, step.marginals, step.pairwise,
                               data.covariates)
         delta = np.max(np.abs(coords(new) - coords(alpha)))
@@ -80,14 +81,13 @@ def fixed_point(kind):
         if delta < 1e-14:
             break
     assert delta < 1e-14
-    step = e_step(data, f, make_theta(alpha), lat, COV_SPEC, enum=enum,
-                  force_enumeration=True)
+    step = enumerated_e_step(data, f, make_theta(alpha), lat, COV_SPEC,
+                             enum)
     return data, enum, lat, alpha, step
 
 
 def observed_loglik(data, theta, lat, enum, f):
-    step = e_step(data, f, theta, lat, COV_SPEC, enum=enum,
-                  force_enumeration=True)
+    step = enumerated_e_step(data, f, theta, lat, COV_SPEC, enum)
     return float(step.loglik.sum())
 
 
@@ -215,13 +215,13 @@ def test_se_inversion_guards():
     assert se == {"a": 0.5, "b": 0.2}
 
 
-def fit_data(seed, M=0, N=20, n=8):
+def fit_data(seed, M=0, N=20, n=8, noise=0.2):
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, n)
     base = np.sin(2.0 * np.pi * x)
     f = np.stack([base, base + 1.2])
     z = rng.integers(0, 2, (N, n))
-    y = f[z, np.arange(n)] + 0.2 * rng.standard_normal((N, n))
+    y = f[z, np.arange(n)] + noise * rng.standard_normal((N, n))
     v = rng.standard_normal((N, n, M)) if M else None
     return MultiCurveDataset(x=x, y=y, covariates=v)
 
@@ -240,6 +240,36 @@ def test_fit_reports_come_with_standard_errors():
     report = ecm_fit(fit_data(2, M=1), LatentSpec(kind="covariate", J=2),
                      CovSpec(kind="iso_diag"), lambdas=1e-4)
     assert set(report.std_errors) == {"beta0", "beta1"}
+
+
+@pytest.mark.parametrize("kind", ["iid", "markov"])
+@pytest.mark.parametrize("cov_kind", ["iso_diag", "state_diag"])
+def test_diagonal_kind_ses_match_the_enumerated_oracle(kind, cov_kind):
+    """iid and Markov SEs of a diagonal kind enumerate the joint from the
+    pointwise densities; the closed forms applied to the brute-force
+    E-step's joint give the same SEs, with and without the fit's E-step."""
+    # noisy enough that the mean top posterior is about 0.92, not ~1
+    data = fit_data(5, N=12, n=7, noise=0.6)
+    lat, cspec = LatentSpec(kind=kind, J=2), CovSpec(kind=cov_kind)
+    report = ecm_fit(data, lat, cspec, lambdas=1e-4)
+    se, reason = inf_mod.standard_errors_for_fit(
+        data, lat, cspec, report.theta, step=None)
+    assert reason is None
+    assert report.std_errors == se
+
+    enum = enumerate_states(data.n_points, 2)
+    P = enumerated_e_step(data, report.curves, report.theta, lat, cspec,
+                          enum).joint
+    if kind == "iid":
+        info, labels = inf_mod.louis_information_iid_closed(
+            P, enum, report.theta.latent.p)
+    else:
+        info, labels = inf_mod.louis_information_markov_closed(
+            P, enum, report.theta.latent)
+    want = inf_mod._se_from_information(info, labels)
+    assert sorted(se) == sorted(want)
+    np.testing.assert_allclose([se[k] for k in labels],
+                               [want[k] for k in labels], rtol=1e-12)
 
 
 def test_unsupported_combinations_return_reasons():

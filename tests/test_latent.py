@@ -11,17 +11,18 @@ import math
 import numpy as np
 import pytest
 
+from switchcurve import latent as lat_mod
 from switchcurve.datamodel import (CovariateParams, IIDParams, LatentSpec,
                                    MarkovParams)
 from switchcurve.errors import DegenerateLikelihood, EnumerationTooLarge
-from switchcurve.latent import (enumerate_states, expected_latent_loglik,
-                                forward_backward, joint_posterior,
-                                log_prior_single, log_prior_table,
+from switchcurve.latent import (enumerate_states, forward_backward,
+                                joint_posterior, log_prior_single,
+                                log_prior_table,
                                 log_state_probs, marginal_posterior_pointwise,
                                 marginals_from_joint, pairwise_from_joint,
                                 update_alpha)
 
-from oracles import marginals_einsum, pairwise_einsum
+from oracles import expected_latent_loglik, marginals_einsum, pairwise_einsum
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +432,14 @@ def test_covariate_update_recovers_generating_coefficients():
         np.testing.assert_allclose(params.beta, beta_true, atol=1e-7)
 
 
-def test_covariate_update_flags_unfinished_newton():
+def test_covariate_update_flags_unfinished_newton(monkeypatch):
+    monkeypatch.setattr(lat_mod, "_NEWTON_MAX_STEPS", 1)
     rng = np.random.default_rng(2)
     v = rng.standard_normal((4, 6, 1))
     targets = np.exp(log_state_probs(np.array([[0.5, -2.0]]), v))
     start = CovariateParams(beta=np.array([[8.0, 8.0]]))
     params, flags = update_alpha(LatentSpec(kind="covariate", J=2), start,
-                                 targets, covariates=v, max_steps=1)
+                                 targets, covariates=v)
     assert "newton_diverged" in flags
     assert np.all(np.isfinite(params.beta))
 
