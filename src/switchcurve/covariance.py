@@ -17,10 +17,15 @@ matrix product y V^{-1} Fs' plus per-replicate and per-state-vector terms
 (and, for nonhomog_ri, the sums 1'r and u_s'r), never from an (N, S, n)
 residual tensor.  The M-step statistics are products with the joint
 posterior table P (P Fs, P'y, P'1) rather than (N, S) residual tables.
+
+Every M-step is closed form except nonhomog_ri's.  There sigma2 profiles
+out in closed form and (d1, d2) >= 0 come from a Newton search with
+analytic derivatives, a bound-aware active set and step halving; it starts
+at the previous parameters and never returns a lower objective.  Dense
+factorizations are numpy's (Cholesky for ``unrestricted``).
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NonPositiveSigma, NotSPD
 from .latent import replicate_sums, state_mass
@@ -28,9 +33,9 @@ from .latent import replicate_sums, state_mass
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 _MASS_EPS = 1e-12     # posterior mass below this means an empty state
-_D_FLOOR = 1e-12      # intercept ratios are clamped to [0, inf)
-_SIMPLEX_MAX_FEV = 400    # nonhomog_ri Nelder-Mead evaluation budget
-_SIMPLEX_FATOL = 1e-10    # and its objective-spread stopping rule
+_NEWTON_MAX_STEPS = 50      # nonhomog_ri M-step: Newton steps,
+_NEWTON_MAX_HALVINGS = 60   # halvings of one step,
+_NEWTON_RTOL = 1e-14        # and the predicted decrease that ends it
 
 
 class CovStructure:
@@ -56,10 +61,10 @@ class CovStructure:
             if not np.allclose(V, V.T, rtol=1e-10, atol=1e-12):
                 raise NotSPD("V is not symmetric")
             try:
-                self._chol = cho_factor(V, lower=True)
+                self._chol = np.linalg.cholesky(np.asarray_chkfinite(V))
             except np.linalg.LinAlgError as exc:
                 raise NotSPD(f"V is not positive definite: {exc}") from None
-            self._logdet = 2.0 * np.sum(np.log(np.diag(self._chol[0])))
+            self._logdet = 2.0 * np.sum(np.log(np.diag(self._chol)))
 
     # -- whole-matrix views (state-independent kinds only) ------------------
 
@@ -72,7 +77,8 @@ class CovStructure:
             c = p.d / (1.0 + n * p.d)
             return (np.eye(n) - c * np.ones((n, n))) / p.sigma2
         if self.kind == "unrestricted":
-            return cho_solve(self._chol, np.eye(n))
+            Li = np.linalg.solve(self._chol, np.eye(n))
+            return Li.T @ Li
         raise ValueError(f"{self.kind} has state-dependent V")
 
     def logdet(self):
@@ -306,54 +312,98 @@ def nonhomog_expected_term(sigma2, d1, d2, n, N, stats):
 
 
 def update_nonhomog_ri(P, y, Fs, E2, prev):
-    """Simplex search for (sigma2, d1, d2), warm-started at ``prev``.
+    """Conditional maximum of (sigma2, d1, d2), searched from ``prev``.
 
-    Runs Nelder-Mead in (log sigma2, log d1, log d2).  The start point is
-    a vertex of the initial simplex and the best vertex is never discarded,
-    so the returned value cannot be worse than the previous parameters:
-    conditional ascent is preserved by construction.
+    sigma2 profiles out in closed form, sigma2(d) = (A - q(d)) / (N n),
+    which leaves a smooth problem in d = (d1, d2) >= 0 (see
+    ``_profiled_nonhomog``).  Newton runs on the free coordinates: a
+    coordinate at 0 whose gradient points outward is held there.  Each
+    step is halved until the objective rises, and candidates are projected
+    onto d >= 0, so d1 or d2 can reach exactly 0.  If the result's
+    ``nonhomog_expected_term`` is below the one at ``prev`` (or its sigma2
+    is not positive), ``prev`` is returned: conditional ascent holds by
+    construction.
 
-    Returns ``(sigma2, d1, d2, flags)``; flags contains "optimizer_stalled"
-    when the evaluation budget ``_SIMPLEX_MAX_FEV`` ran out before the
-    objective spread fell below ``_SIMPLEX_FATOL``.
+    Returns ``(sigma2, d1, d2)``.
     """
-    # scipy.optimize is imported here, not at module level: only this
-    # covariance kind needs it, and it costs every import of the package
-    # about 20 MB of resident memory.
-    from scipy.optimize import minimize
-
     N, n = y.shape
     stats = nonhomog_sufficient_stats(P, y, Fs, E2)
+    d = np.array([prev.d1, prev.d2], dtype=float)
+    f, g, H, resid = _profiled_nonhomog(d, n, N, stats)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if not np.isfinite(f):
+            break
+        free = (d > 0.0) | (g < 0.0)
+        if not free.any():
+            break
+        step = np.zeros(2)
+        step[free] = _descent_step(g[free], H[np.ix_(free, free)])
+        # a step predicted to gain less than this is the last one, taken
+        # whole if it gains at all
+        last = -(g @ step) <= _NEWTON_RTOL * (abs(f) + N * n)
+        for t in 0.5 ** np.arange(1 if last else _NEWTON_MAX_HALVINGS):
+            cand = np.maximum(d + t * step, 0.0)
+            new = _profiled_nonhomog(cand, n, N, stats)
+            if new[0] < f:
+                break
+        else:
+            break
+        d = cand
+        f, g, H, resid = new
+        if last:
+            break
+    sigma2 = resid / (N * n)
+    if sigma2 > 0 and (
+            nonhomog_expected_term(sigma2, d[0], d[1], n, N, stats)
+            >= nonhomog_expected_term(prev.sigma2, prev.d1, prev.d2,
+                                      n, N, stats)):
+        return float(sigma2), float(d[0]), float(d[1])
+    return float(prev.sigma2), float(prev.d1), float(prev.d2)
 
-    def neg(z):
-        s2, d1, d2 = np.exp(z)
-        return -nonhomog_expected_term(s2, d1, d2, n, N, stats)
 
-    z0 = np.log([max(prev.sigma2, 1e-300),
-                 max(prev.d1, _D_FLOOR),
-                 max(prev.d2, _D_FLOOR)])
-    res = minimize(
-        neg, z0, method="Nelder-Mead",
-        options={"maxfev": _SIMPLEX_MAX_FEV, "fatol": _SIMPLEX_FATOL,
-                 "xatol": np.inf,
-                 "initial_simplex": _start_simplex(z0)})
-    flags = []
-    if not res.success:
-        flags.append("optimizer_stalled")
-    best = res.x if res.fun <= neg(z0) else z0
-    sigma2, d1, d2 = np.exp(best)
-    if d1 <= _D_FLOOR * 10:
-        d1 = 0.0
-    if d2 <= _D_FLOOR * 10:
-        d2 = 0.0
-    return float(sigma2), float(d1), float(d2), flags
+def _profiled_nonhomog(d, n, N, stats):
+    """f(d) = N n log(A - q(d)) + sum_m W_m log det_m(d), with its gradient
+    and Hessian in d = (d1, d2), and A - q(d).
+
+    At sigma2(d) = (A - q(d)) / (N n) the expected term equals
+    -(f(d) + const) / 2, so the M-step minimizes f.  Per m, q's numerator
+    S1 d1 + S3 d2 + c d1 d2 and det_m = 1 + n d1 + m d2 + e d1 d2 are
+    bilinear in d, so every derivative is a quotient rule.  f is +inf
+    where A - q(d) <= 0.
+    """
+    A, m, W, S1, S2, S3 = stats
+    d1, d2 = d
+    c = m * (S1 - 2.0 * S2) + n * S3
+    e = (n - m) * m
+    det = _ri_det(n, m, d1, d2)
+    r = (S1 * d1 + S3 * d2 + c * d1 * d2) / det          # per-m terms of q
+    resid = A - r.sum()
+    if not resid > 0:
+        return np.inf, None, None, resid
+    g_det = np.array([n + e * d2, m + e * d1]) / det     # grad log det_m
+    g_r = np.array([S1 + c * d2, S3 + c * d1]) / det - r * g_det
+    g_q = g_r.sum(axis=1)
+    H_q = -(g_r @ g_det.T)
+    H_q += H_q.T
+    H_q[0, 1] += np.sum((c - r * e) / det)
+    H_q[1, 0] = H_q[0, 1]
+    H_ld = -((W * g_det) @ g_det.T)
+    H_ld[0, 1] += np.sum(W * e / det)
+    H_ld[1, 0] = H_ld[0, 1]
+    Nn = N * n
+    f = Nn * np.log(resid) + W @ np.log(det)
+    g = -Nn * g_q / resid + g_det @ W
+    H = -Nn * (H_q / resid + np.outer(g_q, g_q) / resid ** 2) + H_ld
+    return f, g, H, resid
 
 
-def _start_simplex(z0):
-    simplex = np.tile(z0, (z0.size + 1, 1))
-    for i in range(z0.size):
-        simplex[i + 1, i] += 0.25
-    return simplex
+def _descent_step(g, H):
+    """Newton step -H^{-1} g with H's eigenvalues taken in absolute value
+    (and floored), so it points downhill where f is not convex."""
+    w, V = np.linalg.eigh(H)
+    w = np.abs(w)
+    w = np.maximum(w, 1e-12 * w.max(initial=0.0) + 1e-300)
+    return -V @ ((V.T @ g) / w)
 
 
 # ---------------------------------------------------------------------------

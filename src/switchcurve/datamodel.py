@@ -446,7 +446,7 @@ def parse_config(doc):
         raise SpecMismatch("config must be a JSON object")
     try:
         latent = LatentSpec(kind=doc["latent"]["kind"],
-                            J=int(doc["latent"]["J"]))
+                            J=_config_int(doc["latent"]["J"], "J"))
         cov = CovSpec(kind=doc["covariance"]["kind"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecMismatch(
@@ -471,11 +471,13 @@ def parse_config(doc):
     try:
         cfg = FitConfig(
             latent=latent, cov=cov, lambdas=lambdas,
-            K=None if doc.get("K") is None else int(doc["K"]),
+            K=None if doc.get("K") is None else _config_int(doc["K"], "K"),
             tol=float(doc.get("tol", DEFAULT_TOL)),
-            max_iter=int(doc.get("max_iter", DEFAULT_MAX_ITER)),
-            enumeration_cap=int(
-                doc.get("enumeration_cap", DEFAULT_ENUMERATION_CAP)),
+            max_iter=_config_int(doc.get("max_iter", DEFAULT_MAX_ITER),
+                                 "max_iter"),
+            enumeration_cap=_config_int(
+                doc.get("enumeration_cap", DEFAULT_ENUMERATION_CAP),
+                "enumeration_cap"),
             init=doc.get("init", "quantile-split"),
             cv=dict(doc.get("cv", {})))
     except (TypeError, ValueError) as exc:
@@ -488,6 +490,16 @@ def parse_config(doc):
     if not 0 < cfg.tol < math.inf or cfg.max_iter < 1:
         raise SpecMismatch("tol must be finite and > 0, and max_iter >= 1")
     return cfg
+
+
+def _config_int(value, name):
+    """An integer config field.  ``int`` would truncate 2.7 to 2 and read
+    true as 1, so booleans and non-integral numbers are refused; integral
+    floats such as 2.0 pass."""
+    if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise SpecMismatch(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import covariance as cov_mod
 from . import latent as lat_mod
@@ -144,16 +143,22 @@ def penalty_value(theta, R):
 def _solve_spd(A, b, what):
     """Cholesky solve with a trace-scaled ridge retry."""
     try:
-        return cho_solve(cho_factor(A, lower=True), b)
+        return _cholesky_solve(A, b)
     except np.linalg.LinAlgError:
         ridge = _RIDGE_SCALE * np.trace(A) / A.shape[0]
         log.warning("%s: singular normal matrix, retrying with ridge %.3e",
                     what, ridge)
         try:
-            return cho_solve(
-                cho_factor(A + ridge * np.eye(A.shape[0]), lower=True), b)
+            return _cholesky_solve(A + ridge * np.eye(A.shape[0]), b)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"{what}: {exc}") from None
+
+
+def _cholesky_solve(A, b):
+    """A^{-1} b through A = L L'; LinAlgError unless A is positive
+    definite, ValueError if A holds a NaN or an infinity."""
+    L = np.linalg.cholesky(np.asarray_chkfinite(A))
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def diagonal_normal_system(B, R, lam, weights, y):
@@ -270,7 +275,7 @@ def _update_cov(cov_spec, theta, step, y, F_new, enum):
     if kind == "homog_ri":
         s2, d = cov_mod.update_homog_ri(step.joint, y, Fs)
         return HomogRIParams(sigma2=s2, d=d), flags
-    s2, d1, d2, flags = cov_mod.update_nonhomog_ri(
+    s2, d1, d2 = cov_mod.update_nonhomog_ri(
         step.joint, y, Fs, enum.onehot[:, :, 1], theta.cov)
     return NonHomogRIParams(sigma2=s2, d1=d1, d2=d2), flags
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateLikelihood, EnumerationTooLarge
 
@@ -105,7 +104,19 @@ def log_state_probs(beta, v):
     v = np.asarray(v, dtype=float)
     eta = beta[:, 0] + v @ beta[:, 1:].T            # (..., J-1)
     eta = np.concatenate([np.zeros(eta.shape[:-1] + (1,)), eta], axis=-1)
-    return eta - logsumexp(eta, axis=-1, keepdims=True)
+    return eta - _logsumexp(eta)
+
+
+def _logsumexp(a):
+    """log sum exp(a) over the last axis, kept as a length-1 axis.
+
+    Shifted by the row maximum where that is finite; a row of -inf gives
+    -inf.
+    """
+    m = np.max(a, axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)) + m
 
 
 def log_prior_table(enum, latent_spec, params, covariates=None):
@@ -334,7 +345,7 @@ def _newton_beta(marginals, covariates, beta0, grad_tol, max_steps,
     def grad_hess(b):
         eta = np.concatenate(
             [np.zeros((X.shape[0], 1)), X @ b.T], axis=1)
-        mu = np.exp(eta - logsumexp(eta, axis=1, keepdims=True))
+        mu = np.exp(eta - _logsumexp(eta))
         G = X.T @ (Q[:, 1:] - mu[:, 1:])                # (M+1, J-1)
         H = np.empty((npar, npar))
         p1 = M + 1

@@ -6,12 +6,17 @@ by term (explicit einsums, per-state-vector and per-replicate loops).  The
 B-spline tables come from scipy's ``BSpline``, which the package itself
 does not import.  ``enumerated_e_step`` is the brute-force E-step of the
 diagonal covariance kinds, which the package runs pointwise or by
-forward-backward instead.
+forward-backward instead.  ``nonhomog_simplex_update`` is the derivative-
+free nonhomog_ri M-step (scipy's Nelder-Mead) that the package's profiled
+Newton search replaced.
 """
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.optimize import minimize
 
+from switchcurve.covariance import (nonhomog_expected_term,
+                                    nonhomog_sufficient_stats)
 from switchcurve.em import EStep
 from switchcurve.latent import (joint_posterior, log_prior_table,
                                 log_state_probs)
@@ -106,6 +111,34 @@ def intercept_sums_tables(P, y, Fs, E2):
     return (float(np.einsum("ks,ksi,ksi->", P, r, r)),
             (P * t1 * t1).sum(axis=0), (P * t1 * t2).sum(axis=0),
             (P * t2 * t2).sum(axis=0))
+
+
+def nonhomog_simplex_update(P, y, Fs, E2, prev):
+    """Nelder-Mead over (log sigma2, log d1, log d2) from ``prev``.
+
+    The start is a vertex of the initial simplex (steps of 0.25 in each
+    log coordinate) and the best vertex is kept, so the result is never
+    below ``prev``.  400 evaluations at most, stopping once the simplex's
+    objective spread falls below 1e-10; d below 1e-11 is returned as 0.
+    Returns ``(sigma2, d1, d2)``.
+    """
+    N, n = y.shape
+    stats = nonhomog_sufficient_stats(P, y, Fs, E2)
+
+    def neg(z):
+        s2, d1, d2 = np.exp(z)
+        return -nonhomog_expected_term(s2, d1, d2, n, N, stats)
+
+    z0 = np.log([max(prev.sigma2, 1e-300), max(prev.d1, 1e-12),
+                 max(prev.d2, 1e-12)])
+    simplex = np.tile(z0, (4, 1))
+    simplex[1:] += 0.25 * np.eye(3)
+    res = minimize(neg, z0, method="Nelder-Mead",
+                   options={"maxfev": 400, "fatol": 1e-10, "xatol": np.inf,
+                            "initial_simplex": simplex})
+    sigma2, d1, d2 = np.exp(res.x if res.fun <= neg(z0) else z0)
+    return (float(sigma2), 0.0 if d1 <= 1e-11 else float(d1),
+            0.0 if d2 <= 1e-11 else float(d2))
 
 
 def enumerated_e_step(dataset, F, theta, latent_spec, cov_spec, enum):

@@ -176,8 +176,15 @@ def test_malformed_csv_exits_with_validation_code(tmp_path):
     {"lambdas": "cv", "cv": {"gird": [1, 2]}},
     {"lambdas": "cv", "cv": {"grid": [-1, 2]}},
     {"lambdas": "cv", "cv": {"outer_max_iter": "abc"}},
+    {"latent": {"kind": "iid", "J": 2.7}},
+    {"latent": {"kind": "iid", "J": True}},
+    {"K": 7.9},
+    {"max_iter": 2.5},
+    {"enumeration_cap": 1024.5},
+    {"K": float("inf")},
 ], ids=["lambdas-count", "K-text", "tol-nan", "J-text", "cv-unknown-key",
-        "cv-negative-grid", "cv-outer-text"])
+        "cv-negative-grid", "cv-outer-text", "J-fraction", "J-bool",
+        "K-fraction", "max-iter-fraction", "cap-fraction", "K-infinite"])
 def test_malformed_config_values_exit_with_validation_code(tmp_path,
                                                            overrides):
     data = write_data(tmp_path / "data.csv", N=4, n=6)
@@ -249,12 +256,21 @@ def test_module_entry_point_runs():
 
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
-    # each of these costs every process that imports the package (every
-    # simstudy worker, every CLI call) tens of MB of resident memory
-    heavy = ["scipy.stats", "scipy.interpolate", "scipy.optimize",
-             "scipy.sparse"]
-    code = ("import sys, switchcurve, switchcurve.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
+    # the runtime depends on numpy alone; scipy would cost every process
+    # that imports the package (every simstudy worker, every CLI call) tens
+    # of MB of resident memory and a second BLAS
+    code = (
+        "import sys, numpy as np, switchcurve, switchcurve.cli\n"
+        "from switchcurve import CovSpec, LatentSpec, MultiCurveDataset\n"
+        "from switchcurve.em import ecm_fit\n"
+        "rng = np.random.default_rng(0)\n"
+        "z = rng.integers(0, 2, (6, 5))\n"
+        "y = z + 0.3 * rng.standard_normal((6, 5))\n"
+        "data = MultiCurveDataset(x=np.linspace(0, 1, 5), y=y)\n"
+        "fit = ecm_fit(data, LatentSpec(kind='iid', J=2),\n"
+        "              CovSpec(kind='nonhomog_ri'), lambdas=1e-3, K=4,\n"
+        "              max_iter=5)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr

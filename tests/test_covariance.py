@@ -4,7 +4,7 @@ Every structured density, inverse, and determinant identity is checked
 against an explicitly materialized V with scipy's multivariate normal and
 numpy's generic inverse/slogdet.  M-step updates are checked against plain
 double loops and against local perturbations of the objective they claim
-to maximize.
+to maximize; the nonhomog_ri search also against the Nelder-Mead oracle.
 """
 
 import math
@@ -25,7 +25,8 @@ from switchcurve.datamodel import (CovSpec, HomogRIParams, IsoDiagParams,
 from switchcurve.errors import NonPositiveSigma, NotSPD
 from switchcurve.latent import enumerate_states
 
-from oracles import intercept_sums_tables, vinv_for_state
+from oracles import (intercept_sums_tables, nonhomog_simplex_update,
+                     vinv_for_state)
 
 
 def dense_v(kind, params, n, u=None):
@@ -370,13 +371,65 @@ def test_update_nonhomog_never_degrades_the_objective():
     P = random_posterior(rng, N, enum.size)
     stats = nonhomog_sufficient_stats(P, y, Fs, E2)
     prev = NonHomogRIParams(sigma2=1.0, d1=0.1, d2=0.1)
-    s2, d1, d2, flags = update_nonhomog_ri(P, y, Fs, E2, prev)
+    s2, d1, d2 = update_nonhomog_ri(P, y, Fs, E2, prev)
     old = nonhomog_expected_term(prev.sigma2, prev.d1, prev.d2, n, N, stats)
     new = nonhomog_expected_term(s2, max(d1, 1e-300), max(d2, 1e-300), n, N,
                                  stats)
     assert new >= old - 1e-10 * abs(old)
     assert s2 > 0 and d1 >= 0 and d2 >= 0
-    assert all(f == "optimizer_stalled" for f in flags)
+
+
+def nonhomog_problem(shared, second, n=6, N=40, seed=1):
+    """A posterior concentrated on one state vector s0, and responses about
+    its curves with a shared intercept of sd ``shared`` and an intercept of
+    sd ``second`` on s0's state-2 points."""
+    rng = np.random.default_rng(seed)
+    enum = enumerate_states(n, 2)
+    Fs = gathered_curves(rng.standard_normal((2, n)), enum.states)
+    E2 = (enum.states == 1).astype(float)
+    s0 = rng.integers(enum.size)
+    y = (Fs[s0] + 0.5 * rng.standard_normal((N, n))
+         + shared * rng.standard_normal((N, 1))
+         + second * rng.standard_normal((N, 1)) * E2[s0])
+    logits = rng.standard_normal((N, enum.size))
+    logits[:, s0] += 8.0
+    P = np.exp(logits)
+    return P / P.sum(axis=1, keepdims=True), y, Fs, E2
+
+
+@pytest.mark.parametrize("start", [(1.0, 0.3, 0.3), (1.0, 0.0, 0.0)],
+                         ids=["start-inside", "start-at-zero"])
+@pytest.mark.parametrize("shared, second, zeros", [
+    (1.0, 1.0, []), (0.0, 1.0, [1]), (1.0, 0.0, [2])],
+    ids=["interior", "d1-zero", "d2-zero"])
+def test_update_nonhomog_reaches_a_stationary_point(shared, second, zeros,
+                                                    start):
+    """The profiled Newton search is at least as high as the Nelder-Mead
+    oracle, and no coordinate can rise further: the derivative in log theta
+    vanishes on positive coordinates, and the one-sided slope into a zero
+    bound is negative."""
+    P, y, Fs, E2 = nonhomog_problem(shared, second)
+    N, n = y.shape
+    stats = nonhomog_sufficient_stats(P, y, Fs, E2)
+    prev = NonHomogRIParams(*start)
+
+    def objective(theta):
+        return nonhomog_expected_term(*theta, n, N, stats)
+
+    theta = update_nonhomog_ri(P, y, Fs, E2, prev)
+    ref = objective(nonhomog_simplex_update(P, y, Fs, E2, prev))
+    assert objective(theta) >= ref - 1e-12 * abs(ref)
+    assert [i for i in (1, 2) if theta[i] == 0.0] == zeros
+    h = 1e-5
+    for i, value in enumerate(theta):
+        up, down = list(theta), list(theta)
+        if value > 0:
+            up[i], down[i] = value * np.exp(h), value * np.exp(-h)
+            slope = (objective(up) - objective(down)) / (2 * h)
+            assert abs(slope) <= 1e-8 * N * n
+        else:
+            up[i] = h
+            assert objective(up) < objective(theta)
 
 
 def test_update_state_diag_matches_weighted_average():

@@ -6,6 +6,8 @@ forward-backward E-step routes are compared against the brute-force
 enumeration E-step in the test oracles.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -15,16 +17,34 @@ from switchcurve.datamodel import (CovSpec, CovariateParams, HomogRIParams,
                                    MarkovParams, MultiCurveDataset,
                                    NonHomogRIParams, StateDiagParams, Theta,
                                    UnrestrictedParams, theta_to_dict)
-from switchcurve.em import (classify_marginals, e_step, ecm_fit,
+from switchcurve.em import (_solve_spd, classify_marginals, e_step, ecm_fit,
                             gather_curves, general_normal_system, initialize,
                             penalty_value, update_f_diagonal,
                             update_f_general, weight_matrices)
-from switchcurve.errors import BadInit, EnumerationTooLarge
+from switchcurve.errors import BadInit, EnumerationTooLarge, SingularSystem
 from switchcurve.latent import enumerate_states, pairwise_from_joint
 
 from oracles import enumerated_e_step, nonhomog_normal_system_loop
 
 LAM = 1e-4
+
+
+def test_solve_spd_retries_a_singular_matrix_with_a_ridge(caplog):
+    # the second pivot is exactly 1 - 1 = 0
+    A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    b = np.array([1.0, 1.0, 3.0])
+    with caplog.at_level(logging.WARNING, logger="switchcurve.em"):
+        x = _solve_spd(A, b, "probe")
+    assert "probe: singular normal matrix, retrying with ridge" in caplog.text
+    ridge = 1e-10 * np.trace(A) / 3
+    np.testing.assert_allclose((A + ridge * np.eye(3)) @ x, b, atol=1e-12)
+    np.testing.assert_allclose(_solve_spd(A + np.eye(3), b, "probe"),
+                               np.linalg.solve(A + np.eye(3), b), rtol=1e-14)
+
+
+def test_solve_spd_raises_singular_system_on_an_indefinite_matrix():
+    with pytest.raises(SingularSystem, match="probe"):
+        _solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2), "probe")
 
 
 def two_state_data(seed=0, N=12, n=10, spread=1.0, noise=0.15, M=0):

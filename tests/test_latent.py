@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from switchcurve import latent as lat_mod
 from switchcurve.datamodel import (CovariateParams, IIDParams, LatentSpec,
@@ -23,6 +24,22 @@ from switchcurve.latent import (enumerate_states, forward_backward,
                                 update_alpha)
 
 from oracles import expected_latent_loglik, marginals_einsum, pairwise_einsum
+
+
+def test_logsumexp_matches_scipy():
+    rng = np.random.default_rng(21)
+    random = 3.0 * rng.standard_normal((30, 6))
+    large = rng.uniform(-700.0, 700.0, (30, 6))
+    large[:10] = 700.0 - rng.uniform(0.0, 3.0, (10, 6))
+    large[10:20] = -700.0 - rng.uniform(0.0, 80.0, (10, 6))
+    infs = random.copy()
+    infs[::3, 2] = -np.inf
+    infs[4] = -np.inf
+    for a in (random, large, infs, random.reshape(5, 6, 6), random[0]):
+        got = lat_mod._logsumexp(a)
+        want = logsumexp(a, axis=-1, keepdims=True)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+    assert np.isneginf(lat_mod._logsumexp(infs)[4, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from switchcurve.basis import basis_matrix, build_basis
 from switchcurve.datamodel import (CovariateParams, FitReport, HomogRIParams,
                                    IIDParams, IsoDiagParams, MarkovParams,
                                    Theta)
-from switchcurve.sim import (SimDesign, align_to_truth,
+from switchcurve.sim import (_COVERAGE_Z, SimDesign, align_to_truth,
                              default_true_functions, fit_design,
                              generate_dataset, run_replication, run_study,
                              stock_design, truth_start)
@@ -188,6 +189,11 @@ def test_small_study_aggregates_and_serializes():
     json.dumps(doc)
     assert "estimates" not in doc and "ses" not in doc
     assert doc["design"] == "iid" and doc["n_reps"] == 8
+
+
+def test_coverage_z_values_are_normal_quantiles():
+    assert _COVERAGE_Z == {lev: float(ndtri(0.5 + lev / 2.0))
+                           for lev in (0.90, 0.95)}
 
 
 def test_threaded_study_matches_serial_exactly():
