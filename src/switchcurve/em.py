@@ -383,6 +383,11 @@ def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
 
 
 def _check_supplied(theta, latent_spec, cov_spec, J, K, n, M):
+    supplied = {"phi": theta.phi, "lambdas": theta.lambdas,
+                **vars(theta.latent), **vars(theta.cov)}
+    for name, value in supplied.items():
+        if not np.all(np.isfinite(value)):
+            raise BadInit(f"{name} must be finite")
     if theta.phi.shape != (J, K):
         raise BadInit(f"phi shape {theta.phi.shape}, expected {(J, K)}")
     if theta.lambdas.shape != (J,) or np.any(theta.lambdas < 0):

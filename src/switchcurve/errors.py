@@ -58,7 +58,8 @@ class BadInit(ValidationError):
 # -- numerics ---------------------------------------------------------------
 
 class DegenerateLikelihood(NumericalError):
-    """All state configurations carry zero likelihood for some replicate."""
+    """All state configurations carry zero likelihood for some replicate,
+    or its log-likelihood is NaN or +inf."""
 
 
 class NotSPD(NumericalError):

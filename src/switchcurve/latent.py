@@ -9,9 +9,14 @@ State vectors are enumerated in a canonical order: index m written in base
 J, least significant digit first, so the state of the first grid point
 cycles fastest.  All posterior work happens in log space; each replicate's
 normalizer uses the log-sum-exp shift, which keeps the small-variance
-regimes of interest far from overflow.  Summaries of the (N, S) joint
-posterior table are single matrix products with flat indicator tables
-cached on the enumeration.
+regimes of interest far from overflow.  Underflow is the common case there:
+most shifted log weights lie below log(tiny) = -708.4, where tiny is the
+smallest normal float, and their exponentials are subnormal or 0.  The
+joint posterior writes an exact 0 for them without calling ``exp``, which
+is several times slower on such arguments; the largest shifted weight is
+exp(0) = 1, so the normalizer and the log-likelihood do not change.
+Summaries of the (N, S) joint posterior table are single matrix products
+with flat indicator tables cached on the enumeration.
 """
 
 from dataclasses import dataclass
@@ -22,6 +27,10 @@ import numpy as np
 from .errors import DegenerateLikelihood, EnumerationTooLarge
 
 _OCCUPANCY_EPS = 1e-12
+
+# shifted log weights below this exponentiate to a subnormal or to 0; the
+# joint posterior writes 0 for them (exp(_LOG_TINY) itself is normal)
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 # stopping rules of the covariate alpha M-step's Newton search
 _NEWTON_GRAD_TOL = 1e-10
@@ -171,6 +180,13 @@ def log_prior_single(states, latent_spec, params, covariate_rows=None):
 def joint_posterior(loglik, logprior):
     """Normalize per-replicate joint posteriors over state vectors.
 
+    Each row is shifted by its maximum before exponentiating.  Shifted
+    entries below log(tiny) (about -708.4) are written as exact 0 instead
+    of their subnormal or underflowed exponentials; every other entry is
+    ``exp(shifted) / Z`` bit for bit as without the rule, and ``Z`` (at
+    least 1) and the log-likelihood do not change.  The inputs are not
+    modified.
+
     Parameters
     ----------
     loglik : (N, S) log density of y_k under each state vector.
@@ -180,16 +196,31 @@ def joint_posterior(loglik, logprior):
     -------
     P : (N, S) posterior table, rows summing to one.
     ll : (N,) log marginal likelihood per replicate.
+
+    Raises
+    ------
+    DegenerateLikelihood
+        if a row holds a NaN or +inf entry, or has no finite entry.
     """
     # one owned (N, S) buffer: shifted, exponentiated and scaled in place
     P = loglik + (logprior if logprior.ndim == 2 else logprior[None, :])
+    # a NaN entry makes its row's max NaN, so it is refused here rather
+    # than zeroed by the mask below
     m = np.max(P, axis=1)
-    if np.any(~np.isfinite(m)):
-        k = int(np.argmin(np.isfinite(m)))
+    bad = ~np.isfinite(m)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if np.isneginf(m[k]):
+            raise DegenerateLikelihood(
+                f"replicate {k + 1}: no state vector has positive "
+                "likelihood")
         raise DegenerateLikelihood(
-            f"replicate {k + 1}: no state vector has positive likelihood")
+            f"replicate {k + 1}: non-finite log-likelihood")
     P -= m[:, None]
-    np.exp(P, out=P)
+    live = P >= _LOG_TINY
+    np.exp(P, out=P, where=live)
+    dead = np.logical_not(live, out=live)     # the same buffer, inverted
+    np.copyto(P, 0.0, where=dead)
     Z = P.sum(axis=1)
     P /= Z[:, None]
     return P, m + np.log(Z)

@@ -8,7 +8,9 @@ does not import.  ``enumerated_e_step`` is the brute-force E-step of the
 diagonal covariance kinds, which the package runs pointwise or by
 forward-backward instead.  ``nonhomog_simplex_update`` is the derivative-
 free nonhomog_ri M-step (scipy's Nelder-Mead) that the package's profiled
-Newton search replaced.
+Newton search replaced.  ``joint_posterior_dense`` exponentiates every
+entry of the joint, including those the package writes as 0 because their
+exponentials fall below the smallest normal float.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from scipy.optimize import minimize
 from switchcurve.covariance import (nonhomog_expected_term,
                                     nonhomog_sufficient_stats)
 from switchcurve.em import EStep
+from switchcurve.errors import DegenerateLikelihood
 from switchcurve.latent import (joint_posterior, log_prior_table,
                                 log_state_probs)
 
@@ -65,6 +68,26 @@ def nonhomog_normal_system_loop(B, R, lambdas, y, params, enum, P):
     for j in range(J):
         A[j * K:(j + 1) * K, j * K:(j + 1) * K] += 2.0 * lambdas[j] * R
     return A, b
+
+
+def joint_posterior_dense(loglik, logprior):
+    """Per-replicate joint posteriors with ``exp`` taken of every entry.
+
+    The package's ``joint_posterior`` writes 0 where the shifted log weight
+    is below log(tiny); this form keeps the subnormal and underflowed
+    exponentials.  Returns ``(P, ll)``.
+    """
+    P = loglik + (logprior if logprior.ndim == 2 else logprior[None, :])
+    m = np.max(P, axis=1)
+    if np.any(~np.isfinite(m)):
+        k = int(np.argmin(np.isfinite(m)))
+        raise DegenerateLikelihood(
+            f"replicate {k + 1}: no state vector has positive likelihood")
+    P -= m[:, None]
+    np.exp(P, out=P)
+    Z = P.sum(axis=1)
+    P /= Z[:, None]
+    return P, m + np.log(Z)
 
 
 def marginals_einsum(P, enum):

@@ -213,6 +213,28 @@ def test_numerical_failure_exits_with_code_three(tmp_path):
     assert err["error"] == "NotSPD"
 
 
+@pytest.mark.parametrize("covariance,cov", [
+    ("unrestricted", {"V": [[np.inf] + [0.0] * 5] + np.eye(6)[1:].tolist()}),
+    ("homog_ri", {"sigma2": float("nan"), "d": 0.5}),
+], ids=["V-infinite", "sigma2-nan"])
+def test_non_finite_init_exits_with_validation_code(tmp_path, covariance,
+                                                     cov):
+    data = write_data(tmp_path / "data.csv", n=6)
+    init = {"phi": [[0.0] * 6, [1.0] * 6],
+            "alpha": {"p": [0.5, 0.5]},
+            "cov": cov,
+            "lambdas": [1e-4, 1e-4]}
+    config = write_config(tmp_path / "config.json",
+                          covariance={"kind": covariance}, init=init)
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", data, "--config", config,
+               "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "BadInit"
+    assert "must be finite" in err["message"]
+
+
 def test_simstudy_writes_summaries(tmp_path):
     out = tmp_path / "study"
     rc = main(["simstudy", "--design", "3", "--reps", "4", "--seed", "0",

@@ -369,6 +369,52 @@ def test_initialize_uses_a_supplied_theta_verbatim():
                    CovSpec(kind="iso_diag"), B, R, [LAM, LAM], init=bad)
 
 
+SUPPLIED_ALPHA = {"iid": {"p": [0.3, 0.7]},
+                  "markov": {"pi": [0.5, 0.5], "A": [[0.9, 0.1], [0.2, 0.8]]},
+                  "covariate": {"beta": [[0.0, 0.5]]}}
+SUPPLIED_COV = {"iso_diag": {"sigma2": 0.2},
+                "state_diag": {"sigma2": [0.2, 0.3]},
+                "unrestricted": {"V": (0.2 * np.eye(8)).tolist()},
+                "homog_ri": {"sigma2": 0.2, "d": 0.5},
+                "nonhomog_ri": {"sigma2": 0.2, "d1": 0.5, "d2": 0.5}}
+
+
+@pytest.mark.parametrize("latent,cov,part,key,bad", [
+    ("iid", "iso_diag", None, "phi", np.nan),
+    ("iid", "iso_diag", None, "lambdas", np.inf),
+    ("iid", "iso_diag", "alpha", "p", np.nan),
+    ("markov", "iso_diag", "alpha", "pi", np.nan),
+    ("markov", "iso_diag", "alpha", "A", np.inf),
+    ("covariate", "iso_diag", "alpha", "beta", np.nan),
+    ("iid", "iso_diag", "cov", "sigma2", np.nan),
+    ("iid", "state_diag", "cov", "sigma2", np.inf),
+    ("iid", "unrestricted", "cov", "V", np.inf),
+    ("iid", "homog_ri", "cov", "sigma2", np.nan),
+    ("iid", "homog_ri", "cov", "d", np.nan),
+    ("iid", "nonhomog_ri", "cov", "d1", np.inf),
+    ("iid", "nonhomog_ri", "cov", "d2", np.nan),
+])
+def test_initialize_refuses_a_non_finite_supplied_value(latent, cov, part,
+                                                         key, bad):
+    data, _, _ = two_state_data(seed=13, n=8,
+                                M=1 if latent == "covariate" else 0)
+    x, B, R = design(8, 5)
+    doc = {"phi": np.arange(10.0).reshape(2, 5).tolist(),
+           "alpha": SUPPLIED_ALPHA[latent], "cov": SUPPLIED_COV[cov],
+           "lambdas": [LAM, LAM]}
+    latent_spec, cov_spec = LatentSpec(kind=latent, J=2), CovSpec(kind=cov)
+    initialize(data, latent_spec, cov_spec, B, R, [LAM, LAM], init=doc)
+
+    section = doc if part is None else dict(doc[part])
+    value = np.array(section[key], dtype=float)
+    value.flat[0] = bad
+    section[key] = value.tolist()
+    poisoned = section if part is None else dict(doc, **{part: section})
+    with pytest.raises(BadInit, match=f"{key} must be finite"):
+        initialize(data, latent_spec, cov_spec, B, R, [LAM, LAM],
+                   init=poisoned)
+
+
 def test_fit_refuses_oversized_enumeration():
     rng = np.random.default_rng(14)
     x = np.linspace(0.0, 1.0, 25)

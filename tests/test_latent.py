@@ -23,7 +23,11 @@ from switchcurve.latent import (enumerate_states, forward_backward,
                                 marginals_from_joint, pairwise_from_joint,
                                 update_alpha)
 
-from oracles import expected_latent_loglik, marginals_einsum, pairwise_einsum
+from oracles import (expected_latent_loglik, joint_posterior_dense,
+                     marginals_einsum, pairwise_einsum)
+
+TINY = np.finfo(float).tiny
+LOG_TINY = math.log(TINY)
 
 
 def test_logsumexp_matches_scipy():
@@ -266,6 +270,63 @@ def test_joint_posterior_all_zero_likelihood_raises():
     loglik[1] = -1.0
     with pytest.raises(DegenerateLikelihood, match="replicate 1"):
         joint_posterior(loglik, np.full(4, math.log(0.25)))
+
+
+@pytest.mark.parametrize("per_replicate", [False, True],
+                         ids=["prior-S", "prior-NS"])
+def test_joint_posterior_zeroes_exactly_the_subnormal_entries(per_replicate):
+    """Shifted log weights below -745 (exp underflows to 0), in
+    [-745, log tiny) (subnormal) and in [log tiny, 0] (normal), with -inf
+    prior entries: the first two bands come out as exact 0, the third bit
+    for bit as the dense oracle's."""
+    rng = np.random.default_rng(29)
+    N = 5
+    shifted = np.concatenate([rng.uniform(-1000.0, -745.5, (N, 200)),
+                              rng.uniform(-745.0, LOG_TINY, (N, 200)),
+                              rng.uniform(LOG_TINY, 0.0, (N, 200))], axis=1)
+    shifted[:, -1] = 0.0
+    # row 0 has no offset and a zero prior at the band edge: exact there
+    shifted[0, :2] = LOG_TINY, np.nextafter(LOG_TINY, -np.inf)
+    offset = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, N - 1)])
+    S = shifted.shape[1]
+    prior = np.zeros((N, S) if per_replicate else S)
+    if per_replicate:
+        prior[1:] = rng.uniform(-5.0, 0.0, (N - 1, S))
+    prior[..., 3:S - 1:7] = -np.inf
+    loglik = shifted + offset[:, None] - np.where(np.isinf(prior), 0.0,
+                                                  prior)
+    before = (loglik.copy(), prior.copy())
+
+    P, ll = joint_posterior(loglik, prior)
+    want_P, want_ll = joint_posterior_dense(loglik, prior)
+    np.testing.assert_array_equal(loglik, before[0])
+    np.testing.assert_array_equal(prior, before[1])
+
+    total = loglik + prior
+    live = total - total.max(axis=1, keepdims=True) >= LOG_TINY
+    assert live[0, 0] and not live[0, 1]
+    assert np.any(want_P[~live] > 0.0)          # the oracle's subnormals
+    np.testing.assert_array_equal(P[live], want_P[live])
+    assert np.all(P[~live] == 0.0)
+    assert np.all(want_P[~live] <= TINY)
+    np.testing.assert_allclose(ll, want_ll, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("loglik_entry,prior_entry", [
+    (np.nan, 0.0), (np.inf, 0.0), (np.inf, -np.inf), (0.0, np.nan)],
+    ids=["nan", "inf", "inf-minus-inf", "nan-prior"])
+def test_joint_posterior_refuses_a_non_finite_entry(loglik_entry,
+                                                    prior_entry):
+    """A NaN fails every comparison, so a mask would zero it; it must
+    raise instead."""
+    loglik = np.zeros((3, 8))
+    prior = np.full((3, 8), math.log(1.0 / 8.0))
+    loglik[1, 5] = loglik_entry
+    prior[1, 5] = prior_entry
+    with pytest.raises(DegenerateLikelihood,
+                       match="replicate 2: non-finite log-likelihood"), \
+            np.errstate(invalid="ignore"):
+        joint_posterior(loglik, prior)
 
 
 def test_joint_summaries_match_brute_force():
