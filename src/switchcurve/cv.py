@@ -178,10 +178,8 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
         fit = em_mod.ecm_fit(
             dataset, latent_spec, cov_spec, lambdas=lambdas, K=K, tol=tol,
             max_iter=max_iter, init=init, compute_se=False)
-        sigma2 = np.broadcast_to(
-            np.atleast_1d(np.asarray(fit.theta.cov.sigma2, dtype=float)),
-            (J,))
-        weights = fit.posteriors / sigma2
+        weights = em_mod.weight_matrices(fit.posteriors,
+                                         fit.theta.cov.sigma2)
         scores = np.empty((J, grid.size))
         for j in range(J):
             scores[j], nf = cv_score(B, R, grid, dataset.y, weights[:, :, j])

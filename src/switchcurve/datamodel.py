@@ -231,14 +231,6 @@ class NonHomogRIParams:
         return self.d1 * self.sigma2, self.d2 * self.sigma2
 
 
-LATENT_PARAM_TYPES = {
-    "iid": IIDParams, "markov": MarkovParams, "covariate": CovariateParams}
-COV_PARAM_TYPES = {
-    "iso_diag": IsoDiagParams, "state_diag": StateDiagParams,
-    "unrestricted": UnrestrictedParams, "homog_ri": HomogRIParams,
-    "nonhomog_ri": NonHomogRIParams}
-
-
 @dataclass
 class Theta:
     """Full parameter vector: spline coefficients, latent, covariance.

@@ -353,7 +353,7 @@ def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
         soft = _ALPHA_FLOOR / J + (1 - _ALPHA_FLOOR) * hard
         beta0 = np.zeros((J - 1, dataset.n_covariates + 1))
         beta, _ = lat_mod._newton_beta(
-            soft, dataset.covariates, beta0, 1e-8, 25, 30)
+            soft, dataset.covariates, beta0, 1e-8, 25)
         alpha = CovariateParams(beta=beta)
 
     kind = cov_spec.kind
@@ -455,10 +455,11 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
 
     warnings = []
     trace = []
-    step = None
     converged = False
     iterations = 0
-    for it in range(max_iter):
+    # max_iter rounds of updates, each after an E-step; the E-step after
+    # the last round only evaluates the objective
+    for it in range(max_iter + 1):
         F = theta.phi @ B.T
         step = e_step(dataset, F, theta, latent_spec, cov_spec, enum=enum)
         obj = float(step.loglik.sum()) - penalty_value(theta, R)
@@ -466,11 +467,10 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
             scale = max(1.0, abs(trace[-1]))
             if obj < trace[-1] - _ASCENT_RTOL * scale:
                 raise MonotonicityViolation(trace[-1], obj)
-            if abs(obj - trace[-1]) <= tol * scale:
-                trace.append(obj)
-                converged = True
-                break
+            converged = abs(obj - trace[-1]) <= tol * scale
         trace.append(obj)
+        if converged or it == max_iter:
+            break
         iterations = it + 1
 
         cov = cov_mod.make_structure(cov_spec, theta.cov, n)
@@ -491,18 +491,8 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
                 warnings.append(fl)
         theta = Theta(phi=phi_new, latent=alpha_new, cov=cov_new,
                       lambdas=lambdas)
-    else:
-        # one final objective evaluation at the last parameters
-        F = theta.phi @ B.T
-        step = e_step(dataset, F, theta, latent_spec, cov_spec, enum=enum)
-        obj = float(step.loglik.sum()) - penalty_value(theta, R)
-        scale = max(1.0, abs(trace[-1]))
-        if obj < trace[-1] - _ASCENT_RTOL * scale:
-            raise MonotonicityViolation(trace[-1], obj)
-        converged = abs(obj - trace[-1]) <= tol * scale
-        trace.append(obj)
-        if not converged:
-            warnings.append("not_converged")
+    if not converged:
+        warnings.append("not_converged")
 
     report = FitReport(
         theta=theta, knots=basis.knots, x=dataset.x,
@@ -514,8 +504,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
         from . import inference
         try:
             se, reason = inference.standard_errors_for_fit(
-                dataset, latent_spec, cov_spec, theta, step,
-                enumeration_cap=enumeration_cap)
+                dataset, latent_spec, cov_spec, theta, step)
             if se is not None:
                 report.std_errors = se
             elif reason:

@@ -1,45 +1,45 @@
 """Observed information and standard errors for the latent parameters.
 
-The observed information is assembled from posterior expectations of the
-complete-data score and curvature of the latent log prior, holding the
-curves and covariance fixed at their estimates:
+The observed information comes from Louis's identity, holding the curves
+and covariance fixed at their estimates.  With g_k the complete-data score
+of replicate k's latent log prior and H its curvature,
 
-    I = E(-L2'' | y) - E(L2' L2'^T | y),
+    I = E(-H | y) - sum_k Cov(g_k | y_k).
 
-with the second expectation expanded over independent replicates as
-``sum_k E(g_k g_k') + sum_{k != k'} E(g_k) E(g_k')'``.  Free coordinates:
+This is the negative Hessian of the observed log-likelihood at any theta,
+not only at a fixed point of the latent update, and it is the one assembly
+every route below uses.  Free coordinates:
 
 * iid: p_1..p_{J-1} (p_J implied),
 * markov, J = 2: (pi_1, a_12, a_21),
 * covariate, J = 2: the logistic coefficients beta.
 
-The generic path enumerates state vectors exactly.  The iid and Markov
-curvature blocks also have closed forms, used as the fast route and checked
-against the generic one in the tests.  The covariate model factorizes over
-points when the covariance is diagonal, so Simulation-scale datasets never
-need enumeration there.
+Each covariance family has one route, fed by its own E-step:
 
-The iid and Markov information still needs the joint posterior over all
-J**n state vectors.  Structured covariance kinds reuse the E-step's table;
-diagonal kinds have none, so ``_joint_for`` builds it from the pointwise
-densities.  This is the one place a diagonal kind is enumerated, and it
-stops at the enumeration cap with ``EnumerationTooLarge``.
+* structured kinds: ``louis_information_generic`` sums over the E-step's
+  joint posterior on the enumerated state vectors;
+* diagonal kinds: the E-step's pointwise and pairwise posteriors.  States
+  are independent across points given y_k (iid, covariate), or form a
+  Markov chain whose transitions are pairwise_i / marginal_i; the score
+  covariance then sums over points, or is one backward pass along that
+  chain.  Nothing is enumerated, so these SEs exist at every n.
+
+All four ``louis_information_*`` names stay (the diagonal iid and Markov
+forms keep their ``_closed`` suffix) because the benchmark's tracing times
+each route by name.
 """
 
 import numpy as np
 
-from . import covariance as cov_mod
 from . import latent as lat_mod
-from .errors import (
-    BoundaryParameter,
-    EnumerationTooLarge,
-    SingularInformation,
-)
+from .basis import basis_matrix, build_basis
+from .datamodel import validate
+from .em import e_step
+from .errors import BoundaryParameter, SingularInformation
 
 _BOUNDARY_EPS = 1e-8
 
-SE_SOFT_ERRORS = (BoundaryParameter, SingularInformation,
-                  EnumerationTooLarge)
+SE_SOFT_ERRORS = (BoundaryParameter, SingularInformation)
 
 
 def _se_from_information(info, labels):
@@ -57,50 +57,37 @@ def _se_from_information(info, labels):
 
 
 # ---------------------------------------------------------------------------
-# per-state-vector scores in free coordinates
+# scores of the prior's factors in free coordinates
 # ---------------------------------------------------------------------------
+#
+# Each factor of the iid and Markov log priors is the log of one free
+# coordinate, or of one minus a sum of them, so a factor with score a has
+# curvature -a a', and E(-H | y) is the second moment of the factor scores
+# weighted by the expected factor counts.
 
-def _iid_score_table(enum, p):
-    """(S, J-1) scores and (S, J-1, J-1) curvatures of the iid log prior."""
+def _iid_factor_scores(p):
+    """(J, J-1) scores of log p_j: e_j / p_j, and -1 / p_J for state J."""
     J = p.size
-    cj = enum.counts[:, :-1]
-    cJ = enum.counts[:, -1:]
-    G = cj / p[:-1] - cJ / p[-1]
-    S = enum.size
-    H = np.zeros((S, J - 1, J - 1))
-    H -= (cJ / p[-1] ** 2)[:, :, None]
-    idx = np.arange(J - 1)
-    H[:, idx, idx] -= cj / p[:-1] ** 2
-    return G, H
+    a = np.zeros((J, J - 1))
+    a[np.arange(J - 1), np.arange(J - 1)] = 1.0 / p[:-1]
+    a[-1] = -1.0 / p[-1]
+    return a
 
 
-def _markov_score_table(enum, pi, A):
-    """Scores/curvatures for (pi_1, a_12, a_21), two-state chains."""
-    first1 = enum.onehot[:, 0, 0]
-    first2 = enum.onehot[:, 0, 1]
-    n11, n12 = enum.trans[:, 0, 0], enum.trans[:, 0, 1]
-    n21, n22 = enum.trans[:, 1, 0], enum.trans[:, 1, 1]
+def _markov_factor_scores(pi, A):
+    """Scores of log pi_l, (2, 3), and of log A_lj, (2, 2, 3)."""
     p1, a12, a21 = pi[0], A[0, 1], A[1, 0]
-    G = np.column_stack([
-        first1 / p1 - first2 / (1 - p1),
-        n12 / a12 - n11 / (1 - a12),
-        n21 / a21 - n22 / (1 - a21)])
-    H = np.zeros((enum.size, 3, 3))
-    H[:, 0, 0] = -first1 / p1 ** 2 - first2 / (1 - p1) ** 2
-    H[:, 1, 1] = -n12 / a12 ** 2 - n11 / (1 - a12) ** 2
-    H[:, 2, 2] = -n21 / a21 ** 2 - n22 / (1 - a21) ** 2
-    return G, H
+    h0 = np.zeros((2, 3))
+    h0[:, 0] = 1.0 / p1, -1.0 / (1 - p1)
+    h = np.zeros((2, 2, 3))
+    h[0, :, 1] = -1.0 / (1 - a12), 1.0 / a12
+    h[1, :, 2] = 1.0 / a21, -1.0 / (1 - a21)
+    return h0, h
 
 
-def _score_second_moment(P, G):
-    """sum_k sum_s P_ks G_s G_s' as one GEMM over the S state vectors."""
-    return (lat_mod.state_mass(P)[:, None] * G).T @ G
-
-
-def _expected_curvature(P, H):
-    """sum_k sum_s P_ks H_s for an (S, a, b) curvature table."""
-    w = lat_mod.state_mass(P)
-    return (w @ H.reshape(H.shape[0], -1)).reshape(H.shape[1:])
+def _second_moment(w, a):
+    """sum_r w_r a_r a_r' for weights (R,) and rows a (R, d)."""
+    return (a.T * w) @ a
 
 
 def _covariate_moments(P, enum, beta, covariates):
@@ -132,107 +119,111 @@ def _covariate_moments(P, enum, beta, covariates):
 
 
 # ---------------------------------------------------------------------------
-# generic enumeration path
+# structured kinds: the enumerated joint posterior
 # ---------------------------------------------------------------------------
 
 def louis_information_generic(P, enum, latent_spec, params,
                               covariates=None):
-    """Exact-information assembly over enumerated state vectors.
+    """Louis information over enumerated state vectors.
 
-    ``P`` is the (N, S) joint posterior at the estimates.  Returns
-    (information matrix, labels).
+    ``P`` is the (N, S) joint posterior at the estimates.  The score
+    covariance is sum_k E(g_k g_k' | y_k) - E(g_k | y_k) E(g_k | y_k)'.
+    Returns (information matrix, labels).
     """
     kind = latent_spec.kind
-    if kind == "iid":
-        G, H = _iid_score_table(enum, params.p)
-        labels = [f"p{j}" for j in range(1, params.p.size)]
-        T1 = -_expected_curvature(P, H)
-        T2 = _score_second_moment(P, G)
-        gbar = P @ G                                     # (N, J-1)
-    elif kind == "markov":
-        if params.pi.size != 2:
-            raise SingularInformation(
-                "markov information implemented for J = 2")
-        G, H = _markov_score_table(enum, params.pi, params.A)
-        labels = ["pi1", "a12", "a21"]
-        T1 = -_expected_curvature(P, H)
-        T2 = _score_second_moment(P, G)
-        gbar = P @ G
-    else:
+    if kind == "covariate":
         if params.beta.shape[0] != 1:
             raise SingularInformation(
                 "covariate information implemented for J = 2")
-        T2, gbar, Hc = _covariate_moments(P, enum, params.beta, covariates)
+        T2, gbar, H = _covariate_moments(P, enum, params.beta, covariates)
         labels = [f"beta{m}" for m in range(params.beta.shape[1])]
-        T1 = -Hc
-    total = gbar.sum(axis=0)
-    cross = np.outer(total, total) - np.einsum("ka,kb->ab", gbar, gbar)
-    return T1 - (T2 + cross), labels
+        T1 = -H
+    else:
+        w = lat_mod.state_mass(P)
+        if kind == "iid":
+            a = _iid_factor_scores(params.p)
+            G = enum.counts @ a                          # (S, J-1)
+            T1 = _second_moment(w @ enum.counts, a)
+            labels = [f"p{j}" for j in range(1, params.p.size)]
+        else:
+            if params.pi.size != 2:
+                raise SingularInformation(
+                    "markov information implemented for J = 2")
+            h0, h = _markov_factor_scores(params.pi, params.A)
+            h = h.reshape(4, 3)
+            first = enum.onehot[:, 0, :]
+            trans = enum.trans.reshape(enum.size, 4)
+            G = first @ h0 + trans @ h
+            T1 = _second_moment(w @ first, h0) + _second_moment(w @ trans, h)
+            labels = ["pi1", "a12", "a21"]
+        T2 = _second_moment(w, G)
+        gbar = P @ G
+    return T1 - (T2 - gbar.T @ gbar), labels
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# diagonal kinds: the E-step's pointwise and pairwise posteriors
 # ---------------------------------------------------------------------------
 
-def louis_information_iid_closed(P, enum, p):
-    """Closed-form curvature block for the iid model.
+def louis_information_iid_closed(marginals, p):
+    """Louis information of the iid model from pointwise posteriors.
 
-    Uses the stationarity identities of the fitted point, so it matches the
-    generic path only at (near) fixed points of the update.
+    States are independent across points given the data, so the score
+    covariance is the sum over points of each point's centred second
+    moment.
     """
-    p = np.asarray(p, dtype=float)
-    if np.any(p < _BOUNDARY_EPS):
-        raise BoundaryParameter(
-            "a state probability sits at the simplex boundary")
-    N = P.shape[0]
-    n, J = enum.n, enum.J
-    T1 = np.full((J - 1, J - 1), N * n / p[-1])
-    T1[np.diag_indices(J - 1)] = N * n * (1.0 / p[:-1] + 1.0 / p[-1])
-    G, _ = _iid_score_table(enum, p)
-    T2 = _score_second_moment(P, G)
-    gbar = P @ G
-    T2 -= np.einsum("ka,kb->ab", gbar, gbar)
-    labels = [f"p{j}" for j in range(1, J)]
-    return T1 - T2, labels
+    a = _iid_factor_scores(np.asarray(p, dtype=float))
+    Q = marginals.reshape(-1, a.shape[0])               # (N n, J)
+    T1 = _second_moment(Q.sum(axis=0), a)
+    D = a[None, :, :] - (Q @ a)[:, None, :]             # a_j - E(a | y)
+    T2 = _second_moment(Q.ravel(), D.reshape(-1, a.shape[1]))
+    return T1 - T2, [f"p{j}" for j in range(1, a.shape[0])]
 
 
-def louis_information_markov_closed(P, enum, params):
-    """Closed-form curvature diagonal for the two-state Markov model.
+def louis_information_markov_closed(marginals, pairwise, params):
+    """Louis information of the two-state Markov model from the posterior
+    chain.
 
-    Off-diagonal curvature terms vanish because the free coordinates
-    separate in the complete-data log prior.  The score cross-moment block
-    comes from the generic tables.
+    Given y_k the states form a Markov chain with transitions
+    T_i = pairwise_i / marginal_i.  With R_i(l) the expected score of the
+    transitions after point i given state l there, the score covariance is
+    the spread of h0(l) + R_1(l) under the first marginal plus, at each i,
+    the spread of h(l, j) + R_{i+1}(j) under the pair posterior, each about
+    its conditional mean.  R comes from one backward pass: O(N n J^2).
     """
     pi, A = params.pi, params.A
     if pi.size != 2:
         raise SingularInformation(
             "markov information implemented for J = 2")
-    for value, name in ((pi[0], "pi1"), (A[0, 1], "a12"), (A[1, 0], "a21")):
-        if value < _BOUNDARY_EPS or value > 1.0 - _BOUNDARY_EPS:
-            raise BoundaryParameter(
-                f"{name} = {value!r} is at the boundary; "
-                "standard errors are unavailable there")
-    N = P.shape[0]
-    marg = lat_mod.marginals_from_joint(P, enum)
-    occ = marg[:, :-1, :].sum(axis=(0, 1))      # expected visits before n
-    T1 = np.diag([
-        N / (pi[0] * (1 - pi[0])),
-        occ[0] / (A[0, 1] * (1 - A[0, 1])),
-        occ[1] / (A[1, 0] * (1 - A[1, 0]))])
-    G, _ = _markov_score_table(enum, pi, A)
-    T2 = _score_second_moment(P, G)
-    gbar = P @ G
-    total = gbar.sum(axis=0)
-    cross = np.outer(total, total) - np.einsum("ka,kb->ab", gbar, gbar)
-    return T1 - (T2 + cross), ["pi1", "a12", "a21"]
+    h0, h = _markov_factor_scores(pi, A)
+    N, n, J = marginals.shape
+    first = marginals[:, 0, :]
+    T1 = (_second_moment(first.sum(axis=0), h0)
+          + _second_moment(pairwise.sum(axis=(0, 1)).ravel(),
+                           h.reshape(4, 3)))
+    prev = marginals[:, :-1, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chain = np.where(prev > 0, pairwise / prev, 0.0)
+    # R[:, i, l]: expected score of the transitions after point i, given
+    # state l at i
+    R = np.zeros((N, n, J, 3))
+    nxt = np.einsum("kilj,lja->kila", chain, h, optimize=True)
+    for i in range(n - 2, -1, -1):
+        R[:, i] = nxt[:, i] + chain[:, i] @ R[:, i + 1]
+    D = h + R[:, 1:, None, :, :] - R[:, :-1, :, None, :]
+    U0 = h0 + R[:, 0]
+    D0 = U0 - np.einsum("kl,kla->ka", first, U0)[:, None, :]
+    T2 = (_second_moment(first.ravel(), D0.reshape(-1, 3))
+          + _second_moment(pairwise.ravel(), D.reshape(-1, 3)))
+    return T1 - T2, ["pi1", "a12", "a21"]
 
 
 def louis_information_covariate(marginals, covariates, beta):
-    """Marginal-posterior information for the logistic model (J = 2).
+    """Louis information of the logistic model (J = 2) from pointwise
+    posteriors.
 
-    Valid when states are conditionally independent across points given the
-    data, which holds for the diagonal covariance kinds.  Scales to large
-    N * n without any enumeration.
+    Valid when states are conditionally independent across points given
+    the data, which holds for the diagonal covariance kinds.
     """
     if beta.shape[0] != 1:
         raise SingularInformation(
@@ -244,73 +235,55 @@ def louis_information_covariate(marginals, covariates, beta):
     q2 = marginals[:, :, 1]
     T1 = np.einsum("ki,kip,kiq->pq", mu * (1 - mu), X, X)
     T2 = np.einsum("ki,kip,kiq->pq", q2 * (1 - q2), X, X)
-    total = np.einsum("ki,kip->p", q2 - mu, X)
     labels = [f"beta{m}" for m in range(beta.shape[1])]
-    return T1 - T2 - np.outer(total, total), labels
+    return T1 - T2, labels
 
 
 # ---------------------------------------------------------------------------
 # dispatch used by ecm_fit
 # ---------------------------------------------------------------------------
 
-def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step,
-                            enumeration_cap=2 ** 20):
+def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step):
     """Compute SEs for a finished fit; returns (dict or None, skip reason).
 
-    Soft failures (boundary estimates, singular information, enumeration
-    too large) raise their specific errors; unsupported model combinations
-    return a reason string instead.
+    ``step`` is the E-step at ``theta``; with None it is run again.  Soft
+    failures (boundary estimates, singular information) raise their
+    specific errors; unsupported model combinations return a reason string
+    instead.
     """
-    J, n = latent_spec.J, dataset.n_points
-    kind = latent_spec.kind
-    if kind == "covariate":
-        if J != 2:
-            return None, "covariate standard errors need J = 2"
-        if cov_spec.diagonal:
-            info, labels = louis_information_covariate(
-                step.marginals, dataset.covariates, theta.latent.beta)
-        else:
-            P, enum = _joint_for(dataset, theta, latent_spec, cov_spec,
-                                 step, enumeration_cap)
-            info, labels = louis_information_generic(
-                P, enum, latent_spec, theta.latent,
-                covariates=dataset.covariates)
-        return _se_from_information(info, labels), None
-    if kind == "markov" and J != 2:
-        return None, "markov standard errors need J = 2"
-    P, enum = _joint_for(dataset, theta, latent_spec, cov_spec, step,
-                         enumeration_cap)
-    if kind == "iid":
-        info, labels = louis_information_iid_closed(P, enum, theta.latent.p)
-    else:
-        info, labels = louis_information_markov_closed(P, enum,
-                                                       theta.latent)
-    return _se_from_information(info, labels), None
-
-
-def _joint_for(dataset, theta, latent_spec, cov_spec, step,
-               enumeration_cap):
-    """Joint posterior table at theta, reusing the E-step's when present."""
-    from . import em as em_mod
-
-    n, J = dataset.n_points, latent_spec.J
-    if J ** n > enumeration_cap:
-        raise EnumerationTooLarge(
-            f"standard errors need J**n = {J ** n} state vectors, cap is "
-            f"{enumeration_cap}")
-    enum = lat_mod.enumerate_states(n, J)
-    if step is not None and step.joint is not None:
-        return step.joint, enum
-    F = theta.phi @ em_mod.basis_matrix(
-        em_mod.build_basis(dataset.x, theta.phi.shape[1]), dataset.x).T
+    J, kind = latent_spec.J, latent_spec.kind
+    if kind != "iid" and J != 2:
+        return None, f"{kind} standard errors need J = 2"
+    params = theta.latent
+    if kind == "iid" and np.any(params.p < _BOUNDARY_EPS):
+        raise BoundaryParameter(
+            "a state probability sits at the simplex boundary")
+    if kind == "markov":
+        for value, name in ((params.pi[0], "pi1"), (params.A[0, 1], "a12"),
+                            (params.A[1, 0], "a21")):
+            if value < _BOUNDARY_EPS or value > 1.0 - _BOUNDARY_EPS:
+                raise BoundaryParameter(
+                    f"{name} = {value!r} is at the boundary; "
+                    "standard errors are unavailable there")
+    enum = None
     if not cov_spec.diagonal:
-        redo = em_mod.e_step(dataset, F, theta, latent_spec, cov_spec,
-                             enum=enum)
-        return redo.joint, enum
-    pw = cov_mod.make_structure(cov_spec, theta.cov, n).pointwise_loglik(
-        dataset.y, F)
-    P, _ = lat_mod.joint_posterior(
-        pw.reshape(pw.shape[0], -1) @ enum.flat.T,
-        lat_mod.log_prior_table(enum, latent_spec, theta.latent,
-                                covariates=dataset.covariates))
-    return P, enum
+        if step is None:
+            validate(dataset, latent_spec, cov_spec)
+        enum = lat_mod.enumerate_states(dataset.n_points, J)
+    if step is None:
+        F = theta.phi @ basis_matrix(
+            build_basis(dataset.x, theta.phi.shape[1]), dataset.x).T
+        step = e_step(dataset, F, theta, latent_spec, cov_spec, enum=enum)
+    if enum is not None:
+        info, labels = louis_information_generic(
+            step.joint, enum, latent_spec, params,
+            covariates=dataset.covariates)
+    elif kind == "iid":
+        info, labels = louis_information_iid_closed(step.marginals, params.p)
+    elif kind == "markov":
+        info, labels = louis_information_markov_closed(
+            step.marginals, step.pairwise, params)
+    else:
+        info, labels = louis_information_covariate(
+            step.marginals, dataset.covariates, params.beta)
+    return _se_from_information(info, labels), None

@@ -350,12 +350,11 @@ def update_alpha(latent_spec, prev, marginals, pairwise=None,
 
     beta, newton_flags = _newton_beta(
         marginals, covariates, prev.beta, _NEWTON_GRAD_TOL,
-        _NEWTON_MAX_STEPS, _NEWTON_MAX_HALVINGS)
+        _NEWTON_MAX_STEPS)
     return CovariateParams(beta=beta), flags + newton_flags
 
 
-def _newton_beta(marginals, covariates, beta0, grad_tol, max_steps,
-                 max_halvings):
+def _newton_beta(marginals, covariates, beta0, grad_tol, max_steps):
     """Newton-Raphson for the multinomial-logistic alpha M-step.
 
     Soft targets are the marginal posteriors; observations are all (k, i)
@@ -399,7 +398,7 @@ def _newton_beta(marginals, covariates, beta0, grad_tol, max_steps,
             flags.append("newton_diverged")
             return beta, flags
         scale = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_NEWTON_MAX_HALVINGS + 1):
             cand = beta + scale * step
             cand_obj = objective(cand)
             if cand_obj >= obj - 1e-14 * max(1.0, abs(obj)):

@@ -320,7 +320,7 @@ def test_04_information_matches_numerical_hessian():
 
     data, enum, lat, alpha, step = toy_fixed_point("iid")
     info_gen, _ = louis_information_generic(step.joint, enum, lat, alpha)
-    info_cls, _ = louis_information_iid_closed(step.joint, enum, alpha.p)
+    info_cls, _ = louis_information_iid_closed(step.marginals, alpha.p)
     rel = np.max(np.abs(info_cls - info_gen)) \
         / max(1.0, float(np.max(np.abs(info_gen))))
     if rel > 1e-9:
@@ -328,7 +328,8 @@ def test_04_information_matches_numerical_hessian():
 
     data, enum, lat, alpha, step = toy_fixed_point("markov")
     info_gen, _ = louis_information_generic(step.joint, enum, lat, alpha)
-    info_cls, _ = louis_information_markov_closed(step.joint, enum, alpha)
+    info_cls, _ = louis_information_markov_closed(step.marginals,
+                                                  step.pairwise, alpha)
     rel = np.max(np.abs(info_cls - info_gen)) \
         / max(1.0, float(np.max(np.abs(info_gen))))
     if rel > 1e-9:

@@ -299,6 +299,17 @@ def test_fit_stops_with_warning_at_iteration_cap():
     assert report.loglik_trace.size == 2
 
 
+def test_fit_with_no_iteration_budget_evaluates_the_start():
+    data, _, _ = two_state_data(seed=9)
+    report = ecm_fit(data, LatentSpec(kind="iid", J=2),
+                     CovSpec(kind="iso_diag"), lambdas=LAM, max_iter=0,
+                     compute_se=False)
+    assert not report.converged
+    assert report.warnings == ["not_converged"]
+    assert report.iterations == 0
+    assert report.loglik_trace.size == 1
+
+
 def test_relabeling_the_init_permutes_the_fit():
     data, _, _ = two_state_data(seed=11, spread=1.5, noise=0.1)
     base = ecm_fit(data, LatentSpec(kind="iid", J=2),

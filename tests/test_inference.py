@@ -2,11 +2,12 @@
 
 A tiny grid keeps exact enumeration affordable, so the oracle is the
 numerically differentiated observed log likelihood in the free latent
-coordinates.  The assembled information matches that Hessian only at a
-fixed point of the latent update, so each toy first runs the latent
-coordinate to convergence with the curves and covariance frozen.
+coordinates.  Louis's identity gives that Hessian at any theta; the toys
+check it both at a fixed point of the latent update (the curves and
+covariance frozen) and away from one.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -18,7 +19,7 @@ from switchcurve.datamodel import (CovSpec, CovariateParams, IIDParams,
                                    MultiCurveDataset, Theta)
 from switchcurve.em import e_step, ecm_fit
 from switchcurve.errors import BoundaryParameter, SingularInformation
-from switchcurve.latent import enumerate_states, update_alpha
+from switchcurve.latent import enumerate_states, state_mass, update_alpha
 
 from oracles import (covariate_moments_loop, enumerated_e_step,
                      score_second_moment_einsum)
@@ -122,12 +123,64 @@ def test_generic_information_matches_finite_differences(kind):
     assert np.max(np.abs(I_gen - I_fd)) / scale < 1e-4
 
 
+AWAY = {
+    "iid": IIDParams(p=np.array([0.3, 0.7])),
+    "markov": MarkovParams(pi=np.array([0.3, 0.7]),
+                           A=np.array([[0.8, 0.2], [0.6, 0.4]])),
+    "covariate": CovariateParams(beta=np.array([[0.2, 0.4]])),
+}
+
+
+def diagonal_form(kind, step, data, alpha):
+    """The diagonal-kind information route of ``kind``."""
+    if kind == "iid":
+        return inf_mod.louis_information_iid_closed(step.marginals, alpha.p)
+    if kind == "markov":
+        return inf_mod.louis_information_markov_closed(
+            step.marginals, step.pairwise, alpha)
+    return inf_mod.louis_information_covariate(
+        step.marginals, data.covariates, alpha.beta)
+
+
+@pytest.mark.parametrize("route", ["generic", "diagonal"])
+@pytest.mark.parametrize("kind", ["iid", "markov", "covariate"])
+def test_information_matches_finite_differences_away_from_fixed_point(
+        kind, route):
+    """Louis's identity is exact at any theta, not only where the score
+    vanishes: iso_diag, n = 6, at latent parameters far from the MLE."""
+    rng = np.random.default_rng(8)
+    n = 6
+    f = np.vstack([np.zeros(n), 0.8 * np.ones(n)])
+    z = rng.integers(0, J, size=(4, n))
+    y = f[z, np.arange(n)] + 0.4 * rng.standard_normal((4, n))
+    data = MultiCurveDataset(x=np.linspace(0.0, 1.0, n), y=y,
+                             covariates=rng.standard_normal((4, n, 1)))
+    enum = enumerate_states(n, J)
+    lat = LatentSpec(kind=kind, J=J)
+    alpha = AWAY[kind]
+    _, coords, unpack = KINDS[kind]
+
+    def ll_of(vec):
+        return observed_loglik(data, make_theta(unpack(vec)), lat, enum, f)
+
+    I_fd = -fd_hessian(ll_of, coords(alpha))
+    step = enumerated_e_step(data, f, make_theta(alpha), lat, COV_SPEC,
+                             enum)
+    if route == "generic":
+        info, _ = inf_mod.louis_information_generic(
+            step.joint, enum, lat, alpha, covariates=data.covariates)
+    else:
+        info, _ = diagonal_form(kind, step, data, alpha)
+    scale = max(1.0, float(np.max(np.abs(I_fd))))
+    assert np.max(np.abs(info - I_fd)) / scale < 1e-4
+
+
 def test_iid_closed_form_matches_generic():
     data, enum, lat, alpha, step = fixed_point("iid")
     I_gen, _ = inf_mod.louis_information_generic(step.joint, enum, lat,
                                                  alpha)
     I_closed, labels = inf_mod.louis_information_iid_closed(
-        step.joint, enum, alpha.p)
+        step.marginals, alpha.p)
     assert labels == ["p1"]
     scale = max(1.0, float(np.max(np.abs(I_gen))))
     assert np.max(np.abs(I_closed - I_gen)) / scale < 1e-9
@@ -138,7 +191,7 @@ def test_markov_closed_form_matches_generic():
     I_gen, _ = inf_mod.louis_information_generic(step.joint, enum, lat,
                                                  alpha)
     I_closed, labels = inf_mod.louis_information_markov_closed(
-        step.joint, enum, alpha)
+        step.marginals, step.pairwise, alpha)
     assert labels == ["pi1", "a12", "a21"]
     scale = max(1.0, float(np.max(np.abs(I_gen))))
     assert np.max(np.abs(I_closed - I_gen)) / scale < 1e-9
@@ -160,10 +213,11 @@ def test_score_second_moment_matches_einsum_form(n, J):
     rng = np.random.default_rng(n * J)
     enum = enumerate_states(n, J)
     P = rng.dirichlet(np.ones(enum.size), size=4)
-    G, _ = inf_mod._iid_score_table(enum, rng.dirichlet(np.ones(J)))
+    G = enum.counts @ inf_mod._iid_factor_scores(rng.dirichlet(np.ones(J)))
     want = score_second_moment_einsum(P, G)
-    np.testing.assert_allclose(inf_mod._score_second_moment(P, G), want,
-                               rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+    np.testing.assert_allclose(inf_mod._second_moment(state_mass(P), G),
+                               want, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_covariate_moments_match_per_replicate_tables():
@@ -182,15 +236,17 @@ def test_covariate_moments_match_per_replicate_tables():
 
 
 def test_boundary_estimates_are_rejected():
-    enum = enumerate_states(3, 2)
-    P = np.full((2, enum.size), 1.0 / enum.size)
+    data = fit_data(3, n=5)
     with pytest.raises(BoundaryParameter):
-        inf_mod.louis_information_iid_closed(
-            P, enum, np.array([1.0 - 1e-9, 1e-9]))
+        inf_mod.standard_errors_for_fit(
+            data, LatentSpec(kind="iid", J=2), COV_SPEC,
+            make_theta(IIDParams(p=[1.0 - 1e-9, 1e-9])), step=None)
     with pytest.raises(BoundaryParameter, match="a12"):
-        inf_mod.louis_information_markov_closed(
-            P, enum, MarkovParams(pi=[0.5, 0.5],
-                                  A=[[1.0 - 1e-9, 1e-9], [0.4, 0.6]]))
+        inf_mod.standard_errors_for_fit(
+            data, LatentSpec(kind="markov", J=2), COV_SPEC,
+            make_theta(MarkovParams(pi=[0.5, 0.5],
+                                    A=[[1.0 - 1e-9, 1e-9], [0.4, 0.6]])),
+            step=None)
 
 
 def test_generic_rejects_unsupported_sizes():
@@ -242,14 +298,15 @@ def test_fit_reports_come_with_standard_errors():
     assert set(report.std_errors) == {"beta0", "beta1"}
 
 
-@pytest.mark.parametrize("kind", ["iid", "markov"])
+@pytest.mark.parametrize("kind", ["iid", "markov", "covariate"])
 @pytest.mark.parametrize("cov_kind", ["iso_diag", "state_diag"])
 def test_diagonal_kind_ses_match_the_enumerated_oracle(kind, cov_kind):
-    """iid and Markov SEs of a diagonal kind enumerate the joint from the
-    pointwise densities; the closed forms applied to the brute-force
-    E-step's joint give the same SEs, with and without the fit's E-step."""
+    """The diagonal forms, fed the E-step's own posteriors, equal the
+    generic form on the brute-force E-step's joint, at the fit and at a
+    theta away from it; a fit's SEs are those of a fresh E-step."""
     # noisy enough that the mean top posterior is about 0.92, not ~1
-    data = fit_data(5, N=12, n=7, noise=0.6)
+    data = fit_data(5, M=1 if kind == "covariate" else 0, N=12, n=7,
+                    noise=0.6)
     lat, cspec = LatentSpec(kind=kind, J=2), CovSpec(kind=cov_kind)
     report = ecm_fit(data, lat, cspec, lambdas=1e-4)
     se, reason = inf_mod.standard_errors_for_fit(
@@ -258,18 +315,16 @@ def test_diagonal_kind_ses_match_the_enumerated_oracle(kind, cov_kind):
     assert report.std_errors == se
 
     enum = enumerate_states(data.n_points, 2)
-    P = enumerated_e_step(data, report.curves, report.theta, lat, cspec,
-                          enum).joint
-    if kind == "iid":
-        info, labels = inf_mod.louis_information_iid_closed(
-            P, enum, report.theta.latent.p)
-    else:
-        info, labels = inf_mod.louis_information_markov_closed(
-            P, enum, report.theta.latent)
-    want = inf_mod._se_from_information(info, labels)
-    assert sorted(se) == sorted(want)
-    np.testing.assert_allclose([se[k] for k in labels],
-                               [want[k] for k in labels], rtol=1e-12)
+    for alpha in (report.theta.latent, AWAY[kind]):
+        theta = dataclasses.replace(report.theta, latent=alpha)
+        oracle = enumerated_e_step(data, report.curves, theta, lat, cspec,
+                                   enum)
+        want, labels = inf_mod.louis_information_generic(
+            oracle.joint, enum, lat, alpha, covariates=data.covariates)
+        step = e_step(data, report.curves, theta, lat, cspec)
+        got, got_labels = diagonal_form(kind, step, data, alpha)
+        assert got_labels == labels
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_unsupported_combinations_return_reasons():
@@ -293,9 +348,15 @@ def test_unsupported_combinations_return_reasons():
     assert se is None and "J = 2" in reason
 
 
-def test_oversized_enumeration_demotes_to_warning():
-    report = ecm_fit(fit_data(4, N=6, n=25), LatentSpec(kind="iid", J=2),
-                     CovSpec(kind="iso_diag"), lambdas=1e-4)
-    assert report.std_errors is None
-    assert any(w.startswith("se_unavailable: EnumerationTooLarge")
-               for w in report.warnings)
+def test_diagonal_kind_ses_exist_past_the_enumeration_cap():
+    """2**25 state vectors are far past the cap, but iid and Markov SEs on
+    a diagonal kind come from the E-step's posteriors, not enumeration."""
+    data = fit_data(4, N=6, n=25)
+    for kind, names in (("iid", {"p1"}), ("markov", {"pi1", "a12", "a21"})):
+        report = ecm_fit(data, LatentSpec(kind=kind, J=2),
+                         CovSpec(kind="iso_diag"), lambdas=1e-4)
+        assert set(report.std_errors) == names
+        assert all(np.isfinite(v) and v > 0
+                   for v in report.std_errors.values())
+        assert not any(w.startswith("se_unavailable")
+                       for w in report.warnings)
