@@ -140,11 +140,14 @@ def _cmd_classify(args):
     dataset = dm.read_dataset_csv(args.data)
     with open(args.fit) as fh:
         saved, latent, cov = dm.report_from_dict(json.load(fh))
-    dm.validate(dataset, latent, cov)
     if dataset.n_points != saved.x.size or np.max(
             np.abs(dataset.x - saved.x)) > 1e-9:
         raise SpecMismatch(
             "dataset grid differs from the grid of the saved fit")
+    # the saved fit was made on this grid at whatever cap it was given,
+    # so only the model and data checks apply here
+    dm.validate(dataset, latent, cov,
+                enumeration_cap=saved.theta.J ** dataset.n_points)
     enum = (enumerate_states(dataset.n_points, saved.theta.J)
             if not cov.diagonal else None)
     step = e_step(dataset, saved.curves, saved.theta, latent, cov,

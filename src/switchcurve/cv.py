@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import em as em_mod
+from .datamodel import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .errors import SpecMismatch
 
 DEFAULT_GRID = np.logspace(-6.0, 2.0, 25)
 DEFAULT_LAMBDA0 = 1e-2
@@ -136,8 +138,8 @@ class CVResult:
 
 
 def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
-                   tol=1e-8, max_iter=500, init="quantile-split",
-                   compute_se=True):
+                   tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+                   init="quantile-split", compute_se=True):
     """Iterate ECM fits and frozen-weight grid searches until stable.
 
     Convergence means every state picks the same grid point twice in a
@@ -148,8 +150,9 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
     a CVResult whose ``fit`` is the final ECM fit at the selected lambdas.
     """
     if not cov_spec.diagonal:
-        raise ValueError(
-            "cross-validation is defined for diagonal covariance kinds")
+        raise SpecMismatch(
+            "cross-validation is defined for diagonal covariance kinds, "
+            f"not {cov_spec.kind}")
     config = config or CVConfig()
     J = latent_spec.J
     grid = config.grid

@@ -11,7 +11,7 @@ External formats
   once and all replicates must agree on x (tolerance 1e-9).
 * Config JSON: keys ``latent`` ({kind, J}), ``covariance`` ({kind}),
   ``lambdas`` (number, array, or "cv"), and optional ``K, tol, max_iter,
-  enumeration_cap, init, cv``.
+  enumeration_cap, init, cv``; any other key is refused.
 * Fit-report JSON: full-precision floats; parsing then re-serializing
   reproduces the document bit for bit.
 """
@@ -41,6 +41,9 @@ DIAGONAL_KINDS = ("iso_diag", "state_diag")
 DEFAULT_ENUMERATION_CAP = 2 ** 20
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
+
+_CONFIG_KEYS = ("latent", "covariance", "lambdas", "K", "tol", "max_iter",
+               "enumeration_cap", "init", "cv")
 
 _X_AGREE_TOL = 1e-9
 
@@ -273,27 +276,13 @@ class FitReport:
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalizedModel:
-    """Checked combination of dataset, latent spec, and covariance spec."""
-
-    latent: LatentSpec
-    cov: CovSpec
-    n_replicates: int
-    n_points: int
-    n_covariates: int
-    needs_enumeration: bool
-    n_state_vectors: int
-
-
 def validate(dataset, latent_spec, cov_spec,
              enumeration_cap=DEFAULT_ENUMERATION_CAP):
     """Check that the model triple is internally consistent.
 
-    Returns a :class:`NormalizedModel` on success.  Raises
-    ``EnumerationTooLarge`` when a structured covariance kind would need
-    more than ``enumeration_cap`` state vectors and nothing else is wrong,
-    and ``SpecMismatch`` naming every violation otherwise.
+    Raises ``EnumerationTooLarge`` when a structured covariance kind would
+    need more than ``enumeration_cap`` state vectors and nothing else is
+    wrong, and ``SpecMismatch`` naming every violation otherwise.
     """
     violations = []
     J, n = latent_spec.J, dataset.n_points
@@ -313,10 +302,6 @@ def validate(dataset, latent_spec, cov_spec,
         if needs_enum and n_states > enumeration_cap and len(violations) == 1:
             raise EnumerationTooLarge(violations[0])
         raise SpecMismatch("; ".join(violations))
-    return NormalizedModel(
-        latent=latent_spec, cov=cov_spec, n_replicates=dataset.n_replicates,
-        n_points=n, n_covariates=dataset.n_covariates,
-        needs_enumeration=needs_enum, n_state_vectors=n_states)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +421,10 @@ def parse_config(doc):
     """Build a FitConfig from a parsed JSON document (a dict)."""
     if not isinstance(doc, dict):
         raise SpecMismatch("config must be a JSON object")
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    if unknown:
+        raise SpecMismatch(f"unknown config keys {unknown}; expected a "
+                           f"subset of {list(_CONFIG_KEYS)}")
     try:
         latent = LatentSpec(kind=doc["latent"]["kind"],
                             J=_config_int(doc["latent"]["J"], "J"))

@@ -26,9 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import covariance as cov_mod
+from . import inference
 from . import latent as lat_mod
 from .basis import basis_matrix, build_basis, penalty_matrix
 from .datamodel import (
+    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     CovariateParams,
     FitReport,
     HomogRIParams,
@@ -45,6 +49,8 @@ from .datamodel import (
 from .errors import (
     BadInit,
     MonotonicityViolation,
+    NonPositiveSigma,
+    NotSPD,
     SingularSystem,
 )
 
@@ -62,8 +68,9 @@ class EStep:
 
     marginals: np.ndarray            # (N, n, J)
     loglik: np.ndarray               # (N,)
-    pairwise: np.ndarray | None = None   # (N, n-1, J, J), Markov only
+    pairwise: np.ndarray | None = None   # (N, n-1, J, J), forward-backward
     joint: np.ndarray | None = None      # (N, S), enumeration route only
+    transitions: np.ndarray | None = None    # (J, J) totals, Markov only
 
 
 def weight_matrices(marginals, sigma2):
@@ -112,15 +119,16 @@ def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
             enum, latent_spec, theta.latent, covariates=dataset.covariates)
         P, ll = lat_mod.joint_posterior(table, prior)
         marg = lat_mod.marginals_from_joint(P, enum)
-        pair = (lat_mod.pairwise_from_joint(P, enum)
-                if latent_spec.kind == "markov" else None)
-        return EStep(marginals=marg, loglik=ll, pairwise=pair, joint=P)
+        trans = (lat_mod.pairwise_from_joint(P, enum)
+                 if latent_spec.kind == "markov" else None)
+        return EStep(marginals=marg, loglik=ll, joint=P, transitions=trans)
 
     pw = cov.pointwise_loglik(y, F)
     if latent_spec.kind == "markov":
         marg, pair, ll = lat_mod.forward_backward(
             pw, theta.latent.pi, theta.latent.A)
-        return EStep(marginals=marg, loglik=ll, pairwise=pair)
+        return EStep(marginals=marg, loglik=ll, pairwise=pair,
+                     transitions=pair.sum(axis=(0, 1)))
     if latent_spec.kind == "covariate":
         lp = lat_mod.log_state_probs(theta.latent.beta, dataset.covariates)
     else:
@@ -408,29 +416,29 @@ def _check_supplied(theta, latent_spec, cov_spec, J, K, n, M):
         if al.beta.shape != (J - 1, M + 1):
             raise BadInit(
                 f"beta shape {al.beta.shape}, expected {(J - 1, M + 1)}")
+    # CovStructure checks sigma2 > 0, V and d1, d2 >= 0; homog_ri's
+    # structure admits -1/n < d < 0, which the M-step never produces
     cp = theta.cov
     kind = cov_spec.kind
-    if kind == "iso_diag" and cp.sigma2 <= 0:
-        raise BadInit("sigma2 must be positive")
-    if kind == "state_diag" and (
-            cp.sigma2.shape != (J,) or np.any(cp.sigma2 <= 0)):
-        raise BadInit("sigma2 must be J positive values")
-    if kind == "unrestricted" and cp.V.shape != (n, n):
-        raise BadInit(f"V must be {n} x {n}")
-    if kind == "homog_ri" and (cp.sigma2 <= 0 or cp.d < 0):
-        raise BadInit("need sigma2 > 0 and d >= 0")
-    if kind == "nonhomog_ri" and (
-            cp.sigma2 <= 0 or cp.d1 < 0 or cp.d2 < 0):
-        raise BadInit("need sigma2 > 0 and d1, d2 >= 0")
+    if kind == "state_diag" and cp.sigma2.shape != (J,):
+        raise BadInit(f"sigma2 must hold J = {J} values")
+    if kind == "homog_ri" and cp.d < 0:
+        raise BadInit("need d >= 0")
+    try:
+        cov_mod.make_structure(cov_spec, cp, n)
+    except (NonPositiveSigma, NotSPD) as exc:
+        raise BadInit(
+            f"supplied covariance must be positive definite: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # the driver
 # ---------------------------------------------------------------------------
 
-def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
-            max_iter=500, init="quantile-split",
-            enumeration_cap=2 ** 20, compute_se=True):
+def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
+            tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+            init="quantile-split", enumeration_cap=DEFAULT_ENUMERATION_CAP,
+            compute_se=True):
     """Run the penalized ECM to convergence and assemble a FitReport.
 
     ``init`` is either the string "quantile-split" or a supplied-theta
@@ -485,7 +493,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
             cov_spec, theta, step, dataset.y, F_new, enum)
         alpha_new, aflags = lat_mod.update_alpha(
             latent_spec, theta.latent, step.marginals,
-            pairwise=step.pairwise, covariates=dataset.covariates)
+            transitions=step.transitions, covariates=dataset.covariates)
         for fl in cflags + aflags:
             if fl not in warnings:
                 warnings.append(fl)
@@ -501,7 +509,6 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None, tol=1e-8,
         converged=converged, warnings=warnings)
 
     if compute_se and J >= 2:
-        from . import inference
         try:
             se, reason = inference.standard_errors_for_fit(
                 dataset, latent_spec, cov_spec, theta, step)

@@ -32,9 +32,6 @@ each route by name.
 import numpy as np
 
 from . import latent as lat_mod
-from .basis import basis_matrix, build_basis
-from .datamodel import validate
-from .em import e_step
 from .errors import BoundaryParameter, SingularInformation
 
 _BOUNDARY_EPS = 1e-8
@@ -246,10 +243,10 @@ def louis_information_covariate(marginals, covariates, beta):
 def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step):
     """Compute SEs for a finished fit; returns (dict or None, skip reason).
 
-    ``step`` is the E-step at ``theta``; with None it is run again.  Soft
-    failures (boundary estimates, singular information) raise their
-    specific errors; unsupported model combinations return a reason string
-    instead.
+    ``step`` is the E-step at ``theta``; ``ecm_fit`` passes its final
+    one.  Soft failures (boundary estimates, singular information) raise
+    their specific errors; unsupported model combinations return a reason
+    string instead.
     """
     J, kind = latent_spec.J, latent_spec.kind
     if kind != "iid" and J != 2:
@@ -265,19 +262,10 @@ def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step):
                 raise BoundaryParameter(
                     f"{name} = {value!r} is at the boundary; "
                     "standard errors are unavailable there")
-    enum = None
     if not cov_spec.diagonal:
-        if step is None:
-            validate(dataset, latent_spec, cov_spec)
-        enum = lat_mod.enumerate_states(dataset.n_points, J)
-    if step is None:
-        F = theta.phi @ basis_matrix(
-            build_basis(dataset.x, theta.phi.shape[1]), dataset.x).T
-        step = e_step(dataset, F, theta, latent_spec, cov_spec, enum=enum)
-    if enum is not None:
         info, labels = louis_information_generic(
-            step.joint, enum, latent_spec, params,
-            covariates=dataset.covariates)
+            step.joint, lat_mod.enumerate_states(dataset.n_points, J),
+            latent_spec, params, covariates=dataset.covariates)
     elif kind == "iid":
         info, labels = louis_information_iid_closed(step.marginals, params.p)
     elif kind == "markov":

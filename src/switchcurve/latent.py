@@ -16,11 +16,12 @@ joint posterior writes an exact 0 for them without calling ``exp``, which
 is several times slower on such arguments; the largest shifted weight is
 exp(0) = 1, so the normalizer and the log-likelihood do not change.
 Summaries of the (N, S) joint posterior table are single matrix products
-with flat indicator tables cached on the enumeration.
+with flat indicator tables cached on the enumeration; the Markov M-step's
+expected transition totals are one GEMV of the state mass P'1.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,18 +62,6 @@ class StateEnumeration:
     def flat(self):
         """(S, n*J) view of ``onehot``; column i*J + j flags state j at i."""
         return self.onehot.reshape(self.size, -1)
-
-    @cached_property
-    def pair_flat(self):
-        """(S, (n-1)*J*J) neighbouring-pair indicators, built on first use.
-
-        Column (i*J + l)*J + j flags state l at point i and j at i + 1.
-        It costs S*(n-1)*J*J*8 bytes (6.8 MB at n = 14 and about 640 MB
-        at n = 20, J = 2), so only Markov posteriors build it.
-        """
-        pair = (self.onehot[:, :-1, :, None]
-                * self.onehot[:, 1:, None, :])
-        return pair.reshape(self.size, -1)
 
 
 @lru_cache(maxsize=8)
@@ -246,9 +235,15 @@ def marginals_from_joint(P, enum):
 
 
 def pairwise_from_joint(P, enum):
-    """(N, n-1, J, J) neighbouring-pair posteriors from the joint table."""
-    return (P @ enum.pair_flat).reshape(P.shape[0], enum.n - 1, enum.J,
-                                        enum.J)
+    """(J, J) expected transition totals from the joint table.
+
+    Entry (l, j) is the posterior-expected number of l -> j moves summed
+    over replicates and neighbouring points: one GEMV of the state mass
+    P'1 with the per-vector transition counts.
+    """
+    J = enum.J
+    counts = enum.trans.reshape(enum.size, J * J)
+    return (state_mass(P) @ counts).reshape(J, J)
 
 
 def marginal_posterior_pointwise(pointwise_loglik, log_pstate):
@@ -319,14 +314,15 @@ def forward_backward(pointwise_loglik, pi, A):
 # alpha updates
 # ---------------------------------------------------------------------------
 
-def update_alpha(latent_spec, prev, marginals, pairwise=None,
+def update_alpha(latent_spec, prev, marginals, transitions=None,
                  covariates=None):
     """Conditional M-step for the latent parameters.
 
-    Returns ``(params, flags)``.  Markov rows with vanishing occupancy keep
-    their previous values and are flagged; a covariate Newton search that
-    fails to reach the gradient tolerance is flagged "newton_diverged" and
-    returns its best iterate.
+    ``transitions`` is the Markov model's (J, J) expected transition
+    totals.  Returns ``(params, flags)``.  Markov rows with vanishing
+    occupancy keep their previous values and are flagged; a covariate
+    Newton search that fails to reach the gradient tolerance is flagged
+    "newton_diverged" and returns its best iterate.
     """
     from .datamodel import CovariateParams, IIDParams, MarkovParams
 
@@ -338,14 +334,13 @@ def update_alpha(latent_spec, prev, marginals, pairwise=None,
     if latent_spec.kind == "markov":
         pi = marginals[:, 0, :].mean(axis=0)
         pi = pi / pi.sum()
-        num = pairwise.sum(axis=(0, 1))
-        den = marginals[:, :-1, :].sum(axis=(0, 1))
+        den = transitions.sum(axis=1)
         A = np.array(prev.A, dtype=float, copy=True)
         for l in range(A.shape[0]):
             if den[l] < _OCCUPANCY_EPS:
                 flags.append(f"zero_occupancy_row_{l + 1}")
                 continue
-            A[l] = num[l] / num[l].sum()
+            A[l] = transitions[l] / den[l]
         return MarkovParams(pi=pi, A=A), flags
 
     beta, newton_flags = _newton_beta(

@@ -170,7 +170,7 @@ def enumerated_e_step(dataset, F, theta, latent_spec, cov_spec, enum):
     Each state vector's log density is the sum over points of the normal
     log densities of y_ki about F[s_i, i] with variance sigma2[s_i].
     Returns an ``EStep`` with the joint table and, for Markov, pairwise
-    posteriors.
+    posteriors and their transition totals.
     """
     if not cov_spec.diagonal:
         raise ValueError(f"{cov_spec.kind} is not a diagonal kind")
@@ -185,7 +185,8 @@ def enumerated_e_step(dataset, F, theta, latent_spec, cov_spec, enum):
     pair = (pairwise_einsum(P, enum) if latent_spec.kind == "markov"
             else None)
     return EStep(marginals=marginals_einsum(P, enum), loglik=ll,
-                 pairwise=pair, joint=P)
+                 pairwise=pair, joint=P,
+                 transitions=None if pair is None else pair.sum(axis=(0, 1)))
 
 
 def expected_latent_loglik(latent_spec, params, marginals, pairwise=None,

@@ -29,10 +29,9 @@ from switchcurve.inference import (louis_information_generic,
 from switchcurve.latent import (enumerate_states, forward_backward,
                                 joint_posterior, log_prior_table,
                                 log_state_probs, marginal_posterior_pointwise,
-                                marginals_from_joint, pairwise_from_joint,
-                                update_alpha)
+                                marginals_from_joint, update_alpha)
 
-from oracles import enumerated_e_step
+from oracles import enumerated_e_step, pairwise_einsum
 
 LATENT_KINDS = ["iid", "markov", "covariate"]
 COV_KINDS = ["iso_diag", "state_diag", "unrestricted", "homog_ri",
@@ -189,7 +188,7 @@ def test_03_posterior_routes_match_enumeration():
                                 MarkovParams(pi=pi, A=A))
         P, ll = joint_posterior(loglik, table)
         errs = [np.max(np.abs(marg_fb - marginals_from_joint(P, enum))),
-                np.max(np.abs(pair_fb - pairwise_from_joint(P, enum))),
+                np.max(np.abs(pair_fb - pairwise_einsum(P, enum))),
                 np.max(np.abs(ll_fb - ll) / np.maximum(1.0, np.abs(ll)))]
         if max(errs) > 1e-12:
             failures.append(f"markov J={J} n={n} err={max(errs):.2e}")
@@ -273,7 +272,7 @@ def toy_fixed_point(kind):
     for _ in range(3000):
         step = enumerated_e_step(data, f, toy_theta(alpha), lat,
                                  TOY_COV_SPEC, enum)
-        new, _ = update_alpha(lat, alpha, step.marginals, step.pairwise,
+        new, _ = update_alpha(lat, alpha, step.marginals, step.transitions,
                               data.covariates)
         delta = np.max(np.abs(coords(new) - coords(alpha)))
         alpha = new

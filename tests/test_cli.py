@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import switchcurve
+from switchcurve import cli
 from switchcurve import datamodel as dm
 from switchcurve.cli import main
 from switchcurve.datamodel import MultiCurveDataset
+from switchcurve.em import EStep
 
 
 def write_data(path, seed=0, N=8, n=10, spread=1.2, noise=0.15):
@@ -155,6 +157,45 @@ def test_classify_rejects_a_different_grid(tmp_path):
     assert "grid" in err["message"]
 
 
+def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
+    """A fit made with a raised enumeration cap can be classified: at
+    n = 21, J**n = 2**21 exceeds the default cap.  The E-step is stubbed,
+    since a real one would hold several 2**21-row tables."""
+    N, n, K = 3, 21, 5
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 1.0, n)
+    data = tmp_path / "data.csv"
+    dm.write_dataset_csv(
+        MultiCurveDataset(x=x, y=rng.standard_normal((N, n))), str(data))
+    theta = dm.Theta(phi=np.zeros((2, K)), latent=dm.IIDParams(p=[0.5, 0.5]),
+                     cov=dm.HomogRIParams(sigma2=1.0, d=0.5),
+                     lambdas=[1e-4, 1e-4])
+    report = dm.FitReport(theta=theta, knots=np.linspace(0.0, 1.0, K - 2),
+                          x=x, curves=np.zeros((2, n)),
+                          posteriors=np.empty((0, n, 2)),
+                          loglik_trace=np.array([-1.0]), iterations=1,
+                          converged=True)
+    fit = tmp_path / "fit.json"
+    fit.write_text(dm.dumps_json(dm.report_to_dict(report, "iid",
+                                                   "homog_ri")))
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_states",
+                        lambda n_points, J: ("enum", n_points, J))
+
+    def fake_e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
+        calls.append(enum)
+        return EStep(marginals=np.full((dataset.n_replicates, n, 2), 0.5),
+                     loglik=np.zeros(dataset.n_replicates))
+
+    monkeypatch.setattr(cli, "e_step", fake_e_step)
+    out = tmp_path / "cls"
+    rc = main(["classify", "--data", str(data), "--fit", str(fit),
+               "--out", str(out)])
+    assert rc == 0, (out / "error.json").read_text()
+    assert calls == [("enum", n, 2)]
+    assert (out / "posteriors.csv").exists()
+
+
 def test_malformed_csv_exits_with_validation_code(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("replicate,point,x,y\n1,1,0.0,1.0\n1,1,0.0,2.0\n")
@@ -198,6 +239,20 @@ def test_malformed_config_values_exit_with_validation_code(tmp_path,
 
 
 def test_numerical_failure_exits_with_code_three(tmp_path):
+    # two replicates cannot support a 6 x 6 unrestricted V: the first
+    # covariance M-step returns a singular matrix
+    data = write_data(tmp_path / "data.csv", N=2, n=6)
+    config = write_config(tmp_path / "config.json",
+                          covariance={"kind": "unrestricted"})
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", data, "--config", config,
+               "--out", str(out)])
+    assert rc == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NotSPD"
+
+
+def test_non_spd_init_exits_with_validation_code(tmp_path):
     data = write_data(tmp_path / "data.csv", n=6)
     init = {"phi": [[0.0] * 6, [1.0] * 6],
             "alpha": {"p": [0.5, 0.5]},
@@ -208,9 +263,22 @@ def test_numerical_failure_exits_with_code_three(tmp_path):
     out = tmp_path / "out"
     rc = main(["fit", "--data", data, "--config", config,
                "--out", str(out)])
-    assert rc == 3
+    assert rc == 2
     err = json.loads((out / "error.json").read_text())
-    assert err["error"] == "NotSPD"
+    assert err["error"] == "BadInit"
+    assert "positive definite" in err["message"]
+
+
+def test_cv_on_a_structured_kind_exits_with_validation_code(tmp_path):
+    data = write_data(tmp_path / "data.csv", n=6)
+    config = write_config(tmp_path / "config.json",
+                          covariance={"kind": "homog_ri"}, lambdas=1e-3)
+    out = tmp_path / "out"
+    rc = main(["cv", "--data", data, "--config", config, "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "SpecMismatch"
+    assert "diagonal" in err["message"]
 
 
 @pytest.mark.parametrize("covariance,cov", [

@@ -14,6 +14,7 @@ import pytest
 from switchcurve.basis import basis_matrix, build_basis, penalty_matrix
 from switchcurve.cv import DEFAULT_GRID, CVConfig, cv_score, select_lambdas
 from switchcurve.datamodel import CovSpec, LatentSpec, MultiCurveDataset
+from switchcurve.errors import SpecMismatch
 from switchcurve.sim import SimDesign, generate_dataset
 
 
@@ -243,7 +244,7 @@ def test_select_lambdas_stops_a_cycle_with_the_capped_result():
 def test_select_lambdas_rejects_structured_covariance():
     data = MultiCurveDataset(x=np.linspace(0, 1, 6),
                              y=np.zeros((2, 6)) + np.linspace(0, 1, 6))
-    with pytest.raises(ValueError, match="diagonal"):
+    with pytest.raises(SpecMismatch, match="diagonal"):
         select_lambdas(data, LatentSpec(kind="iid", J=2),
                        CovSpec(kind="homog_ri"))
 

@@ -64,10 +64,9 @@ def test_validate_covariate_needs_columns():
     with pytest.raises(SpecMismatch):
         dm.validate(data, dm.LatentSpec(kind="covariate", J=2),
                     dm.CovSpec(kind="iso_diag"))
-    ok = dm.validate(small_dataset(M=2),
-                     dm.LatentSpec(kind="covariate", J=2),
-                     dm.CovSpec(kind="iso_diag"))
-    assert ok.n_covariates == 2
+    assert dm.validate(small_dataset(M=2),
+                       dm.LatentSpec(kind="covariate", J=2),
+                       dm.CovSpec(kind="iso_diag")) is None
 
 
 def test_validate_enumeration_cap():
@@ -76,14 +75,11 @@ def test_validate_enumeration_cap():
         dm.validate(data, dm.LatentSpec(kind="iid", J=2),
                     dm.CovSpec(kind="unrestricted"))
     # diagonal kinds never enumerate, so the same size is fine
-    model = dm.validate(data, dm.LatentSpec(kind="iid", J=2),
-                        dm.CovSpec(kind="state_diag"))
-    assert not model.needs_enumeration
+    dm.validate(data, dm.LatentSpec(kind="iid", J=2),
+                dm.CovSpec(kind="state_diag"))
     # and a raised cap admits the enumeration kinds again
-    model = dm.validate(data, dm.LatentSpec(kind="iid", J=2),
-                        dm.CovSpec(kind="unrestricted"),
-                        enumeration_cap=2 ** 26)
-    assert model.n_state_vectors == 2 ** 25
+    dm.validate(data, dm.LatentSpec(kind="iid", J=2),
+                dm.CovSpec(kind="unrestricted"), enumeration_cap=2 ** 26)
 
 
 def test_validate_nonhomog_needs_two_states():
@@ -177,6 +173,18 @@ def test_parse_config_rejects_bad_values():
         dm.parse_config({**base, "tol": 0.0})
     with pytest.raises(SpecMismatch):
         dm.parse_config({"latent": {"kind": "iid", "J": 2}})
+
+
+def test_parse_config_refuses_unknown_keys():
+    base = {"latent": {"kind": "iid", "J": 2},
+            "covariance": {"kind": "iso_diag"}, "lambdas": 1.0}
+    # a misspelt max_iter used to be ignored, leaving the default in force
+    with pytest.raises(SpecMismatch, match="max_iters"):
+        dm.parse_config({**base, "max_iters": 3})
+    cfg = dm.parse_config({**base, "K": 6, "tol": 1e-6, "max_iter": 3,
+                           "enumeration_cap": 1024, "init": "quantile-split",
+                           "cv": {}})
+    assert cfg.max_iter == 3
 
 
 THETA_CASES = [

@@ -22,9 +22,10 @@ from switchcurve.em import (_solve_spd, classify_marginals, e_step, ecm_fit,
                             penalty_value, update_f_diagonal,
                             update_f_general, weight_matrices)
 from switchcurve.errors import BadInit, EnumerationTooLarge, SingularSystem
-from switchcurve.latent import enumerate_states, pairwise_from_joint
+from switchcurve.latent import enumerate_states
 
-from oracles import enumerated_e_step, nonhomog_normal_system_loop
+from oracles import (enumerated_e_step, nonhomog_normal_system_loop,
+                     pairwise_einsum)
 
 LAM = 1e-4
 
@@ -249,7 +250,36 @@ def test_estep_diagonal_route_matches_enumeration(lat_kind, cov_kind):
     np.testing.assert_allclose(fast.marginals, slow.marginals, atol=1e-11)
     if lat_kind == "markov":
         np.testing.assert_allclose(
-            fast.pairwise, pairwise_from_joint(slow.joint, enum), atol=1e-11)
+            fast.pairwise, pairwise_einsum(slow.joint, enum), atol=1e-11)
+
+
+@pytest.mark.parametrize("cov_kind", ["iso_diag", "homog_ri"])
+def test_markov_e_step_carries_transition_totals(cov_kind):
+    """Both routes hand the latent M-step the (J, J) expected transition
+    totals; only forward-backward keeps its per-point pair table."""
+    rng = np.random.default_rng(6)
+    n, J = 6, 2
+    data, _, _ = two_state_data(seed=6, N=5, n=n)
+    _, B, _ = design(n, 5)
+    F = rng.standard_normal((J, 5)) @ B.T
+    cov = IsoDiagParams(sigma2=0.3) if cov_kind == "iso_diag" \
+        else HomogRIParams(sigma2=0.3, d=0.4)
+    theta = Theta(phi=np.zeros((J, 5)),
+                  latent=MarkovParams(pi=[0.4, 0.6],
+                                      A=[[0.8, 0.2], [0.3, 0.7]]),
+                  cov=cov, lambdas=np.full(J, LAM))
+    spec, cspec = LatentSpec(kind="markov", J=J), CovSpec(kind=cov_kind)
+    enum = enumerate_states(n, J)
+    step = e_step(data, F, theta, spec, cspec, enum=enum)
+    assert step.transitions.shape == (J, J)
+    if cspec.diagonal:
+        np.testing.assert_array_equal(step.transitions,
+                                      step.pairwise.sum(axis=(0, 1)))
+    else:
+        assert step.pairwise is None
+        np.testing.assert_allclose(
+            step.transitions,
+            pairwise_einsum(step.joint, enum).sum(axis=(0, 1)), atol=1e-13)
 
 
 def test_single_state_fit_is_a_penalized_spline():

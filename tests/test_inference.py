@@ -75,7 +75,7 @@ def fixed_point(kind):
     for _ in range(3000):
         step = enumerated_e_step(data, f, make_theta(alpha), lat, COV_SPEC,
                                  enum)
-        new, _ = update_alpha(lat, alpha, step.marginals, step.pairwise,
+        new, _ = update_alpha(lat, alpha, step.marginals, step.transitions,
                               data.covariates)
         delta = np.max(np.abs(coords(new) - coords(alpha)))
         alpha = new
@@ -310,7 +310,8 @@ def test_diagonal_kind_ses_match_the_enumerated_oracle(kind, cov_kind):
     lat, cspec = LatentSpec(kind=kind, J=2), CovSpec(kind=cov_kind)
     report = ecm_fit(data, lat, cspec, lambdas=1e-4)
     se, reason = inf_mod.standard_errors_for_fit(
-        data, lat, cspec, report.theta, step=None)
+        data, lat, cspec, report.theta,
+        e_step(data, report.curves, report.theta, lat, cspec))
     assert reason is None
     assert report.std_errors == se
 

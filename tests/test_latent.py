@@ -348,13 +348,15 @@ def test_joint_summaries_match_brute_force():
         np.testing.assert_allclose(
             marginals_from_joint(P, enum), want_m, atol=1e-13)
         np.testing.assert_allclose(
-            pairwise_from_joint(P, enum), want_p, atol=1e-13)
+            pairwise_from_joint(P, enum), want_p.sum(axis=(0, 1)),
+            atol=1e-13)
 
 
 @pytest.mark.parametrize("n,J", [(10, 2), (5, 3)])
 def test_flat_table_contractions_match_einsum_forms(n, J):
-    """Marginal and pair posteriors as products with the flat (S, n*J)
-    and (S, (n-1)*J*J) tables; J = 3 catches a wrong column order."""
+    """Marginal posteriors as a product with the flat (S, n*J) table and
+    transition totals as one with the (S, J*J) counts; J = 3 catches a
+    wrong column order."""
     rng = np.random.default_rng(n * J)
     enum = enumerate_states(n, J)
     loglik = rng.standard_normal((4, enum.size)) * 3.0
@@ -367,7 +369,8 @@ def test_flat_table_contractions_match_einsum_forms(n, J):
         np.testing.assert_allclose(marginals_from_joint(P, enum),
                                    marginals_einsum(P, enum), atol=1e-13)
         np.testing.assert_allclose(pairwise_from_joint(P, enum),
-                                   pairwise_einsum(P, enum), atol=1e-13)
+                                   pairwise_einsum(P, enum).sum(axis=(0, 1)),
+                                   atol=1e-13)
 
 
 def test_pointwise_bayes_matches_enumeration():
@@ -466,7 +469,7 @@ def test_markov_update_moment_matching():
     marg, pair, _ = forward_backward(pointwise, pi, A)
     params, flags = update_alpha(LatentSpec(kind="markov", J=2),
                                  MarkovParams(pi=pi, A=A), marg,
-                                 pairwise=pair)
+                                 transitions=pair.sum(axis=(0, 1)))
     assert flags == []
     np.testing.assert_allclose(params.pi, marg[:, 0, :].mean(axis=0),
                                atol=1e-14)
@@ -488,7 +491,7 @@ def test_markov_update_keeps_unoccupied_rows():
     pair[:, 2, 0, :] = [0.5, 0.5]
     prev = MarkovParams(pi=[0.5, 0.5], A=[[0.6, 0.4], [0.3, 0.7]])
     params, flags = update_alpha(LatentSpec(kind="markov", J=2), prev,
-                                 marg, pairwise=pair)
+                                 marg, transitions=pair.sum(axis=(0, 1)))
     assert flags == ["zero_occupancy_row_2"]
     np.testing.assert_array_equal(params.A[1], [0.3, 0.7])
     np.testing.assert_allclose(params.A[0], [5.0 / 6.0, 1.0 / 6.0],
@@ -537,7 +540,8 @@ def test_alpha_update_increases_expected_latent_loglik():
         marg, pair, _ = forward_backward(pointwise, pi, A)
         prev_m = MarkovParams(*random_stochastic(rng, 2))
         spec = LatentSpec(kind="markov", J=2)
-        new, _ = update_alpha(spec, prev_m, marg, pairwise=pair)
+        new, _ = update_alpha(spec, prev_m, marg,
+                              transitions=pair.sum(axis=(0, 1)))
         assert expected_latent_loglik(spec, new, marg, pairwise=pair) >= \
             expected_latent_loglik(spec, prev_m, marg, pairwise=pair) - 1e-12
 
