@@ -136,11 +136,6 @@ def basis_matrix(basis, x):
     return _bspline_table(basis.knots, basis._clamp(x), 0)
 
 
-def second_derivative_matrix(basis, x):
-    """Evaluate second derivatives ``b_v''(x_m)``, shape (len(x), K)."""
-    return _bspline_table(basis.knots, basis._clamp(x), 2)
-
-
 def penalty_matrix(basis):
     """Exact curvature penalty matrix, shape (K, K), symmetric PSD.
 

@@ -114,25 +114,19 @@ def _cmd_fit(args):
             dataset, cfg.latent, cfg.cov, lambdas=cfg.lambdas, K=cfg.K,
             tol=cfg.tol, max_iter=cfg.max_iter, init=cfg.init,
             enumeration_cap=cfg.enumeration_cap)
-    _write_fit_outputs(args.out, report, cfg, dataset)
+    _write_fit_outputs(args.out, report, cfg)
 
 
 def _cmd_cv(args):
     dataset, cfg = _load_inputs(args)
     result = _run_cv(dataset, cfg)
     _write_cv(args.out, result)
-    _write_fit_outputs(args.out, result.fit, cfg, dataset)
+    _write_fit_outputs(args.out, result.fit, cfg)
 
 
 def _run_cv(dataset, cfg):
-    try:
-        cv_cfg = cv_mod.CVConfig(**{
-            k: (np.asarray(v, dtype=float) if k == "grid" else v)
-            for k, v in cfg.cv.items()})
-    except (TypeError, ValueError) as exc:
-        raise SpecMismatch(f"malformed cv config: {exc}") from None
     return cv_mod.select_lambdas(
-        dataset, cfg.latent, cfg.cov, config=cv_cfg, K=cfg.K, tol=cfg.tol,
+        dataset, cfg.latent, cfg.cov, config=cfg.cv, K=cfg.K, tol=cfg.tol,
         max_iter=cfg.max_iter, init=cfg.init)
 
 
@@ -183,29 +177,20 @@ def _cmd_simstudy(args):
                               threads=threads)
     dm.atomic_write_text(os.path.join(args.out, "study_report.json"),
                          dm.dumps_json(study.to_dict()))
-    lines = ["parameter,truth,mean,sd,mean_se,coverage90,coverage95"]
-    for name, entry in study.params.items():
-        lines.append(",".join([
-            name, repr(entry["truth"]), repr(entry["mean"]),
-            repr(entry["sd"]), repr(entry["mean_se"]),
-            repr(entry["coverage90"]), repr(entry["coverage95"])]))
-    dm.atomic_write_text(os.path.join(args.out, "params_summary.csv"),
-                         "\n".join(lines) + "\n")
-    lines = ["component,truth,mean,sd"]
-    for name, entry in study.variance.items():
-        lines.append(",".join([
-            name, repr(entry["truth"]), repr(entry["mean"]),
-            repr(entry["sd"])]))
-    dm.atomic_write_text(os.path.join(args.out, "variance_summary.csv"),
-                         "\n".join(lines) + "\n")
-    lines = ["x," + ",".join(
-        f"emse_f{j + 1}" for j in range(study.emse.shape[0]))]
-    for i, xv in enumerate(study.x):
-        lines.append(",".join(
-            [repr(float(xv))] + [repr(float(study.emse[j, i]))
-                                 for j in range(study.emse.shape[0])]))
-    dm.atomic_write_text(os.path.join(args.out, "emse.csv"),
-                         "\n".join(lines) + "\n")
+    columns = ("truth", "mean", "sd", "mean_se", "coverage90", "coverage95")
+    dm.write_csv(os.path.join(args.out, "params_summary.csv"),
+                 ["parameter", *columns],
+                 ([name] + [entry[c] for c in columns]
+                  for name, entry in study.params.items()))
+    dm.write_csv(os.path.join(args.out, "variance_summary.csv"),
+                 ["component", "truth", "mean", "sd"],
+                 ([name, entry["truth"], entry["mean"], entry["sd"]]
+                  for name, entry in study.variance.items()))
+    J = study.emse.shape[0]
+    dm.write_csv(os.path.join(args.out, "emse.csv"),
+                 ["x"] + [f"emse_f{j + 1}" for j in range(J)],
+                 ([xv] + list(study.emse[:, i])
+                  for i, xv in enumerate(study.x)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,45 +209,33 @@ def _write_cv(out, result):
     dm.atomic_write_text(os.path.join(out, "cv.json"), dm.dumps_json(doc))
 
 
-def _write_fit_outputs(out, report, cfg, dataset):
+def _write_fit_outputs(out, report, cfg):
     doc = dm.report_to_dict(report, cfg.latent.kind, cfg.cov.kind)
     dm.atomic_write_text(os.path.join(out, "fit.json"), dm.dumps_json(doc))
-
     J = report.theta.J
-    lines = ["x," + ",".join(f"f{j + 1}" for j in range(J))]
-    for i, xv in enumerate(report.x):
-        lines.append(",".join(
-            [repr(float(xv))] + [repr(float(report.curves[j, i]))
-                                 for j in range(J)]))
-    dm.atomic_write_text(os.path.join(out, "curves.csv"),
-                         "\n".join(lines) + "\n")
+    dm.write_csv(os.path.join(out, "curves.csv"),
+                 ["x"] + [f"f{j + 1}" for j in range(J)],
+                 ([xv] + list(report.curves[:, i])
+                  for i, xv in enumerate(report.x)))
     _write_posteriors(out, report.posteriors)
     _write_classified(out, report.posteriors)
 
 
 def _write_posteriors(out, marginals):
     N, n, J = marginals.shape
-    lines = ["replicate,point," + ",".join(
-        f"p{j + 1}" for j in range(J))]
-    for k in range(N):
-        for i in range(n):
-            lines.append(",".join(
-                [str(k + 1), str(i + 1)]
-                + [repr(float(marginals[k, i, j])) for j in range(J)]))
-    dm.atomic_write_text(os.path.join(out, "posteriors.csv"),
-                         "\n".join(lines) + "\n")
+    dm.write_csv(os.path.join(out, "posteriors.csv"),
+                 ["replicate", "point"] + [f"p{j + 1}" for j in range(J)],
+                 ([k + 1, i + 1] + list(marginals[k, i])
+                  for k in range(N) for i in range(n)))
 
 
 def _write_classified(out, marginals):
     labels, ties = classify_marginals(marginals)
-    lines = ["replicate,point,state,tie"]
     N, n = labels.shape
-    for k in range(N):
-        for i in range(n):
-            lines.append(f"{k + 1},{i + 1},{labels[k, i] + 1},"
-                         f"{int(ties[k, i])}")
-    dm.atomic_write_text(os.path.join(out, "classified.csv"),
-                         "\n".join(lines) + "\n")
+    dm.write_csv(os.path.join(out, "classified.csv"),
+                 ["replicate", "point", "state", "tie"],
+                 ([k + 1, i + 1, labels[k, i] + 1, int(ties[k, i])]
+                  for k in range(N) for i in range(n)))
 
 
 if __name__ == "__main__":

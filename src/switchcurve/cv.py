@@ -25,35 +25,18 @@ eigendecomposition and get the minimum-norm solution where rank-deficient,
 as a least-squares refit would.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import em as em_mod
-from .datamodel import DEFAULT_MAX_ITER, DEFAULT_TOL
+# CVConfig is parsed with the rest of the config; its default grid stays
+# importable from here as cv.DEFAULT_GRID
+from .datamodel import (DEFAULT_GRID, DEFAULT_MAX_ITER,  # noqa: F401
+                        DEFAULT_TOL, CVConfig)
 from .errors import SpecMismatch
 
-DEFAULT_GRID = np.logspace(-6.0, 2.0, 25)
-DEFAULT_LAMBDA0 = 1e-2
 _EPS = np.finfo(float).eps
-
-
-@dataclass
-class CVConfig:
-    """Grid and outer-loop settings for select_lambdas."""
-
-    grid: np.ndarray = field(default_factory=lambda: DEFAULT_GRID.copy())
-    lambda0: float = DEFAULT_LAMBDA0
-    outer_max_iter: int = 20
-    outer_tol: float = 1e-3
-
-    def __post_init__(self):
-        self.grid = np.sort(np.asarray(self.grid, dtype=float).ravel())
-        self.lambda0 = float(self.lambda0)
-        self.outer_max_iter = int(self.outer_max_iter)
-        self.outer_tol = float(self.outer_tol)
-        if self.grid.size < 1 or np.any(self.grid < 0):
-            raise ValueError("grid must hold non-negative values")
 
 
 def _min_norm_solve(M, rhs):
@@ -172,11 +155,9 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
 
     lambdas = np.full(J, config.lambda0)
     picks = np.full(J, -1)
-    scores = np.zeros((J, grid.size))
     history = []                    # (picks, scores) of each outer step
     n_fallback = 0
     converged = False
-    n_outer = 0
     for n_outer in range(1, config.outer_max_iter + 1):
         fit = em_mod.ecm_fit(
             dataset, latent_spec, cov_spec, lambdas=lambdas, K=K, tol=tol,

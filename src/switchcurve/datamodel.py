@@ -6,12 +6,23 @@ per-point covariates drive the covariate-dependent latent model.
 
 External formats
 ----------------
+* Every CSV the package writes goes through :func:`write_csv`: a header
+  line, then one line per row, each line ending in a newline.  Integer
+  cells (1-based labels, flags) are written as integers, other numbers as
+  ``repr(float(v))``, which reads back bit for bit, and strings as given.
 * Dataset CSV, long layout: columns ``replicate, point, x, y`` and
   optionally ``v1..vM``; every (replicate, point) pair appears exactly
   once and all replicates must agree on x (tolerance 1e-9).
 * Config JSON: keys ``latent`` ({kind, J}), ``covariance`` ({kind}),
   ``lambdas`` (number, array, or "cv"), and optional ``K, tol, max_iter,
-  enumeration_cap, init, cv``; any other key is refused.
+  enumeration_cap, init, cv``; any other key is refused.  Smoothing
+  parameters (``lambdas``, the ``cv`` grid and ``lambda0``) must be finite
+  and non-negative.
+* Theta JSON (the ``theta`` of a fit report, or a supplied ``init``):
+  ``phi``, ``alpha``, ``cov`` and ``lambdas``.  The keys of ``alpha`` and
+  ``cov`` are the fields of the kind's parameter dataclass, in declaration
+  order; random-intercept kinds also carry their derived ``tau2`` values,
+  which reading ignores.
 * Fit-report JSON: full-precision floats; parsing then re-serializing
   reproduces the document bit for bit.
 """
@@ -21,7 +32,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,9 +44,6 @@ from .errors import (
     XInconsistent,
 )
 
-LATENT_KINDS = ("iid", "markov", "covariate")
-COV_KINDS = ("iso_diag", "state_diag", "unrestricted", "homog_ri",
-             "nonhomog_ri")
 DIAGONAL_KINDS = ("iso_diag", "state_diag")
 
 DEFAULT_ENUMERATION_CAP = 2 ** 20
@@ -119,7 +127,7 @@ class LatentSpec:
     J: int
 
     def __post_init__(self):
-        if self.kind not in LATENT_KINDS:
+        if self.kind not in LATENT_PARAMS:
             raise SpecMismatch(f"unknown latent kind {self.kind!r}")
         if self.J < 1:
             raise SpecMismatch(f"J must be >= 1, got {self.J}")
@@ -134,7 +142,7 @@ class CovSpec:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in COV_KINDS:
+        if self.kind not in COV_PARAMS:
             raise SpecMismatch(f"unknown covariance kind {self.kind!r}")
 
     @property
@@ -142,30 +150,43 @@ class CovSpec:
         return self.kind in DIAGONAL_KINDS
 
 
+class _Block:
+    """Base of the latent and covariance parameter blocks.
+
+    A block's fields, in declaration order, are its keys in theta JSON.
+    ``float`` fields hold floats and the others float arrays; ``beta``
+    keeps one row per non-reference state even when J = 2.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float:
+                value = float(value)
+            else:
+                value = np.asarray(value, dtype=float)
+                if f.name == "beta":
+                    value = np.atleast_2d(value)
+            setattr(self, f.name, value)
+
+
 @dataclass
-class IIDParams:
+class IIDParams(_Block):
     """State probabilities p, shared by all points."""
 
     p: np.ndarray
 
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-
 
 @dataclass
-class MarkovParams:
+class MarkovParams(_Block):
     """Initial distribution pi and row-stochastic transition matrix A."""
 
     pi: np.ndarray
     A: np.ndarray
 
-    def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
-
 
 @dataclass
-class CovariateParams:
+class CovariateParams(_Block):
     """Multinomial-logistic coefficients, one row per non-reference state.
 
     ``beta[j - 1]`` holds the intercept and slopes for
@@ -174,39 +195,30 @@ class CovariateParams:
 
     beta: np.ndarray
 
-    def __post_init__(self):
-        self.beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
-
 
 @dataclass
-class IsoDiagParams:
+class IsoDiagParams(_Block):
     """V = sigma2 * I."""
 
     sigma2: float
 
 
 @dataclass
-class StateDiagParams:
+class StateDiagParams(_Block):
     """Diagonal V with per-state variances sigma2[j]."""
 
     sigma2: np.ndarray
 
-    def __post_init__(self):
-        self.sigma2 = np.asarray(self.sigma2, dtype=float)
-
 
 @dataclass
-class UnrestrictedParams:
+class UnrestrictedParams(_Block):
     """Dense symmetric positive definite V."""
 
     V: np.ndarray
 
-    def __post_init__(self):
-        self.V = np.asarray(self.V, dtype=float)
-
 
 @dataclass
-class HomogRIParams:
+class HomogRIParams(_Block):
     """Random-intercept V = sigma2 * (I + d * 11'); tau2 = d * sigma2."""
 
     sigma2: float
@@ -218,7 +230,7 @@ class HomogRIParams:
 
 
 @dataclass
-class NonHomogRIParams:
+class NonHomogRIParams(_Block):
     """Two-state random intercept with a state-2 variance component.
 
     V_s = sigma2 * (I + d1 * 11' + d2 * u_s u_s') where u_s indicates the
@@ -232,6 +244,14 @@ class NonHomogRIParams:
     @property
     def tau2(self):
         return self.d1 * self.sigma2, self.d2 * self.sigma2
+
+
+# the parameter block of each model kind
+LATENT_PARAMS = {"iid": IIDParams, "markov": MarkovParams,
+                 "covariate": CovariateParams}
+COV_PARAMS = {"iso_diag": IsoDiagParams, "state_diag": StateDiagParams,
+              "unrestricted": UnrestrictedParams, "homog_ri": HomogRIParams,
+              "nonhomog_ri": NonHomogRIParams}
 
 
 @dataclass
@@ -383,24 +403,63 @@ def read_dataset_csv(path):
 
 def write_dataset_csv(dataset, path):
     """Write a dataset in the long CSV layout read by read_dataset_csv."""
-    M = dataset.n_covariates
-    header = ["replicate", "point", "x", "y"] + [
-        f"v{m}" for m in range(1, M + 1)]
+    N, n, M = dataset.n_replicates, dataset.n_points, dataset.n_covariates
+    rows = ([k + 1, i + 1, dataset.x[i], dataset.y[k, i]]
+            + (list(dataset.covariates[k, i]) if M else [])
+            for k in range(N) for i in range(n))
+    write_csv(path, ["replicate", "point", "x", "y"]
+              + [f"v{m}" for m in range(1, M + 1)], rows)
+
+
+def write_csv(path, header, rows):
+    """Write a CSV atomically by the cell rule in the module docstring."""
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
     lines = [",".join(header)]
-    for k in range(dataset.n_replicates):
-        for i in range(dataset.n_points):
-            row = [str(k + 1), str(i + 1), repr(float(dataset.x[i])),
-                   repr(float(dataset.y[k, i]))]
-            if M:
-                row += [repr(float(val))
-                        for val in dataset.covariates[k, i]]
-            lines.append(",".join(row))
+    lines += [",".join(cell(v) for v in row) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # config JSON
 # ---------------------------------------------------------------------------
+
+def check_lambdas(values, name):
+    """Smoothing parameters as a float array; each must be finite and
+    non-negative."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise SpecMismatch(f"{name} must be finite and non-negative")
+    return values
+
+
+# the smoothing-parameter grid select_lambdas searches by default
+DEFAULT_GRID = np.logspace(-6.0, 2.0, 25)
+
+
+@dataclass
+class CVConfig:
+    """Grid and outer-loop settings for select_lambdas."""
+
+    grid: np.ndarray = field(default_factory=lambda: DEFAULT_GRID.copy())
+    lambda0: float = 1e-2
+    outer_max_iter: int = 20
+    outer_tol: float = 1e-3
+
+    def __post_init__(self):
+        self.grid = np.sort(check_lambdas(self.grid, "cv grid").ravel())
+        self.lambda0 = float(check_lambdas(self.lambda0, "cv lambda0"))
+        self.outer_max_iter = _config_int(self.outer_max_iter,
+                                          "outer_max_iter")
+        self.outer_tol = float(self.outer_tol)
+        if self.grid.size < 1 or self.outer_max_iter < 1:
+            raise SpecMismatch(
+                "cv grid must hold a value, and outer_max_iter must be >= 1")
+
 
 @dataclass
 class FitConfig:
@@ -414,7 +473,7 @@ class FitConfig:
     max_iter: int = DEFAULT_MAX_ITER
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     init: object = "quantile-split"
-    cv: dict = field(default_factory=dict)
+    cv: CVConfig = field(default_factory=CVConfig)
 
 
 def parse_config(doc):
@@ -443,12 +502,11 @@ def parse_config(doc):
     else:
         try:
             lambdas = np.broadcast_to(
-                np.asarray(lambdas, dtype=float).ravel(), (latent.J,)).copy()
+                check_lambdas(lambdas, "lambdas").ravel(),
+                (latent.J,)).copy()
         except (TypeError, ValueError):
             raise SpecMismatch(f"lambdas must be 'cv', one number or "
                                f"J = {latent.J} numbers") from None
-        if np.any(lambdas < 0):
-            raise SpecMismatch("lambdas must be non-negative")
     try:
         cfg = FitConfig(
             latent=latent, cov=cov, lambdas=lambdas,
@@ -460,7 +518,7 @@ def parse_config(doc):
                 doc.get("enumeration_cap", DEFAULT_ENUMERATION_CAP),
                 "enumeration_cap"),
             init=doc.get("init", "quantile-split"),
-            cv=dict(doc.get("cv", {})))
+            cv=CVConfig(**doc.get("cv", {})))
     except (TypeError, ValueError) as exc:
         raise SpecMismatch(f"malformed config value: {exc}") from None
     if isinstance(cfg.init, str):
@@ -491,66 +549,41 @@ def _listify(a):
     return np.asarray(a, dtype=float).tolist()
 
 
-def theta_to_dict(theta, latent_kind, cov_kind):
-    al = theta.latent
-    if latent_kind == "iid":
-        alpha = {"p": _listify(al.p)}
-    elif latent_kind == "markov":
-        alpha = {"pi": _listify(al.pi), "A": _listify(al.A)}
-    else:
-        alpha = {"beta": _listify(al.beta)}
-    cp = theta.cov
-    if cov_kind == "iso_diag":
-        cov = {"sigma2": float(cp.sigma2)}
-    elif cov_kind == "state_diag":
-        cov = {"sigma2": _listify(cp.sigma2)}
-    elif cov_kind == "unrestricted":
-        cov = {"V": _listify(cp.V)}
-    elif cov_kind == "homog_ri":
-        cov = {"sigma2": float(cp.sigma2), "d": float(cp.d),
-               "tau2": float(cp.tau2)}
-    else:
-        t1, t2 = cp.tau2
-        cov = {"sigma2": float(cp.sigma2), "d1": float(cp.d1),
-               "d2": float(cp.d2), "tau2_1": float(t1), "tau2_2": float(t2)}
-    return {"phi": _listify(theta.phi), "alpha": alpha, "cov": cov,
+def theta_to_dict(theta):
+    """Theta JSON for theta; see the module docstring."""
+    return {"phi": _listify(theta.phi), "alpha": _block_to_dict(theta.latent),
+            "cov": _block_to_dict(theta.cov),
             "lambdas": _listify(theta.lambdas)}
 
 
+def _block_to_dict(block):
+    doc = {f.name: _listify(getattr(block, f.name)) for f in fields(block)}
+    # the derived variance components, for readers of the file
+    if isinstance(block, HomogRIParams):
+        doc["tau2"] = block.tau2
+    elif isinstance(block, NonHomogRIParams):
+        doc["tau2_1"], doc["tau2_2"] = block.tau2
+    return doc
+
+
 def theta_from_dict(doc, latent_spec, cov_spec):
+    """Parse theta JSON under the given model; extra keys are ignored."""
+    def block(cls, values):
+        return cls(**{f.name: values[f.name] for f in fields(cls)})
     try:
-        phi = np.asarray(doc["phi"], dtype=float)
-        alpha = doc["alpha"]
-        cov = doc["cov"]
-        lambdas = np.asarray(doc["lambdas"], dtype=float)
-        if latent_spec.kind == "iid":
-            latent = IIDParams(p=alpha["p"])
-        elif latent_spec.kind == "markov":
-            latent = MarkovParams(pi=alpha["pi"], A=alpha["A"])
-        else:
-            latent = CovariateParams(beta=alpha["beta"])
-        kind = cov_spec.kind
-        if kind == "iso_diag":
-            cp = IsoDiagParams(sigma2=float(cov["sigma2"]))
-        elif kind == "state_diag":
-            cp = StateDiagParams(sigma2=cov["sigma2"])
-        elif kind == "unrestricted":
-            cp = UnrestrictedParams(V=cov["V"])
-        elif kind == "homog_ri":
-            cp = HomogRIParams(sigma2=float(cov["sigma2"]),
-                               d=float(cov["d"]))
-        else:
-            cp = NonHomogRIParams(sigma2=float(cov["sigma2"]),
-                                  d1=float(cov["d1"]), d2=float(cov["d2"]))
+        return Theta(phi=doc["phi"],
+                     latent=block(LATENT_PARAMS[latent_spec.kind],
+                                  doc["alpha"]),
+                     cov=block(COV_PARAMS[cov_spec.kind], doc["cov"]),
+                     lambdas=doc["lambdas"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInit(f"malformed theta document: {exc}") from None
-    return Theta(phi=phi, latent=latent, cov=cp, lambdas=lambdas)
 
 
 def report_to_dict(report, latent_kind, cov_kind):
     doc = {
         "model": {"latent": latent_kind, "covariance": cov_kind},
-        "theta": theta_to_dict(report.theta, latent_kind, cov_kind),
+        "theta": theta_to_dict(report.theta),
         "knots": _listify(report.knots),
         "x": _listify(report.x),
         "curves": _listify(report.curves),

@@ -43,6 +43,7 @@ from .datamodel import (
     StateDiagParams,
     Theta,
     UnrestrictedParams,
+    check_lambdas,
     theta_from_dict,
     validate,
 )
@@ -292,8 +293,8 @@ def _update_cov(cov_spec, theta, step, y, F_new, enum):
 # initialization
 # ---------------------------------------------------------------------------
 
-def _floor_probs(p, floor=_ALPHA_FLOOR):
-    p = np.maximum(np.asarray(p, dtype=float), floor)
+def _floor_probs(p):
+    p = np.maximum(np.asarray(p, dtype=float), _ALPHA_FLOOR)
     return p / p.sum()
 
 
@@ -454,7 +455,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
     R = penalty_matrix(basis)
 
     lambdas = np.broadcast_to(
-        np.asarray(lambdas, dtype=float).ravel(), (J,)).copy()
+        check_lambdas(lambdas, "lambdas").ravel(), (J,)).copy()
     use_enum = not cov_spec.diagonal
     enum = lat_mod.enumerate_states(n, J) if use_enum else None
     theta = initialize(dataset, latent_spec, cov_spec, B, R, lambdas,

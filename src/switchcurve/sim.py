@@ -23,7 +23,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .basis import basis_matrix, build_basis
-from .datamodel import CovSpec, LatentSpec, MultiCurveDataset
+from .datamodel import (CovariateParams, CovSpec, HomogRIParams,
+                        IIDParams, IsoDiagParams, LatentSpec, MarkovParams,
+                        MultiCurveDataset, Theta, theta_to_dict)
 from .em import ecm_fit
 
 DEFAULT_GRID = np.linspace(1.0, 100.0, 10)
@@ -71,20 +73,20 @@ class SimDesign:
         return CovSpec(kind="homog_ri")
 
     def truth_params(self):
-        """Alpha and covariance truth in report/init dict form."""
+        """The latent and covariance parameter blocks of the truth."""
         if self.kind == "iid":
-            alpha = {"p": [self.p1, 1.0 - self.p1]}
+            alpha = IIDParams(p=[self.p1, 1.0 - self.p1])
         elif self.kind == "markov":
-            alpha = {"pi": [self.pi1, 1.0 - self.pi1],
-                     "A": [[1.0 - self.a12, self.a12],
-                           [self.a21, 1.0 - self.a21]]}
+            alpha = MarkovParams(pi=[self.pi1, 1.0 - self.pi1],
+                                 A=[[1.0 - self.a12, self.a12],
+                                    [self.a21, 1.0 - self.a21]])
         else:
-            alpha = {"beta": [[self.beta0, self.beta1]]}
+            alpha = CovariateParams(beta=[[self.beta0, self.beta1]])
         if self.kind == "covariate":
-            cov = {"sigma2": self.sigma2}
+            cov = IsoDiagParams(sigma2=self.sigma2)
         else:
-            cov = {"sigma2": self.sigma2,
-                   "d": self.tau2 / self.sigma2}
+            cov = HomogRIParams(sigma2=self.sigma2,
+                                d=self.tau2 / self.sigma2)
         return alpha, cov
 
 
@@ -141,16 +143,16 @@ def truth_start(design, dataset):
     F = default_true_functions(dataset.x)
     phi0 = np.linalg.lstsq(B, F.T, rcond=None)[0].T
     alpha, cov = design.truth_params()
-    return {"phi": phi0.tolist(), "alpha": alpha, "cov": cov,
-            "lambdas": list(design.lambdas)}
+    return theta_to_dict(Theta(phi=phi0, latent=alpha, cov=cov,
+                               lambdas=design.lambdas))
 
 
-def fit_design(design, dataset, compute_se=True):
+def fit_design(design, dataset):
     """Truth-start ECM fit of a generated dataset."""
     return ecm_fit(
         dataset, design.latent_spec, design.cov_spec,
         lambdas=np.asarray(design.lambdas), K=design.K,
-        init=truth_start(design, dataset), compute_se=compute_se)
+        init=truth_start(design, dataset))
 
 
 # ---------------------------------------------------------------------------

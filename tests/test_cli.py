@@ -223,9 +223,23 @@ def test_malformed_csv_exits_with_validation_code(tmp_path):
     {"max_iter": 2.5},
     {"enumeration_cap": 1024.5},
     {"K": float("inf")},
+    {"lambdas": float("nan")},
+    {"lambdas": float("inf")},
+    {"lambdas": "cv", "cv": {"lambda0": float("nan")}},
+    {"lambdas": "cv", "cv": {"lambda0": -1}},
+    {"lambdas": "cv", "cv": {"grid": [1e-4, float("nan")]}},
+    {"lambdas": "cv", "cv": {"grid": [1e-4, float("inf")]}},
+    {"lambdas": "cv", "cv": {"outer_max_iter": 2.5}},
+    {"lambdas": "cv", "cv": {"outer_max_iter": True}},
+    {"lambdas": "cv", "cv": {"outer_max_iter": 0}},
+    {"cv": {"lambda0": -1}},
 ], ids=["lambdas-count", "K-text", "tol-nan", "J-text", "cv-unknown-key",
         "cv-negative-grid", "cv-outer-text", "J-fraction", "J-bool",
-        "K-fraction", "max-iter-fraction", "cap-fraction", "K-infinite"])
+        "K-fraction", "max-iter-fraction", "cap-fraction", "K-infinite",
+        "lambdas-nan", "lambdas-infinite", "cv-lambda0-nan",
+        "cv-lambda0-negative", "cv-grid-nan", "cv-grid-infinite",
+        "cv-outer-fraction", "cv-outer-bool", "cv-outer-zero",
+        "cv-checked-with-numeric-lambdas"])
 def test_malformed_config_values_exit_with_validation_code(tmp_path,
                                                            overrides):
     data = write_data(tmp_path / "data.csv", N=4, n=6)

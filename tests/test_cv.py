@@ -266,7 +266,7 @@ def test_single_point_grid_short_circuits():
 def test_cv_config_validation():
     cfg = CVConfig(grid=[1.0, 0.01, 0.1])
     np.testing.assert_array_equal(cfg.grid, [0.01, 0.1, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecMismatch):
         CVConfig(grid=[-1.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecMismatch):
         CVConfig(grid=[])

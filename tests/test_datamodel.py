@@ -1,4 +1,6 @@
 import json
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -202,6 +204,11 @@ THETA_CASES = [
 ]
 
 
+# the derived variance components emitted after the random-intercept fields
+DERIVED = {"homog_ri": {"tau2": 0.5},
+           "nonhomog_ri": {"tau2_1": 0.25, "tau2_2": 2.0}}
+
+
 @pytest.mark.parametrize("lat_kind,cov_kind,alpha,cov", THETA_CASES)
 def test_theta_dict_round_trip(lat_kind, cov_kind, alpha, cov):
     doc = {"phi": [[0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0]],
@@ -209,15 +216,25 @@ def test_theta_dict_round_trip(lat_kind, cov_kind, alpha, cov):
     latent = dm.LatentSpec(kind=lat_kind, J=2)
     cov_spec = dm.CovSpec(kind=cov_kind)
     theta = dm.theta_from_dict(doc, latent, cov_spec)
-    out = dm.theta_to_dict(theta, lat_kind, cov_kind)
+    out = dm.theta_to_dict(theta)
+    # the input document comes back exactly and in key order, with the
+    # derived tau2 keys after the fields they derive from; nested dicts
+    # compare equal in any order, so their orders are checked apart
+    cov_out = {**cov, **DERIVED.get(cov_kind, {})}
+    assert list(out.items()) == list({**doc, "cov": cov_out}.items())
+    assert list(out["alpha"].items()) == list(alpha.items())
+    assert list(out["cov"].items()) == list(cov_out.items())
     theta2 = dm.theta_from_dict(out, latent, cov_spec)
-    np.testing.assert_array_equal(theta.phi, theta2.phi)
-    np.testing.assert_array_equal(theta.lambdas, theta2.lambdas)
-    # derived tau2 fields are emitted for the random-intercept kinds
-    if cov_kind == "homog_ri":
-        assert out["cov"]["tau2"] == pytest.approx(0.5)
-    if cov_kind == "nonhomog_ri":
-        assert out["cov"]["tau2_2"] == pytest.approx(2.0)
+    np.testing.assert_array_equal(theta.phi, theta2.phi, strict=True)
+    np.testing.assert_array_equal(theta.lambdas, theta2.lambdas,
+                                  strict=True)
+    for block, block2 in ((theta.latent, theta2.latent),
+                          (theta.cov, theta2.cov)):
+        assert type(block) is type(block2)
+        for f in fields(block):
+            np.testing.assert_array_equal(
+                getattr(block, f.name), getattr(block2, f.name),
+                strict=True)
 
 
 def test_theta_from_dict_rejects_malformed():
@@ -250,6 +267,27 @@ def test_report_json_round_trip_is_bitwise():
     assert (lat2.kind, cov2.kind) == ("iid", "iso_diag")
     assert dm.dumps_json(
         dm.report_to_dict(back, lat2.kind, cov2.kind)) == text
+
+
+def test_write_csv_cell_rule(tmp_path):
+    path = tmp_path / "table.csv"
+    values = [0.1, 1.0 / 3.0, -2.5e-300, 5e-324, float("nan"),
+              np.float64(7.0), -0.0]
+    labels = [1, 2, 9, 10, np.int64(11), 120, 1000]
+    names = ["p1", "tau2_1", "a b", "x", "emse_f2", "", "s-2"]
+    dm.write_csv(str(path), ["name", "label", "value"],
+                 ([n, k, v] for n, k, v in zip(names, labels, values)))
+    text = path.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    lines = text[:-1].split("\n")
+    assert lines[0] == "name,label,value"
+    assert len(lines) == 1 + len(values)
+    for line, name, label, value in zip(lines[1:], names, labels, values):
+        cell_name, cell_label, cell_value = line.split(",")
+        assert cell_name == name
+        assert cell_label == str(int(label))
+        assert struct.pack("<d", float(cell_value)) == struct.pack(
+            "<d", value)
 
 
 def test_dumps_json_rejects_nan():

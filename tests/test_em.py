@@ -21,7 +21,8 @@ from switchcurve.em import (_solve_spd, classify_marginals, e_step, ecm_fit,
                             gather_curves, general_normal_system, initialize,
                             penalty_value, update_f_diagonal,
                             update_f_general, weight_matrices)
-from switchcurve.errors import BadInit, EnumerationTooLarge, SingularSystem
+from switchcurve.errors import (BadInit, EnumerationTooLarge, SingularSystem,
+                                SpecMismatch)
 from switchcurve.latent import enumerate_states
 
 from oracles import (enumerated_e_step, nonhomog_normal_system_loop,
@@ -340,12 +341,21 @@ def test_fit_with_no_iteration_budget_evaluates_the_start():
     assert report.loglik_trace.size == 1
 
 
+def test_ecm_fit_refuses_negative_or_nan_lambdas():
+    data, _, _ = two_state_data(seed=11)
+    for lambdas in (-5.0, float("nan")):
+        with pytest.raises(SpecMismatch, match="lambdas"):
+            ecm_fit(data, LatentSpec(kind="iid", J=2),
+                    CovSpec(kind="state_diag"), lambdas=lambdas,
+                    max_iter=3, compute_se=False)
+
+
 def test_relabeling_the_init_permutes_the_fit():
     data, _, _ = two_state_data(seed=11, spread=1.5, noise=0.1)
     base = ecm_fit(data, LatentSpec(kind="iid", J=2),
                    CovSpec(kind="state_diag"), lambdas=LAM, max_iter=30,
                    compute_se=False)
-    doc = theta_to_dict(base.theta, "iid", "state_diag")
+    doc = theta_to_dict(base.theta)
     swapped = dict(doc)
     swapped["phi"] = doc["phi"][::-1]
     swapped["alpha"] = {"p": doc["alpha"]["p"][::-1]}

@@ -88,7 +88,9 @@ def test_truth_start_reproduces_the_true_curves():
     data, _ = generate_dataset(d, seed=[0, 0])
     init = truth_start(d, data)
     assert init["lambdas"] == [1e-4, 1e-4]
-    assert init["cov"] == {"sigma2": 1e-5, "d": pytest.approx(10.0)}
+    # tau2 = d * sigma2 is derived, written as in fit.json and unread
+    assert init["cov"] == {"sigma2": 1e-5, "d": pytest.approx(10.0),
+                           "tau2": pytest.approx(1e-4)}
     basis = build_basis(data.x, min(data.n_points, 15))
     B = basis_matrix(basis, data.x)
     F0 = np.asarray(init["phi"]) @ B.T
