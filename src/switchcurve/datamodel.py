@@ -22,7 +22,8 @@ External formats
   ``phi``, ``alpha``, ``cov`` and ``lambdas``.  The keys of ``alpha`` and
   ``cov`` are the fields of the kind's parameter dataclass, in declaration
   order; random-intercept kinds also carry their derived ``tau2`` values,
-  which reading ignores.
+  which reading ignores.  A supplied ``init`` needs no ``lambdas``: the
+  fit's own smoothing parameters are used, and the key is ignored.
 * Fit-report JSON: full-precision floats; parsing then re-serializing
   reproduces the document bit for bit.
 """
@@ -459,6 +460,10 @@ class CVConfig:
         if self.grid.size < 1 or self.outer_max_iter < 1:
             raise SpecMismatch(
                 "cv grid must hold a value, and outer_max_iter must be >= 1")
+        # NaN or a negative value would disable the relative-change test,
+        # and infinity would stop after one outer step
+        if not 0.0 <= self.outer_tol < math.inf:
+            raise SpecMismatch("cv outer_tol must be finite and non-negative")
 
 
 @dataclass

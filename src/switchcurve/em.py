@@ -14,10 +14,13 @@ iteration.
 The covariance kind alone picks the E-step route.  Diagonal kinds
 factorize over grid points, so posteriors come from pointwise Bayes rules
 (independent-state models) or a forward-backward pass (Markov).  The
-structured kinds need the joint posterior over all J**n state vectors;
-those tables, and the joint coefficient system built from them, are matrix
-products against the cached enumeration, never explicit loops over state
-vectors.
+structured kinds need the joint posterior over all J**n state vectors.
+Once it is normalized, the E-step keeps only the state vectors that carry
+posterior mass in some replicate (the others are exact zeros in every
+row) and hands on that compact table with the matching rows of the
+enumeration.  The marginals, transition totals, joint coefficient system,
+covariance M-steps and Louis information are matrix products against
+those rows, never explicit loops over state vectors.
 """
 
 import logging
@@ -70,8 +73,11 @@ class EStep:
     marginals: np.ndarray            # (N, n, J)
     loglik: np.ndarray               # (N,)
     pairwise: np.ndarray | None = None   # (N, n-1, J, J), forward-backward
-    joint: np.ndarray | None = None      # (N, S), enumeration route only
+    joint: np.ndarray | None = None      # (N, S_live), enumeration route
     transitions: np.ndarray | None = None    # (J, J) totals, Markov only
+    # the S_live state vectors of joint's columns: those with posterior
+    # mass, in canonical order; enumeration route only
+    enum: lat_mod.StateEnumeration | None = None
 
 
 def weight_matrices(marginals, sigma2):
@@ -84,7 +90,11 @@ def weight_matrices(marginals, sigma2):
 
 def gather_curves(F, states):
     """Rows of f_s(x): F (J, n) gathered along each state vector."""
-    return F[states.astype(int), np.arange(F.shape[1])[None, :]]
+    n = F.shape[1]
+    # entry (s, i) of F's flat C-order index is states[s, i] * n + i
+    flat = np.multiply(states, n, dtype=np.intp)
+    flat += np.arange(n, dtype=np.intp)
+    return np.take(F, flat)
 
 
 def classify_marginals(marginals):
@@ -107,7 +117,8 @@ def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
     """Posterior tables at the given curve values F (J, n) and theta.
 
     ``enum`` (the J**n state enumeration) is needed by the structured
-    covariance kinds only.
+    covariance kinds only.  Their ``EStep`` carries the joint posterior's
+    columns with mass and the enumeration rows of those state vectors.
     """
     y = dataset.y
     cov = cov_mod.make_structure(cov_spec, theta.cov, dataset.n_points)
@@ -119,10 +130,18 @@ def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
         prior = lat_mod.log_prior_table(
             enum, latent_spec, theta.latent, covariates=dataset.covariates)
         P, ll = lat_mod.joint_posterior(table, prior)
+        del table, prior        # freed before the compact copy is made
+        cols = np.flatnonzero(lat_mod.state_mass(P))
+        if cols.size < enum.size:
+            # np.take, several times faster here than P[:, cols]; the
+            # dense table is freed before the enumeration rows are copied
+            P = np.take(P, cols, axis=1)
+            enum = enum.take(cols)
         marg = lat_mod.marginals_from_joint(P, enum)
         trans = (lat_mod.pairwise_from_joint(P, enum)
                  if latent_spec.kind == "markov" else None)
-        return EStep(marginals=marg, loglik=ll, joint=P, transitions=trans)
+        return EStep(marginals=marg, loglik=ll, joint=P, transitions=trans,
+                     enum=enum)
 
     pw = cov.pointwise_loglik(y, F)
     if latent_spec.kind == "markov":
@@ -267,7 +286,7 @@ def update_f_general(B, R, lambdas, y, cov, enum, P):
 # covariance dispatch
 # ---------------------------------------------------------------------------
 
-def _update_cov(cov_spec, theta, step, y, F_new, enum):
+def _update_cov(cov_spec, theta, step, y, F_new):
     kind = cov_spec.kind
     flags = []
     if kind == "iso_diag":
@@ -277,7 +296,7 @@ def _update_cov(cov_spec, theta, step, y, F_new, enum):
         s2, flags = cov_mod.update_state_diag(
             step.marginals, y, F_new, theta.cov.sigma2)
         return StateDiagParams(sigma2=s2), flags
-    Fs = gather_curves(F_new, enum.states)
+    Fs = gather_curves(F_new, step.enum.states)
     if kind == "unrestricted":
         return UnrestrictedParams(
             V=cov_mod.update_unrestricted(step.joint, y, Fs)), flags
@@ -285,7 +304,7 @@ def _update_cov(cov_spec, theta, step, y, F_new, enum):
         s2, d = cov_mod.update_homog_ri(step.joint, y, Fs)
         return HomogRIParams(sigma2=s2, d=d), flags
     s2, d1, d2 = cov_mod.update_nonhomog_ri(
-        step.joint, y, Fs, enum.onehot[:, :, 1], theta.cov)
+        step.joint, y, Fs, step.enum.onehot[:, :, 1], theta.cov)
     return NonHomogRIParams(sigma2=s2, d1=d1, d2=d2), flags
 
 
@@ -308,7 +327,9 @@ def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
     frequencies (floored at 0.05) and residual moments off the assignment.
 
     A supplied-theta dict (see datamodel.theta_from_dict) is validated and
-    used as-is.
+    used as-is, except that ``lambdas`` always sets the smoothing
+    parameters: a ``lambdas`` key in the dict (a reused fit.json has one)
+    is ignored.
     """
     J = latent_spec.J
     y = dataset.y
@@ -316,7 +337,8 @@ def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
     K = B.shape[1]
 
     if isinstance(init, dict):
-        theta = theta_from_dict(init, latent_spec, cov_spec)
+        theta = theta_from_dict(dict(init, lambdas=lambdas), latent_spec,
+                                cov_spec)
         _check_supplied(theta, latent_spec, cov_spec, J, K, n,
                         dataset.n_covariates)
         return theta
@@ -392,15 +414,12 @@ def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
 
 
 def _check_supplied(theta, latent_spec, cov_spec, J, K, n, M):
-    supplied = {"phi": theta.phi, "lambdas": theta.lambdas,
-                **vars(theta.latent), **vars(theta.cov)}
+    supplied = {"phi": theta.phi, **vars(theta.latent), **vars(theta.cov)}
     for name, value in supplied.items():
         if not np.all(np.isfinite(value)):
             raise BadInit(f"{name} must be finite")
     if theta.phi.shape != (J, K):
         raise BadInit(f"phi shape {theta.phi.shape}, expected {(J, K)}")
-    if theta.lambdas.shape != (J,) or np.any(theta.lambdas < 0):
-        raise BadInit("lambdas must be J non-negative values")
     al = theta.latent
     if latent_spec.kind == "iid":
         if al.p.shape != (J,) or np.any(al.p < 0) \
@@ -460,7 +479,6 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
     enum = lat_mod.enumerate_states(n, J) if use_enum else None
     theta = initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
                        init=init)
-    theta.lambdas = lambdas
 
     warnings = []
     trace = []
@@ -485,13 +503,13 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
         cov = cov_mod.make_structure(cov_spec, theta.cov, n)
         if use_enum:
             phi_new = update_f_general(
-                B, R, lambdas, dataset.y, cov, enum, step.joint)
+                B, R, lambdas, dataset.y, cov, step.enum, step.joint)
         else:
             phi_new = update_f_diagonal(
                 B, R, lambdas, dataset.y, step.marginals, theta.cov.sigma2)
         F_new = phi_new @ B.T
         cov_new, cflags = _update_cov(
-            cov_spec, theta, step, dataset.y, F_new, enum)
+            cov_spec, theta, step, dataset.y, F_new)
         alpha_new, aflags = lat_mod.update_alpha(
             latent_spec, theta.latent, step.marginals,
             transitions=step.transitions, covariates=dataset.covariates)

@@ -17,7 +17,8 @@ every route below uses.  Free coordinates:
 Each covariance family has one route, fed by its own E-step:
 
 * structured kinds: ``louis_information_generic`` sums over the E-step's
-  joint posterior on the enumerated state vectors;
+  joint posterior on the state vectors that carry posterior mass
+  (``EStep.enum``);
 * diagonal kinds: the E-step's pointwise and pairwise posteriors.  States
   are independent across points given y_k (iid, covariate), or form a
   Markov chain whose transitions are pairwise_i / marginal_i; the score
@@ -264,8 +265,8 @@ def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step):
                     "standard errors are unavailable there")
     if not cov_spec.diagonal:
         info, labels = louis_information_generic(
-            step.joint, lat_mod.enumerate_states(dataset.n_points, J),
-            latent_spec, params, covariates=dataset.covariates)
+            step.joint, step.enum, latent_spec, params,
+            covariates=dataset.covariates)
     elif kind == "iid":
         info, labels = louis_information_iid_closed(step.marginals, params.p)
     elif kind == "markov":

@@ -10,7 +10,9 @@ forward-backward instead.  ``nonhomog_simplex_update`` is the derivative-
 free nonhomog_ri M-step (scipy's Nelder-Mead) that the package's profiled
 Newton search replaced.  ``joint_posterior_dense`` exponentiates every
 entry of the joint, including those the package writes as 0 because their
-exponentials fall below the smallest normal float.
+exponentials fall below the smallest normal float.  ``gather_curves_fancy``
+is the two-array fancy index that ``em.gather_curves`` replaced with one
+flat ``np.take``.
 """
 
 import numpy as np
@@ -88,6 +90,11 @@ def joint_posterior_dense(loglik, logprior):
     Z = P.sum(axis=1)
     P /= Z[:, None]
     return P, m + np.log(Z)
+
+
+def gather_curves_fancy(F, states):
+    """Rows of f_s(x) by two-array fancy indexing: F[s_i, i]."""
+    return F[states.astype(int), np.arange(F.shape[1])[None, :]]
 
 
 def marginals_einsum(P, enum):
@@ -186,7 +193,8 @@ def enumerated_e_step(dataset, F, theta, latent_spec, cov_spec, enum):
             else None)
     return EStep(marginals=marginals_einsum(P, enum), loglik=ll,
                  pairwise=pair, joint=P,
-                 transitions=None if pair is None else pair.sum(axis=(0, 1)))
+                 transitions=None if pair is None else pair.sum(axis=(0, 1)),
+                 enum=enum)
 
 
 def expected_latent_loglik(latent_spec, params, marginals, pairwise=None,

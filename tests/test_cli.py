@@ -233,13 +233,17 @@ def test_malformed_csv_exits_with_validation_code(tmp_path):
     {"lambdas": "cv", "cv": {"outer_max_iter": True}},
     {"lambdas": "cv", "cv": {"outer_max_iter": 0}},
     {"cv": {"lambda0": -1}},
+    {"lambdas": "cv", "cv": {"outer_tol": float("nan")}},
+    {"lambdas": "cv", "cv": {"outer_tol": -1e-3}},
+    {"lambdas": "cv", "cv": {"outer_tol": float("inf")}},
 ], ids=["lambdas-count", "K-text", "tol-nan", "J-text", "cv-unknown-key",
         "cv-negative-grid", "cv-outer-text", "J-fraction", "J-bool",
         "K-fraction", "max-iter-fraction", "cap-fraction", "K-infinite",
         "lambdas-nan", "lambdas-infinite", "cv-lambda0-nan",
         "cv-lambda0-negative", "cv-grid-nan", "cv-grid-infinite",
         "cv-outer-fraction", "cv-outer-bool", "cv-outer-zero",
-        "cv-checked-with-numeric-lambdas"])
+        "cv-checked-with-numeric-lambdas", "cv-outer-tol-nan",
+        "cv-outer-tol-negative", "cv-outer-tol-infinite"])
 def test_malformed_config_values_exit_with_validation_code(tmp_path,
                                                            overrides):
     data = write_data(tmp_path / "data.csv", N=4, n=6)

@@ -25,8 +25,8 @@ from switchcurve.errors import (BadInit, EnumerationTooLarge, SingularSystem,
                                 SpecMismatch)
 from switchcurve.latent import enumerate_states
 
-from oracles import (enumerated_e_step, nonhomog_normal_system_loop,
-                     pairwise_einsum)
+from oracles import (enumerated_e_step, gather_curves_fancy,
+                     nonhomog_normal_system_loop, pairwise_einsum)
 
 LAM = 1e-4
 
@@ -79,6 +79,21 @@ def test_gather_and_weights_against_loops():
     np.testing.assert_allclose(W, marg / [0.5, 1.0, 2.0], atol=1e-16)
     np.testing.assert_allclose(weight_matrices(marg, 0.5), marg / 0.5,
                                atol=1e-16)
+
+
+@pytest.mark.parametrize("n,J", [(1, 2), (5, 3), (14, 2), (65, 3)])
+def test_gather_curves_matches_fancy_indexing(n, J):
+    """Bit for bit; at (J - 1) n >= 128 an int8 product s_i * n would
+    overflow, so the flat index must be formed in intp."""
+    rng = np.random.default_rng(n * J)
+    F = rng.standard_normal((J, n))
+    if J ** n <= 2 ** 14:
+        states = enumerate_states(n, J).states
+    else:
+        states = rng.integers(0, J, (40, n)).astype(np.int8)
+        states[0] = J - 1
+    np.testing.assert_array_equal(gather_curves(F, states),
+                                  gather_curves_fancy(F, states))
 
 
 def test_classify_marginals_breaks_ties_low():
@@ -280,7 +295,100 @@ def test_markov_e_step_carries_transition_totals(cov_kind):
         assert step.pairwise is None
         np.testing.assert_allclose(
             step.transitions,
-            pairwise_einsum(step.joint, enum).sum(axis=(0, 1)), atol=1e-13)
+            pairwise_einsum(step.joint, step.enum).sum(axis=(0, 1)),
+            atol=1e-13)
+
+
+def _rel_err(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("lat_kind", ["iid", "markov", "covariate"])
+@pytest.mark.parametrize("cov_kind", ["homog_ri", "unrestricted",
+                                      "nonhomog_ri"])
+def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
+    """The E-step keeps the joint's columns with mass and their state
+    vectors.  Scattered back, the compact joint is the dense table bit for
+    bit, and every consumer on (step.joint, step.enum) matches the dense
+    table on the full enumeration."""
+    from switchcurve.covariance import (make_structure, update_homog_ri,
+                                        update_nonhomog_ri,
+                                        update_unrestricted)
+    from switchcurve.inference import louis_information_generic
+    from switchcurve.latent import (joint_posterior, log_prior_table,
+                                    marginals_from_joint,
+                                    pairwise_from_joint)
+
+    rng = np.random.default_rng(14)
+    n, N, J, K = 8, 6, 2, 5
+    # noise 0.03 against a state gap of 1: a state vector two points off
+    # a replicate's own is below log(tiny) there
+    data, f, _ = two_state_data(seed=14, N=N, n=n, noise=0.03, M=1)
+    _, B, R = design(n, K)
+    s2 = 0.03 ** 2
+    cov = {"homog_ri": HomogRIParams(sigma2=s2, d=0.5),
+           "unrestricted": UnrestrictedParams(
+               V=s2 * (np.eye(n) + 0.5 * np.ones((n, n)))),
+           "nonhomog_ri": NonHomogRIParams(sigma2=s2, d1=0.5, d2=0.3)}
+    alpha = {"iid": IIDParams(p=[0.4, 0.6]),
+             "markov": MarkovParams(pi=[0.4, 0.6],
+                                    A=[[0.7, 0.3], [0.4, 0.6]]),
+             "covariate": CovariateParams(beta=[[0.2, 0.5]])}[lat_kind]
+    theta = Theta(phi=np.zeros((J, K)), latent=alpha, cov=cov[cov_kind],
+                  lambdas=np.full(J, LAM))
+    spec, cspec = LatentSpec(kind=lat_kind, J=J), CovSpec(kind=cov_kind)
+    enum = enumerate_states(n, J)
+    step = e_step(data, f, theta, spec, cspec, enum=enum)
+
+    structure = make_structure(cspec, theta.cov, n)
+    E2 = enum.onehot[:, :, 1] if cov_kind == "nonhomog_ri" else None
+    P, ll = joint_posterior(
+        structure.loglik_table(data.y, gather_curves(f, enum.states), E2=E2),
+        log_prior_table(enum, spec, alpha, covariates=data.covariates))
+    cols = step.enum.states.astype(int) @ J ** np.arange(n)
+    assert 0 < cols.size < enum.size
+    assert np.all(np.diff(cols) > 0)
+    scattered = np.zeros_like(P)
+    scattered[:, cols] = step.joint
+    np.testing.assert_array_equal(scattered, P)
+    for name in ("onehot", "counts", "trans"):
+        np.testing.assert_array_equal(getattr(step.enum, name),
+                                      getattr(enum, name)[cols])
+
+    np.testing.assert_allclose(step.loglik, ll, rtol=1e-13)
+    np.testing.assert_allclose(step.marginals, marginals_from_joint(P, enum),
+                               rtol=0, atol=1e-13)
+    if lat_kind == "markov":
+        assert _rel_err(step.transitions, pairwise_from_joint(P, enum)) \
+            < 1e-13
+
+    got = general_normal_system(B, R, theta.lambdas, data.y, structure,
+                                step.enum, step.joint)
+    want = general_normal_system(B, R, theta.lambdas, data.y, structure,
+                                 enum, P)
+    for g, w in zip(got, want):
+        assert _rel_err(g, w) < 1e-12
+    # the covariance M-steps at curves away from the E-step's
+    F_new = f + 0.01 * rng.standard_normal(f.shape)
+    Fs, Fs_live = (gather_curves(F_new, e.states) for e in (enum,
+                                                             step.enum))
+    assert _rel_err(update_homog_ri(step.joint, data.y, Fs_live),
+                    update_homog_ri(P, data.y, Fs)) < 1e-12
+    assert _rel_err(update_unrestricted(step.joint, data.y, Fs_live),
+                    update_unrestricted(P, data.y, Fs)) < 1e-12
+    prev = cov["nonhomog_ri"]
+    assert _rel_err(
+        update_nonhomog_ri(step.joint, data.y, Fs_live,
+                           step.enum.onehot[:, :, 1], prev),
+        update_nonhomog_ri(P, data.y, Fs, enum.onehot[:, :, 1], prev)) \
+        < 1e-12
+    info, labels = louis_information_generic(
+        step.joint, step.enum, spec, alpha, covariates=data.covariates)
+    want_info, want_labels = louis_information_generic(
+        P, enum, spec, alpha, covariates=data.covariates)
+    assert labels == want_labels
+    assert _rel_err(info, want_info) < 1e-12
 
 
 def test_single_state_fit_is_a_penalized_spline():
@@ -432,7 +540,6 @@ SUPPLIED_COV = {"iso_diag": {"sigma2": 0.2},
 
 @pytest.mark.parametrize("latent,cov,part,key,bad", [
     ("iid", "iso_diag", None, "phi", np.nan),
-    ("iid", "iso_diag", None, "lambdas", np.inf),
     ("iid", "iso_diag", "alpha", "p", np.nan),
     ("markov", "iso_diag", "alpha", "pi", np.nan),
     ("markov", "iso_diag", "alpha", "A", np.inf),

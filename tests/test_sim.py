@@ -9,7 +9,8 @@ from scipy.special import ndtri
 from switchcurve.basis import basis_matrix, build_basis
 from switchcurve.datamodel import (CovariateParams, FitReport, HomogRIParams,
                                    IIDParams, IsoDiagParams, MarkovParams,
-                                   Theta)
+                                   Theta, theta_to_dict)
+from switchcurve.em import ecm_fit
 from switchcurve.sim import (_COVERAGE_Z, SimDesign, align_to_truth,
                              default_true_functions, fit_design,
                              generate_dataset, run_replication, run_study,
@@ -96,6 +97,23 @@ def test_truth_start_reproduces_the_true_curves():
     F0 = np.asarray(init["phi"]) @ B.T
     np.testing.assert_allclose(F0, default_true_functions(data.x),
                                atol=1e-10)
+
+
+def test_a_supplied_init_takes_the_fits_lambdas():
+    """The init's own lambdas, missing or different, change nothing: the
+    fit's lambdas set the smoothing parameters."""
+    d = stock_design(1)
+    data, _ = generate_dataset(d, seed=[0, 0])
+    want = theta_to_dict(fit_design(d, data).theta)
+    for init_lambdas in (None, [5.0, 7.0]):
+        init = truth_start(d, data)
+        if init_lambdas is None:
+            del init["lambdas"]
+        else:
+            init["lambdas"] = init_lambdas
+        report = ecm_fit(data, d.latent_spec, d.cov_spec,
+                         lambdas=np.asarray(d.lambdas), K=d.K, init=init)
+        assert theta_to_dict(report.theta) == want
 
 
 def test_single_replication_lands_near_truth():
