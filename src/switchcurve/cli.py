@@ -98,8 +98,6 @@ def _load_inputs(args):
     dataset = dm.read_dataset_csv(args.data)
     with open(args.config) as fh:
         cfg = dm.parse_config(json.load(fh))
-    dm.validate(dataset, cfg.latent, cfg.cov,
-                enumeration_cap=cfg.enumeration_cap)
     return dataset, cfg
 
 
@@ -112,8 +110,7 @@ def _cmd_fit(args):
     else:
         report = ecm_fit(
             dataset, cfg.latent, cfg.cov, lambdas=cfg.lambdas, K=cfg.K,
-            tol=cfg.tol, max_iter=cfg.max_iter, init=cfg.init,
-            enumeration_cap=cfg.enumeration_cap)
+            tol=cfg.tol, max_iter=cfg.max_iter, init=cfg.init)
     _write_fit_outputs(args.out, report, cfg)
 
 
@@ -138,10 +135,7 @@ def _cmd_classify(args):
             np.abs(dataset.x - saved.x)) > 1e-9:
         raise SpecMismatch(
             "dataset grid differs from the grid of the saved fit")
-    # the saved fit was made on this grid at whatever cap it was given,
-    # so only the model and data checks apply here
-    dm.validate(dataset, latent, cov,
-                enumeration_cap=saved.theta.J ** dataset.n_points)
+    dm.validate(dataset, latent, cov)
     enum = (enumerate_states(dataset.n_points, saved.theta.J)
             if not cov.diagonal else None)
     step = e_step(dataset, saved.curves, saved.theta, latent, cov,

@@ -338,10 +338,12 @@ def update_nonhomog_ri(P, y, Fs, E2, prev):
             break
         step = np.zeros(2)
         step[free] = _descent_step(g[free], H[np.ix_(free, free)])
-        # a step predicted to gain less than this is the last one, taken
-        # whole if it gains at all
-        last = -(g @ step) <= _NEWTON_RTOL * (abs(f) + N * n)
-        for t in 0.5 ** np.arange(1 if last else _NEWTON_MAX_HALVINGS):
+        # f's rounding hides a gain this small: take the step whole, stop
+        if -(g @ step) <= _NEWTON_RTOL * (abs(f) + N * n):
+            d = np.maximum(d + step, 0.0)
+            resid = _profiled_nonhomog(d, n, N, stats)[3]
+            break
+        for t in 0.5 ** np.arange(_NEWTON_MAX_HALVINGS):
             cand = np.maximum(d + t * step, 0.0)
             new = _profiled_nonhomog(cand, n, N, stats)
             if new[0] < f:
@@ -350,8 +352,6 @@ def update_nonhomog_ri(P, y, Fs, E2, prev):
             break
         d = cand
         f, g, H, resid = new
-        if last:
-            break
     sigma2 = resid / (N * n)
     if sigma2 > 0 and (
             nonhomog_expected_term(sigma2, d[0], d[1], n, N, stats)

@@ -15,7 +15,7 @@ External formats
   once and all replicates must agree on x (tolerance 1e-9).
 * Config JSON: keys ``latent`` ({kind, J}), ``covariance`` ({kind}),
   ``lambdas`` (number, array, or "cv"), and optional ``K, tol, max_iter,
-  enumeration_cap, init, cv``; any other key is refused.  Smoothing
+  init, cv``; any other key is refused.  Smoothing
   parameters (``lambdas``, the ``cv`` grid and ``lambda0``) must be finite
   and non-negative.
 * Theta JSON (the ``theta`` of a fit report, or a supplied ``init``):
@@ -39,20 +39,19 @@ import numpy as np
 
 from .errors import (
     BadInit,
-    EnumerationTooLarge,
     NonIncreasingGrid,
     SpecMismatch,
     XInconsistent,
 )
+from .latent import enumeration_bytes, refuse_over_budget
 
 DIAGONAL_KINDS = ("iso_diag", "state_diag")
 
-DEFAULT_ENUMERATION_CAP = 2 ** 20
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
 
 _CONFIG_KEYS = ("latent", "covariance", "lambdas", "K", "tol", "max_iter",
-               "enumeration_cap", "init", "cv")
+               "init", "cv")
 
 _X_AGREE_TOL = 1e-9
 
@@ -297,32 +296,30 @@ class FitReport:
 # validation
 # ---------------------------------------------------------------------------
 
-def validate(dataset, latent_spec, cov_spec,
-             enumeration_cap=DEFAULT_ENUMERATION_CAP):
+def validate(dataset, latent_spec, cov_spec):
     """Check that the model triple is internally consistent.
 
-    Raises ``EnumerationTooLarge`` when a structured covariance kind would
-    need more than ``enumeration_cap`` state vectors and nothing else is
-    wrong, and ``SpecMismatch`` naming every violation otherwise.
+    Raises ``SpecMismatch`` naming every violation; then, for structured
+    kinds, ``EnumerationTooLarge`` if the fit's peak bytes exceed the budget.
     """
     violations = []
-    J, n = latent_spec.J, dataset.n_points
+    J, n, N = latent_spec.J, dataset.n_points, dataset.n_replicates
     if latent_spec.kind == "covariate" and dataset.covariates is None:
         violations.append(
             "covariate latent model requires covariate columns in the data")
     if cov_spec.kind == "nonhomog_ri" and J != 2:
         violations.append(
             f"nonhomog_ri covariance is defined for J = 2 only, got J = {J}")
-    needs_enum = not cov_spec.diagonal
-    n_states = J ** n
-    if needs_enum and n_states > enumeration_cap:
-        violations.append(
-            f"J**n = {n_states} state vectors exceed the enumeration cap "
-            f"{enumeration_cap}")
     if violations:
-        if needs_enum and n_states > enumeration_cap and len(violations) == 1:
-            raise EnumerationTooLarge(violations[0])
         raise SpecMismatch("; ".join(violations))
+    if not cov_spec.diagonal:
+        # enumeration + the E-step's copy of its live rows + the (N, J**n)
+        # float64 tables at a fit's peak (tracemalloc 3.2-5.7; +1 covariate)
+        tables = (6 if cov_spec.kind == "nonhomog_ri" else 4) + (
+            latent_spec.kind == "covariate")
+        refuse_over_budget(
+            2 * enumeration_bytes(n, J) + tables * N * int(J) ** n * 8,
+            f"a {latent_spec.kind} x {cov_spec.kind} fit at N = {N}, n = {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +473,6 @@ class FitConfig:
     K: int | None = None
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     init: object = "quantile-split"
     cv: CVConfig = field(default_factory=CVConfig)
 
@@ -519,9 +515,6 @@ def parse_config(doc):
             tol=float(doc.get("tol", DEFAULT_TOL)),
             max_iter=_config_int(doc.get("max_iter", DEFAULT_MAX_ITER),
                                  "max_iter"),
-            enumeration_cap=_config_int(
-                doc.get("enumeration_cap", DEFAULT_ENUMERATION_CAP),
-                "enumeration_cap"),
             init=doc.get("init", "quantile-split"),
             cv=CVConfig(**doc.get("cv", {})))
     except (TypeError, ValueError) as exc:

@@ -33,7 +33,6 @@ from . import inference
 from . import latent as lat_mod
 from .basis import basis_matrix, build_basis, penalty_matrix
 from .datamodel import (
-    DEFAULT_ENUMERATION_CAP,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     CovariateParams,
@@ -457,8 +456,7 @@ def _check_supplied(theta, latent_spec, cov_spec, J, K, n, M):
 
 def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
             tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-            init="quantile-split", enumeration_cap=DEFAULT_ENUMERATION_CAP,
-            compute_se=True):
+            init="quantile-split", compute_se=True):
     """Run the penalized ECM to convergence and assemble a FitReport.
 
     ``init`` is either the string "quantile-split" or a supplied-theta
@@ -466,8 +464,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
     falls in the supported set; failures demote to report warnings rather
     than errors.
     """
-    validate(dataset, latent_spec, cov_spec,
-             enumeration_cap=enumeration_cap)
+    validate(dataset, latent_spec, cov_spec)
     J, n, N = latent_spec.J, dataset.n_points, dataset.n_replicates
     basis = build_basis(dataset.x, K)
     B = basis_matrix(basis, dataset.x)

@@ -48,7 +48,7 @@ class SpecMismatch(ValidationError):
 
 
 class EnumerationTooLarge(ValidationError):
-    """J**n exceeds the configured state-enumeration cap."""
+    """The enumeration route's estimated peak bytes exceed the budget."""
 
 
 class BadInit(ValidationError):

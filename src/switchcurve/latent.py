@@ -25,6 +25,7 @@ transition totals are one GEMV of the state mass P'1.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -77,12 +78,37 @@ class StateEnumeration:
             trans=np.take(self.trans, cols, axis=0))
 
 
+def enumeration_bytes(n, J):
+    """Bytes of the (n, J) enumeration's four tables, as an exact int."""
+    J, n = int(J), int(n)
+    return J ** n * (n + 8 * (n * J + J + J * J))
+
+
+def memory_budget():
+    """Half of MemAvailable in /proc/meminfo, in bytes; 4 GiB if unreadable."""
+    try:
+        with open("/proc/meminfo", "rb") as fh:
+            kb = fh.read().split(b"MemAvailable:", 1)[1].split(None, 1)[0]
+        return int(kb) * 1024 // 2
+    except (OSError, IndexError, ValueError):
+        return 2 ** 32
+
+
+def refuse_over_budget(need, what):
+    """Raise ``EnumerationTooLarge`` if ``what`` needs more than
+    ``memory_budget()``; ``need`` (bytes) may exceed the float range."""
+    if need > (budget := memory_budget()):
+        raise EnumerationTooLarge(
+            f"{what} needs about {Decimal(need) / 2 ** 30:.3g} GiB, more "
+            f"than the memory budget of {budget / 2 ** 30:.3g} GiB")
+
+
 @lru_cache(maxsize=8)
 def enumerate_states(n, J):
     """Build the canonical enumeration for (n, J).  Cached."""
+    refuse_over_budget(enumeration_bytes(n, J),
+                       f"the enumeration of {J}**{n} state vectors")
     S = J ** n
-    if S > 2 ** 26:
-        raise EnumerationTooLarge(f"refusing to materialize {S} vectors")
     idx = np.arange(S)
     states = np.empty((S, n), dtype=np.int8)
     for i in range(n):

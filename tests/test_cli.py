@@ -12,6 +12,7 @@ import pytest
 import switchcurve
 from switchcurve import cli
 from switchcurve import datamodel as dm
+from switchcurve import latent
 from switchcurve.cli import main
 from switchcurve.datamodel import MultiCurveDataset
 from switchcurve.em import EStep
@@ -158,9 +159,12 @@ def test_classify_rejects_a_different_grid(tmp_path):
 
 
 def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
-    """A fit made with a raised enumeration cap can be classified: at
-    n = 21, J**n = 2**21 exceeds the default cap.  The E-step is stubbed,
-    since a real one would hold several 2**21-row tables."""
+    """A saved fit is re-scored when its E-step fits the memory budget,
+    here pinned at 2 GiB for the 1.77 GiB estimate at n = 21, and refused
+    with EnumerationTooLarge when it does not.  The enumeration and the
+    E-step are stubbed, since real ones would hold several 2**21-row
+    tables."""
+    monkeypatch.setattr(latent, "memory_budget", lambda: 2 ** 31)
     N, n, K = 3, 21, 5
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, n)
@@ -194,6 +198,32 @@ def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
     assert rc == 0, (out / "error.json").read_text()
     assert calls == [("enum", n, 2)]
     assert (out / "posteriors.csv").exists()
+
+    monkeypatch.setattr(latent, "memory_budget", lambda: 2 ** 30)
+    rc = main(["classify", "--data", str(data), "--fit", str(fit),
+               "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "EnumerationTooLarge"
+    assert calls == [("enum", n, 2)]
+
+
+def test_oversized_structured_fit_exits_with_validation_code(tmp_path,
+                                                             monkeypatch):
+    """A homog_ri fit of 40 replicates at n = 25 is estimated at 69.6 GiB:
+    refused before anything is allocated, with the estimate in the
+    message."""
+    monkeypatch.setattr(latent, "memory_budget", lambda: 2 ** 33)
+    data = write_data(tmp_path / "data.csv", N=40, n=25)
+    config = write_config(tmp_path / "config.json",
+                          covariance={"kind": "homog_ri"})
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", data, "--config", config,
+               "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "EnumerationTooLarge"
+    assert "N = 40" in err["message"] and "69.6 GiB" in err["message"]
 
 
 def test_malformed_csv_exits_with_validation_code(tmp_path):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+from switchcurve import covariance, sim
 from switchcurve.covariance import (CovStructure, log_mvn_density,
                                     make_structure, nonhomog_expected_term,
                                     nonhomog_sufficient_stats,
@@ -20,8 +21,9 @@ from switchcurve.covariance import (CovStructure, log_mvn_density,
                                     update_nonhomog_ri, update_state_diag,
                                     update_unrestricted)
 from switchcurve.datamodel import (CovSpec, HomogRIParams, IsoDiagParams,
-                                   NonHomogRIParams, StateDiagParams,
-                                   UnrestrictedParams)
+                                   LatentSpec, NonHomogRIParams,
+                                   StateDiagParams, UnrestrictedParams)
+from switchcurve.em import ecm_fit
 from switchcurve.errors import NonPositiveSigma, NotSPD
 from switchcurve.latent import enumerate_states
 
@@ -430,6 +432,34 @@ def test_update_nonhomog_reaches_a_stationary_point(shared, second, zeros,
         else:
             up[i] = h
             assert objective(up) < objective(theta)
+
+
+def test_update_nonhomog_is_continuous_in_the_posterior(monkeypatch):
+    """A one-ulp change in one posterior entry moves (sigma2, d1, d2) by
+    no more than rounding, at every M-step of a fit.  Trying a step whose
+    predicted gain is below f's rounding, and keeping it if f fell, let
+    such a change move d2 by up to 3e-7 relative here."""
+    calls = []
+
+    def record(P, y, Fs, E2, prev):
+        calls.append((P.copy(), y, Fs, E2, prev))
+        return update_nonhomog_ri(P, y, Fs, E2, prev)
+
+    monkeypatch.setattr(covariance, "update_nonhomog_ri", record)
+    design = sim.SimDesign(kind="markov", N=100, x=np.linspace(1, 100, 8))
+    data = sim.generate_dataset(design, 39)[0]
+    ecm_fit(data, LatentSpec(kind="markov", J=2),
+            CovSpec(kind="nonhomog_ri"), lambdas=1e-4, compute_se=False)
+    assert len(calls) >= 3
+    for P, y, Fs, E2, prev in calls:
+        base = update_nonhomog_ri(P, y, Fs, E2, prev)
+        for k in range(6):
+            nudged = P.copy()
+            i = np.argmax(nudged[k])
+            nudged[k, i] = np.nextafter(nudged[k, i], 0.0)
+            np.testing.assert_allclose(
+                update_nonhomog_ri(nudged, y, Fs, E2, prev), base,
+                rtol=1e-10, atol=0.0)
 
 
 def test_update_state_diag_matches_weighted_average():

@@ -1,11 +1,13 @@
 import json
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from switchcurve import datamodel as dm
+from switchcurve import latent
 from switchcurve.errors import (BadInit, EnumerationTooLarge,
                                 NonIncreasingGrid, SpecMismatch,
                                 XInconsistent)
@@ -71,17 +73,50 @@ def test_validate_covariate_needs_columns():
                        dm.CovSpec(kind="iso_diag")) is None
 
 
-def test_validate_enumeration_cap():
+def test_validate_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(latent, "memory_budget", lambda: 2 ** 33)
     data = small_dataset(n=25)
     with pytest.raises(EnumerationTooLarge):
         dm.validate(data, dm.LatentSpec(kind="iid", J=2),
                     dm.CovSpec(kind="unrestricted"))
+    # any other violation is reported first, as a SpecMismatch
+    with pytest.raises(SpecMismatch, match="J = 2"):
+        dm.validate(data, dm.LatentSpec(kind="iid", J=3),
+                    dm.CovSpec(kind="nonhomog_ri"))
     # diagonal kinds never enumerate, so the same size is fine
     dm.validate(data, dm.LatentSpec(kind="iid", J=2),
                 dm.CovSpec(kind="state_diag"))
-    # and a raised cap admits the enumeration kinds again
+    # and a raised budget admits the enumeration kinds again
+    monkeypatch.setattr(latent, "memory_budget", lambda: 2 ** 40)
     dm.validate(data, dm.LatentSpec(kind="iid", J=2),
-                dm.CovSpec(kind="unrestricted"), enumeration_cap=2 ** 26)
+                dm.CovSpec(kind="unrestricted"))
+    # 3**100 state vectors: the estimate is an exact integer, not a
+    # wrapped int64, and the message gives it and the budget
+    with pytest.raises(EnumerationTooLarge,
+                       match=r"N = 3, n = 100 needs about \d\.\d+e\+4\d GiB, "
+                             r"more than the memory budget of 1\.02e\+03 GiB"):
+        dm.validate(small_dataset(n=100), dm.LatentSpec(kind="iid", J=3),
+                    dm.CovSpec(kind="homog_ri"))
+
+
+def test_validate_budget_scales_with_replicates(monkeypatch):
+    """At n = 20, markov x homog_ri fits are estimated at 3.88 GiB
+    (N = 100) and 10.1 GiB (N = 300): a 3.9 GiB budget admits the first
+    and refuses the second, and validate allocates no table of either
+    size."""
+    monkeypatch.setattr(latent, "memory_budget", lambda: int(3.9 * 2 ** 30))
+    specs = dm.LatentSpec(kind="markov", J=2), dm.CovSpec(kind="homog_ri")
+    small, large = small_dataset(N=100, n=20), small_dataset(N=300, n=20)
+    tracemalloc.start()
+    try:
+        dm.validate(small, *specs)
+        with pytest.raises(EnumerationTooLarge,
+                           match="N = 300, n = 20 needs about 10.1 GiB"):
+            dm.validate(large, *specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_validate_nonhomog_needs_two_states():
@@ -183,9 +218,11 @@ def test_parse_config_refuses_unknown_keys():
     # a misspelt max_iter used to be ignored, leaving the default in force
     with pytest.raises(SpecMismatch, match="max_iters"):
         dm.parse_config({**base, "max_iters": 3})
+    # the state-enumeration limit is the memory budget, not a setting
+    with pytest.raises(SpecMismatch, match="enumeration_cap"):
+        dm.parse_config({**base, "enumeration_cap": 1024})
     cfg = dm.parse_config({**base, "K": 6, "tol": 1e-6, "max_iter": 3,
-                           "enumeration_cap": 1024, "init": "quantile-split",
-                           "cv": {}})
+                           "init": "quantile-split", "cv": {}})
     assert cfg.max_iter == 3
 
 

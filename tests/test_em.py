@@ -7,10 +7,14 @@ enumeration E-step in the test oracles.
 """
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from switchcurve import datamodel as dm
+from switchcurve import latent as lat_mod
+from switchcurve import sim
 from switchcurve.basis import basis_matrix, build_basis, penalty_matrix
 from switchcurve.datamodel import (CovSpec, CovariateParams, HomogRIParams,
                                    IIDParams, IsoDiagParams, LatentSpec,
@@ -573,7 +577,35 @@ def test_initialize_refuses_a_non_finite_supplied_value(latent, cov, part,
                    init=poisoned)
 
 
-def test_fit_refuses_oversized_enumeration():
+@pytest.mark.parametrize("latent, cov", [
+    ("markov", "homog_ri"), ("markov", "nonhomog_ri"),
+    ("iid", "unrestricted"), ("covariate", "homog_ri")])
+def test_validate_estimate_bounds_the_fits_peak_bytes(latent, cov,
+                                                      monkeypatch):
+    """The bytes ``validate`` checks against the budget hold, within 1.5x,
+    the tracemalloc peak of a fit with SEs from a cold enumeration cache."""
+    estimates = []
+    monkeypatch.setattr(dm, "refuse_over_budget",
+                        lambda need, what: estimates.append(need))
+    specs = LatentSpec(kind=latent, J=2), CovSpec(kind=cov)
+    for N, n in ((50, 12), (200, 10)):
+        design = sim.SimDesign(kind=latent, N=N, x=np.linspace(1, 100, n))
+        data = sim.generate_dataset(design, 3)[0]
+        # a first fit makes the allocations a process makes only once
+        ecm_fit(data, *specs, lambdas=LAM)
+        enumerate_states.cache_clear()
+        tracemalloc.start()
+        try:
+            fit = ecm_fit(data, *specs, lambdas=LAM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.std_errors is not None
+        assert peak <= estimates[-1] <= 1.5 * peak, (N, n)
+
+
+def test_fit_refuses_oversized_enumeration(monkeypatch):
+    monkeypatch.setattr(lat_mod, "memory_budget", lambda: 2 ** 33)
     rng = np.random.default_rng(14)
     x = np.linspace(0.0, 1.0, 25)
     data = MultiCurveDataset(x=x, y=rng.standard_normal((2, 25)))

@@ -350,8 +350,9 @@ def test_unsupported_combinations_return_reasons():
 
 
 def test_diagonal_kind_ses_exist_past_the_enumeration_cap():
-    """2**25 state vectors are far past the cap, but iid and Markov SEs on
-    a diagonal kind come from the E-step's posteriors, not enumeration."""
+    """2**25 state vectors would need about 36 GiB on the enumeration
+    route, but iid and Markov SEs on a diagonal kind come from the E-step's
+    posteriors, not enumeration."""
     data = fit_data(4, N=6, n=25)
     for kind, names in (("iid", {"p1"}), ("markov", {"pi1", "a12", "a21"})):
         report = ecm_fit(data, LatentSpec(kind=kind, J=2),

@@ -6,6 +6,7 @@ comparator for the enumeration tables, the joint posterior, and the scaled
 forward-backward pass.
 """
 
+import io
 import math
 
 import numpy as np
@@ -141,10 +142,33 @@ def test_enumeration_tables_match_loops():
                 assert enum.trans[s, a, b] == n_ab
 
 
-def test_enumeration_cached_and_capped():
+def test_enumeration_cached_and_capped(monkeypatch):
+    monkeypatch.setattr(lat_mod, "memory_budget", lambda: 2 ** 33)
     assert enumerate_states(5, 2) is enumerate_states(5, 2)
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(EnumerationTooLarge, match=r"2\*\*27 .* 63\.4 GiB"):
         enumerate_states(27, 2)
+    # the estimate is the tables' size, exact for numpy integer inputs too
+    enum = enumerate_states(4, 3)
+    assert lat_mod.enumeration_bytes(np.int64(4), np.int64(3)) == sum(
+        a.nbytes for a in (enum.states, enum.onehot, enum.counts, enum.trans))
+    assert lat_mod.enumeration_bytes(np.int64(60), 2) == 2 ** 60 * 1068
+
+
+@pytest.mark.parametrize("text, budget", [
+    (b"MemTotal:  8000 kB\nMemAvailable:    2048 kB\n", 2 ** 20),
+    (b"MemTotal:  8000 kB\n", 2 ** 32),
+    (b"MemAvailable: many kB\n", 2 ** 32),
+    (None, 2 ** 32)], ids=["available", "no-line", "garbled", "unreadable"])
+def test_memory_budget_is_half_the_available_memory(monkeypatch, text,
+                                                    budget):
+    def fake_open(path, mode):
+        assert path == "/proc/meminfo"
+        if text is None:
+            raise FileNotFoundError(path)
+        return io.BytesIO(text)
+
+    monkeypatch.setattr(lat_mod, "open", fake_open, raising=False)
+    assert lat_mod.memory_budget() == budget
 
 
 # ---------------------------------------------------------------------------
