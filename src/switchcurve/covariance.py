@@ -13,9 +13,12 @@ depends on the state vector only through its number of state-2 points, so
 no per-state-vector matrix is ever formed.
 
 Log-density tables over enumerated state vectors come from one (N, S)
-matrix product y V^{-1} Fs' plus per-replicate and per-state-vector terms
-(and, for nonhomog_ri, the sums 1'r and u_s'r), never from an (N, S, n)
-residual tensor.  The M-step statistics are products with the joint
+matrix product, never from an (N, S, n) residual tensor: the inner
+dimension is augmented so that the product [y V^{-1}, row, 1] [Fs, 1, col]'
+also adds the per-replicate (row) and per-state-vector (col) terms, and
+the log prior joins col (or, per replicate, more inner columns).  For
+nonhomog_ri the Woodbury term, from the sums 1'r and u_s'r, is added to
+that table in place.  The M-step statistics are products with the joint
 posterior table P (P Fs, P'y, P'1) rather than (N, S) residual tables.
 
 Every M-step is closed form except nonhomog_ri's.  There sigma2 profiles
@@ -33,6 +36,12 @@ from .latent import replicate_sums, state_mass
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 _MASS_EPS = 1e-12     # posterior mass below this means an empty state
+# The log-density table expands the quadratic form (y - f)'V^{-1}(y - f)
+# into y'V^{-1}y - 2 y'V^{-1}f + f'V^{-1}f, whose rounding is about
+# cond(V) * eps relative to the form.  ECM's ascent check compares
+# objectives to 1e-8 relative (``em._ASCENT_RTOL``), so past
+# cond(V) = 1e-8 / eps (about 4.5e7) the check reads rounding, not ascent.
+_COND_MAX = 1e-8 / np.finfo(float).eps
 _NEWTON_MAX_STEPS = 50      # nonhomog_ri M-step: Newton steps,
 _NEWTON_MAX_HALVINGS = 60   # halvings of one step,
 _NEWTON_RTOL = 1e-14        # and the predicted decrease that ends it
@@ -64,6 +73,13 @@ class CovStructure:
                 self._chol = np.linalg.cholesky(np.asarray_chkfinite(V))
             except np.linalg.LinAlgError as exc:
                 raise NotSPD(f"V is not positive definite: {exc}") from None
+            sv = np.linalg.svd(self._chol, compute_uv=False)
+            cond = (sv[0] / sv[-1]) ** 2
+            if not cond <= _COND_MAX:
+                raise NotSPD(
+                    f"V has condition number {cond:.3g}, beyond the "
+                    f"{_COND_MAX:.3g} at which its log densities still "
+                    "resolve the ascent check")
             self._logdet = 2.0 * np.sum(np.log(np.diag(self._chol)))
 
     # -- whole-matrix views (state-independent kinds only) ------------------
@@ -132,8 +148,13 @@ class CovStructure:
             raise ValueError(f"{self.kind} is not diagonal")
         return -0.5 * (r2 / s2 + np.log(s2) + LOG_2PI)
 
-    def loglik_table(self, y, Fs, E2=None):
-        """(N, S) table of log N(y_k; Fs[s], V_s).
+    def loglik_table(self, y, Fs, E2=None, prior=None):
+        """(N, S) table of log N(y_k; Fs[s], V_s), plus a log prior.
+
+        One GEMM writes the table: [yV, row, 1] @ [Fc, 1, col]' holds the
+        cross term y V^{-1} Fs' and the per-replicate (row) and
+        per-state-vector (col) terms of the quadratic form and the log
+        determinant.  The result is a fresh table the caller owns.
 
         Parameters
         ----------
@@ -143,6 +164,10 @@ class CovStructure:
         E2 : (S, n), optional
             State-2 indicators per state vector; required for
             ``nonhomog_ri``.
+        prior : optional log prior, as ``latent.log_prior_table`` returns
+            it: an (S,) vector joins ``col``; a pair (L, R) of (N, c) and
+            (S, c) tables joins the GEMM as c more inner columns, adding
+            L R'.
         """
         p, n = self.params, self.n
         if self.kind == "state_diag":
@@ -154,18 +179,32 @@ class CovStructure:
         nonhomog = self.kind == "nonhomog_ri"
         if nonhomog and E2 is None:
             raise ValueError("nonhomog_ri needs state-2 indicators")
-        yc, Fc = _centered(y, Fs)
+        L, R = prior if isinstance(prior, tuple) else (None, None)
+        c = 0 if L is None else L.shape[1]
+        left = np.empty((y.shape[0], n + 2 + c))
+        right = np.empty((Fs.shape[0], n + 2 + c))
+        # the centred arrays (see ``_centered``), written into the factors
+        ybar = y.mean(axis=0)
+        yc = y - ybar
+        Fc = np.subtract(Fs, ybar, out=right[:, :n])
         Vi = self.vinv_shared()
         ld = n * np.log(p.sigma2) if nonhomog else self.logdet()
-        yV = yc @ Vi
-        row = -0.5 * (np.einsum("ki,ki->k", yV, yc) + ld + n * LOG_2PI)
-        col = -0.5 * np.einsum("si,si->s", Fc @ Vi, Fc)
-        out = yV @ Fc.T                 # the cross term, built in place
+        yV = np.matmul(yc, Vi, out=left[:, :n])
+        left[:, n] = -0.5 * (np.einsum("ki,ki->k", yV, yc) + ld
+                             + n * LOG_2PI)
+        left[:, n + 1] = right[:, n] = 1.0
+        col = right[:, n + 1]
+        col[:] = -0.5 * np.einsum("si,si->s", Fc @ Vi, Fc)
         if nonhomog:
             col -= 0.5 * np.log(_ri_det(n, E2.sum(axis=1), p.d1, p.d2))
+        if c:
+            left[:, n + 2:] = L
+            right[:, n + 2:] = R
+        elif prior is not None:
+            col += prior
+        out = left @ right.T
+        if nonhomog:
             out += self._intercept_quad(yc, Fc, E2)
-        out += row[:, None]
-        out += col[None, :]
         return out
 
     def _intercept_quad(self, yc, Fc, E2):

@@ -314,9 +314,10 @@ def validate(dataset, latent_spec, cov_spec):
         raise SpecMismatch("; ".join(violations))
     if not cov_spec.diagonal:
         # enumeration + the E-step's copy of its live rows + the (N, J**n)
-        # float64 tables at a fit's peak (tracemalloc 3.2-5.7; +1 covariate)
-        tables = (6 if cov_spec.kind == "nonhomog_ri" else 4) + (
-            latent_spec.kind == "covariate")
+        # float64 tables at a fit's peak: the previous E-step's joint, the
+        # new log joint and its candidate columns (tracemalloc 1.9-2.9;
+        # nonhomog_ri's Woodbury term adds three, 5.0-5.2)
+        tables = 6 if cov_spec.kind == "nonhomog_ri" else 3
         refuse_over_budget(
             2 * enumeration_bytes(n, J) + tables * N * int(J) ** n * 8,
             f"a {latent_spec.kind} x {cov_spec.kind} fit at N = {N}, n = {n}")

@@ -15,12 +15,13 @@ The covariance kind alone picks the E-step route.  Diagonal kinds
 factorize over grid points, so posteriors come from pointwise Bayes rules
 (independent-state models) or a forward-backward pass (Markov).  The
 structured kinds need the joint posterior over all J**n state vectors.
-Once it is normalized, the E-step keeps only the state vectors that carry
-posterior mass in some replicate (the others are exact zeros in every
-row) and hands on that compact table with the matching rows of the
-enumeration.  The marginals, transition totals, joint coefficient system,
-covariance M-steps and Louis information are matrix products against
-those rows, never explicit loops over state vectors.
+One GEMM writes its log table, prior included; normalization then runs
+only on the state vectors that can carry posterior mass in some replicate
+(the others would be exact zeros in every row), and the E-step hands on
+that compact table with the matching rows of the enumeration.  The
+marginals, transition totals, joint coefficient system, covariance
+M-steps and Louis information are matrix products against those rows,
+never explicit loops over state vectors.
 """
 
 import logging
@@ -122,19 +123,13 @@ def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
     y = dataset.y
     cov = cov_mod.make_structure(cov_spec, theta.cov, dataset.n_points)
     if not cov_spec.diagonal:
-        Fs = gather_curves(F, enum.states)
         E2 = enum.onehot[:, :, 1] if cov_spec.kind == "nonhomog_ri" \
             else None
-        table = cov.loglik_table(y, Fs, E2=E2)
         prior = lat_mod.log_prior_table(
             enum, latent_spec, theta.latent, covariates=dataset.covariates)
-        P, ll = lat_mod.joint_posterior(table, prior)
-        del table, prior        # freed before the compact copy is made
-        cols = np.flatnonzero(lat_mod.state_mass(P))
+        P, ll, cols = lat_mod.joint_posterior(cov.loglik_table(
+            y, gather_curves(F, enum.states), E2=E2, prior=prior))
         if cols.size < enum.size:
-            # np.take, several times faster here than P[:, cols]; the
-            # dense table is freed before the enumeration rows are copied
-            P = np.take(P, cols, axis=1)
             enum = enum.take(cols)
         marg = lat_mod.marginals_from_joint(P, enum)
         trans = (lat_mod.pairwise_from_joint(P, enum)
@@ -485,7 +480,11 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
     # the last round only evaluates the objective
     for it in range(max_iter + 1):
         F = theta.phi @ B.T
-        step = e_step(dataset, F, theta, latent_spec, cov_spec, enum=enum)
+        try:
+            step = e_step(dataset, F, theta, latent_spec, cov_spec,
+                          enum=enum)
+        except NotSPD as exc:
+            raise NotSPD(f"ECM iteration {it}: {exc}") from None
         obj = float(step.loglik.sum()) - penalty_value(theta, R)
         if trace:
             scale = max(1.0, abs(trace[-1]))

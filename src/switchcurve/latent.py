@@ -16,12 +16,17 @@ joint posterior writes an exact 0 for them without calling ``exp``, which
 is several times slower on such arguments; the largest shifted weight is
 exp(0) = 1, so the normalizer and the log-likelihood do not change.  After
 the first E-steps of a fit most state vectors carry such zeros in every
-replicate (about 92% in the benchmark's n = 14 homog_ri fits), so the
-E-step keeps the columns with mass and the matching enumeration rows
-(``StateEnumeration.take``); every summary below takes any such pair.
-Summaries of the (N, S) joint posterior table are single matrix products
-with the enumeration's flat indicator tables; the Markov M-step's expected
-transition totals are one GEMV of the state mass P'1.
+replicate (about 92% in the benchmark's n = 14 homog_ri fits).  So
+``joint_posterior`` takes the (N, S) log joint that
+``CovStructure.loglik_table`` builds in one GEMM (the log prior included:
+``log_prior_table`` returns it in the form that GEMM takes), finds the
+candidate columns in one compare pass, and shifts, exponentiates and
+normalizes only those.  The E-step keeps the columns with mass and the
+matching enumeration rows (``StateEnumeration.take``); every summary below
+takes any such pair.  Summaries of the (N, S_live) joint posterior table
+are single matrix products with the enumeration's flat indicator tables;
+the Markov M-step's expected transition totals are one GEMV of the state
+mass P'1.
 """
 
 from dataclasses import dataclass
@@ -159,8 +164,11 @@ def _logsumexp(a):
 def log_prior_table(enum, latent_spec, params, covariates=None):
     """Log prior of every enumerated state vector.
 
-    Returns shape (S,) for iid/markov, (N, S) for the covariate model.
-    Zero-probability entries map to -inf and propagate through sums.
+    Returns shape (S,) for iid/markov; zero-probability entries map to
+    -inf.  The covariate model's (N, S) table is returned as the pair
+    (L, enum.flat) of its factors, L the (N, n*J) log probabilities
+    (floored at -1e300), so that ``CovStructure.loglik_table`` adds L
+    flat' inside its GEMM and no (N, S) prior table is built.
     """
     kind = latent_spec.kind
     with np.errstate(divide="ignore"):
@@ -173,8 +181,7 @@ def log_prior_table(enum, latent_spec, params, covariates=None):
                 np.log(params.A).ravel())
             return out
         lp = log_state_probs(params.beta, covariates)   # (N, n, J)
-        lp = np.maximum(lp, -1e300).reshape(lp.shape[0], -1)
-        return lp @ enum.flat.T
+        return np.maximum(lp, -1e300).reshape(lp.shape[0], -1), enum.flat
 
 
 def _weighted_logsum(W, logs):
@@ -205,37 +212,35 @@ def log_prior_single(states, latent_spec, params, covariate_rows=None):
 # posteriors
 # ---------------------------------------------------------------------------
 
-def joint_posterior(loglik, logprior):
-    """Normalize per-replicate joint posteriors over state vectors.
+def joint_posterior(W):
+    """Normalize per-replicate joint posteriors on the columns with mass.
 
-    Each row is shifted by its maximum before exponentiating.  Shifted
+    ``W`` is the (N, S) log joint table (log density plus log prior), as
+    ``CovStructure.loglik_table`` returns it; it is consumed in place.
+    Each row is shifted by its maximum m before exponentiating.  Shifted
     entries below log(tiny) (about -708.4) are not exponentiated: a clip
     at 0 writes them as exact 0 instead of their subnormal or underflowed
-    exponentials.  Every other entry is ``exp(shifted) / Z`` bit for bit as
-    without the rule, and ``Z`` (at least 1) and the log-likelihood do not
-    change.  The inputs are not modified.  A column that is 0 in every row
-    is a state vector with no posterior mass; ``em.e_step`` drops those.
-
-    Parameters
-    ----------
-    loglik : (N, S) log density of y_k under each state vector.
-    logprior : (S,) or (N, S) log prior table.
+    exponentials, and ``Z`` (at least 1) and the log-likelihood do not
+    change.  A state vector whose entries are all below that in every row
+    has no posterior mass, so one compare pass, W >= m + log(tiny) - 1,
+    finds the candidate columns first (the 1 covers the rounding of the
+    shift), and the shift, ``exp``, clip, sum and division run on those
+    only.  Candidates the exact rule zeroes in every row are dropped last.
 
     Returns
     -------
-    P : (N, S) posterior table, rows summing to one.
+    P : (N, S_live) posterior table, rows summing to one.
     ll : (N,) log marginal likelihood per replicate.
+    cols : (S_live,) the columns of ``W`` that ``P`` keeps, ascending.
 
     Raises
     ------
     DegenerateLikelihood
         if a row holds a NaN or +inf entry, or has no finite entry.
     """
-    # one owned (N, S) buffer: shifted, exponentiated and scaled in place
-    P = loglik + (logprior if logprior.ndim == 2 else logprior[None, :])
     # a NaN entry makes its row's max NaN, so it is refused here rather
     # than zeroed by the mask below
-    m = np.max(P, axis=1)
+    m = np.max(W, axis=1)
     bad = ~np.isfinite(m)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -245,6 +250,15 @@ def joint_posterior(loglik, logprior):
                 "likelihood")
         raise DegenerateLikelihood(
             f"replicate {k + 1}: non-finite log-likelihood")
+    # an entry below the floor has W - m < log(tiny) however the shift
+    # rounds: within 2 |log(tiny)| of m, W - m is exact once |m| exceeds
+    # that (and the floor, rounded to nearest, cannot pass such an entry),
+    # and off by less than 1e-13 elsewhere
+    floor = m + (_LOG_TINY - 1.0)
+    cols = np.flatnonzero(np.any(W >= floor[:, None], axis=0))
+    # np.take: several times faster here than W[:, cols]
+    P = W if cols.size == W.shape[1] else np.take(W, cols, axis=1)
+    del W       # frees the full table unless the caller still holds it
     P -= m[:, None]
     np.exp(P, out=P, where=P >= _LOG_TINY)
     # exponentials are at least tiny > 0; the entries left unexponentiated
@@ -252,7 +266,11 @@ def joint_posterior(loglik, logprior):
     np.maximum(P, 0.0, out=P)
     Z = P.sum(axis=1)
     P /= Z[:, None]
-    return P, m + np.log(Z)
+    live = np.flatnonzero(state_mass(P))
+    if live.size < cols.size:
+        P = np.take(P, live, axis=1)
+        cols = cols[live]
+    return P, m + np.log(Z), cols
 
 
 def state_mass(P):

@@ -10,21 +10,28 @@ forward-backward instead.  ``nonhomog_simplex_update`` is the derivative-
 free nonhomog_ri M-step (scipy's Nelder-Mead) that the package's profiled
 Newton search replaced.  ``joint_posterior_dense`` exponentiates every
 entry of the joint, including those the package writes as 0 because their
-exponentials fall below the smallest normal float.  ``gather_curves_fancy``
-is the two-array fancy index that ``em.gather_curves`` replaced with one
-flat ``np.take``.
+exponentials fall below the smallest normal float.  ``loglik_table_dense``,
+``joint_posterior_full`` and ``enumeration_joint_dense`` are the dense
+enumeration E-step the package's one-GEMM, live-column route replaced: a
+log-density GEMM plus separate row and column passes, the log prior added
+as an (N, S) table, every column normalized, and the columns with mass
+taken last.  ``joint_posterior_scattered`` runs the package's
+``joint_posterior`` on ``loglik + logprior`` and scatters the result back
+to all S columns.  ``gather_curves_fancy`` is the two-array fancy index
+that ``em.gather_curves`` replaced with one flat ``np.take``.
 """
 
 import numpy as np
 from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
-from switchcurve.covariance import (nonhomog_expected_term,
+from switchcurve.covariance import (LOG_2PI, _centered, _ri_det,
+                                    make_structure, nonhomog_expected_term,
                                     nonhomog_sufficient_stats)
-from switchcurve.em import EStep
+from switchcurve.em import EStep, gather_curves
 from switchcurve.errors import DegenerateLikelihood
-from switchcurve.latent import (joint_posterior, log_prior_table,
-                                log_state_probs)
+from switchcurve.latent import (_LOG_TINY, joint_posterior, log_prior_table,
+                                log_state_probs, state_mass)
 
 
 def bspline_design_matrix(knots, x):
@@ -90,6 +97,89 @@ def joint_posterior_dense(loglik, logprior):
     Z = P.sum(axis=1)
     P /= Z[:, None]
     return P, m + np.log(Z)
+
+
+def log_prior_dense(prior):
+    """The (S,) or (N, S) log prior table of a ``log_prior_table`` result;
+    the covariate model's factor pair (L, R) is multiplied out."""
+    if isinstance(prior, tuple):
+        L, R = prior
+        return L @ R.T
+    return prior
+
+
+def joint_posterior_scattered(loglik, logprior):
+    """The package's ``joint_posterior`` of ``loglik + logprior``, scattered
+    back to (N, S) with zeros in the columns it drops.  ``logprior`` is
+    (S,), (N, S) or a ``log_prior_table`` factor pair.  Returns
+    ``(P, ll)``; the inputs are not modified."""
+    W = loglik + log_prior_dense(logprior)
+    P, ll, cols = joint_posterior(W)
+    full = np.zeros(W.shape)
+    full[:, cols] = P
+    return full, ll
+
+
+def joint_posterior_full(loglik, logprior):
+    """Per-replicate joint posteriors normalized over every column.
+
+    Entries whose shifted log weight is below log(tiny) are written as 0,
+    the others as exp(shifted) / Z, with Z summed over all S columns.
+    Returns ``(P, ll)``; the inputs are not modified.
+    """
+    P = loglik + log_prior_dense(logprior)
+    m = np.max(P, axis=1)
+    bad = ~np.isfinite(m)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if np.isneginf(m[k]):
+            raise DegenerateLikelihood(
+                f"replicate {k + 1}: no state vector has positive "
+                "likelihood")
+        raise DegenerateLikelihood(
+            f"replicate {k + 1}: non-finite log-likelihood")
+    P -= m[:, None]
+    np.exp(P, out=P, where=P >= _LOG_TINY)
+    np.maximum(P, 0.0, out=P)
+    Z = P.sum(axis=1)
+    P /= Z[:, None]
+    return P, m + np.log(Z)
+
+
+def loglik_table_dense(cov, y, Fs, E2=None):
+    """(N, S) table of log N(y_k; Fs[s], V_s): the cross-term GEMM, then
+    the per-replicate and per-state-vector terms added as two passes."""
+    p, n = cov.params, cov.n
+    nonhomog = cov.kind == "nonhomog_ri"
+    yc, Fc = _centered(y, Fs)
+    Vi = cov.vinv_shared()
+    ld = n * np.log(p.sigma2) if nonhomog else cov.logdet()
+    yV = yc @ Vi
+    row = -0.5 * (np.einsum("ki,ki->k", yV, yc) + ld + n * LOG_2PI)
+    col = -0.5 * np.einsum("si,si->s", Fc @ Vi, Fc)
+    out = yV @ Fc.T
+    if nonhomog:
+        col -= 0.5 * np.log(_ri_det(n, E2.sum(axis=1), p.d1, p.d2))
+        out += cov._intercept_quad(yc, Fc, E2)
+    out += row[:, None]
+    out += col[None, :]
+    return out
+
+
+def enumeration_joint_dense(dataset, F, theta, latent_spec, cov_spec, enum):
+    """The enumeration E-step's joint by the dense route: the full (N, S)
+    log-density and log-prior tables, every column normalized by
+    ``joint_posterior_full``, then the columns with mass taken.  Returns
+    ``(P (N, S_live), ll, cols)``."""
+    cov = make_structure(cov_spec, theta.cov, dataset.n_points)
+    E2 = enum.onehot[:, :, 1] if cov_spec.kind == "nonhomog_ri" else None
+    table = loglik_table_dense(cov, dataset.y,
+                               gather_curves(F, enum.states), E2=E2)
+    prior = log_prior_table(enum, latent_spec, theta.latent,
+                            covariates=dataset.covariates)
+    P, ll = joint_posterior_full(table, prior)
+    cols = np.flatnonzero(state_mass(P))
+    return np.take(P, cols, axis=1), ll, cols
 
 
 def gather_curves_fancy(F, states):
@@ -188,7 +278,7 @@ def enumerated_e_step(dataset, F, theta, latent_spec, cov_spec, enum):
     table = np.einsum("kij,sij->ks", pointwise, enum.onehot)
     prior = log_prior_table(enum, latent_spec, theta.latent,
                             covariates=dataset.covariates)
-    P, ll = joint_posterior(table, prior)
+    P, ll = joint_posterior_scattered(table, prior)
     pair = (pairwise_einsum(P, enum) if latent_spec.kind == "markov"
             else None)
     return EStep(marginals=marginals_einsum(P, enum), loglik=ll,

@@ -27,11 +27,12 @@ from switchcurve.inference import (louis_information_generic,
                                    louis_information_iid_closed,
                                    louis_information_markov_closed)
 from switchcurve.latent import (enumerate_states, forward_backward,
-                                joint_posterior, log_prior_table,
-                                log_state_probs, marginal_posterior_pointwise,
+                                log_prior_table, log_state_probs,
+                                marginal_posterior_pointwise,
                                 marginals_from_joint, update_alpha)
 
-from oracles import enumerated_e_step, pairwise_einsum
+from oracles import (enumerated_e_step, joint_posterior_scattered,
+                     pairwise_einsum)
 
 LATENT_KINDS = ["iid", "markov", "covariate"]
 COV_KINDS = ["iso_diag", "state_diag", "unrestricted", "homog_ri",
@@ -186,7 +187,7 @@ def test_03_posterior_routes_match_enumeration():
         loglik = np.einsum("kij,sij->ks", pointwise, enum.onehot)
         table = log_prior_table(enum, LatentSpec(kind="markov", J=J),
                                 MarkovParams(pi=pi, A=A))
-        P, ll = joint_posterior(loglik, table)
+        P, ll = joint_posterior_scattered(loglik, table)
         errs = [np.max(np.abs(marg_fb - marginals_from_joint(P, enum))),
                 np.max(np.abs(pair_fb - pairwise_einsum(P, enum))),
                 np.max(np.abs(ll_fb - ll) / np.maximum(1.0, np.abs(ll)))]
@@ -203,7 +204,7 @@ def test_03_posterior_routes_match_enumeration():
         marg, _ = marginal_posterior_pointwise(pointwise, np.log(p))
         table = log_prior_table(enum, LatentSpec(kind="iid", J=J),
                                 IIDParams(p=p))
-        P, _ = joint_posterior(loglik, table)
+        P, _ = joint_posterior_scattered(loglik, table)
         err = np.max(np.abs(marg - marginals_from_joint(P, enum)))
         if err > 1e-9:
             failures.append(f"iid J={J} n={n} err={err:.2e}")
@@ -214,7 +215,7 @@ def test_03_posterior_routes_match_enumeration():
                                                log_state_probs(beta, v))
         table = log_prior_table(enum, LatentSpec(kind="covariate", J=J),
                                 CovariateParams(beta=beta), covariates=v)
-        P, _ = joint_posterior(loglik, table)
+        P, _ = joint_posterior_scattered(loglik, table)
         err = np.max(np.abs(marg - marginals_from_joint(P, enum)))
         if err > 1e-9:
             failures.append(f"covariate J={J} n={n} err={err:.2e}")

@@ -217,6 +217,22 @@ def test_structure_validation():
     CovStructure("homog_ri", HomogRIParams(sigma2=1.0, d=-0.2), 4)
 
 
+def test_unrestricted_structure_refuses_v_past_the_conditioning_limit():
+    """cond(V) above 1e-8 / eps: the expanded quadratic form's rounding
+    would exceed the ascent check's tolerance."""
+    limit = 1e-8 / np.finfo(float).eps
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    for cond, ok in ((0.99 * limit, True), (1.01 * limit, False)):
+        V = (Q * np.geomspace(1.0, 1.0 / cond, 5)) @ Q.T
+        V = 0.5 * (V + V.T)
+        if ok:
+            CovStructure("unrestricted", UnrestrictedParams(V=V), 5)
+            continue
+        with pytest.raises(NotSPD, match=r"condition number 4.5\de\+07"):
+            CovStructure("unrestricted", UnrestrictedParams(V=V), 5)
+
+
 def random_posterior(rng, N, S):
     P = rng.uniform(0.1, 1.0, (N, S))
     return P / P.sum(axis=1, keepdims=True)

@@ -25,12 +25,13 @@ from switchcurve.em import (_solve_spd, classify_marginals, e_step, ecm_fit,
                             gather_curves, general_normal_system, initialize,
                             penalty_value, update_f_diagonal,
                             update_f_general, weight_matrices)
-from switchcurve.errors import (BadInit, EnumerationTooLarge, SingularSystem,
-                                SpecMismatch)
+from switchcurve.errors import (BadInit, EnumerationTooLarge, NotSPD,
+                                SingularSystem, SpecMismatch)
 from switchcurve.latent import enumerate_states
 
-from oracles import (enumerated_e_step, gather_curves_fancy,
-                     nonhomog_normal_system_loop, pairwise_einsum)
+from oracles import (enumerated_e_step, enumeration_joint_dense,
+                     gather_curves_fancy, nonhomog_normal_system_loop,
+                     pairwise_einsum)
 
 LAM = 1e-4
 
@@ -308,91 +309,121 @@ def _rel_err(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("lat_kind", ["iid", "markov", "covariate"])
-@pytest.mark.parametrize("cov_kind", ["homog_ri", "unrestricted",
-                                      "nonhomog_ri"])
+STRUCTURED_PARAMS = {
+    "homog_ri": lambda s2: HomogRIParams(sigma2=s2, d=0.5),
+    "unrestricted": lambda s2: UnrestrictedParams(
+        V=s2 * (np.eye(8) + 0.5 * np.ones((8, 8)))),
+    "nonhomog_ri": lambda s2: NonHomogRIParams(sigma2=s2, d1=0.5, d2=0.3)}
+LATENT_PARAMS = {
+    "iid": IIDParams(p=[0.4, 0.6]),
+    "markov": MarkovParams(pi=[0.4, 0.6], A=[[0.7, 0.3], [0.4, 0.6]]),
+    "covariate": CovariateParams(beta=[[0.2, 0.5]]),
+    # no 2 -> 1 moves: every state vector with one has a -inf prior
+    "markov-zero": MarkovParams(pi=[0.4, 0.6], A=[[0.7, 0.3], [0.0, 1.0]])}
+
+
+@pytest.mark.parametrize("lat_kind", list(LATENT_PARAMS))
+@pytest.mark.parametrize("cov_kind", list(STRUCTURED_PARAMS))
 def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
-    """The E-step keeps the joint's columns with mass and their state
-    vectors.  Scattered back, the compact joint is the dense table bit for
-    bit, and every consumer on (step.joint, step.enum) matches the dense
-    table on the full enumeration."""
+    """The E-step builds the log joint in one augmented GEMM, normalizes
+    only its candidate columns and keeps the columns with mass and their
+    state vectors.  The dense route builds the log densities, adds the row
+    and column terms and an (N, S) prior table, normalizes every column
+    and takes the columns with mass last.  Both keep the same columns with
+    the same probabilities, and every consumer on (step.joint, step.enum)
+    matches the dense table on the full enumeration.  At noise 1 every
+    state vector keeps mass, as in a fit's first E-step; at noise 0.03
+    against a state gap of 1, a state vector two points off a replicate's
+    own is below log(tiny)."""
     from switchcurve.covariance import (make_structure, update_homog_ri,
                                         update_nonhomog_ri,
                                         update_unrestricted)
     from switchcurve.inference import louis_information_generic
-    from switchcurve.latent import (joint_posterior, log_prior_table,
-                                    marginals_from_joint,
-                                    pairwise_from_joint)
+    from switchcurve.latent import marginals_from_joint, pairwise_from_joint
 
-    rng = np.random.default_rng(14)
     n, N, J, K = 8, 6, 2, 5
-    # noise 0.03 against a state gap of 1: a state vector two points off
-    # a replicate's own is below log(tiny) there
-    data, f, _ = two_state_data(seed=14, N=N, n=n, noise=0.03, M=1)
     _, B, R = design(n, K)
-    s2 = 0.03 ** 2
-    cov = {"homog_ri": HomogRIParams(sigma2=s2, d=0.5),
-           "unrestricted": UnrestrictedParams(
-               V=s2 * (np.eye(n) + 0.5 * np.ones((n, n)))),
-           "nonhomog_ri": NonHomogRIParams(sigma2=s2, d1=0.5, d2=0.3)}
-    alpha = {"iid": IIDParams(p=[0.4, 0.6]),
-             "markov": MarkovParams(pi=[0.4, 0.6],
-                                    A=[[0.7, 0.3], [0.4, 0.6]]),
-             "covariate": CovariateParams(beta=[[0.2, 0.5]])}[lat_kind]
-    theta = Theta(phi=np.zeros((J, K)), latent=alpha, cov=cov[cov_kind],
-                  lambdas=np.full(J, LAM))
-    spec, cspec = LatentSpec(kind=lat_kind, J=J), CovSpec(kind=cov_kind)
+    alpha = LATENT_PARAMS[lat_kind]
+    spec = LatentSpec(kind=lat_kind.split("-")[0], J=J)
+    cspec = CovSpec(kind=cov_kind)
     enum = enumerate_states(n, J)
-    step = e_step(data, f, theta, spec, cspec, enum=enum)
+    for noise in (0.03, 1.0):
+        rng = np.random.default_rng(14)
+        data, f, _ = two_state_data(seed=14, N=N, n=n, noise=noise, M=1)
+        cov = STRUCTURED_PARAMS[cov_kind](noise ** 2)
+        theta = Theta(phi=np.zeros((J, K)), latent=alpha, cov=cov,
+                      lambdas=np.full(J, LAM))
+        step = e_step(data, f, theta, spec, cspec, enum=enum)
 
-    structure = make_structure(cspec, theta.cov, n)
-    E2 = enum.onehot[:, :, 1] if cov_kind == "nonhomog_ri" else None
-    P, ll = joint_posterior(
-        structure.loglik_table(data.y, gather_curves(f, enum.states), E2=E2),
-        log_prior_table(enum, spec, alpha, covariates=data.covariates))
-    cols = step.enum.states.astype(int) @ J ** np.arange(n)
-    assert 0 < cols.size < enum.size
-    assert np.all(np.diff(cols) > 0)
-    scattered = np.zeros_like(P)
-    scattered[:, cols] = step.joint
-    np.testing.assert_array_equal(scattered, P)
-    for name in ("onehot", "counts", "trans"):
-        np.testing.assert_array_equal(getattr(step.enum, name),
-                                      getattr(enum, name)[cols])
+        structure = make_structure(cspec, cov, n)
+        dense, ll, cols = enumeration_joint_dense(data, f, theta, spec,
+                                                  cspec, enum)
+        if lat_kind == "markov-zero":
+            assert 0 < cols.size < enum.size // 2
+        elif noise == 1.0:
+            assert cols.size == enum.size
+        else:
+            assert 0 < cols.size < enum.size // 4
+        np.testing.assert_array_equal(
+            step.enum.states.astype(int) @ J ** np.arange(n), cols)
+        np.testing.assert_allclose(step.joint, dense, rtol=0, atol=1e-13)
+        P = np.zeros((N, enum.size))
+        P[:, cols] = dense
+        for name in ("onehot", "counts", "trans"):
+            np.testing.assert_array_equal(getattr(step.enum, name),
+                                          getattr(enum, name)[cols])
 
-    np.testing.assert_allclose(step.loglik, ll, rtol=1e-13)
-    np.testing.assert_allclose(step.marginals, marginals_from_joint(P, enum),
-                               rtol=0, atol=1e-13)
-    if lat_kind == "markov":
-        assert _rel_err(step.transitions, pairwise_from_joint(P, enum)) \
-            < 1e-13
+        np.testing.assert_allclose(step.loglik, ll, rtol=1e-13)
+        np.testing.assert_allclose(step.marginals,
+                                   marginals_from_joint(P, enum),
+                                   rtol=0, atol=1e-13)
+        if spec.kind == "markov":
+            assert _rel_err(step.transitions,
+                            pairwise_from_joint(P, enum)) < 1e-13
 
-    got = general_normal_system(B, R, theta.lambdas, data.y, structure,
-                                step.enum, step.joint)
-    want = general_normal_system(B, R, theta.lambdas, data.y, structure,
-                                 enum, P)
-    for g, w in zip(got, want):
-        assert _rel_err(g, w) < 1e-12
-    # the covariance M-steps at curves away from the E-step's
-    F_new = f + 0.01 * rng.standard_normal(f.shape)
-    Fs, Fs_live = (gather_curves(F_new, e.states) for e in (enum,
-                                                             step.enum))
-    assert _rel_err(update_homog_ri(step.joint, data.y, Fs_live),
-                    update_homog_ri(P, data.y, Fs)) < 1e-12
-    assert _rel_err(update_unrestricted(step.joint, data.y, Fs_live),
-                    update_unrestricted(P, data.y, Fs)) < 1e-12
-    prev = cov["nonhomog_ri"]
-    assert _rel_err(
-        update_nonhomog_ri(step.joint, data.y, Fs_live,
-                           step.enum.onehot[:, :, 1], prev),
-        update_nonhomog_ri(P, data.y, Fs, enum.onehot[:, :, 1], prev)) \
-        < 1e-12
-    info, labels = louis_information_generic(
-        step.joint, step.enum, spec, alpha, covariates=data.covariates)
-    want_info, want_labels = louis_information_generic(
-        P, enum, spec, alpha, covariates=data.covariates)
-    assert labels == want_labels
-    assert _rel_err(info, want_info) < 1e-12
+        got = general_normal_system(B, R, theta.lambdas, data.y, structure,
+                                    step.enum, step.joint)
+        want = general_normal_system(B, R, theta.lambdas, data.y, structure,
+                                     enum, P)
+        for g, w in zip(got, want):
+            assert _rel_err(g, w) < 1e-12
+        # the covariance M-steps at curves away from the E-step's
+        F_new = f + 0.01 * rng.standard_normal(f.shape)
+        Fs, Fs_live = (gather_curves(F_new, e.states)
+                       for e in (enum, step.enum))
+        assert _rel_err(update_homog_ri(step.joint, data.y, Fs_live),
+                        update_homog_ri(P, data.y, Fs)) < 1e-12
+        assert _rel_err(update_unrestricted(step.joint, data.y, Fs_live),
+                        update_unrestricted(P, data.y, Fs)) < 1e-12
+        prev = STRUCTURED_PARAMS["nonhomog_ri"](noise ** 2)
+        assert _rel_err(
+            update_nonhomog_ri(step.joint, data.y, Fs_live,
+                               step.enum.onehot[:, :, 1], prev),
+            update_nonhomog_ri(P, data.y, Fs, enum.onehot[:, :, 1], prev)) \
+            < 1e-12
+        if lat_kind == "markov-zero":
+            continue        # a21 = 0 is on the boundary: no information
+        info, labels = louis_information_generic(
+            step.joint, step.enum, spec, alpha,
+            covariates=data.covariates)
+        want_info, want_labels = louis_information_generic(
+            P, enum, spec, alpha, covariates=data.covariates)
+        assert labels == want_labels
+        assert _rel_err(info, want_info) < 1e-12
+
+
+def test_collapsing_unrestricted_covariance_raises_not_spd():
+    """A markov x unrestricted fit whose V collapses onto a subspace: the
+    objective climbs without bound while cond(V) grows, until the expanded
+    quadratic form can no longer resolve the ascent check.  The fit stops
+    with NotSPD naming the condition number and the ECM iteration, not a
+    MonotonicityViolation read off rounding."""
+    design = sim.SimDesign(kind="markov", N=20, x=np.linspace(1, 100, 14))
+    data = sim.generate_dataset(design, 3)[0]
+    with pytest.raises(NotSPD, match=r"ECM iteration \d+: V has condition "
+                       r"number [0-9.]+e\+0[78], beyond the 4.5e\+07"):
+        ecm_fit(data, LatentSpec(kind="markov", J=2),
+                CovSpec(kind="unrestricted"), lambdas=LAM)
 
 
 def test_single_state_fit_is_a_penalized_spline():

@@ -19,13 +19,14 @@ from switchcurve.datamodel import (CovariateParams, IIDParams, LatentSpec,
 from switchcurve.errors import DegenerateLikelihood, EnumerationTooLarge
 from switchcurve.latent import (enumerate_states, forward_backward,
                                 joint_posterior, log_prior_single,
-                                log_prior_table,
-                                log_state_probs, marginal_posterior_pointwise,
+                                log_prior_table, log_state_probs,
+                                marginal_posterior_pointwise,
                                 marginals_from_joint, pairwise_from_joint,
                                 update_alpha)
 
 from oracles import (expected_latent_loglik, joint_posterior_dense,
-                     marginals_einsum, pairwise_einsum)
+                     joint_posterior_full, joint_posterior_scattered,
+                     log_prior_dense, marginals_einsum, pairwise_einsum)
 
 TINY = np.finfo(float).tiny
 LOG_TINY = math.log(TINY)
@@ -231,8 +232,8 @@ def test_prior_table_matches_single_vector_evaluation():
     beta = rng.standard_normal((2, 2))
     v = rng.standard_normal((2, 4, 1))
     spec = LatentSpec(kind="covariate", J=3)
-    ctable = log_prior_table(enum, spec, CovariateParams(beta=beta),
-                             covariates=v)
+    ctable = log_prior_dense(log_prior_table(
+        enum, spec, CovariateParams(beta=beta), covariates=v))
     assert ctable.shape == (2, 81)
     lp = log_state_probs(beta, v)
     for k in range(2):
@@ -283,7 +284,7 @@ def test_joint_posterior_two_point_hand_example():
     enum = enumerate_states(2, 2)
     loglik = np.einsum("kij,sij->ks", pointwise, enum.onehot)
     table = log_prior_table(enum, LatentSpec(kind="iid", J=2), IIDParams(p=p))
-    P, ll = joint_posterior(loglik, table)
+    P, ll = joint_posterior_scattered(loglik, table)
     assert ll[0] == pytest.approx(math.log(z), abs=1e-14)
     for s, vec in enumerate(all_vectors(2, 2)):
         assert P[0, s] == pytest.approx(weights[vec] / z, abs=1e-14)
@@ -292,8 +293,9 @@ def test_joint_posterior_two_point_hand_example():
 def test_joint_posterior_all_zero_likelihood_raises():
     loglik = np.full((2, 4), -np.inf)
     loglik[1] = -1.0
-    with pytest.raises(DegenerateLikelihood, match="replicate 1"):
-        joint_posterior(loglik, np.full(4, math.log(0.25)))
+    with pytest.raises(DegenerateLikelihood, match="replicate 1: no state "
+                       "vector has positive likelihood"):
+        joint_posterior_scattered(loglik, np.full(4, math.log(0.25)))
 
 
 @pytest.mark.parametrize("per_replicate", [False, True],
@@ -301,8 +303,10 @@ def test_joint_posterior_all_zero_likelihood_raises():
 def test_joint_posterior_zeroes_exactly_the_subnormal_entries(per_replicate):
     """Shifted log weights below -745 (exp underflows to 0), in
     [-745, log tiny) (subnormal) and in [log tiny, 0] (normal), with -inf
-    prior entries: the first two bands come out as exact 0, the third bit
-    for bit as the dense oracle's."""
+    prior entries: the first two bands come out as exact 0, the third as
+    the dense oracle's.  Columns with no entry in the third band are
+    dropped, including those the candidate pass keeps because some entry
+    lies within 1 below log tiny."""
     rng = np.random.default_rng(29)
     N = 5
     shifted = np.concatenate([rng.uniform(-1000.0, -745.5, (N, 200)),
@@ -319,21 +323,44 @@ def test_joint_posterior_zeroes_exactly_the_subnormal_entries(per_replicate):
     prior[..., 3:S - 1:7] = -np.inf
     loglik = shifted + offset[:, None] - np.where(np.isinf(prior), 0.0,
                                                   prior)
-    before = (loglik.copy(), prior.copy())
-
-    P, ll = joint_posterior(loglik, prior)
-    want_P, want_ll = joint_posterior_dense(loglik, prior)
-    np.testing.assert_array_equal(loglik, before[0])
-    np.testing.assert_array_equal(prior, before[1])
 
     total = loglik + prior
-    live = total - total.max(axis=1, keepdims=True) >= LOG_TINY
+    P, ll, cols = joint_posterior(total.copy())
+    want_P, want_ll = joint_posterior_dense(loglik, prior)
+
+    gap = total - total.max(axis=1, keepdims=True)
+    live = gap >= LOG_TINY
     assert live[0, 0] and not live[0, 1]
+    np.testing.assert_array_equal(cols, np.flatnonzero(live.any(axis=0)))
+    assert np.any((gap >= LOG_TINY - 1.0).any(axis=0) & ~live.any(axis=0))
     assert np.any(want_P[~live] > 0.0)          # the oracle's subnormals
-    np.testing.assert_array_equal(P[live], want_P[live])
-    assert np.all(P[~live] == 0.0)
     assert np.all(want_P[~live] <= TINY)
+    full = np.zeros_like(want_P)
+    full[:, cols] = P
+    assert np.all(full[~live] == 0.0) and np.all(full[live] > 0.0)
+    # each exponential is the oracle's bit for bit; the normalizer sums
+    # the candidate columns only, in another order, so it may differ in
+    # the last few bits
+    np.testing.assert_allclose(full[live], want_P[live], rtol=1e-14, atol=0)
     np.testing.assert_allclose(ll, want_ll, rtol=0.0, atol=1e-15)
+
+
+def test_joint_posterior_keeps_the_dense_columns_at_any_offset():
+    """Rows offset by up to 3e17, where one ulp of the row max exceeds 1
+    and W - m rounds: the candidate pass keeps exactly the columns the
+    dense route gives mass, and the same entries are zero."""
+    shifted = np.array([0.0, LOG_TINY, np.nextafter(LOG_TINY, -np.inf),
+                        LOG_TINY + 0.5, LOG_TINY - 0.5, LOG_TINY - 1.0,
+                        -2.0, -1000.0])
+    offsets = np.array([0.0, 1e3, -1e12, -2.0 ** 60, 3e17])
+    W = offsets[:, None] + shifted[None, :]
+    want_P, want_ll = joint_posterior_full(W, np.zeros(W.shape[1]))
+    P, ll, cols = joint_posterior(W.copy())
+    np.testing.assert_array_equal(cols,
+                                  np.flatnonzero(want_P.any(axis=0)))
+    np.testing.assert_array_equal(P == 0, want_P[:, cols] == 0)
+    np.testing.assert_allclose(P, want_P[:, cols], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(ll, want_ll, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("loglik_entry,prior_entry", [
@@ -350,7 +377,7 @@ def test_joint_posterior_refuses_a_non_finite_entry(loglik_entry,
     with pytest.raises(DegenerateLikelihood,
                        match="replicate 2: non-finite log-likelihood"), \
             np.errstate(invalid="ignore"):
-        joint_posterior(loglik, prior)
+        joint_posterior_scattered(loglik, prior)
 
 
 def test_joint_summaries_match_brute_force():
@@ -367,7 +394,7 @@ def test_joint_summaries_match_brute_force():
         loglik = np.einsum("kij,sij->ks", pointwise, enum.onehot)
         table = log_prior_table(enum, LatentSpec(kind="iid", J=J),
                                 IIDParams(p=p))
-        P, ll = joint_posterior(loglik, table)
+        P, ll = joint_posterior_scattered(loglik, table)
         np.testing.assert_allclose(ll, want_ll, atol=1e-12)
         np.testing.assert_allclose(
             marginals_from_joint(P, enum), want_m, atol=1e-13)
@@ -387,7 +414,7 @@ def test_flat_table_contractions_match_einsum_forms(n, J):
     for prior in (np.log(rng.dirichlet(np.ones(enum.size))),
                   rng.standard_normal((4, enum.size))):
         before = (loglik.copy(), prior.copy())
-        P, _ = joint_posterior(loglik, prior)
+        P, _ = joint_posterior_scattered(loglik, prior)
         np.testing.assert_array_equal(loglik, before[0])
         np.testing.assert_array_equal(prior, before[1])
         np.testing.assert_allclose(marginals_from_joint(P, enum),
@@ -408,7 +435,7 @@ def test_pointwise_bayes_matches_enumeration():
     p = rng.dirichlet(np.ones(J))
     marg, ll = marginal_posterior_pointwise(pointwise, np.log(p))
     table = log_prior_table(enum, LatentSpec(kind="iid", J=J), IIDParams(p=p))
-    P, ll_enum = joint_posterior(loglik, table)
+    P, ll_enum = joint_posterior_scattered(loglik, table)
     np.testing.assert_allclose(ll, ll_enum, rtol=1e-12)
     np.testing.assert_allclose(marg, marginals_from_joint(P, enum),
                                atol=1e-12)
@@ -420,7 +447,7 @@ def test_pointwise_bayes_matches_enumeration():
     marg, ll = marginal_posterior_pointwise(pointwise, lp)
     ctable = log_prior_table(enum, spec, CovariateParams(beta=beta),
                              covariates=v)
-    P, ll_enum = joint_posterior(loglik, ctable)
+    P, ll_enum = joint_posterior_scattered(loglik, ctable)
     np.testing.assert_allclose(ll, ll_enum, rtol=1e-12)
     np.testing.assert_allclose(marg, marginals_from_joint(P, enum),
                                atol=1e-12)
