@@ -14,11 +14,11 @@ no per-state-vector matrix is ever formed.
 
 Log-density tables over enumerated state vectors come from one (N, S)
 matrix product, never from an (N, S, n) residual tensor: the inner
-dimension is augmented so that the product [y V^{-1}, row, 1] [Fs, 1, col]'
-also adds the per-replicate (row) and per-state-vector (col) terms, and
-the log prior joins col (or, per replicate, more inner columns).  For
-nonhomog_ri the Woodbury term, from the sums 1'r and u_s'r, is added to
-that table in place.  The M-step statistics are products with the joint
+dimension is augmented so that the product
+[y V^{-1}, row, 1, L] [Fs, 1, col, R]' also adds the per-replicate (row)
+and per-state-vector (col) terms and the log prior, given as the factor
+pair (L, R).  For nonhomog_ri the Woodbury term, from the sums 1'r and
+u_s'r, is added to that table in place.  The M-step statistics are products with the joint
 posterior table P (P Fs, P'y, P'1) rather than (N, S) residual tables.
 
 Every M-step is closed form except nonhomog_ri's.  There sigma2 profiles
@@ -38,9 +38,11 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 _MASS_EPS = 1e-12     # posterior mass below this means an empty state
 # The log-density table expands the quadratic form (y - f)'V^{-1}(y - f)
 # into y'V^{-1}y - 2 y'V^{-1}f + f'V^{-1}f, whose rounding is about
-# cond(V) * eps relative to the form.  ECM's ascent check compares
-# objectives to 1e-8 relative (``em._ASCENT_RTOL``), so past
-# cond(V) = 1e-8 / eps (about 4.5e7) the check reads rounding, not ascent.
+# cond(C) * eps relative to the form, C the correlation matrix of V (a
+# diagonal rescaling of V, by powers of two say, rounds alike and leaves
+# C as it is).  ECM's ascent check compares objectives to 1e-8 relative
+# (``em._ASCENT_RTOL``), so past cond(C) = 1e-8 / eps (about 4.5e7) the
+# check reads rounding, not ascent.
 _COND_MAX = 1e-8 / np.finfo(float).eps
 _NEWTON_MAX_STEPS = 50      # nonhomog_ri M-step: Newton steps,
 _NEWTON_MAX_HALVINGS = 60   # halvings of one step,
@@ -73,13 +75,15 @@ class CovStructure:
                 self._chol = np.linalg.cholesky(np.asarray_chkfinite(V))
             except np.linalg.LinAlgError as exc:
                 raise NotSPD(f"V is not positive definite: {exc}") from None
-            sv = np.linalg.svd(self._chol, compute_uv=False)
+            # the rows of L over sqrt(diag V) factor V's correlation matrix
+            sv = np.linalg.svd(self._chol / np.sqrt(np.diag(V))[:, None],
+                               compute_uv=False)
             cond = (sv[0] / sv[-1]) ** 2
             if not cond <= _COND_MAX:
                 raise NotSPD(
-                    f"V has condition number {cond:.3g}, beyond the "
-                    f"{_COND_MAX:.3g} at which its log densities still "
-                    "resolve the ascent check")
+                    f"V's correlation matrix has condition number "
+                    f"{cond:.3g}, beyond the {_COND_MAX:.3g} at which its "
+                    "log densities still resolve the ascent check")
             self._logdet = 2.0 * np.sum(np.log(np.diag(self._chol)))
 
     # -- whole-matrix views (state-independent kinds only) ------------------
@@ -151,10 +155,11 @@ class CovStructure:
     def loglik_table(self, y, Fs, E2=None, prior=None):
         """(N, S) table of log N(y_k; Fs[s], V_s), plus a log prior.
 
-        One GEMM writes the table: [yV, row, 1] @ [Fc, 1, col]' holds the
-        cross term y V^{-1} Fs' and the per-replicate (row) and
+        One GEMM writes the table: [yV, row, 1, L] @ [Fc, 1, col, R]' holds
+        the cross term y V^{-1} Fs', the per-replicate (row) and
         per-state-vector (col) terms of the quadratic form and the log
-        determinant.  The result is a fresh table the caller owns.
+        determinant, and the log prior L R'.  The result is a fresh table
+        the caller owns.
 
         Parameters
         ----------
@@ -164,10 +169,9 @@ class CovStructure:
         E2 : (S, n), optional
             State-2 indicators per state vector; required for
             ``nonhomog_ri``.
-        prior : optional log prior, as ``latent.log_prior_table`` returns
-            it: an (S,) vector joins ``col``; a pair (L, R) of (N, c) and
-            (S, c) tables joins the GEMM as c more inner columns, adding
-            L R'.
+        prior : optional log prior as the factor pair (L, R) that
+            ``latent.log_prior_table`` returns: L (N, c) or, shared by
+            every replicate, (1, c), and R (S, c).
         """
         p, n = self.params, self.n
         if self.kind == "state_diag":
@@ -179,14 +183,10 @@ class CovStructure:
         nonhomog = self.kind == "nonhomog_ri"
         if nonhomog and E2 is None:
             raise ValueError("nonhomog_ri needs state-2 indicators")
-        L, R = prior if isinstance(prior, tuple) else (None, None)
-        c = 0 if L is None else L.shape[1]
+        c = 0 if prior is None else prior[1].shape[1]
         left = np.empty((y.shape[0], n + 2 + c))
         right = np.empty((Fs.shape[0], n + 2 + c))
-        # the centred arrays (see ``_centered``), written into the factors
-        ybar = y.mean(axis=0)
-        yc = y - ybar
-        Fc = np.subtract(Fs, ybar, out=right[:, :n])
+        yc, Fc = _centered(y, Fs, out=right[:, :n])
         Vi = self.vinv_shared()
         ld = n * np.log(p.sigma2) if nonhomog else self.logdet()
         yV = np.matmul(yc, Vi, out=left[:, :n])
@@ -198,10 +198,7 @@ class CovStructure:
         if nonhomog:
             col -= 0.5 * np.log(_ri_det(n, E2.sum(axis=1), p.d1, p.d2))
         if c:
-            left[:, n + 2:] = L
-            right[:, n + 2:] = R
-        elif prior is not None:
-            col += prior
+            left[:, n + 2:], right[:, n + 2:] = prior
         out = left @ right.T
         if nonhomog:
             out += self._intercept_quad(yc, Fc, E2)
@@ -287,12 +284,12 @@ def _posterior_sums(P, y, Fs):
     return float(A), b2, w, tf, Pt[:, 0]
 
 
-def _centered(y, Fs):
-    """y and Fs less the mean response.  Every residual y_k - Fs_s is
-    unchanged, and the expanded quadratic forms built from the centred
-    arrays cancel far less."""
+def _centered(y, Fs, out=None):
+    """y and Fs less the mean response, the latter into ``out`` if given.
+    Every residual y_k - Fs_s is unchanged, and the expanded quadratic
+    forms built from the centred arrays cancel far less."""
     ybar = y.mean(axis=0)
-    return y - ybar, Fs - ybar
+    return y - ybar, np.subtract(Fs, ybar, out=out)
 
 
 def update_homog_ri(P, y, Fs):

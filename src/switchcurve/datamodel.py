@@ -315,11 +315,13 @@ def validate(dataset, latent_spec, cov_spec):
     if not cov_spec.diagonal:
         # enumeration + the E-step's copy of its live rows + the (N, J**n)
         # float64 tables at a fit's peak: the previous E-step's joint, the
-        # new log joint and its candidate columns (tracemalloc 1.9-2.9;
+        # new log joint and one gather of its columns, with the boolean
+        # mask of that gather's exp (``joint_posterior`` keeps no more
+        # alive, whoever holds the log joint; tracemalloc 1.9-3.0;
         # nonhomog_ri's Woodbury term adds three, 5.0-5.2)
         tables = 6 if cov_spec.kind == "nonhomog_ri" else 3
         refuse_over_budget(
-            2 * enumeration_bytes(n, J) + tables * N * int(J) ** n * 8,
+            2 * enumeration_bytes(n, J) + (tables * 8 + 1) * N * int(J) ** n,
             f"a {latent_spec.kind} x {cov_spec.kind} fit at N = {N}, n = {n}")
 
 

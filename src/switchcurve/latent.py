@@ -19,9 +19,10 @@ the first E-steps of a fit most state vectors carry such zeros in every
 replicate (about 92% in the benchmark's n = 14 homog_ri fits).  So
 ``joint_posterior`` takes the (N, S) log joint that
 ``CovStructure.loglik_table`` builds in one GEMM (the log prior included:
-``log_prior_table`` returns it in the form that GEMM takes), finds the
-candidate columns in one compare pass, and shifts, exponentiates and
-normalizes only those.  The E-step keeps the columns with mass and the
+``log_prior_table`` returns it as a factor pair, the form that GEMM
+takes), finds the candidate columns in one compare pass, gathers and
+shifts those, drops the ones left below log(tiny), and exponentiates and
+normalizes the rest.  The E-step keeps the columns with mass and the
 matching enumeration rows (``StateEnumeration.take``); every summary below
 takes any such pair.  Summaries of the (N, S_live) joint posterior table
 are single matrix products with the enumeration's flat indicator tables;
@@ -162,26 +163,30 @@ def _logsumexp(a):
 
 
 def log_prior_table(enum, latent_spec, params, covariates=None):
-    """Log prior of every enumerated state vector.
+    """Log prior of every enumerated state vector, as a factor pair.
 
-    Returns shape (S,) for iid/markov; zero-probability entries map to
-    -inf.  The covariate model's (N, S) table is returned as the pair
-    (L, enum.flat) of its factors, L the (N, n*J) log probabilities
-    (floored at -1e300), so that ``CovStructure.loglik_table`` adds L
-    flat' inside its GEMM and no (N, S) prior table is built.
+    Returns (L, R) with L R' the (N, S) log prior table, so that
+    ``CovStructure.loglik_table`` adds it inside its GEMM and no (N, S)
+    prior table is built.  For iid/markov L is a (1, 1) one, shared by
+    every replicate, and R the (S, 1) log prior, where zero-probability
+    entries map to -inf.  For the covariate model L is the (N, n*J) log
+    probabilities (floored at -1e300, so that a zero indicator in R =
+    ``enum.flat`` meets no -inf) and R the (S, n*J) indicators.
     """
     kind = latent_spec.kind
     with np.errstate(divide="ignore"):
         if kind == "iid":
-            return _weighted_logsum(enum.counts, np.log(params.p))
-        if kind == "markov":
+            out = _weighted_logsum(enum.counts, np.log(params.p))
+        elif kind == "markov":
             out = _weighted_logsum(enum.onehot[:, 0, :], np.log(params.pi))
             out = out + _weighted_logsum(
                 enum.trans.reshape(enum.size, -1),
                 np.log(params.A).ravel())
-            return out
-        lp = log_state_probs(params.beta, covariates)   # (N, n, J)
-        return np.maximum(lp, -1e300).reshape(lp.shape[0], -1), enum.flat
+        else:
+            lp = log_state_probs(params.beta, covariates)   # (N, n, J)
+            return (np.maximum(lp, -1e300).reshape(lp.shape[0], -1),
+                    enum.flat)
+    return np.ones((1, 1)), out[:, None]
 
 
 def _weighted_logsum(W, logs):
@@ -216,16 +221,18 @@ def joint_posterior(W):
     """Normalize per-replicate joint posteriors on the columns with mass.
 
     ``W`` is the (N, S) log joint table (log density plus log prior), as
-    ``CovStructure.loglik_table`` returns it; it is consumed in place.
-    Each row is shifted by its maximum m before exponentiating.  Shifted
-    entries below log(tiny) (about -708.4) are not exponentiated: a clip
-    at 0 writes them as exact 0 instead of their subnormal or underflowed
+    ``CovStructure.loglik_table`` returns it; it is overwritten.  Each row
+    is shifted by its maximum m before exponentiating.  Shifted entries
+    below log(tiny) (about -708.4) are not exponentiated: a clip at 0
+    writes them as exact 0 instead of their subnormal or underflowed
     exponentials, and ``Z`` (at least 1) and the log-likelihood do not
-    change.  A state vector whose entries are all below that in every row
-    has no posterior mass, so one compare pass, W >= m + log(tiny) - 1,
-    finds the candidate columns first (the 1 covers the rounding of the
-    shift), and the shift, ``exp``, clip, sum and division run on those
-    only.  Candidates the exact rule zeroes in every row are dropped last.
+    change.  A state vector whose shifted entries are all below that has
+    no posterior mass, so one compare pass, W >= m + log(tiny) - 1, finds
+    the candidate columns first (the 1 covers the rounding of the shift).
+    Only those are gathered and shifted, and those whose shifted entries
+    are all below log(tiny) are dropped before the ``exp``, clip, sum and
+    division.  Besides ``W``, at most one table of gathered columns is
+    alive at a time.
 
     Returns
     -------
@@ -258,18 +265,24 @@ def joint_posterior(W):
     cols = np.flatnonzero(np.any(W >= floor[:, None], axis=0))
     # np.take: several times faster here than W[:, cols]
     P = W if cols.size == W.shape[1] else np.take(W, cols, axis=1)
-    del W       # frees the full table unless the caller still holds it
     P -= m[:, None]
+    live = np.any(P >= _LOG_TINY, axis=0)
+    if not live.all():
+        # gather the live columns from W once the candidates' gather is
+        # freed, so that W and one gather are all that is alive (W itself
+        # is shifted already if every column was a candidate)
+        cols = cols[live]
+        shifted = P is W
+        del P
+        P = np.take(W, cols, axis=1)
+        if not shifted:
+            P -= m[:, None]
     np.exp(P, out=P, where=P >= _LOG_TINY)
     # exponentials are at least tiny > 0; the entries left unexponentiated
     # are below _LOG_TINY < 0 (or -inf), so one clip writes their zeros
     np.maximum(P, 0.0, out=P)
     Z = P.sum(axis=1)
     P /= Z[:, None]
-    live = np.flatnonzero(state_mass(P))
-    if live.size < cols.size:
-        P = np.take(P, live, axis=1)
-        cols = cols[live]
     return P, m + np.log(Z), cols
 
 

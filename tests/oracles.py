@@ -100,12 +100,14 @@ def joint_posterior_dense(loglik, logprior):
 
 
 def log_prior_dense(prior):
-    """The (S,) or (N, S) log prior table of a ``log_prior_table`` result;
-    the covariate model's factor pair (L, R) is multiplied out."""
-    if isinstance(prior, tuple):
-        L, R = prior
-        return L @ R.T
-    return prior
+    """The log prior table of a ``log_prior_table`` factor pair (L, R),
+    multiplied out: (S,) if L has one row, shared by every replicate
+    (iid, markov), else (N, S).  An array is returned as it is."""
+    if not isinstance(prior, tuple):
+        return prior
+    L, R = prior
+    table = L @ R.T
+    return table[0] if L.shape[0] == 1 else table
 
 
 def joint_posterior_scattered(loglik, logprior):

@@ -210,7 +210,7 @@ def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
 
 def test_oversized_structured_fit_exits_with_validation_code(tmp_path,
                                                              monkeypatch):
-    """A homog_ri fit of 40 replicates at n = 25 is estimated at 59.6 GiB:
+    """A homog_ri fit of 40 replicates at n = 25 is estimated at 60.8 GiB:
     refused before anything is allocated, with the estimate in the
     message."""
     monkeypatch.setattr(latent, "memory_budget", lambda: 2 ** 33)
@@ -223,7 +223,7 @@ def test_oversized_structured_fit_exits_with_validation_code(tmp_path,
     assert rc == 2
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "EnumerationTooLarge"
-    assert "N = 40" in err["message"] and "59.6 GiB" in err["message"]
+    assert "N = 40" in err["message"] and "60.8 GiB" in err["message"]
 
 
 def test_malformed_csv_exits_with_validation_code(tmp_path):

@@ -218,19 +218,26 @@ def test_structure_validation():
 
 
 def test_unrestricted_structure_refuses_v_past_the_conditioning_limit():
-    """cond(V) above 1e-8 / eps: the expanded quadratic form's rounding
-    would exceed the ascent check's tolerance."""
+    """cond(C) above 1e-8 / eps, C the correlation matrix of V: the
+    expanded quadratic form's rounding would exceed the ascent check's
+    tolerance.  Rescaling V's coordinates changes neither, so a diagonal V
+    with a variance ratio of 1e8 is accepted."""
     limit = 1e-8 / np.finfo(float).eps
-    rng = np.random.default_rng(5)
-    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    n = 5
+    scale = np.geomspace(1.0, 1e4, n)
+    CovStructure("unrestricted",
+                 UnrestrictedParams(V=np.diag(scale ** 2)), n)
     for cond, ok in ((0.99 * limit, True), (1.01 * limit, False)):
-        V = (Q * np.geomspace(1.0, 1.0 / cond, 5)) @ Q.T
-        V = 0.5 * (V + V.T)
+        # equicorrelation rho: eigenvalues 1 + (n - 1) rho and 1 - rho
+        rho = (cond - 1.0) / (cond + n - 1.0)
+        C = (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
+        V = scale[:, None] * C * scale[None, :]
         if ok:
-            CovStructure("unrestricted", UnrestrictedParams(V=V), 5)
+            CovStructure("unrestricted", UnrestrictedParams(V=V), n)
             continue
-        with pytest.raises(NotSPD, match=r"condition number 4.5\de\+07"):
-            CovStructure("unrestricted", UnrestrictedParams(V=V), 5)
+        with pytest.raises(NotSPD, match=r"correlation matrix has "
+                           r"condition number 4.5\de\+07"):
+            CovStructure("unrestricted", UnrestrictedParams(V=V), n)
 
 
 def random_posterior(rng, N, S):

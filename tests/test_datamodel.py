@@ -100,8 +100,8 @@ def test_validate_enumeration_cap(monkeypatch):
 
 
 def test_validate_budget_scales_with_replicates(monkeypatch):
-    """At n = 20, markov x homog_ri fits are estimated at 3.1 GiB
-    (N = 100) and 7.79 GiB (N = 300): a 3.9 GiB budget admits the first
+    """At n = 20, markov x homog_ri fits are estimated at 3.2 GiB
+    (N = 100) and 8.08 GiB (N = 300): a 3.9 GiB budget admits the first
     and refuses the second, and validate allocates no table of either
     size."""
     monkeypatch.setattr(latent, "memory_budget", lambda: int(3.9 * 2 ** 30))
@@ -111,7 +111,7 @@ def test_validate_budget_scales_with_replicates(monkeypatch):
     try:
         dm.validate(small, *specs)
         with pytest.raises(EnumerationTooLarge,
-                           match="N = 300, n = 20 needs about 7.79 GiB"):
+                           match="N = 300, n = 20 needs about 8.08 GiB"):
             dm.validate(large, *specs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -326,12 +326,14 @@ LATENT_PARAMS = {
 @pytest.mark.parametrize("cov_kind", list(STRUCTURED_PARAMS))
 def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
     """The E-step builds the log joint in one augmented GEMM, normalizes
-    only its candidate columns and keeps the columns with mass and their
-    state vectors.  The dense route builds the log densities, adds the row
-    and column terms and an (N, S) prior table, normalizes every column
-    and takes the columns with mass last.  Both keep the same columns with
-    the same probabilities, and every consumer on (step.joint, step.enum)
-    matches the dense table on the full enumeration.  At noise 1 every
+    only its columns with mass and keeps those and their state vectors:
+    its joint is, bit for bit, ``joint_posterior`` of the package's
+    ``loglik_table``.  The dense route builds the log densities, adds the
+    row and column terms and an (N, S) prior table, normalizes every
+    column and takes the columns with mass last.  Both keep the same
+    columns with the same probabilities up to the rounding of the GEMM's
+    sum, and every consumer on (step.joint, step.enum) matches the dense
+    table on the full enumeration.  At noise 1 every
     state vector keeps mass, as in a fit's first E-step; at noise 0.03
     against a state gap of 1, a state vector two points off a replicate's
     own is below log(tiny)."""
@@ -339,7 +341,9 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
                                         update_nonhomog_ri,
                                         update_unrestricted)
     from switchcurve.inference import louis_information_generic
-    from switchcurve.latent import marginals_from_joint, pairwise_from_joint
+    from switchcurve.latent import (joint_posterior, log_prior_table,
+                                    marginals_from_joint,
+                                    pairwise_from_joint)
 
     n, N, J, K = 8, 6, 2, 5
     _, B, R = design(n, K)
@@ -356,8 +360,16 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
         step = e_step(data, f, theta, spec, cspec, enum=enum)
 
         structure = make_structure(cspec, cov, n)
+        E2 = enum.onehot[:, :, 1] if cov_kind == "nonhomog_ri" else None
+        own, own_ll, own_cols = joint_posterior(structure.loglik_table(
+            data.y, gather_curves(f, enum.states), E2=E2,
+            prior=log_prior_table(enum, spec, alpha,
+                                  covariates=data.covariates)))
+        np.testing.assert_array_equal(step.joint, own)
+        np.testing.assert_array_equal(step.loglik, own_ll)
         dense, ll, cols = enumeration_joint_dense(data, f, theta, spec,
                                                   cspec, enum)
+        np.testing.assert_array_equal(own_cols, cols)
         if lat_kind == "markov-zero":
             assert 0 < cols.size < enum.size // 2
         elif noise == 1.0:
@@ -414,14 +426,15 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
 
 def test_collapsing_unrestricted_covariance_raises_not_spd():
     """A markov x unrestricted fit whose V collapses onto a subspace: the
-    objective climbs without bound while cond(V) grows, until the expanded
-    quadratic form can no longer resolve the ascent check.  The fit stops
-    with NotSPD naming the condition number and the ECM iteration, not a
-    MonotonicityViolation read off rounding."""
+    objective climbs without bound while V's conditioning grows, until the
+    expanded quadratic form can no longer resolve the ascent check.  The
+    fit stops with NotSPD naming the condition number and the ECM
+    iteration, not a MonotonicityViolation read off rounding."""
     design = sim.SimDesign(kind="markov", N=20, x=np.linspace(1, 100, 14))
     data = sim.generate_dataset(design, 3)[0]
-    with pytest.raises(NotSPD, match=r"ECM iteration \d+: V has condition "
-                       r"number [0-9.]+e\+0[78], beyond the 4.5e\+07"):
+    with pytest.raises(NotSPD, match=r"ECM iteration \d+: V's correlation "
+                       r"matrix has condition number [0-9.]+e\+0[78], "
+                       r"beyond the 4.5e\+07"):
         ecm_fit(data, LatentSpec(kind="markov", J=2),
                 CovSpec(kind="unrestricted"), lambdas=LAM)
 

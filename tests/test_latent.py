@@ -205,8 +205,8 @@ def test_logistic_probs_match_scalar_softmax():
 
 def test_iid_prior_table_uniform():
     enum = enumerate_states(10, 2)
-    table = log_prior_table(enum, LatentSpec(kind="iid", J=2),
-                            IIDParams(p=[0.5, 0.5]))
+    table = log_prior_dense(log_prior_table(
+        enum, LatentSpec(kind="iid", J=2), IIDParams(p=[0.5, 0.5])))
     assert table.shape == (1024,)
     np.testing.assert_allclose(table, -10.0 * math.log(2.0), atol=1e-12)
 
@@ -215,10 +215,12 @@ def test_prior_table_matches_single_vector_evaluation():
     rng = np.random.default_rng(7)
     enum = enumerate_states(4, 3)
     p = rng.dirichlet(np.ones(3))
-    table = log_prior_table(enum, LatentSpec(kind="iid", J=3), IIDParams(p=p))
+    table = log_prior_dense(log_prior_table(
+        enum, LatentSpec(kind="iid", J=3), IIDParams(p=p)))
     pi, A = random_stochastic(rng, 3)
     mk = MarkovParams(pi=pi, A=A)
-    mtable = log_prior_table(enum, LatentSpec(kind="markov", J=3), mk)
+    mtable = log_prior_dense(log_prior_table(
+        enum, LatentSpec(kind="markov", J=3), mk))
     for s in range(0, enum.size, 7):
         vec = enum.states[s]
         assert table[s] == pytest.approx(
@@ -248,14 +250,15 @@ def test_prior_table_matches_single_vector_evaluation():
 
 def test_prior_table_zero_probabilities_give_neginf_not_nan():
     enum = enumerate_states(3, 2)
-    table = log_prior_table(enum, LatentSpec(kind="iid", J=2),
-                            IIDParams(p=[1.0, 0.0]))
+    table = log_prior_dense(log_prior_table(
+        enum, LatentSpec(kind="iid", J=2), IIDParams(p=[1.0, 0.0])))
     assert not np.any(np.isnan(table))
     assert table[0] == 0.0                     # the all-state-1 vector
     assert np.all(np.isneginf(table[1:]))
 
     frozen = MarkovParams(pi=[0.5, 0.5], A=np.eye(2))
-    mtable = log_prior_table(enum, LatentSpec(kind="markov", J=2), frozen)
+    mtable = log_prior_dense(log_prior_table(
+        enum, LatentSpec(kind="markov", J=2), frozen))
     assert not np.any(np.isnan(mtable))
     const = [0, 7]                             # (0,0,0) and (1,1,1)
     np.testing.assert_allclose(mtable[const], math.log(0.5), atol=1e-15)
@@ -303,10 +306,10 @@ def test_joint_posterior_all_zero_likelihood_raises():
 def test_joint_posterior_zeroes_exactly_the_subnormal_entries(per_replicate):
     """Shifted log weights below -745 (exp underflows to 0), in
     [-745, log tiny) (subnormal) and in [log tiny, 0] (normal), with -inf
-    prior entries: the first two bands come out as exact 0, the third as
-    the dense oracle's.  Columns with no entry in the third band are
-    dropped, including those the candidate pass keeps because some entry
-    lies within 1 below log tiny."""
+    prior entries: the first two bands come out as exact 0, the third bit
+    for bit as an oracle's normalized over the same columns.  Columns with
+    no entry in the third band are dropped, including those the candidate
+    pass keeps because some entry lies within 1 below log tiny."""
     rng = np.random.default_rng(29)
     N = 5
     shifted = np.concatenate([rng.uniform(-1000.0, -745.5, (N, 200)),
@@ -338,9 +341,12 @@ def test_joint_posterior_zeroes_exactly_the_subnormal_entries(per_replicate):
     full = np.zeros_like(want_P)
     full[:, cols] = P
     assert np.all(full[~live] == 0.0) and np.all(full[live] > 0.0)
-    # each exponential is the oracle's bit for bit; the normalizer sums
-    # the candidate columns only, in another order, so it may differ in
-    # the last few bits
+    # np.take keeps C order (total[:, cols] would not), so each row sums
+    # in the package's order
+    same_P, same_ll = joint_posterior_full(np.take(total, cols, axis=1),
+                                           np.zeros(cols.size))
+    np.testing.assert_array_equal(P, same_P)
+    np.testing.assert_array_equal(ll, same_ll)
     np.testing.assert_allclose(full[live], want_P[live], rtol=1e-14, atol=0)
     np.testing.assert_allclose(ll, want_ll, rtol=0.0, atol=1e-15)
 
@@ -359,8 +365,20 @@ def test_joint_posterior_keeps_the_dense_columns_at_any_offset():
     np.testing.assert_array_equal(cols,
                                   np.flatnonzero(want_P.any(axis=0)))
     np.testing.assert_array_equal(P == 0, want_P[:, cols] == 0)
+    np.testing.assert_array_equal(
+        P, joint_posterior_full(np.take(W, cols, axis=1),
+                                np.zeros(cols.size))[0])
     np.testing.assert_allclose(P, want_P[:, cols], rtol=1e-15, atol=0)
     np.testing.assert_allclose(ll, want_ll, rtol=1e-15, atol=0)
+
+    # every column a candidate and two of them dead: the live ones come
+    # from the table the shift has overwritten, and are not shifted twice
+    W = np.array([[0.0, LOG_TINY - 0.5, LOG_TINY, LOG_TINY - 1.0]]) - 5.0
+    P, ll, cols = joint_posterior(W.copy())
+    np.testing.assert_array_equal(cols, [0, 2])
+    want_P, want_ll = joint_posterior_full(W[:, cols], np.zeros(2))
+    np.testing.assert_array_equal(P, want_P)
+    np.testing.assert_array_equal(ll, want_ll)
 
 
 @pytest.mark.parametrize("loglik_entry,prior_entry", [
