@@ -94,10 +94,17 @@ def _write_error(out, exc):
                          dm.dumps_json(doc))
 
 
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecMismatch(f"{path} is not valid JSON: {exc}") from None
+
+
 def _load_inputs(args):
     dataset = dm.read_dataset_csv(args.data)
-    with open(args.config) as fh:
-        cfg = dm.parse_config(json.load(fh))
+    cfg = dm.parse_config(_read_json(args.config))
     return dataset, cfg
 
 
@@ -129,8 +136,7 @@ def _run_cv(dataset, cfg):
 
 def _cmd_classify(args):
     dataset = dm.read_dataset_csv(args.data)
-    with open(args.fit) as fh:
-        saved, latent, cov = dm.report_from_dict(json.load(fh))
+    saved, latent, cov = dm.report_from_dict(_read_json(args.fit))
     if dataset.n_points != saved.x.size or np.max(
             np.abs(dataset.x - saved.x)) > 1e-9:
         raise SpecMismatch(
@@ -147,6 +153,8 @@ def _cmd_classify(args):
 def _cmd_simulate(args):
     design = sim_mod.stock_design(args.design)
     if args.N is not None:
+        if args.N < 1:
+            raise SpecMismatch(f"--N must be at least 1, got {args.N}")
         design.N = args.N
     dataset, z = sim_mod.generate_dataset(design, seed=args.seed)
     dm.write_dataset_csv(dataset, os.path.join(args.out, "data.csv"))
@@ -165,6 +173,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_simstudy(args):
+    if args.reps < 2:
+        raise SpecMismatch(
+            f"--reps must be at least 2 for a standard deviation, got "
+            f"{args.reps}")
     design = sim_mod.stock_design(args.design)
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     study = sim_mod.run_study(design, n_reps=args.reps, seed=args.seed,

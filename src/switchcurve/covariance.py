@@ -7,18 +7,21 @@ only) adds a second intercept acting on the state-2 points of each
 replicate, V_s = sigma2 (I + d1 11' + d2 u_s u_s').
 
 Structured kinds never materialize V: inverses and log-determinants use
-the rank-one (Sherman-Morrison) or rank-two (Woodbury) identities.  For
-nonhomog_ri, V_s^{-1} is I / sigma2 less a rank-two term whose 2 x 2 core
-depends on the state vector only through its number of state-2 points, so
-no per-state-vector matrix is ever formed.
+the Sherman-Morrison identity.  nonhomog_ri is homog_ri at d = d1 plus the
+rank-one term sigma2 d2 u_s u_s', so V_s^{-1} is homog_ri's inverse less
+h_s u~_s u~_s' and log det V_s is homog_ri's plus log D_m, where the
+scalars h_s and D_m depend on the state vector only through its number m
+of state-2 points (``CovStructure.state_terms``).
 
 Log-density tables over enumerated state vectors come from one (N, S)
 matrix product, never from an (N, S, n) residual tensor: the inner
 dimension is augmented so that the product
 [y V^{-1}, row, 1, L] [Fs, 1, col, R]' also adds the per-replicate (row)
 and per-state-vector (col) terms and the log prior, given as the factor
-pair (L, R).  For nonhomog_ri the Woodbury term, from the sums 1'r and
-u_s'r, is added to that table in place.  The M-step statistics are products with the joint
+pair (L, R).  For nonhomog_ri, V^{-1} and the log determinant are the
+shared homog_ri parts, and the rank-one term h_s (u~_s'r)^2 / 2 is one
+more (N, S) table, a product with u~ squared in place, added to the
+first.  The M-step statistics are products with the joint
 posterior table P (P Fs, P'y, P'1) rather than (N, S) residual tables.
 
 Every M-step is closed form except nonhomog_ri's.  There sigma2 profiles
@@ -86,15 +89,17 @@ class CovStructure:
                     "log densities still resolve the ascent check")
             self._logdet = 2.0 * np.sum(np.log(np.diag(self._chol)))
 
-    # -- whole-matrix views (state-independent kinds only) ------------------
+    # -- whole-matrix views --------------------------------------------------
 
     def vinv(self):
-        """Dense V^{-1}, shape (n, n)."""
+        """Dense V^{-1}, shape (n, n); for nonhomog_ri the homog_ri inverse
+        at d = d1 that every V_s^{-1} shares (see ``state_terms``)."""
         p, n = self.params, self.n
         if self.kind == "iso_diag":
             return np.eye(n) / p.sigma2
-        if self.kind == "homog_ri":
-            c = p.d / (1.0 + n * p.d)
+        if self.kind in ("homog_ri", "nonhomog_ri"):
+            d = self._d_shared()
+            c = d / (1.0 + n * d)
             return (np.eye(n) - c * np.ones((n, n))) / p.sigma2
         if self.kind == "unrestricted":
             Li = np.linalg.solve(self._chol, np.eye(n))
@@ -102,39 +107,34 @@ class CovStructure:
         raise ValueError(f"{self.kind} has state-dependent V")
 
     def logdet(self):
+        """log det V; for nonhomog_ri the homog_ri part at d = d1."""
         p, n = self.params, self.n
         if self.kind == "iso_diag":
             return n * np.log(p.sigma2)
-        if self.kind == "homog_ri":
-            return n * np.log(p.sigma2) + np.log(1.0 + n * p.d)
+        if self.kind in ("homog_ri", "nonhomog_ri"):
+            return n * np.log(p.sigma2) + np.log(1.0 + n * self._d_shared())
         if self.kind == "unrestricted":
             return self._logdet
         raise ValueError(f"{self.kind} has state-dependent V")
 
-    def vinv_shared(self):
-        """V^{-1} of the state-independent kinds; for nonhomog_ri the
-        I / sigma2 that every V_s^{-1} shares, less its rank-two term
-        (``intercept_cores``)."""
-        if self.kind == "nonhomog_ri":
-            return np.eye(self.n) / self.params.sigma2
-        return self.vinv()
+    def _d_shared(self):
+        p = self.params
+        return p.d1 if self.kind == "nonhomog_ri" else p.d
 
-    def intercept_cores(self):
-        """(n+1, 2, 2) Woodbury cores of nonhomog_ri, one per m = 0..n.
+    def state_terms(self, E2):
+        """nonhomog_ri's rank-one terms for the state vectors of ``E2``.
 
-        With U_s = [1, u_s] and C = diag(d1, d2),
-        V_s^{-1} = (I - U_s H_m U_s') / sigma2, where the core
-        H_m = C (I + U_s'U_s C)^{-1} depends on the state vector only
-        through m = |u_s|.
+        With c = d1 / (1 + n d1), m_s = |u_s|, u~_s = u_s - c m_s 1 and
+        D_m = 1 + d2 m (1 - c m) >= 1, Sherman-Morrison gives
+        V_s^{-1} = vinv() - h_s u~_s u~_s' with h_s = d2 / (sigma2 D_m),
+        and log det V_s = logdet() + log D_m.  Returns
+        ``(c m (S,), h (S,), log D_m (S,))``.
         """
-        p, n = self.params, self.n
-        m = np.arange(n + 1.0)
-        det = _ri_det(n, m, p.d1, p.d2)
-        H = np.empty((n + 1, 2, 2))
-        H[:, 0, 0] = p.d1 * (1.0 + m * p.d2) / det
-        H[:, 0, 1] = H[:, 1, 0] = -p.d1 * p.d2 * m / det
-        H[:, 1, 1] = p.d2 * (1.0 + n * p.d1) / det
-        return H
+        p = self.params
+        m = E2.sum(axis=1)
+        cm = p.d1 / (1.0 + self.n * p.d1) * m
+        D = 1.0 + p.d2 * m * (1.0 - cm)
+        return cm, p.d2 / (p.sigma2 * D), np.log(D)
 
     # -- log densities -------------------------------------------------------
 
@@ -158,8 +158,10 @@ class CovStructure:
         One GEMM writes the table: [yV, row, 1, L] @ [Fc, 1, col, R]' holds
         the cross term y V^{-1} Fs', the per-replicate (row) and
         per-state-vector (col) terms of the quadratic form and the log
-        determinant, and the log prior L R'.  The result is a fresh table
-        the caller owns.
+        determinant, and the log prior L R'.  For nonhomog_ri these are
+        the shared homog_ri terms, and a second (N, S) table adds the
+        rank-one term (``state_terms``).  The result is a fresh table the
+        caller owns.
 
         Parameters
         ----------
@@ -173,7 +175,7 @@ class CovStructure:
             ``latent.log_prior_table`` returns: L (N, c) or, shared by
             every replicate, (1, c), and R (S, c).
         """
-        p, n = self.params, self.n
+        n = self.n
         if self.kind == "state_diag":
             # state_diag factorizes over points; contract the pointwise
             # table with the caller's state one-hots instead.
@@ -187,46 +189,33 @@ class CovStructure:
         left = np.empty((y.shape[0], n + 2 + c))
         right = np.empty((Fs.shape[0], n + 2 + c))
         yc, Fc = _centered(y, Fs, out=right[:, :n])
-        Vi = self.vinv_shared()
-        ld = n * np.log(p.sigma2) if nonhomog else self.logdet()
+        Vi = self.vinv()
         yV = np.matmul(yc, Vi, out=left[:, :n])
-        left[:, n] = -0.5 * (np.einsum("ki,ki->k", yV, yc) + ld
+        left[:, n] = -0.5 * (np.einsum("ki,ki->k", yV, yc) + self.logdet()
                              + n * LOG_2PI)
         left[:, n + 1] = right[:, n] = 1.0
         col = right[:, n + 1]
         col[:] = -0.5 * np.einsum("si,si->s", Fc @ Vi, Fc)
         if nonhomog:
-            col -= 0.5 * np.log(_ri_det(n, E2.sum(axis=1), p.d1, p.d2))
+            cm, h, logD = self.state_terms(E2)
+            col -= 0.5 * logD
         if c:
             left[:, n + 2:], right[:, n + 2:] = prior
         out = left @ right.T
         if nonhomog:
-            out += self._intercept_quad(yc, Fc, E2)
+            # + h_s (u~_s'(y_k - Fs_s))^2 / 2, in one more (N, S) table
+            U = E2 - cm[:, None]
+            q = yc @ U.T
+            q -= np.einsum("si,si->s", U, Fc)
+            q *= q
+            q *= 0.5 * h
+            out += q
         return out
-
-    def _intercept_quad(self, yc, Fc, E2):
-        """(N, S) table of (t1, t2) H_m (t1, t2)' / (2 sigma2), with
-        t1 = 1'r and t2 = u_s'r: the nonhomog_ri Woodbury term."""
-        H = self.intercept_cores()[E2.sum(axis=1).astype(int)]
-        t1 = np.subtract.outer(yc.sum(axis=1), Fc.sum(axis=1))
-        t2 = yc @ E2.T
-        t2 -= np.einsum("si,si->s", E2, Fc)[None, :]
-        q = t1 * t2
-        q *= 2.0 * H[:, 0, 1]
-        t1 *= t1
-        t1 *= H[:, 0, 0]
-        q += t1
-        del t1
-        t2 *= t2
-        t2 *= H[:, 1, 1]
-        q += t2
-        q *= 0.5 / self.params.sigma2
-        return q
 
 
 def _ri_det(n, m, d1, d2):
-    """det(I + U'U C) for nonhomog_ri with m state-2 points; V_s has
-    determinant sigma2**n times this."""
+    """det(V_s) / sigma2**n = (1 + n d1) D_m for nonhomog_ri with m
+    state-2 points (see ``CovStructure.state_terms``)."""
     return (1.0 + n * d1) * (1.0 + m * d2) - m ** 2 * d1 * d2
 
 

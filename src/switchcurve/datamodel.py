@@ -318,8 +318,8 @@ def validate(dataset, latent_spec, cov_spec):
         # new log joint and one gather of its columns, with the boolean
         # mask of that gather's exp (``joint_posterior`` keeps no more
         # alive, whoever holds the log joint; tracemalloc 1.9-3.0;
-        # nonhomog_ri's Woodbury term adds three, 5.0-5.2)
-        tables = 6 if cov_spec.kind == "nonhomog_ri" else 3
+        # nonhomog_ri's rank-one term adds one, 3.1-3.3)
+        tables = 4 if cov_spec.kind == "nonhomog_ri" else 3
         refuse_over_budget(
             2 * enumeration_bytes(n, J) + (tables * 8 + 1) * N * int(J) ** n,
             f"a {latent_spec.kind} x {cov_spec.kind} fit at N = {N}, n = {n}")
@@ -604,22 +604,27 @@ def report_from_dict(doc):
 
     Returns (report, latent_spec, cov_spec).  Marginal posteriors live in
     posteriors.csv, not in the report, so the parsed report carries an
-    empty posterior table.
+    empty posterior table.  A document that lacks a key
+    ``report_to_dict`` writes, or holds a value of the wrong type, raises
+    ``SpecMismatch``.
     """
-    latent_spec = LatentSpec(kind=doc["model"]["latent"],
-                             J=len(doc["theta"]["phi"]))
-    cov_spec = CovSpec(kind=doc["model"]["covariance"])
-    theta = theta_from_dict(doc["theta"], latent_spec, cov_spec)
-    x = np.asarray(doc["x"], dtype=float)
-    report = FitReport(
-        theta=theta, knots=np.asarray(doc["knots"], dtype=float), x=x,
-        curves=np.asarray(doc["curves"], dtype=float),
-        posteriors=np.empty((0, x.size, theta.J)),
-        loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
-        iterations=int(doc["iterations"]),
-        converged=bool(doc["converged"]),
-        std_errors=doc.get("std_errors"),
-        warnings=list(doc.get("warnings", [])))
+    try:
+        latent_spec = LatentSpec(kind=doc["model"]["latent"],
+                                 J=len(doc["theta"]["phi"]))
+        cov_spec = CovSpec(kind=doc["model"]["covariance"])
+        theta = theta_from_dict(doc["theta"], latent_spec, cov_spec)
+        x = np.asarray(doc["x"], dtype=float)
+        report = FitReport(
+            theta=theta, knots=np.asarray(doc["knots"], dtype=float), x=x,
+            curves=np.asarray(doc["curves"], dtype=float),
+            posteriors=np.empty((0, x.size, theta.J)),
+            loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
+            iterations=int(doc["iterations"]),
+            converged=bool(doc["converged"]),
+            std_errors=doc.get("std_errors"),
+            warnings=list(doc.get("warnings", [])))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecMismatch(f"malformed fit document: {exc!r}") from None
     return report, latent_spec, cov_spec
 
 

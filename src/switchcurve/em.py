@@ -213,8 +213,11 @@ def general_normal_system(B, R, lambdas, y, cov, enum, P):
     A_jl = sum_s w_s (D_sj B)' V_s^{-1} (D_sl B) and
     b_j = sum_s (D_sj B)' V_s^{-1} ytil_s, with w = P'1, ytil = P'y and D_sj
     the state-j indicator matrix of state vector s.  nonhomog_ri writes
-    V_s^{-1} as I / sigma2 minus a rank-two Woodbury term (see
-    ``CovStructure.intercept_cores``).
+    V_s^{-1} as ``cov.vinv()`` less the rank-one h_s u~_s u~_s' (see
+    ``CovStructure.state_terms``), so with G[s] = vec_j (D_sj B)'u~_s it
+    subtracts G'(w h G) and G'(h u~'ytil).  u~_s is 1 - c m_s on state-2
+    points and -c m_s on the others, so block j of G[s] is
+    (D_sj B)'1 = (flat @ Bk)[s, block j] times [j = 2] - c m_s.
     """
     n, K = B.shape
     J = enum.J
@@ -222,7 +225,7 @@ def general_normal_system(B, R, lambdas, y, cov, enum, P):
     w = lat_mod.state_mass(P)
     ytil = lat_mod.replicate_sums(P, y)                 # (S, n)
 
-    Vi = cov.vinv_shared()
+    Vi = cov.vinv()
     E = enum.flat
     Pi = E.T @ (w[:, None] * E)
     Mexp = Pi.reshape(n, J, n, J) * Vi[:, None, :, None]
@@ -232,41 +235,19 @@ def general_normal_system(B, R, lambdas, y, cov, enum, P):
     agg = np.einsum("qi,qij->ij", Vi, C)
     b = np.einsum("ia,ij->ja", B, agg).reshape(JK)
     if cov.kind == "nonhomog_ri":
-        dA, db = _intercept_terms(B, cov, enum, w, ytil)
-        A -= dA
-        b -= db
+        E2 = enum.onehot[:, :, 1]
+        cm, h, _ = cov.state_terms(E2)
+        Bk = np.einsum("ia,jl->ijla", B, np.eye(J)).reshape(n * J, JK)
+        G = (E @ Bk).reshape(-1, J, K)
+        G *= ((np.arange(J) == 1) - cm[:, None])[:, :, None]
+        G = G.reshape(-1, JK)
+        uy = np.einsum("si,si->s", E2, ytil) - cm * ytil.sum(axis=1)
+        A -= G.T @ ((w * h)[:, None] * G)
+        b -= G.T @ (h * uy)
 
     for j in range(J):
         A[j * K:(j + 1) * K, j * K:(j + 1) * K] += 2.0 * lambdas[j] * R
     return A, b
-
-
-def _intercept_terms(B, cov, enum, w, ytil):
-    """The Woodbury part of the nonhomog_ri normal system.
-
-    G1[s] = vec_j (D_sj B)'1 is the (JK,) image of the intercept column of
-    U_s = [1, u_s]; the u_s column's image is G1[s] with every block but
-    state 2's zeroed, since u_s D_sj = D_sj [j = 2].  So the terms are
-    weighted Gram products of G1 and its state-2 block g.
-    """
-    n, K = B.shape
-    J = enum.J
-    H = cov.intercept_cores()[enum.counts[:, 1].astype(int)]   # (S, 2, 2)
-    Bk = np.einsum("ia,jl->ijla", B, np.eye(J)).reshape(n * J, J * K)
-    G1 = enum.flat @ Bk                                 # (S, JK)
-    g = G1[:, K:2 * K]
-    h11, h12, h22 = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
-    A = G1.T @ ((w * h11)[:, None] * G1)
-    cross = G1.T @ ((w * h12)[:, None] * g)             # (JK, K)
-    A[:, K:2 * K] += cross
-    A[K:2 * K, :] += cross.T
-    A[K:2 * K, K:2 * K] += g.T @ ((w * h22)[:, None] * g)
-    t1 = ytil.sum(axis=1)
-    t2 = np.einsum("si,si->s", enum.onehot[:, :, 1], ytil)
-    b = G1.T @ (h11 * t1 + h12 * t2)
-    b[K:2 * K] += g.T @ (h12 * t1 + h22 * t2)
-    s2 = cov.params.sigma2
-    return A / s2, b / s2
 
 
 def update_f_general(B, R, lambdas, y, cov, enum, P):

@@ -13,8 +13,9 @@ entry of the joint, including those the package writes as 0 because their
 exponentials fall below the smallest normal float.  ``loglik_table_dense``,
 ``joint_posterior_full`` and ``enumeration_joint_dense`` are the dense
 enumeration E-step the package's one-GEMM, live-column route replaced: a
-log-density GEMM plus separate row and column passes, the log prior added
-as an (N, S) table, every column normalized, and the columns with mass
+log-density GEMM plus separate row and column passes (for nonhomog_ri,
+each residual against its own dense V_s^{-1} instead), the log prior
+added as an (N, S) table, every column normalized, and the columns with mass
 taken last.  ``joint_posterior_scattered`` runs the package's
 ``joint_posterior`` on ``loglik + logprior`` and scatters the result back
 to all S columns.  ``gather_curves_fancy`` is the two-array fancy index
@@ -25,8 +26,8 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
-from switchcurve.covariance import (LOG_2PI, _centered, _ri_det,
-                                    make_structure, nonhomog_expected_term,
+from switchcurve.covariance import (LOG_2PI, _centered, make_structure,
+                                    nonhomog_expected_term,
                                     nonhomog_sufficient_stats)
 from switchcurve.em import EStep, gather_curves
 from switchcurve.errors import DegenerateLikelihood
@@ -149,20 +150,30 @@ def joint_posterior_full(loglik, logprior):
 
 
 def loglik_table_dense(cov, y, Fs, E2=None):
-    """(N, S) table of log N(y_k; Fs[s], V_s): the cross-term GEMM, then
-    the per-replicate and per-state-vector terms added as two passes."""
-    p, n = cov.params, cov.n
-    nonhomog = cov.kind == "nonhomog_ri"
+    """(N, S) table of log N(y_k; Fs[s], V_s).
+
+    nonhomog_ri: each residual y_k - Fs[s] against its state vector's own
+    dense inverse (``vinv_for_state``) and log determinant.  Other kinds:
+    the cross-term GEMM, then the per-replicate and per-state-vector terms
+    added as two passes.
+    """
+    n = cov.n
+    if cov.kind == "nonhomog_ri":
+        out = np.empty((y.shape[0], Fs.shape[0]))
+        for s in range(Fs.shape[0]):
+            Vi = vinv_for_state(cov.params, n, E2[s])
+            r = y - Fs[s]
+            ld = np.linalg.slogdet(Vi)[1]
+            out[:, s] = -0.5 * (np.einsum("ki,ij,kj->k", r, Vi, r) - ld
+                                + n * LOG_2PI)
+        return out
     yc, Fc = _centered(y, Fs)
-    Vi = cov.vinv_shared()
-    ld = n * np.log(p.sigma2) if nonhomog else cov.logdet()
+    Vi = cov.vinv()
     yV = yc @ Vi
-    row = -0.5 * (np.einsum("ki,ki->k", yV, yc) + ld + n * LOG_2PI)
+    row = -0.5 * (np.einsum("ki,ki->k", yV, yc) + cov.logdet()
+                  + n * LOG_2PI)
     col = -0.5 * np.einsum("si,si->s", Fc @ Vi, Fc)
     out = yV @ Fc.T
-    if nonhomog:
-        col -= 0.5 * np.log(_ri_det(n, E2.sum(axis=1), p.d1, p.d2))
-        out += cov._intercept_quad(yc, Fc, E2)
     out += row[:, None]
     out += col[None, :]
     return out

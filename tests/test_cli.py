@@ -286,6 +286,45 @@ def test_malformed_config_values_exit_with_validation_code(tmp_path,
     assert err["error"] == "SpecMismatch"
 
 
+def _fit_json_without(tmp_path, key):
+    data = write_data(tmp_path / "data.csv", N=4, n=6)
+    config = write_config(tmp_path / "config.json")
+    assert main(["fit", "--data", data, "--config", config,
+                 "--out", str(tmp_path / "fit")]) == 0
+    doc = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    del doc[key]
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
+    return ["classify", "--data", data, "--fit", str(tmp_path / "fit.json")]
+
+
+def _fit_with_config_text(tmp_path, text):
+    (tmp_path / "config.json").write_text(text)
+    return ["fit", "--data", write_data(tmp_path / "data.csv", N=4, n=6),
+            "--config", str(tmp_path / "config.json")]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: _fit_with_config_text(tmp, '{"latent": {"kind": "iid"'),
+    lambda tmp: _fit_json_without(tmp, "model"),
+    lambda tmp: _fit_json_without(tmp, "theta"),
+    lambda tmp: ["simulate", "--design", "1", "--N", "-3"],
+    lambda tmp: ["simulate", "--design", "1", "--N", "0"],
+    lambda tmp: ["simstudy", "--design", "1", "--reps", "0",
+                 "--threads", "1"],
+    lambda tmp: ["simstudy", "--design", "1", "--reps", "1",
+                 "--threads", "1"],
+], ids=["config-not-json", "fit-without-model", "fit-without-theta",
+        "simulate-negative-N", "simulate-zero-N", "simstudy-zero-reps",
+        "simstudy-one-rep"])
+def test_malformed_inputs_exit_with_validation_code(tmp_path, argv):
+    out = tmp_path / "out"
+    rc = main(argv(tmp_path) + ["--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "SpecMismatch"
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_numerical_failure_exits_with_code_three(tmp_path):
     # two replicates cannot support a 6 x 6 unrestricted V: the first
     # covariance M-step returns a singular matrix

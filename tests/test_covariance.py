@@ -85,10 +85,11 @@ def test_single_density_matches_dense_mvn(kind, make):
 def test_vinv_and_logdet_match_dense():
     rng = np.random.default_rng(1)
     n = 6
-    for kind, make in KINDS[:1] + KINDS[2:4]:    # the state-free kinds
+    # the state-free kinds, and nonhomog_ri's shared part: V at u = 0
+    for kind, make in KINDS[:1] + KINDS[2:]:
         params = make(rng, n)
         cov = make_structure(CovSpec(kind=kind), params, n)
-        V = dense_v(kind, params, n)
+        V = dense_v(kind, params, n, u=np.zeros(n))
         np.testing.assert_allclose(cov.vinv(), np.linalg.inv(V),
                                    rtol=1e-10, atol=1e-12)
         sign, ld = np.linalg.slogdet(V)
@@ -97,22 +98,24 @@ def test_vinv_and_logdet_match_dense():
 
     params = NonHomogRIParams(sigma2=0.4, d1=0.3, d2=1.7)
     cov = make_structure(CovSpec(kind="nonhomog_ri"), params, n)
-    cores = cov.intercept_cores()
+    E2 = np.tri(n + 1, n, -1)[:, ::-1]          # row m: m state-2 points
+    cm, h, logD = cov.state_terms(E2)
+    U = E2 - cm[:, None]                        # row m: u~ at m
     for m in range(n + 1):
-        u = np.zeros(n)
-        u[:m] = 1.0
+        u = E2[m]
+        assert u.sum() == m
         Vs = dense_v("nonhomog_ri", params, n, u=u)
         np.testing.assert_allclose(vinv_for_state(params, n, u),
                                    np.linalg.inv(Vs), rtol=1e-10, atol=1e-12)
-        U = np.column_stack([np.ones(n), u])
-        np.testing.assert_allclose(
-            (np.eye(n) - U @ cores[m] @ U.T) / params.sigma2,
-            np.linalg.inv(Vs), rtol=1e-10, atol=1e-12)
-        # the rank-two determinant factorization
-        det = (1.0 + n * params.d1) * (1.0 + m * params.d2) \
-            - m ** 2 * params.d1 * params.d2
+        # the rank-one (Sherman-Morrison) form
+        np.testing.assert_allclose(cov.vinv() - h[m] * np.outer(U[m], U[m]),
+                                   np.linalg.inv(Vs), rtol=1e-10, atol=1e-12)
         sign, ld = np.linalg.slogdet(Vs)
         assert sign == 1.0
+        assert cov.logdet() + logD[m] == pytest.approx(ld, rel=1e-12)
+        # the determinant factorization the M-step uses
+        det = (1.0 + n * params.d1) * (1.0 + m * params.d2) \
+            - m ** 2 * params.d1 * params.d2
         assert n * math.log(params.sigma2) + math.log(det) == \
             pytest.approx(ld, rel=1e-12)
 
@@ -139,6 +142,34 @@ def test_loglik_table_matches_per_pair_loop(kind, make):
             V = dense_v(kind, params, n, u=enum.states[s])
             want = multivariate_normal(mean=Fs[s], cov=V).logpdf(y[k])
             assert table[k, s] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_nonhomog_loglik_table_resolves_the_all_state_2_column():
+    """At u_s = 1 the two intercepts act as one, d = d1 + d2.  With
+    sigma2 small against d and the data 40 above the curves, the log
+    densities are near -2e5; the m = n column holds a long-double
+    reference built from the residuals to 1e-12 relative."""
+    n, N = 11, 5
+    p = NonHomogRIParams(sigma2=1e-4, d1=30.0, d2=10.0)
+    cov = make_structure(CovSpec(kind="nonhomog_ri"), p, n)
+    enum = enumerate_states(n, 2)
+    x = np.linspace(0.0, 1.0, n)
+    F = np.vstack([np.sin(2 * np.pi * x), 1.0 + x ** 2])
+    rng = np.random.default_rng(5)
+    y = F[1] + 40.0 + 0.01 * rng.standard_normal((N, n))
+    Fs = gathered_curves(F, enum.states)
+    s = int(np.flatnonzero(enum.counts[:, 1] == n)[0])
+    got = cov.loglik_table(y, Fs, E2=enum.onehot[:, :, 1])[:, s]
+
+    ld = np.longdouble
+    r = y.astype(ld) - Fs[s].astype(ld)
+    d = ld(p.d1) + ld(p.d2)
+    quad = ((r * r).sum(axis=1)
+            - d / (1 + n * d) * r.sum(axis=1) ** 2) / ld(p.sigma2)
+    want = -(quad + n * np.log(ld(p.sigma2)) + np.log(1 + n * d)
+             + n * np.log(2 * ld(np.pi))) / 2
+    assert np.all(np.abs(want) > 1e5)
+    np.testing.assert_allclose(got, want.astype(float), rtol=1e-12, atol=0)
 
 
 def test_loglik_table_guards():

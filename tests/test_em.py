@@ -220,8 +220,8 @@ def test_general_coefficient_update_solves_loop_system(kind, params):
 @pytest.mark.parametrize("n", [4, 7])
 @pytest.mark.parametrize("d1,d2", [(0.3, 1.1), (0.0, 0.7), (0.9, 0.0)])
 def test_nonhomog_normal_system_matches_state_vector_loop(n, d1, d2):
-    """The Woodbury Gram-product form against V_s^{-1} built per state
-    vector."""
+    """The rank-one (Sherman-Morrison) Gram-product form against V_s^{-1}
+    built per state vector."""
     rng = np.random.default_rng(40 + n)
     N, K, J = 6, min(n, 5), 2
     _, B, R = design(n, K)
