@@ -150,7 +150,13 @@ def _cmd_classify(args):
     _write_classified(args.out, step.marginals)
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise SpecMismatch(f"--seed must be non-negative, got {seed}")
+
+
 def _cmd_simulate(args):
+    _check_seed(args.seed)
     design = sim_mod.stock_design(args.design)
     if args.N is not None:
         if args.N < 1:
@@ -173,6 +179,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_simstudy(args):
+    _check_seed(args.seed)
     if args.reps < 2:
         raise SpecMismatch(
             f"--reps must be at least 2 for a standard deviation, got "

@@ -307,6 +307,7 @@ def nonhomog_sufficient_stats(P, y, Fs, E2):
     Q = replicate_sums(P, np.hstack([y, y.sum(axis=1)[:, None] * y]))
     Pu = np.einsum("si,si->s", E2, Q[:, :n])           # sum_k P u'y
     Ptu = np.einsum("si,si->s", E2, Q[:, n:])          # sum_k P 1'y u'y
+    del Q                                              # before the table
     yu = y @ E2.T                                      # the one (N, S) table
     yu *= yu
     Puu = np.einsum("ks,ks->s", P, yu)                 # sum_k P (u'y)^2

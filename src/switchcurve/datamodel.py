@@ -313,16 +313,36 @@ def validate(dataset, latent_spec, cov_spec):
     if violations:
         raise SpecMismatch("; ".join(violations))
     if not cov_spec.diagonal:
-        # enumeration + the E-step's copy of its live rows + the (N, J**n)
-        # float64 tables at a fit's peak: the previous E-step's joint, the
-        # new log joint and one gather of its columns, with the boolean
-        # mask of that gather's exp (``joint_posterior`` keeps no more
-        # alive, whoever holds the log joint; tracemalloc 1.9-3.0;
-        # nonhomog_ri's rank-one term adds one, 3.1-3.3)
-        tables = 4 if cov_spec.kind == "nonhomog_ri" else 3
         refuse_over_budget(
-            2 * enumeration_bytes(n, J) + (tables * 8 + 1) * N * int(J) ** n,
+            _fit_peak_bytes(N, n, J, latent_spec.kind, cov_spec.kind),
             f"a {latent_spec.kind} x {cov_spec.kind} fit at N = {N}, n = {n}")
+
+
+def _fit_peak_bytes(N, n, J, latent_kind, cov_kind):
+    """Estimated peak bytes of a structured-kind fit, as an exact int.
+
+    The enumeration twice (the cache and the E-step's copy of its live
+    rows); one (N, J**n) float64 table, the log joint that
+    ``joint_posterior`` normalizes in its own buffer, or two for
+    nonhomog_ri (its rank-one term, then its M-step's (u'y)^2 table); the
+    candidate pass's boolean mask; r float64 values per state vector, the
+    widest set of such rows alive at once: in the E-step the gathered
+    curves, the GEMM's right factor (n + 2 + c columns, c the prior's) and
+    one (S, n) product, or in the joint normal system P'y and the weighted
+    indicators, for nonhomog_ri also its two (S, J K) tables at the
+    largest K, n + 2; and the covariate Louis step's two (N, n, n) arrays.
+    """
+    J, n, N = int(J), int(n), int(N)
+    S = J ** n
+    c = n * J if latent_kind == "covariate" else 1
+    r = max(3 * n + 2 + c, n + n * J)
+    tables = 1
+    if cov_kind == "nonhomog_ri":
+        r = max(r, n + 2 * J * (n + 2))
+        tables = 2
+    louis = 16 * N * n * n if latent_kind == "covariate" else 0
+    return (2 * enumeration_bytes(n, J) + (8 * tables + 1) * N * S
+            + 8 * r * S + louis)
 
 
 # ---------------------------------------------------------------------------

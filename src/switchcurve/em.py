@@ -26,6 +26,7 @@ never explicit loops over state vectors.
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -230,7 +231,7 @@ def general_normal_system(B, R, lambdas, y, cov, enum, P):
     Pi = E.T @ (w[:, None] * E)
     Mexp = Pi.reshape(n, J, n, J) * Vi[:, None, :, None]
     A = np.einsum("ia,ijpq,pb->jaqb", B, Mexp, B,
-                  optimize=True).reshape(JK, JK)
+                  optimize=_normal_system_path(n, J, K)).reshape(JK, JK)
     C = (ytil.T @ E).reshape(n, n, J)        # sum_s ytil_sq D_s(i, j)
     agg = np.einsum("qi,qij->ij", Vi, C)
     b = np.einsum("ia,ij->ja", B, agg).reshape(JK)
@@ -248,6 +249,16 @@ def general_normal_system(B, R, lambdas, y, cov, enum, P):
     for j in range(J):
         A[j * K:(j + 1) * K, j * K:(j + 1) * K] += 2.0 * lambdas[j] * R
     return A, b
+
+
+@lru_cache(maxsize=32)
+def _normal_system_path(n, J, K):
+    """The contraction order of ``general_normal_system``'s A that
+    ``np.einsum(..., optimize=True)`` searches for, searched once per
+    shape: the search costs more than the contraction at these sizes."""
+    return np.einsum_path("ia,ijpq,pb->jaqb", np.empty((n, K)),
+                          np.empty((n, J, n, J)), np.empty((n, K)),
+                          optimize=True)[0]
 
 
 def update_f_general(B, R, lambdas, y, cov, enum, P):
@@ -461,6 +472,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
     # the last round only evaluates the objective
     for it in range(max_iter + 1):
         F = theta.phi @ B.T
+        step = None         # the previous E-step's tables go first
         try:
             step = e_step(dataset, F, theta, latent_spec, cov_spec,
                           enum=enum)

@@ -108,8 +108,9 @@ def _covariate_moments(P, enum, beta, covariates):
     for i in range(n):
         Q[:, i, :] = P @ (u * u[:, i:i + 1])
     e = ubar - mu
-    D = (Q - ubar[:, :, None] * ubar[:, None, :]
-         + e[:, :, None] * e[:, None, :])
+    D = Q                                                # in place
+    D -= ubar[:, :, None] * ubar[:, None, :]
+    D += e[:, :, None] * e[:, None, :]
     T2 = np.einsum("kip,kij,kjq->pq", X, D, X, optimize=True)
     gbar = np.einsum("kip,ki->kp", X, e)
     H = -np.einsum("ki,kip,kiq->pq", mu * (1 - mu), X, X)

@@ -9,25 +9,25 @@ State vectors are enumerated in a canonical order: index m written in base
 J, least significant digit first, so the state of the first grid point
 cycles fastest.  All posterior work happens in log space; each replicate's
 normalizer uses the log-sum-exp shift, which keeps the small-variance
-regimes of interest far from overflow.  Underflow is the common case there:
-most shifted log weights lie below log(tiny) = -708.4, where tiny is the
-smallest normal float, and their exponentials are subnormal or 0.  The
-joint posterior writes an exact 0 for them without calling ``exp``, which
-is several times slower on such arguments; the largest shifted weight is
-exp(0) = 1, so the normalizer and the log-likelihood do not change.  After
-the first E-steps of a fit most state vectors carry such zeros in every
-replicate (about 92% in the benchmark's n = 14 homog_ri fits).  So
-``joint_posterior`` takes the (N, S) log joint that
-``CovStructure.loglik_table`` builds in one GEMM (the log prior included:
-``log_prior_table`` returns it as a factor pair, the form that GEMM
-takes), finds the candidate columns in one compare pass, gathers and
-shifts those, drops the ones left below log(tiny), and exponentiates and
-normalizes the rest.  The E-step keeps the columns with mass and the
-matching enumeration rows (``StateEnumeration.take``); every summary below
-takes any such pair.  Summaries of the (N, S_live) joint posterior table
-are single matrix products with the enumeration's flat indicator tables;
-the Markov M-step's expected transition totals are one GEMV of the state
-mass P'1.
+regimes of interest far from overflow.  In those regimes nearly every state
+vector lies far below a replicate's largest log weight: the joint posterior
+keeps only entries within T = ln S + 36.8 of it and writes
+an exact 0 for the rest, which together hold at most e^-36.8 (about
+1.05e-16) of the replicate's total, under half an ulp of 1.  After the
+first E-step of a fit few state vectors keep an entry in any replicate
+(0.6% of 16384 in the benchmark's n = 14 homog_ri fits, 4.5% of 2048 in its
+n = 11 nonhomog_ri fits).  So ``joint_posterior`` takes the (N, S) log
+joint that ``CovStructure.loglik_table`` builds in one GEMM (the log prior
+included: ``log_prior_table`` returns it as a factor pair, the form that
+GEMM takes), finds the candidate columns in one compare pass, moves those
+to the front of the table's own buffer and shifts them, compacts away the
+ones left below the cut, and exponentiates and normalizes the rest: no
+second (N, S) table is made, and ``ecm_fit`` frees each E-step before the
+next.  The E-step keeps the columns with mass and the matching enumeration
+rows (``StateEnumeration.take``); every summary below takes any such pair.
+Summaries of the (N, S_live) joint posterior table are single matrix
+products with the enumeration's flat indicator tables; the Markov M-step's
+expected transition totals are one GEMV of the state mass P'1.
 """
 
 from dataclasses import dataclass
@@ -40,9 +40,10 @@ from .errors import DegenerateLikelihood, EnumerationTooLarge
 
 _OCCUPANCY_EPS = 1e-12
 
-# shifted log weights below this exponentiate to a subnormal or to 0; the
-# joint posterior writes 0 for them (exp(_LOG_TINY) itself is normal)
-_LOG_TINY = float(np.log(np.finfo(float).tiny))
+# the joint posterior keeps a replicate's entries within T = ln S + 36.8 of
+# its largest: the S - 1 or fewer it drops each weigh under e^-T of it, so
+# together under e^-36.8 (about 1.05e-16) of the replicate's total
+_CUT_NATS = 36.8
 
 # stopping rules of the covariate alpha M-step's Newton search
 _NEWTON_GRAD_TOL = 1e-10
@@ -221,18 +222,18 @@ def joint_posterior(W):
     """Normalize per-replicate joint posteriors on the columns with mass.
 
     ``W`` is the (N, S) log joint table (log density plus log prior), as
-    ``CovStructure.loglik_table`` returns it; it is overwritten.  Each row
-    is shifted by its maximum m before exponentiating.  Shifted entries
-    below log(tiny) (about -708.4) are not exponentiated: a clip at 0
-    writes them as exact 0 instead of their subnormal or underflowed
-    exponentials, and ``Z`` (at least 1) and the log-likelihood do not
-    change.  A state vector whose shifted entries are all below that has
-    no posterior mass, so one compare pass, W >= m + log(tiny) - 1, finds
-    the candidate columns first (the 1 covers the rounding of the shift).
-    Only those are gathered and shifted, and those whose shifted entries
-    are all below log(tiny) are dropped before the ``exp``, clip, sum and
-    division.  Besides ``W``, at most one table of gathered columns is
-    alive at a time.
+    ``CovStructure.loglik_table`` returns it; it is overwritten, and the
+    returned ``P`` is a view of its buffer.  Each row is shifted by its
+    maximum m.  Shifted entries below -T, T = ln S + 36.8, are not
+    exponentiated: a clip at 0 writes them as exact 0, and together they
+    would hold at most e^-36.8 of the row's total.  A state vector whose
+    shifted entries are all below -T has no posterior mass, so one
+    compare pass, W >= m - (T + 1), finds the candidate columns first
+    (the 1 covers the rounding of the shift).  Those are moved to the
+    front of ``W``'s own buffer and shifted, the ones whose shifted
+    entries are all below -T are compacted away likewise, and the rest are
+    exponentiated, clipped, summed and divided.  Besides ``W``, only
+    boolean masks and one row are alive at a time.
 
     Returns
     -------
@@ -257,33 +258,46 @@ def joint_posterior(W):
                 "likelihood")
         raise DegenerateLikelihood(
             f"replicate {k + 1}: non-finite log-likelihood")
-    # an entry below the floor has W - m < log(tiny) however the shift
-    # rounds: within 2 |log(tiny)| of m, W - m is exact once |m| exceeds
-    # that (and the floor, rounded to nearest, cannot pass such an entry),
-    # and off by less than 1e-13 elsewhere
-    floor = m + (_LOG_TINY - 1.0)
+    cut = -(float(np.log(W.shape[1])) + _CUT_NATS)
+    # rounding is monotone: a shift W - m that rounds to -T or above is
+    # exactly at least -(T + 1), so W is at or above the rounded floor
+    floor = m + (cut - 1.0)
     cols = np.flatnonzero(np.any(W >= floor[:, None], axis=0))
-    # np.take: several times faster here than W[:, cols]
-    P = W if cols.size == W.shape[1] else np.take(W, cols, axis=1)
+    P = _compact(W, cols)
     P -= m[:, None]
-    live = np.any(P >= _LOG_TINY, axis=0)
+    live = np.any(P >= cut, axis=0)
     if not live.all():
-        # gather the live columns from W once the candidates' gather is
-        # freed, so that W and one gather are all that is alive (W itself
-        # is shifted already if every column was a candidate)
         cols = cols[live]
-        shifted = P is W
-        del P
-        P = np.take(W, cols, axis=1)
-        if not shifted:
-            P -= m[:, None]
-    np.exp(P, out=P, where=P >= _LOG_TINY)
-    # exponentials are at least tiny > 0; the entries left unexponentiated
-    # are below _LOG_TINY < 0 (or -inf), so one clip writes their zeros
+        P = _compact(P, np.flatnonzero(live))
+    np.exp(P, out=P, where=P >= cut)
+    # the entries left unexponentiated are below cut < 0 (or -inf), so one
+    # clip writes their zeros
     np.maximum(P, 0.0, out=P)
     Z = P.sum(axis=1)
     P /= Z[:, None]
     return P, m + np.log(Z), cols
+
+
+def _compact(W, cols):
+    """Columns ``cols`` (ascending) of the C-ordered table ``W``, moved to
+    the front of its own buffer: the returned (N, cols.size) table is a
+    view of that buffer, and ``W`` is overwritten.
+
+    Row i is gathered into a one-row buffer, then written where it ends
+    before row i + 1 of ``W`` starts, so no row is overwritten before it
+    is read.
+    """
+    N, S = W.shape
+    k = cols.size
+    if k == S:
+        return W
+    flat = W.reshape(-1)
+    row = np.empty(k)
+    for i in range(N):
+        # cols holds valid indices, so "clip" only skips the bounds check
+        np.take(W[i], cols, out=row, mode="clip")
+        flat[i * k:(i + 1) * k] = row
+    return flat[:N * k].reshape(N, k)
 
 
 def state_mass(P):

@@ -9,8 +9,8 @@ diagonal covariance kinds, which the package runs pointwise or by
 forward-backward instead.  ``nonhomog_simplex_update`` is the derivative-
 free nonhomog_ri M-step (scipy's Nelder-Mead) that the package's profiled
 Newton search replaced.  ``joint_posterior_dense`` exponentiates every
-entry of the joint, including those the package writes as 0 because their
-exponentials fall below the smallest normal float.  ``loglik_table_dense``,
+entry of the joint, including those the package drops because they lie
+more than ln S + 36.8 below their row's largest.  ``loglik_table_dense``,
 ``joint_posterior_full`` and ``enumeration_joint_dense`` are the dense
 enumeration E-step the package's one-GEMM, live-column route replaced: a
 log-density GEMM plus separate row and column passes (for nonhomog_ri,
@@ -31,7 +31,7 @@ from switchcurve.covariance import (LOG_2PI, _centered, make_structure,
                                     nonhomog_sufficient_stats)
 from switchcurve.em import EStep, gather_curves
 from switchcurve.errors import DegenerateLikelihood
-from switchcurve.latent import (_LOG_TINY, joint_posterior, log_prior_table,
+from switchcurve.latent import (joint_posterior, log_prior_table,
                                 log_state_probs, state_mass)
 
 
@@ -84,8 +84,8 @@ def joint_posterior_dense(loglik, logprior):
     """Per-replicate joint posteriors with ``exp`` taken of every entry.
 
     The package's ``joint_posterior`` writes 0 where the shifted log weight
-    is below log(tiny); this form keeps the subnormal and underflowed
-    exponentials.  Returns ``(P, ll)``.
+    is below -(ln S + 36.8); this form keeps every exponential, subnormal
+    and underflowed ones included.  Returns ``(P, ll)``.
     """
     P = loglik + (logprior if logprior.ndim == 2 else logprior[None, :])
     m = np.max(P, axis=1)
@@ -123,14 +123,17 @@ def joint_posterior_scattered(loglik, logprior):
     return full, ll
 
 
-def joint_posterior_full(loglik, logprior):
+def joint_posterior_full(loglik, logprior, cut=None):
     """Per-replicate joint posteriors normalized over every column.
 
-    Entries whose shifted log weight is below log(tiny) are written as 0,
+    Entries whose shifted log weight is below -``cut`` are written as 0,
     the others as exp(shifted) / Z, with Z summed over all S columns.
-    Returns ``(P, ll)``; the inputs are not modified.
+    ``cut`` defaults to ln S + 36.8 for the table's S columns.  Returns
+    ``(P, ll)``; the inputs are not modified.
     """
     P = loglik + log_prior_dense(logprior)
+    if cut is None:
+        cut = np.log(P.shape[1]) + 36.8
     m = np.max(P, axis=1)
     bad = ~np.isfinite(m)
     if np.any(bad):
@@ -142,8 +145,9 @@ def joint_posterior_full(loglik, logprior):
         raise DegenerateLikelihood(
             f"replicate {k + 1}: non-finite log-likelihood")
     P -= m[:, None]
-    np.exp(P, out=P, where=P >= _LOG_TINY)
-    np.maximum(P, 0.0, out=P)
+    keep = P >= -cut
+    P[~keep] = 0.0
+    np.exp(P, out=P, where=keep)
     Z = P.sum(axis=1)
     P /= Z[:, None]
     return P, m + np.log(Z)

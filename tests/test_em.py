@@ -30,7 +30,9 @@ from switchcurve.errors import (BadInit, EnumerationTooLarge, NotSPD,
 from switchcurve.latent import enumerate_states
 
 from oracles import (enumerated_e_step, enumeration_joint_dense,
-                     gather_curves_fancy, nonhomog_normal_system_loop,
+                     gather_curves_fancy, joint_posterior_dense,
+                     joint_posterior_full, log_prior_dense,
+                     loglik_table_dense, nonhomog_normal_system_loop,
                      pairwise_einsum)
 
 LAM = 1e-4
@@ -242,6 +244,37 @@ def test_nonhomog_normal_system_matches_state_vector_loop(n, d1, d2):
                                atol=1e-12 * np.max(np.abs(b)))
 
 
+@pytest.mark.parametrize("kind,params", GENERAL_KINDS)
+@pytest.mark.parametrize("n", [4, 7])
+def test_normal_system_path_is_searched_once_per_shape(kind, params, n,
+                                                       monkeypatch):
+    """A and b with the contraction order cached per shape are bit for bit
+    those of a fresh ``optimize=True`` search on every call."""
+    from switchcurve import em
+    from switchcurve.covariance import make_structure
+    rng = np.random.default_rng(40 + n)
+    N, K, J = 6, min(n, 5), 2
+    _, B, R = design(n, K)
+    if kind == "unrestricted":
+        A0 = rng.standard_normal((n, n))
+        params = UnrestrictedParams(V=A0 @ A0.T + n * np.eye(n))
+    enum = enumerate_states(n, J)
+    y = rng.standard_normal((N, n)) + 3.0
+    P = rng.uniform(0.1, 1.0, (N, enum.size))
+    P /= P.sum(axis=1, keepdims=True)
+    cov = make_structure(CovSpec(kind=kind), params, n)
+    args = B, R, np.array([0.05, 0.4]), y, cov, enum, P
+    cached = general_normal_system(*args)
+    hits = em._normal_system_path.cache_info().hits
+    assert [np.array_equal(g, w) for g, w in
+            zip(general_normal_system(*args), cached)] == [True, True]
+    assert em._normal_system_path.cache_info().hits == hits + 1
+    monkeypatch.setattr(em, "_normal_system_path", lambda n, J, K: True)
+    searched = general_normal_system(*args)
+    for g, w in zip(cached, searched):
+        np.testing.assert_array_equal(g, w)
+
+
 @pytest.mark.parametrize("lat_kind", ["iid", "markov", "covariate"])
 @pytest.mark.parametrize("cov_kind", ["iso_diag", "state_diag"])
 def test_estep_diagonal_route_matches_enumeration(lat_kind, cov_kind):
@@ -333,10 +366,15 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
     column and takes the columns with mass last.  Both keep the same
     columns with the same probabilities up to the rounding of the GEMM's
     sum, and every consumer on (step.joint, step.enum) matches the dense
-    table on the full enumeration.  At noise 1 every
+    table on the full enumeration.  Entries more than T = ln S + 36.8
+    below their row's largest are exact zeros, the others are bit for bit
+    an oracle's with the same cut on the same columns, and each row drops
+    at most e^-36.8 of the uncut dense joint's mass.  At noise 1 every
     state vector keeps mass, as in a fit's first E-step; at noise 0.03
     against a state gap of 1, a state vector two points off a replicate's
-    own is below log(tiny)."""
+    own is below the cut; at noise 0.02 against a state gap of 0.14, 40
+    replicates put entries within 1 of the cut on both sides of it (and
+    no replicate's log-likelihood near 0, where rtol reads rounding)."""
     from switchcurve.covariance import (make_structure, update_homog_ri,
                                         update_nonhomog_ri,
                                         update_unrestricted)
@@ -345,15 +383,17 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
                                     marginals_from_joint,
                                     pairwise_from_joint)
 
-    n, N, J, K = 8, 6, 2, 5
+    n, J, K = 8, 2, 5
     _, B, R = design(n, K)
     alpha = LATENT_PARAMS[lat_kind]
     spec = LatentSpec(kind=lat_kind.split("-")[0], J=J)
     cspec = CovSpec(kind=cov_kind)
     enum = enumerate_states(n, J)
-    for noise in (0.03, 1.0):
+    for noise, spread, N in ((0.03, 1.0, 6), (0.02, 0.14, 40),
+                             (1.0, 1.0, 6)):
         rng = np.random.default_rng(14)
-        data, f, _ = two_state_data(seed=14, N=N, n=n, noise=noise, M=1)
+        data, f, _ = two_state_data(seed=14, N=N, n=n, spread=spread,
+                                    noise=noise, M=1)
         cov = STRUCTURED_PARAMS[cov_kind](noise ** 2)
         theta = Theta(phi=np.zeros((J, K)), latent=alpha, cov=cov,
                       lambdas=np.full(J, LAM))
@@ -361,20 +401,40 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
 
         structure = make_structure(cspec, cov, n)
         E2 = enum.onehot[:, :, 1] if cov_kind == "nonhomog_ri" else None
-        own, own_ll, own_cols = joint_posterior(structure.loglik_table(
-            data.y, gather_curves(f, enum.states), E2=E2,
-            prior=log_prior_table(enum, spec, alpha,
-                                  covariates=data.covariates)))
+        prior = log_prior_table(enum, spec, alpha,
+                                covariates=data.covariates)
+        W = structure.loglik_table(data.y, gather_curves(f, enum.states),
+                                   E2=E2, prior=prior)
+        own, own_ll, own_cols = joint_posterior(W.copy())
         np.testing.assert_array_equal(step.joint, own)
         np.testing.assert_array_equal(step.loglik, own_ll)
         dense, ll, cols = enumeration_joint_dense(data, f, theta, spec,
                                                   cspec, enum)
         np.testing.assert_array_equal(own_cols, cols)
+        T = np.log(enum.size) + 36.8
+        same, same_ll = joint_posterior_full(
+            np.take(W, cols, axis=1), np.zeros(cols.size), cut=T)
+        np.testing.assert_array_equal(step.joint, same)
+        np.testing.assert_array_equal(step.loglik, same_ll)
+        gap = W - W.max(axis=1, keepdims=True)
+        np.testing.assert_array_equal(step.joint == 0.0,
+                                      np.take(gap, cols, axis=1) < -T)
+        if N == 40:
+            assert np.any((gap >= -T - 1.0) & (gap < -T))
+            assert np.any((gap >= -T) & (gap < -T + 1.0))
+        uncut, _ = joint_posterior_dense(
+            loglik_table_dense(structure, data.y,
+                               gather_curves(f, enum.states), E2=E2),
+            log_prior_dense(prior))
+        kept = np.zeros(uncut.shape, dtype=bool)
+        kept[:, cols] = step.joint > 0.0
+        assert np.all(np.where(kept, 0.0, uncut).sum(axis=1)
+                      <= np.exp(-36.8))
         if lat_kind == "markov-zero":
             assert 0 < cols.size < enum.size // 2
         elif noise == 1.0:
             assert cols.size == enum.size
-        else:
+        elif noise == 0.03:
             assert 0 < cols.size < enum.size // 4
         np.testing.assert_array_equal(
             step.enum.states.astype(int) @ J ** np.arange(n), cols)
@@ -646,6 +706,31 @@ def test_validate_estimate_bounds_the_fits_peak_bytes(latent, cov,
             tracemalloc.stop()
         assert fit.std_errors is not None
         assert peak <= estimates[-1] <= 1.5 * peak, (N, n)
+
+
+@pytest.mark.parametrize("cov", ["homog_ri", "nonhomog_ri"])
+def test_validate_estimate_covers_small_fits(cov, monkeypatch):
+    """With fewer replicates than grid points the (S, n)-sized temporaries
+    of the E-step and the coefficient update outweigh the (N, S) tables:
+    the estimate still holds the tracemalloc peak of a Markov fit with
+    SEs from a cold enumeration cache."""
+    estimates = []
+    monkeypatch.setattr(dm, "refuse_over_budget",
+                        lambda need, what: estimates.append(need))
+    specs = LatentSpec(kind="markov", J=2), CovSpec(kind=cov)
+    for N, n in ((5, 13), (10, 12)):
+        design = sim.SimDesign(kind="markov", N=N, x=np.linspace(1, 100, n))
+        data = sim.generate_dataset(design, 3)[0]
+        ecm_fit(data, *specs, lambdas=LAM)
+        enumerate_states.cache_clear()
+        tracemalloc.start()
+        try:
+            fit = ecm_fit(data, *specs, lambdas=LAM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.std_errors is not None
+        assert peak <= estimates[-1], (N, n)
 
 
 def test_fit_refuses_oversized_enumeration(monkeypatch):

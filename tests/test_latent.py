@@ -28,8 +28,6 @@ from oracles import (expected_latent_loglik, joint_posterior_dense,
                      joint_posterior_full, joint_posterior_scattered,
                      log_prior_dense, marginals_einsum, pairwise_einsum)
 
-TINY = np.finfo(float).tiny
-LOG_TINY = math.log(TINY)
 
 
 def test_logsumexp_matches_scipy():
@@ -301,29 +299,52 @@ def test_joint_posterior_all_zero_likelihood_raises():
         joint_posterior_scattered(loglik, np.full(4, math.log(0.25)))
 
 
+def cut_for(S):
+    """T = ln S + 36.8, the depth below a row's largest entry to which the
+    joint posterior keeps entries."""
+    return float(np.log(S)) + 36.8
+
+
+def assert_dropped_mass_within_bound(uncut, P, cols):
+    """The mass the cut joint ``P`` (on ``cols``) drops from each row of
+    the uncut dense joint, normalized to Z = 1, is at most e^-36.8."""
+    kept = np.zeros(uncut.shape, dtype=bool)
+    kept[:, cols] = P > 0.0
+    dropped = np.where(kept, 0.0, uncut).sum(axis=1)
+    assert np.all(dropped <= math.exp(-36.8)), dropped.max()
+
+
 @pytest.mark.parametrize("per_replicate", [False, True],
                          ids=["prior-S", "prior-NS"])
-def test_joint_posterior_zeroes_exactly_the_subnormal_entries(per_replicate):
-    """Shifted log weights below -745 (exp underflows to 0), in
-    [-745, log tiny) (subnormal) and in [log tiny, 0] (normal), with -inf
-    prior entries: the first two bands come out as exact 0, the third bit
-    for bit as an oracle's normalized over the same columns.  Columns with
-    no entry in the third band are dropped, including those the candidate
-    pass keeps because some entry lies within 1 below log tiny."""
+def test_joint_posterior_zeroes_exactly_the_entries_below_the_cut(
+        per_replicate):
+    """Shifted log weights in bands below -745 (exp underflows to 0), in
+    [-745, -T - 1), [-T - 1, -T), [-T, -T + 1) and [-T + 1, -25], and one
+    at 0, with -inf prior entries, T = ln S + 36.8: the first three bands
+    come out as exact 0, the others bit for bit as an oracle's with the
+    same cut, normalized over the same columns.  Columns with no entry at
+    or above -T are dropped, including those the candidate pass keeps
+    because some entry lies within 1 below -T.  Against the uncut dense
+    joint, each row drops at most e^-36.8 of its mass; three quarters of
+    the columns sit just above -T and Z is about 1, so a cut 1 higher
+    would drop more than that."""
     rng = np.random.default_rng(29)
-    N = 5
-    shifted = np.concatenate([rng.uniform(-1000.0, -745.5, (N, 200)),
-                              rng.uniform(-745.0, LOG_TINY, (N, 200)),
-                              rng.uniform(LOG_TINY, 0.0, (N, 200))], axis=1)
+    N, S = 5, 1000
+    T = cut_for(S)
+    shifted = np.concatenate([rng.uniform(-1000.0, -745.5, (N, 50)),
+                              rng.uniform(-745.0, -T - 1.0, (N, 50)),
+                              rng.uniform(-T - 1.0, -T, (N, 100)),
+                              rng.uniform(-T, -T + 1.0, (N, 750)),
+                              rng.uniform(-T + 1.0, -25.0, (N, 50))],
+                             axis=1)
     shifted[:, -1] = 0.0
-    # row 0 has no offset and a zero prior at the band edge: exact there
-    shifted[0, :2] = LOG_TINY, np.nextafter(LOG_TINY, -np.inf)
+    # row 0 has no offset and a zero prior at the cut itself: exact there
+    shifted[0, 200:202] = -T, np.nextafter(-T, -np.inf)
     offset = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, N - 1)])
-    S = shifted.shape[1]
     prior = np.zeros((N, S) if per_replicate else S)
     if per_replicate:
         prior[1:] = rng.uniform(-5.0, 0.0, (N - 1, S))
-    prior[..., 3:S - 1:7] = -np.inf
+    prior[..., 3:100:7] = -np.inf
     loglik = shifted + offset[:, None] - np.where(np.isinf(prior), 0.0,
                                                   prior)
 
@@ -332,53 +353,60 @@ def test_joint_posterior_zeroes_exactly_the_subnormal_entries(per_replicate):
     want_P, want_ll = joint_posterior_dense(loglik, prior)
 
     gap = total - total.max(axis=1, keepdims=True)
-    live = gap >= LOG_TINY
-    assert live[0, 0] and not live[0, 1]
+    live = gap >= -T
+    assert live[0, 200] and not live[0, 201]
     np.testing.assert_array_equal(cols, np.flatnonzero(live.any(axis=0)))
-    assert np.any((gap >= LOG_TINY - 1.0).any(axis=0) & ~live.any(axis=0))
-    assert np.any(want_P[~live] > 0.0)          # the oracle's subnormals
-    assert np.all(want_P[~live] <= TINY)
+    assert np.any((gap >= -T - 1.0).any(axis=0) & ~live.any(axis=0))
+    assert np.any(want_P[~live] > 0.0)          # the oracle keeps them
     full = np.zeros_like(want_P)
     full[:, cols] = P
     assert np.all(full[~live] == 0.0) and np.all(full[live] > 0.0)
     # np.take keeps C order (total[:, cols] would not), so each row sums
     # in the package's order
     same_P, same_ll = joint_posterior_full(np.take(total, cols, axis=1),
-                                           np.zeros(cols.size))
+                                           np.zeros(cols.size), cut=T)
     np.testing.assert_array_equal(P, same_P)
     np.testing.assert_array_equal(ll, same_ll)
     np.testing.assert_allclose(full[live], want_P[live], rtol=1e-14, atol=0)
     np.testing.assert_allclose(ll, want_ll, rtol=0.0, atol=1e-15)
+    assert_dropped_mass_within_bound(want_P, P, cols)
 
 
 def test_joint_posterior_keeps_the_dense_columns_at_any_offset():
     """Rows offset by up to 3e17, where one ulp of the row max exceeds 1
     and W - m rounds: the candidate pass keeps exactly the columns the
-    dense route gives mass, and the same entries are zero."""
-    shifted = np.array([0.0, LOG_TINY, np.nextafter(LOG_TINY, -np.inf),
-                        LOG_TINY + 0.5, LOG_TINY - 0.5, LOG_TINY - 1.0,
-                        -2.0, -1000.0])
+    dense route with the same cut gives mass, and the same entries are
+    zero."""
+    S = 8
+    T = cut_for(S)
+    shifted = np.array([0.0, -T, np.nextafter(-T, -np.inf), -T + 0.5,
+                        -T - 0.5, -T - 1.0, -2.0, -1000.0])
     offsets = np.array([0.0, 1e3, -1e12, -2.0 ** 60, 3e17])
     W = offsets[:, None] + shifted[None, :]
-    want_P, want_ll = joint_posterior_full(W, np.zeros(W.shape[1]))
+    want_P, want_ll = joint_posterior_full(W, np.zeros(S), cut=T)
     P, ll, cols = joint_posterior(W.copy())
     np.testing.assert_array_equal(cols,
                                   np.flatnonzero(want_P.any(axis=0)))
     np.testing.assert_array_equal(P == 0, want_P[:, cols] == 0)
     np.testing.assert_array_equal(
         P, joint_posterior_full(np.take(W, cols, axis=1),
-                                np.zeros(cols.size))[0])
+                                np.zeros(cols.size), cut=T)[0])
     np.testing.assert_allclose(P, want_P[:, cols], rtol=1e-15, atol=0)
     np.testing.assert_allclose(ll, want_ll, rtol=1e-15, atol=0)
+    assert_dropped_mass_within_bound(
+        joint_posterior_dense(W, np.zeros(S))[0], P, cols)
 
     # every column a candidate and two of them dead: the live ones come
     # from the table the shift has overwritten, and are not shifted twice
-    W = np.array([[0.0, LOG_TINY - 0.5, LOG_TINY, LOG_TINY - 1.0]]) - 5.0
+    T = cut_for(4)
+    W = np.array([[0.0, -T - 0.5, -T, -T - 1.0]]) - 5.0
     P, ll, cols = joint_posterior(W.copy())
     np.testing.assert_array_equal(cols, [0, 2])
-    want_P, want_ll = joint_posterior_full(W[:, cols], np.zeros(2))
+    want_P, want_ll = joint_posterior_full(W[:, cols], np.zeros(2), cut=T)
     np.testing.assert_array_equal(P, want_P)
     np.testing.assert_array_equal(ll, want_ll)
+    assert_dropped_mass_within_bound(
+        joint_posterior_dense(W, np.zeros(4))[0], P, cols)
 
 
 @pytest.mark.parametrize("loglik_entry,prior_entry", [
