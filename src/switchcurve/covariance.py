@@ -13,16 +13,15 @@ h_s u~_s u~_s' and log det V_s is homog_ri's plus log D_m, where the
 scalars h_s and D_m depend on the state vector only through its number m
 of state-2 points (``CovStructure.state_terms``).
 
-Log-density tables over enumerated state vectors come from one (N, S)
-matrix product, never from an (N, S, n) residual tensor: the inner
-dimension is augmented so that the product
+Log-density tables over enumerated state vectors come from one matrix
+product per block of replicates, never from an (N, S, n) residual tensor:
+the inner dimension is augmented so that the product
 [y V^{-1}, row, 1, L] [Fs, 1, col, R]' also adds the per-replicate (row)
 and per-state-vector (col) terms and the log prior, given as the factor
-pair (L, R).  For nonhomog_ri, V^{-1} and the log determinant are the
-shared homog_ri parts, and the rank-one term h_s (u~_s'r)^2 / 2 is one
-more (N, S) table, a product with u~ squared in place, added to the
-first.  The M-step statistics are products with the joint
-posterior table P (P Fs, P'y, P'1) rather than (N, S) residual tables.
+pair (L, R); the right factor is built once per E-step.  For nonhomog_ri,
+V^{-1} and the log determinant are the shared homog_ri parts, and the
+rank-one term h_s (u~_s'r)^2 / 2 is one more block table.  The M-steps
+read the E-step's fixed-size posterior moments (``latent.Moments``).
 
 Every M-step is closed form except nonhomog_ri's.  There sigma2 profiles
 out in closed form and (d1, d2) >= 0 come from a Newton search with
@@ -34,7 +33,6 @@ factorizations are numpy's (Cholesky for ``unrestricted``).
 import numpy as np
 
 from .errors import NonPositiveSigma, NotSPD
-from .latent import replicate_sums, state_mass
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -121,17 +119,17 @@ class CovStructure:
         p = self.params
         return p.d1 if self.kind == "nonhomog_ri" else p.d
 
-    def state_terms(self, E2):
-        """nonhomog_ri's rank-one terms for the state vectors of ``E2``.
+    def state_terms(self, m):
+        """nonhomog_ri's rank-one terms for state vectors with ``m`` (array)
+        state-2 points.
 
-        With c = d1 / (1 + n d1), m_s = |u_s|, u~_s = u_s - c m_s 1 and
+        With c = d1 / (1 + n d1), u~_s = u_s - c m 1 and
         D_m = 1 + d2 m (1 - c m) >= 1, Sherman-Morrison gives
-        V_s^{-1} = vinv() - h_s u~_s u~_s' with h_s = d2 / (sigma2 D_m),
+        V_s^{-1} = vinv() - h_m u~_s u~_s' with h_m = d2 / (sigma2 D_m),
         and log det V_s = logdet() + log D_m.  Returns
-        ``(c m (S,), h (S,), log D_m (S,))``.
+        ``(c m, h_m, log D_m)``.
         """
         p = self.params
-        m = E2.sum(axis=1)
         cm = p.d1 / (1.0 + self.n * p.d1) * m
         D = 1.0 + p.d2 * m * (1.0 - cm)
         return cm, p.d2 / (p.sigma2 * D), np.log(D)
@@ -152,29 +150,14 @@ class CovStructure:
             raise ValueError(f"{self.kind} is not diagonal")
         return -0.5 * (r2 / s2 + np.log(s2) + LOG_2PI)
 
-    def loglik_table(self, y, Fs, E2=None, prior=None):
-        """(N, S) table of log N(y_k; Fs[s], V_s), plus a log prior.
-
-        One GEMM writes the table: [yV, row, 1, L] @ [Fc, 1, col, R]' holds
-        the cross term y V^{-1} Fs', the per-replicate (row) and
-        per-state-vector (col) terms of the quadratic form and the log
-        determinant, and the log prior L R'.  For nonhomog_ri these are
-        the shared homog_ri terms, and a second (N, S) table adds the
-        rank-one term (``state_terms``).  The result is a fresh table the
-        caller owns.
-
-        Parameters
-        ----------
-        y : (N, n) responses.
-        Fs : (S, n) curve values gathered along each enumerated state
-            vector s.
-        E2 : (S, n), optional
-            State-2 indicators per state vector; required for
-            ``nonhomog_ri``.
-        prior : optional log prior as the factor pair (L, R) that
-            ``latent.log_prior_table`` returns: L (N, c) or, shared by
-            every replicate, (1, c), and R (S, c).
-        """
+    def state_factor(self, F, states, ybar, E2=None, R=None):
+        """``loglik_table``'s right factor, built once per E-step:
+        ``(right, rank1)`` with right = [Fc, 1, col, R]' (n + 2 + c, S),
+        Fc[s] = F[states[s, i], i] - ybar_i the curves (J, n) along each
+        state vector centred like the response rows, col its terms of the
+        quadratic form and log determinant and R the log prior's right half
+        (S, c); rank1 is nonhomog_ri's (U, U'Fc, h / 2), U the columns u~_s
+        (``E2``)."""
         n = self.n
         if self.kind == "state_diag":
             # state_diag factorizes over points; contract the pointwise
@@ -185,30 +168,48 @@ class CovStructure:
         nonhomog = self.kind == "nonhomog_ri"
         if nonhomog and E2 is None:
             raise ValueError("nonhomog_ri needs state-2 indicators")
-        c = 0 if prior is None else prior[1].shape[1]
-        left = np.empty((y.shape[0], n + 2 + c))
-        right = np.empty((Fs.shape[0], n + 2 + c))
-        yc, Fc = _centered(y, Fs, out=right[:, :n])
-        Vi = self.vinv()
-        yV = np.matmul(yc, Vi, out=left[:, :n])
+        c = 0 if R is None else R.shape[1]
+        right = np.empty((n + 2 + c, states.shape[0]))
+        Fc = right[:n]
+        for i, curve in enumerate((F - ybar).T):
+            np.take(curve, states[:, i], out=Fc[i])
+        right[n] = 1.0
+        right[n + 1] = -0.5 * np.einsum("is,is->s", self.vinv() @ Fc, Fc)
+        if c:
+            right[n + 2:] = R.T
+        if not nonhomog:
+            return right, None
+        cm, h, logD = self.state_terms(E2.sum(axis=1))
+        right[n + 1] -= 0.5 * logD
+        U = E2.T - cm
+        return right, (U, np.einsum("is,is->s", U, Fc), 0.5 * h)
+
+    def loglik_table(self, yc, factor, L=None):
+        """(rows, S) table of log N(y_k; Fs[s], V_s), plus a log prior.
+
+        One GEMM [yc V^{-1}, row, 1, L] @ right (``state_factor``) holds
+        the cross term, the per-replicate (row) and per-state-vector terms
+        and the log prior L R'; ``L`` is the prior factor's left half for
+        these rows, or one row shared by all.  For nonhomog_ri these are
+        the shared homog_ri terms, and a second (rows, S) table adds the
+        rank-one term.  The result is a fresh table the caller owns.
+        """
+        n = self.n
+        right, rank1 = factor
+        left = np.empty((yc.shape[0], right.shape[0]))
+        yV = np.matmul(yc, self.vinv(), out=left[:, :n])
         left[:, n] = -0.5 * (np.einsum("ki,ki->k", yV, yc) + self.logdet()
                              + n * LOG_2PI)
-        left[:, n + 1] = right[:, n] = 1.0
-        col = right[:, n + 1]
-        col[:] = -0.5 * np.einsum("si,si->s", Fc @ Vi, Fc)
-        if nonhomog:
-            cm, h, logD = self.state_terms(E2)
-            col -= 0.5 * logD
-        if c:
-            left[:, n + 2:], right[:, n + 2:] = prior
-        out = left @ right.T
-        if nonhomog:
-            # + h_s (u~_s'(y_k - Fs_s))^2 / 2, in one more (N, S) table
-            U = E2 - cm[:, None]
-            q = yc @ U.T
-            q -= np.einsum("si,si->s", U, Fc)
+        left[:, n + 1] = 1.0
+        if L is not None:
+            left[:, n + 2:] = L
+        out = left @ right
+        if rank1 is not None:
+            U, uf, h2 = rank1
+            q = yc @ U
+            q -= uf
             q *= q
-            q *= 0.5 * h
+            q *= h2
             out += q
         return out
 
@@ -232,94 +233,80 @@ def log_mvn_density(cov, r, states=None):
     E2 = None
     if cov.kind == "nonhomog_ri":
         E2 = (np.asarray(states, dtype=int) == 1).astype(float)[None, :]
-    return float(cov.loglik_table(r[None, :], np.zeros((1, r.size)),
-                                  E2=E2)[0, 0])
+    zero = np.zeros((1, r.size))
+    return float(cov.loglik_table(r[None, :], cov.state_factor(
+        zero, zero.astype(np.int8), zero[0], E2=E2))[0, 0])
 
 
 # ---------------------------------------------------------------------------
-# M-step updates from joint posteriors (enumeration path)
+# M-step updates from posterior moments (enumeration path)
 # ---------------------------------------------------------------------------
+#
+# Each takes the E-step's ``latent.Moments`` and the updated curves F (J, n).
+# With phi = (F - ybar)' flattened, f_s - ybar = E_s'phi for the curves f_s
+# along state vector s, so every posterior sum of a quadratic in the
+# residuals y_k - f_s is a product of the moments with phi.
 
-def update_unrestricted(P, y, Fs):
-    """Posterior-weighted residual second-moment matrix.
+def _residual_ss(moments, phi):
+    """sum_k sum_s P_ks |y_k - f_s|^2."""
+    n = moments.yy.shape[0]
+    own = np.einsum("iij->ij", moments.C.reshape(n, n, -1)).ravel()
+    return float(np.trace(moments.yy) - 2.0 * own @ phi
+                 + moments.lin[:, :, 0].sum(axis=0) @ (phi * phi))
 
-    ``P`` is the (N, S) joint posterior table, ``Fs`` the (S, n) gathered
-    curves at the updated coefficients.
-    """
-    w = state_mass(P)
-    PF = P @ Fs
-    V = (y.T @ y - y.T @ PF - PF.T @ y + Fs.T @ (w[:, None] * Fs))
-    V /= P.shape[0]
+
+def update_unrestricted(moments, F):
+    """Posterior-weighted residual second-moment matrix."""
+    J, n = F.shape
+    phi = (F - moments.ybar).T
+    # sum_s (sum_k P_ks y_ck) (f_s - ybar)' and sum_s w_s (f_s - ybar)(...)'
+    cross = np.einsum("qij,ij->qi", moments.C.reshape(n, n, J), phi)
+    quad = np.einsum("ij,ijpl,pl->ip", phi,
+                     moments.occupancy.reshape(n, J, n, J), phi)
+    V = (moments.yy - cross - cross.T + quad) / moments.N
     return 0.5 * (V + V.T)
 
 
-def _posterior_sums(P, y, Fs):
-    """Posterior-weighted residual sums for the intercept kinds.
-
-    With r_ks = y_k - Fs_s, returns ``(A, b2, w, tf, Pt)``: A the sum over
-    k, s of P_ks r_ks'r_ks, b2 the per-s sums over k of P_ks (1'r_ks)^2,
-    w = P'1, tf = Fs 1 and Pt = P'(y 1).  Everything comes from products
-    with P; no (N, S) residual table is built.  Callers pass centred
-    arrays (see ``_centered``).
-    """
-    w = state_mass(P)
-    ty = y.sum(axis=1)
-    tf = Fs.sum(axis=1)
-    Pt = replicate_sums(P, np.column_stack([ty, ty * ty]))
-    b2 = Pt[:, 1] - 2.0 * tf * Pt[:, 0] + w * tf * tf
-    A = ((P @ np.ones(P.shape[1])) @ np.einsum("ki,ki->k", y, y)
-         - 2.0 * np.einsum("ki,ki->", y, P @ Fs)
-         + w @ np.einsum("si,si->s", Fs, Fs))
-    return float(A), b2, w, tf, Pt[:, 0]
-
-
-def _centered(y, Fs, out=None):
-    """y and Fs less the mean response, the latter into ``out`` if given.
-    Every residual y_k - Fs_s is unchanged, and the expanded quadratic
-    forms built from the centred arrays cancel far less."""
-    ybar = y.mean(axis=0)
-    return y - ybar, np.subtract(Fs, ybar, out=out)
-
-
-def update_homog_ri(P, y, Fs):
-    """Closed-form sigma2 and d for the shared random-intercept model."""
-    N, n = y.shape
-    ss_full, b2, _, _, _ = _posterior_sums(P, *_centered(y, Fs))
-    ss_mean = float(b2.sum())
+def update_homog_ri(moments, F):
+    """Closed-form conditional maximum of sigma2 and d >= 0 for the shared
+    random-intercept model; where the unconstrained d is <= 0, it is d = 0
+    with sigma2 the mean squared residual."""
+    N, n = moments.N, moments.yy.shape[0]
+    phi = (F - moments.ybar).T.ravel()
+    ss_full = _residual_ss(moments, phi)
+    # sum_k sum_s P_ks (1'(y_k - f_s))^2
+    ss_mean = float(moments.yy.sum() - 2.0 * moments.C.sum(axis=0) @ phi
+                    + phi @ moments.occupancy @ phi)
     sigma2 = (ss_full - ss_mean / n) / (N * (n - 1))
     if sigma2 <= 0:
         raise NonPositiveSigma(f"sigma2 update gave {sigma2!r}")
     d = ss_mean / (sigma2 * N * n ** 2) - 1.0 / n
-    return sigma2, max(d, 0.0)
+    if d > 0:
+        return sigma2, d
+    return ss_full / (N * n), 0.0
 
 
-def nonhomog_sufficient_stats(P, y, Fs, E2):
+def nonhomog_sufficient_stats(moments, F):
     """Aggregate the statistics the nonhomog_ri objective needs.
 
     Groups by m = number of state-2 points, since V_s depends on s only
     through m and u_s'r.  Returns (A, counts m, mass W_m, S1, S2, S3)
-    where S1/S2/S3 aggregate P * 1'r 1'r, P * 1'r u'r, P * u'r u'r per m.
+    where A is the posterior sum of r'r and S1/S2/S3 aggregate
+    P * 1'r 1'r, P * 1'r u'r, P * u'r u'r per m, r the residuals.
     """
-    y, Fs = _centered(y, Fs)
-    A, b2, w, tf, Pt = _posterior_sums(P, y, Fs)
-    n = y.shape[1]
-    g = np.einsum("si,si->s", E2, Fs)                  # u_s'Fs_s
-    Q = replicate_sums(P, np.hstack([y, y.sum(axis=1)[:, None] * y]))
-    Pu = np.einsum("si,si->s", E2, Q[:, :n])           # sum_k P u'y
-    Ptu = np.einsum("si,si->s", E2, Q[:, n:])          # sum_k P 1'y u'y
-    del Q                                              # before the table
-    yu = y @ E2.T                                      # the one (N, S) table
-    yu *= yu
-    Puu = np.einsum("ks,ks->s", P, yu)                 # sum_k P (u'y)^2
-    bc = Ptu - g * Pt - tf * Pu + w * tf * g
-    c2 = Puu - 2.0 * g * Pu + w * g * g
-    m_s = E2.sum(axis=1).astype(int)
-    m_vals = np.arange(m_s.max() + 1)
-    S1 = np.bincount(m_s, weights=b2, minlength=m_vals.size)
-    S2 = np.bincount(m_s, weights=bc, minlength=m_vals.size)
-    S3 = np.bincount(m_s, weights=c2, minlength=m_vals.size)
-    W = np.bincount(m_s, weights=w, minlength=m_vals.size)
-    return A, m_vals, W, S1, S2, S3
+    J, n = F.shape
+    phi = (F - moments.ybar).T.ravel()
+    phi2 = np.where(np.arange(n * J) % J == 1, phi, 0.0)  # u_s'f_s = E_s'phi2
+    occ = moments.cooc[:, :n * J, :n * J]
+    lt, lu = moments.lin[:, :, 1], moments.lin[:, :, 3]
+    t = moments.lin[:, :J].sum(axis=1)      # sum t_s: E_s flags one state
+    S1 = t[:, 2] - 2.0 * lt @ phi + np.einsum("p,mpq,q->m", phi, occ, phi)
+    S2 = (t[:, 4] - lt @ phi2 - lu @ phi
+          + np.einsum("p,mpq,q->m", phi, occ, phi2))
+    S3 = t[:, 5] - 2.0 * lu @ phi2 + np.einsum("p,mpq,q->m", phi2, occ,
+                                                 phi2)
+    return (_residual_ss(moments, phi), np.arange(t.shape[0]), t[:, 0],
+            S1, S2, S3)
 
 
 def nonhomog_expected_term(sigma2, d1, d2, n, N, stats):
@@ -337,7 +324,7 @@ def nonhomog_expected_term(sigma2, d1, d2, n, N, stats):
     return -0.5 * (quad + ld + N * n * LOG_2PI)
 
 
-def update_nonhomog_ri(P, y, Fs, E2, prev):
+def update_nonhomog_ri(moments, F, prev):
     """Conditional maximum of (sigma2, d1, d2), searched from ``prev``.
 
     sigma2 profiles out in closed form, sigma2(d) = (A - q(d)) / (N n),
@@ -352,8 +339,8 @@ def update_nonhomog_ri(P, y, Fs, E2, prev):
 
     Returns ``(sigma2, d1, d2)``.
     """
-    N, n = y.shape
-    stats = nonhomog_sufficient_stats(P, y, Fs, E2)
+    N, n = moments.N, moments.yy.shape[0]
+    stats = nonhomog_sufficient_stats(moments, F)
     d = np.array([prev.d1, prev.d2], dtype=float)
     f, g, H, resid = _profiled_nonhomog(d, n, N, stats)
     for _ in range(_NEWTON_MAX_STEPS):

@@ -43,7 +43,7 @@ from .errors import (
     SpecMismatch,
     XInconsistent,
 )
-from .latent import enumeration_bytes, refuse_over_budget
+from .latent import _BLOCK_BYTES, enumeration_bytes, refuse_over_budget
 
 DIAGONAL_KINDS = ("iso_diag", "state_diag")
 
@@ -321,28 +321,31 @@ def validate(dataset, latent_spec, cov_spec):
 def _fit_peak_bytes(N, n, J, latent_kind, cov_kind):
     """Estimated peak bytes of a structured-kind fit, as an exact int.
 
-    The enumeration twice (the cache and the E-step's copy of its live
-    rows); one (N, J**n) float64 table, the log joint that
-    ``joint_posterior`` normalizes in its own buffer, or two for
-    nonhomog_ri (its rank-one term, then its M-step's (u'y)^2 table); the
-    candidate pass's boolean mask; r float64 values per state vector, the
-    widest set of such rows alive at once: in the E-step the gathered
-    curves, the GEMM's right factor (n + 2 + c columns, c the prior's) and
-    one (S, n) product, or in the joint normal system P'y and the weighted
-    indicators, for nonhomog_ri also its two (S, J K) tables at the
-    largest K, n + 2; and the covariate Louis step's two (N, n, n) arrays.
+    The cached enumeration; the float64 rows per state vector kept through
+    the E-step (the GEMM's right factor, n + 2 + c columns, the prior and
+    accumulator columns, nonhomog_ri's rank-one rows); the widest passing
+    phase: a pass over (rows, S) blocks of at most ``_BLOCK_BYTES`` holds
+    1 5/8 of one (the log joint, its taken columns, a mask) or one and the
+    D = n J + J J taken indicator rows, or three for nonhomog_ri; the
+    reduction to moments two copies of the D rows (more than building the
+    factor takes); and the per-replicate outputs.
     """
     J, n, N = int(J), int(n), int(N)
     S = J ** n
+    block = 8 * min(N, max(1, _BLOCK_BYTES // (8 * S))) * S
     c = n * J if latent_kind == "covariate" else 1
-    r = max(3 * n + 2 + c, n + n * J)
-    tables = 1
+    D = n * J + J * J
+    kept = n + 2 + c + 2
     if cov_kind == "nonhomog_ri":
-        r = max(r, n + 2 * J * (n + 2))
-        tables = 2
-    louis = 16 * N * n * n if latent_kind == "covariate" else 0
-    return (2 * enumeration_bytes(n, J) + (8 * tables + 1) * N * S
-            + 8 * r * S + louis)
+        kept += n + 7
+        blocks = 3 * block + 8 * (n + 48) * S
+    else:
+        blocks = max(13 * block // 8, block + 8 * D * S)
+    widest = max(blocks, 8 * (2 * D + 24) * S)
+    per_replicate = n + n * J + J * J + 2 + (
+        2 * n * n if latent_kind == "covariate" else 0)
+    return (enumeration_bytes(n, J) + 8 * kept * S + widest
+            + 8 * per_replicate * N)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,12 @@ iteration.
 The covariance kind alone picks the E-step route.  Diagonal kinds
 factorize over grid points, so posteriors come from pointwise Bayes rules
 (independent-state models) or a forward-backward pass (Markov).  The
-structured kinds need the joint posterior over all J**n state vectors.
-One GEMM writes its log table, prior included; normalization then runs
-only on the state vectors that can carry posterior mass in some replicate
-(the others would be exact zeros in every row), and the E-step hands on
-that compact table with the matching rows of the enumeration.  The
-marginals, transition totals, joint coefficient system, covariance
-M-steps and Louis information are matrix products against those rows,
-never explicit loops over state vectors.
+structured kinds need the joint posterior over all J**n state vectors,
+built over blocks of replicates (one GEMM each, prior included) and
+normalized on the state vectors that can carry mass; the blocks reduce to
+fixed-size posterior moments (``latent.Moments``).  The joint coefficient
+system, the covariance M-steps and the Louis information are products of
+those moments, never loops over state vectors.
 """
 
 import logging
@@ -74,11 +72,11 @@ class EStep:
     marginals: np.ndarray            # (N, n, J)
     loglik: np.ndarray               # (N,)
     pairwise: np.ndarray | None = None   # (N, n-1, J, J), forward-backward
-    joint: np.ndarray | None = None      # (N, S_live), enumeration route
-    transitions: np.ndarray | None = None    # (J, J) totals, Markov only
-    # the S_live state vectors of joint's columns: those with posterior
-    # mass, in canonical order; enumeration route only
-    enum: lat_mod.StateEnumeration | None = None
+    transitions: np.ndarray | None = None    # (N, J, J), Markov only
+    moments: lat_mod.Moments | None = None   # enumeration route
+    # always None; kept only because the benchmark's tracer reads it after
+    # every E-step
+    joint: None = None
 
 
 def weight_matrices(marginals, sigma2):
@@ -87,15 +85,6 @@ def weight_matrices(marginals, sigma2):
     ``sigma2`` is scalar (iso) or per-state (J,).  Returns (N, n, J).
     """
     return marginals / np.asarray(sigma2, dtype=float)
-
-
-def gather_curves(F, states):
-    """Rows of f_s(x): F (J, n) gathered along each state vector."""
-    n = F.shape[1]
-    # entry (s, i) of F's flat C-order index is states[s, i] * n + i
-    flat = np.multiply(states, n, dtype=np.intp)
-    flat += np.arange(n, dtype=np.intp)
-    return np.take(F, flat)
 
 
 def classify_marginals(marginals):
@@ -118,32 +107,38 @@ def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
     """Posterior tables at the given curve values F (J, n) and theta.
 
     ``enum`` (the J**n state enumeration) is needed by the structured
-    covariance kinds only.  Their ``EStep`` carries the joint posterior's
-    columns with mass and the enumeration rows of those state vectors.
+    covariance kinds only; their ``EStep`` carries the posterior moments.
     """
     y = dataset.y
     cov = cov_mod.make_structure(cov_spec, theta.cov, dataset.n_points)
     if not cov_spec.diagonal:
-        E2 = enum.onehot[:, :, 1] if cov_spec.kind == "nonhomog_ri" \
-            else None
-        prior = lat_mod.log_prior_table(
+        nonhomog = cov_spec.kind == "nonhomog_ri"
+        L, R = lat_mod.log_prior_table(
             enum, latent_spec, theta.latent, covariates=dataset.covariates)
-        P, ll, cols = lat_mod.joint_posterior(cov.loglik_table(
-            y, gather_curves(F, enum.states), E2=E2, prior=prior))
-        if cols.size < enum.size:
-            enum = enum.take(cols)
-        marg = lat_mod.marginals_from_joint(P, enum)
-        trans = (lat_mod.pairwise_from_joint(P, enum)
-                 if latent_spec.kind == "markov" else None)
-        return EStep(marginals=marg, loglik=ll, joint=P, transitions=trans,
-                     enum=enum)
+        ybar = y.mean(axis=0)
+        yc = y - ybar
+        factor = cov.state_factor(
+            F, enum.states, ybar,
+            E2=enum.onehot[:, :, 1] if nonhomog else None, R=R)
+        b = max(1, lat_mod._BLOCK_BYTES // (8 * enum.size))
+
+        def blocks():       # one (rows, S) table alive at a time
+            for k in range(0, y.shape[0], b):
+                rows = slice(k, k + b)
+                yield rows, *lat_mod.joint_posterior(cov.loglik_table(
+                    yc[rows], factor, L=L if L.shape[0] == 1 else L[rows]))
+
+        ll, marg, trans, moments = lat_mod.posterior_moments(
+            blocks(), enum, yc, ybar, latent_spec.kind, nonhomog)
+        return EStep(marginals=marg, loglik=ll, transitions=trans,
+                     moments=moments)
 
     pw = cov.pointwise_loglik(y, F)
     if latent_spec.kind == "markov":
         marg, pair, ll = lat_mod.forward_backward(
             pw, theta.latent.pi, theta.latent.A)
         return EStep(marginals=marg, loglik=ll, pairwise=pair,
-                     transitions=pair.sum(axis=(0, 1)))
+                     transitions=pair.sum(axis=1))
     if latent_spec.kind == "covariate":
         lp = lat_mod.log_state_probs(theta.latent.beta, dataset.covariates)
     else:
@@ -207,44 +202,42 @@ def update_f_diagonal(B, R, lambdas, y, marginals, sigma2):
     return phi
 
 
-def general_normal_system(B, R, lambdas, y, cov, enum, P):
+def general_normal_system(B, R, lambdas, cov, moments):
     """Stacked JK x JK normal equations for the joint coefficient update.
 
     Used by the structured covariance kinds.  Blocks are
     A_jl = sum_s w_s (D_sj B)' V_s^{-1} (D_sl B) and
-    b_j = sum_s (D_sj B)' V_s^{-1} ytil_s, with w = P'1, ytil = P'y and D_sj
-    the state-j indicator matrix of state vector s.  nonhomog_ri writes
-    V_s^{-1} as ``cov.vinv()`` less the rank-one h_s u~_s u~_s' (see
-    ``CovStructure.state_terms``), so with G[s] = vec_j (D_sj B)'u~_s it
-    subtracts G'(w h G) and G'(h u~'ytil).  u~_s is 1 - c m_s on state-2
-    points and -c m_s on the others, so block j of G[s] is
-    (D_sj B)'1 = (flat @ Bk)[s, block j] times [j = 2] - c m_s.
+    b_j = sum_s (D_sj B)' V_s^{-1} ytil_s, with w_s = sum_k P_ks,
+    ytil_s = sum_k P_ks y_k and D_sj the state-j indicator matrix of state
+    vector s: products of B and V^{-1} with the co-occupancy and with
+    sum_k y_k m_k' (``latent.Moments``).  nonhomog_ri subtracts the
+    rank-one h_m u~_s u~_s' (``CovStructure.state_terms``): with
+    a_m(j) = [j = 2] - c m, E_s * a_m is u~_s spread over the indicators.
     """
     n, K = B.shape
-    J = enum.J
+    J = moments.C.shape[1] // n
     JK = J * K
-    w = lat_mod.state_mass(P)
-    ytil = lat_mod.replicate_sums(P, y)                 # (S, n)
-
     Vi = cov.vinv()
-    E = enum.flat
-    Pi = E.T @ (w[:, None] * E)
-    Mexp = Pi.reshape(n, J, n, J) * Vi[:, None, :, None]
+    Mexp = moments.occupancy.reshape(n, J, n, J) * Vi[:, None, :, None]
     A = np.einsum("ia,ijpq,pb->jaqb", B, Mexp, B,
                   optimize=_normal_system_path(n, J, K)).reshape(JK, JK)
-    C = (ytil.T @ E).reshape(n, n, J)        # sum_s ytil_sq D_s(i, j)
+    # sum_k y_k m_k' from the centred sums: y_k = y_ck + ybar
+    msum = moments.lin[:, :, 0].sum(axis=0)
+    C = (moments.C + np.outer(moments.ybar, msum)).reshape(n, n, J)
     agg = np.einsum("qi,qij->ij", Vi, C)
     b = np.einsum("ia,ij->ja", B, agg).reshape(JK)
     if cov.kind == "nonhomog_ri":
-        E2 = enum.onehot[:, :, 1]
-        cm, h, _ = cov.state_terms(E2)
+        G = moments.cooc.shape[0]
+        cm, h, _ = cov.state_terms(np.arange(G))
+        a = np.tile((np.arange(J) == 1) - cm[:, None], n)      # (G, n J)
+        occ = moments.cooc[:, :n * J, :n * J]
+        # e_m from the centred sums, plus the ybar part Pi_m (ybar x a_m)
+        e = (moments.lin[:, :, 3] - cm[:, None] * moments.lin[:, :, 1]
+             + np.einsum("mpq,mq->mp", occ,
+                         np.repeat(moments.ybar, J)[None, :] * a))
         Bk = np.einsum("ia,jl->ijla", B, np.eye(J)).reshape(n * J, JK)
-        G = (E @ Bk).reshape(-1, J, K)
-        G *= ((np.arange(J) == 1) - cm[:, None])[:, :, None]
-        G = G.reshape(-1, JK)
-        uy = np.einsum("si,si->s", E2, ytil) - cm * ytil.sum(axis=1)
-        A -= G.T @ ((w * h)[:, None] * G)
-        b -= G.T @ (h * uy)
+        A -= Bk.T @ np.einsum("m,mp,mpq,mq->pq", h, a, occ, a) @ Bk
+        b -= Bk.T @ np.einsum("m,mp,mp->p", h, a, e)
 
     for j in range(J):
         A[j * K:(j + 1) * K, j * K:(j + 1) * K] += 2.0 * lambdas[j] * R
@@ -261,11 +254,11 @@ def _normal_system_path(n, J, K):
                           optimize=True)[0]
 
 
-def update_f_general(B, R, lambdas, y, cov, enum, P):
+def update_f_general(B, R, lambdas, cov, moments):
     """Joint coefficient update under the enumeration route."""
-    A, b = general_normal_system(B, R, lambdas, y, cov, enum, P)
+    A, b = general_normal_system(B, R, lambdas, cov, moments)
     phi = _solve_spd(A, b, "joint coefficient update")
-    return phi.reshape(enum.J, B.shape[1])
+    return phi.reshape(-1, B.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +275,13 @@ def _update_cov(cov_spec, theta, step, y, F_new):
         s2, flags = cov_mod.update_state_diag(
             step.marginals, y, F_new, theta.cov.sigma2)
         return StateDiagParams(sigma2=s2), flags
-    Fs = gather_curves(F_new, step.enum.states)
     if kind == "unrestricted":
         return UnrestrictedParams(
-            V=cov_mod.update_unrestricted(step.joint, y, Fs)), flags
+            V=cov_mod.update_unrestricted(step.moments, F_new)), flags
     if kind == "homog_ri":
-        s2, d = cov_mod.update_homog_ri(step.joint, y, Fs)
+        s2, d = cov_mod.update_homog_ri(step.moments, F_new)
         return HomogRIParams(sigma2=s2, d=d), flags
-    s2, d1, d2 = cov_mod.update_nonhomog_ri(
-        step.joint, y, Fs, step.enum.onehot[:, :, 1], theta.cov)
+    s2, d1, d2 = cov_mod.update_nonhomog_ri(step.moments, F_new, theta.cov)
     return NonHomogRIParams(sigma2=s2, d1=d1, d2=d2), flags
 
 
@@ -482,7 +473,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
         if trace:
             scale = max(1.0, abs(trace[-1]))
             if obj < trace[-1] - _ASCENT_RTOL * scale:
-                raise MonotonicityViolation(trace[-1], obj)
+                raise MonotonicityViolation(trace[-1], obj, it)
             converged = abs(obj - trace[-1]) <= tol * scale
         trace.append(obj)
         if converged or it == max_iter:
@@ -491,8 +482,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
 
         cov = cov_mod.make_structure(cov_spec, theta.cov, n)
         if use_enum:
-            phi_new = update_f_general(
-                B, R, lambdas, dataset.y, cov, step.enum, step.joint)
+            phi_new = update_f_general(B, R, lambdas, cov, step.moments)
         else:
             phi_new = update_f_diagonal(
                 B, R, lambdas, dataset.y, step.marginals, theta.cov.sigma2)

@@ -77,14 +77,16 @@ class SingularSystem(NumericalError):
 class MonotonicityViolation(NumericalError):
     """The penalized objective decreased between iterations.
 
-    Carries both objective values as ``args`` so callers can report them.
+    Carries both objective values and the ECM iteration that saw the drop.
     """
 
-    def __init__(self, previous, current):
+    def __init__(self, previous, current, iteration):
         super().__init__(
-            f"objective decreased: {previous!r} -> {current!r}")
+            f"ECM iteration {iteration}: objective decreased: "
+            f"{previous!r} -> {current!r}")
         self.previous = previous
         self.current = current
+        self.iteration = iteration
 
 
 class BoundaryParameter(NumericalError):

@@ -16,9 +16,10 @@ every route below uses.  Free coordinates:
 
 Each covariance family has one route, fed by its own E-step:
 
-* structured kinds: ``louis_information_generic`` sums over the E-step's
-  joint posterior on the state vectors that carry posterior mass
-  (``EStep.enum``);
+* structured kinds: ``louis_information_generic`` reads the E-step's
+  posterior moments: the iid and Markov scores are linear in a state
+  vector's indicators and transition counts, so their second moments are
+  quadratic forms in the co-occupancy;
 * diagonal kinds: the E-step's pointwise and pairwise posteriors.  States
   are independent across points given y_k (iid, covariate), or form a
   Markov chain whose transitions are pairwise_i / marginal_i; the score
@@ -32,7 +33,6 @@ each route by name.
 
 import numpy as np
 
-from . import latent as lat_mod
 from .errors import BoundaryParameter, SingularInformation
 
 _BOUNDARY_EPS = 1e-8
@@ -88,28 +88,22 @@ def _second_moment(w, a):
     return (a.T * w) @ a
 
 
-def _covariate_moments(P, enum, beta, covariates):
-    """Louis terms of the two-state logistic model over enumerated states.
+def _covariate_moments(marginals, ucooc, beta, covariates):
+    """Louis terms of the two-state logistic model from E(u u' | y_k)
+    (``ucooc``) and the marginals.
 
     Returns (T2, gbar, H): T2 = sum_k E(g_k g_k' | y_k) written as
-    sum_k X_k' D_k X_k with the state-2 co-occupancy
-    D_k = E((u - mu_k)(u - mu_k)' | y_k), the (N, M+1) mean scores gbar,
-    and the deterministic curvature H summed over replicates and points.
-    Rows of P must sum to one.  Temporaries are O(N n^2 + S n); none is
-    N x S sized.
+    sum_k X_k' D_k X_k with D_k = E((u - mu_k)(u - mu_k)' | y_k), the
+    (N, M+1) mean scores gbar, and the curvature H summed over replicates
+    and points.
     """
     N, n, M = covariates.shape
     X = np.concatenate([np.ones((N, n, 1)), covariates], axis=2)
     eta = X @ np.concatenate([[beta[0, 0]], beta[0, 1:]])
     mu = 1.0 / (1.0 + np.exp(-eta))                      # (N, n)
-    u = enum.onehot[:, :, 1]                             # (S, n)
-    ubar = P @ u                                         # (N, n)
-    Q = np.empty((N, n, n))                              # E(u u' | y_k)
-    for i in range(n):
-        Q[:, i, :] = P @ (u * u[:, i:i + 1])
+    ubar = marginals[:, :, 1]
     e = ubar - mu
-    D = Q                                                # in place
-    D -= ubar[:, :, None] * ubar[:, None, :]
+    D = ucooc - ubar[:, :, None] * ubar[:, None, :]
     D += e[:, :, None] * e[:, None, :]
     T2 = np.einsum("kip,kij,kjq->pq", X, D, X, optimize=True)
     gbar = np.einsum("kip,ki->kp", X, e)
@@ -118,45 +112,46 @@ def _covariate_moments(P, enum, beta, covariates):
 
 
 # ---------------------------------------------------------------------------
-# structured kinds: the enumerated joint posterior
+# structured kinds: the enumeration route's posterior moments
 # ---------------------------------------------------------------------------
 
-def louis_information_generic(P, enum, latent_spec, params,
-                              covariates=None):
-    """Louis information over enumerated state vectors.
+def louis_information_generic(step, latent_spec, params, covariates=None):
+    """Louis information from a structured-kind E-step at the estimates.
 
-    ``P`` is the (N, S) joint posterior at the estimates.  The score
-    covariance is sum_k E(g_k g_k' | y_k) - E(g_k | y_k) E(g_k | y_k)'.
-    Returns (information matrix, labels).
+    The score covariance is sum_k E(g_k g_k' | y_k) - E(g_k | y_k)
+    E(g_k | y_k)'.  For iid and Markov, g_s = z_s' H with z_s = [E_s,
+    trans_s] (``latent.Moments``) and H the factor scores on the rows they
+    count.  Returns (information matrix, labels).
     """
     kind = latent_spec.kind
     if kind == "covariate":
         if params.beta.shape[0] != 1:
             raise SingularInformation(
                 "covariate information implemented for J = 2")
-        T2, gbar, H = _covariate_moments(P, enum, params.beta, covariates)
+        T2, gbar, H = _covariate_moments(
+            step.marginals, step.moments.ucooc, params.beta, covariates)
         labels = [f"beta{m}" for m in range(params.beta.shape[1])]
-        T1 = -H
+        return -H - (T2 - gbar.T @ gbar), labels
+    N, n, J = step.marginals.shape
+    z = step.marginals.reshape(N, n * J)
+    if kind == "iid":
+        H = np.tile(_iid_factor_scores(params.p), (n, 1))
+        labels = [f"p{j}" for j in range(1, params.p.size)]
     else:
-        w = lat_mod.state_mass(P)
-        if kind == "iid":
-            a = _iid_factor_scores(params.p)
-            G = enum.counts @ a                          # (S, J-1)
-            T1 = _second_moment(w @ enum.counts, a)
-            labels = [f"p{j}" for j in range(1, params.p.size)]
-        else:
-            if params.pi.size != 2:
-                raise SingularInformation(
-                    "markov information implemented for J = 2")
-            h0, h = _markov_factor_scores(params.pi, params.A)
-            h = h.reshape(4, 3)
-            first = enum.onehot[:, 0, :]
-            trans = enum.trans.reshape(enum.size, 4)
-            G = first @ h0 + trans @ h
-            T1 = _second_moment(w @ first, h0) + _second_moment(w @ trans, h)
-            labels = ["pi1", "a12", "a21"]
-        T2 = _second_moment(w, G)
-        gbar = P @ G
+        if params.pi.size != 2:
+            raise SingularInformation(
+                "markov information implemented for J = 2")
+        h0, h = _markov_factor_scores(params.pi, params.A)
+        H = np.zeros((n * J + J * J, 3))
+        H[:J] = h0
+        H[n * J:] = h.reshape(J * J, 3)
+        z = np.hstack([z, step.transitions.reshape(N, J * J)])
+        labels = ["pi1", "a12", "a21"]
+    # each row of H scores one factor, so E(-H | y) is the second moment
+    # of H's rows weighted by their expected counts
+    T1 = _second_moment(z.sum(axis=0), H)
+    T2 = H.T @ step.moments.cooc[:, :len(H), :len(H)].sum(axis=0) @ H
+    gbar = z @ H
     return T1 - (T2 - gbar.T @ gbar), labels
 
 
@@ -266,8 +261,7 @@ def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step):
                     "standard errors are unavailable there")
     if not cov_spec.diagonal:
         info, labels = louis_information_generic(
-            step.joint, step.enum, latent_spec, params,
-            covariates=dataset.covariates)
+            step, latent_spec, params, covariates=dataset.covariates)
     elif kind == "iid":
         info, labels = louis_information_iid_closed(step.marginals, params.p)
     elif kind == "markov":

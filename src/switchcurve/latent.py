@@ -13,21 +13,13 @@ regimes of interest far from overflow.  In those regimes nearly every state
 vector lies far below a replicate's largest log weight: the joint posterior
 keeps only entries within T = ln S + 36.8 of it and writes
 an exact 0 for the rest, which together hold at most e^-36.8 (about
-1.05e-16) of the replicate's total, under half an ulp of 1.  After the
-first E-step of a fit few state vectors keep an entry in any replicate
-(0.6% of 16384 in the benchmark's n = 14 homog_ri fits, 4.5% of 2048 in its
-n = 11 nonhomog_ri fits).  So ``joint_posterior`` takes the (N, S) log
-joint that ``CovStructure.loglik_table`` builds in one GEMM (the log prior
-included: ``log_prior_table`` returns it as a factor pair, the form that
-GEMM takes), finds the candidate columns in one compare pass, moves those
-to the front of the table's own buffer and shifts them, compacts away the
-ones left below the cut, and exponentiates and normalizes the rest: no
-second (N, S) table is made, and ``ecm_fit`` frees each E-step before the
-next.  The E-step keeps the columns with mass and the matching enumeration
-rows (``StateEnumeration.take``); every summary below takes any such pair.
-Summaries of the (N, S_live) joint posterior table are single matrix
-products with the enumeration's flat indicator tables; the Markov M-step's
-expected transition totals are one GEMV of the state mass P'1.
+1.05e-16) of the replicate's total, under half an ulp of 1.
+
+The structured-kind E-step runs over blocks of at most ``_BLOCK_BYTES`` of
+(rows, S) log joint.  ``joint_posterior`` normalizes a block on the columns
+that can carry mass; ``posterior_moments`` keeps its rows of the outputs and
+adds its column sums into S-long accumulators, which reduce to fixed-size
+``Moments``: no (replicate, state vector) table outlives a block.
 """
 
 from dataclasses import dataclass
@@ -39,6 +31,9 @@ import numpy as np
 from .errors import DegenerateLikelihood, EnumerationTooLarge
 
 _OCCUPANCY_EPS = 1e-12
+
+# bytes of (rows, S) float64 log joint per E-step block, or one row
+_BLOCK_BYTES = 4 * 2 ** 20
 
 # the joint posterior keeps a replicate's entries within T = ln S + 36.8 of
 # its largest: the S - 1 or fewer it drops each weigh under e^-T of it, so
@@ -57,8 +52,7 @@ _NEWTON_MAX_HALVINGS = 30
 
 @dataclass(frozen=True)
 class StateEnumeration:
-    """All J**n state vectors (or the subset ``take`` keeps) plus the
-    count tables M-steps need."""
+    """All J**n state vectors plus the count tables M-steps need."""
 
     n: int
     J: int
@@ -75,14 +69,6 @@ class StateEnumeration:
     def flat(self):
         """(S, n*J) view of ``onehot``; column i*J + j flags state j at i."""
         return self.onehot.reshape(self.size, -1)
-
-    def take(self, cols):
-        """The state vectors at indices ``cols``, with their count tables."""
-        return StateEnumeration(
-            n=self.n, J=self.J, states=np.take(self.states, cols, axis=0),
-            onehot=np.take(self.onehot, cols, axis=0),
-            counts=np.take(self.counts, cols, axis=0),
-            trans=np.take(self.trans, cols, axis=0))
 
 
 def enumeration_bytes(n, J):
@@ -219,32 +205,26 @@ def log_prior_single(states, latent_spec, params, covariate_rows=None):
 # ---------------------------------------------------------------------------
 
 def joint_posterior(W):
-    """Normalize per-replicate joint posteriors on the columns with mass.
+    """Normalize per-replicate joint posteriors on the columns that can
+    carry mass.
 
-    ``W`` is the (N, S) log joint table (log density plus log prior), as
-    ``CovStructure.loglik_table`` returns it; it is overwritten, and the
-    returned ``P`` is a view of its buffer.  Each row is shifted by its
-    maximum m.  Shifted entries below -T, T = ln S + 36.8, are not
-    exponentiated: a clip at 0 writes them as exact 0, and together they
-    would hold at most e^-36.8 of the row's total.  A state vector whose
-    shifted entries are all below -T has no posterior mass, so one
-    compare pass, W >= m - (T + 1), finds the candidate columns first
-    (the 1 covers the rounding of the shift).  Those are moved to the
-    front of ``W``'s own buffer and shifted, the ones whose shifted
-    entries are all below -T are compacted away likewise, and the rest are
-    exponentiated, clipped, summed and divided.  Besides ``W``, only
-    boolean masks and one row are alive at a time.
+    ``W`` is a (rows, S) log joint table (log density plus log prior) of
+    one block of replicates, as ``CovStructure.loglik_table`` returns it.
+    Each row is shifted by its maximum m.  Shifted entries below -T,
+    T = ln S + 36.8, are not exponentiated: a clip at 0 writes them as
+    exact 0, and together they would hold at most e^-36.8 of the row's
+    total.  A state vector whose shifted entries are all below -T has no
+    posterior mass, so one compare pass, W >= m - (T + 1), finds the
+    candidate columns first (the 1 covers the rounding of the shift); only
+    those are taken, shifted, exponentiated, clipped, summed and divided.
+    A candidate column can still end up all zero.  When more than half the
+    columns are candidates, ``W`` is normalized in place and kept whole.
 
-    Returns
-    -------
-    P : (N, S_live) posterior table, rows summing to one.
-    ll : (N,) log marginal likelihood per replicate.
-    cols : (S_live,) the columns of ``W`` that ``P`` keeps, ascending.
-
-    Raises
-    ------
-    DegenerateLikelihood
-        if a row holds a NaN or +inf entry, or has no finite entry.
+    Returns ``(P, ll, cols)``: the (rows, S_cand) posterior table, rows
+    summing to one, the log marginal likelihoods, and the columns of ``W``
+    that ``P`` holds: ascending indices, or ``slice(None)`` for all.
+    Raises ``DegenerateLikelihood`` if a row holds a NaN or +inf entry, or
+    has no finite entry.
     """
     # a NaN entry makes its row's max NaN, so it is refused here rather
     # than zeroed by the mask below
@@ -263,12 +243,12 @@ def joint_posterior(W):
     # exactly at least -(T + 1), so W is at or above the rounded floor
     floor = m + (cut - 1.0)
     cols = np.flatnonzero(np.any(W >= floor[:, None], axis=0))
-    P = _compact(W, cols)
+    if 2 * cols.size > W.shape[1]:
+        # a copy of most columns would hold a second table for little gain
+        P, cols = W, slice(None)
+    else:
+        P = np.take(W, cols, axis=1)
     P -= m[:, None]
-    live = np.any(P >= cut, axis=0)
-    if not live.all():
-        cols = cols[live]
-        P = _compact(P, np.flatnonzero(live))
     np.exp(P, out=P, where=P >= cut)
     # the entries left unexponentiated are below cut < 0 (or -inf), so one
     # clip writes their zeros
@@ -278,57 +258,97 @@ def joint_posterior(W):
     return P, m + np.log(Z), cols
 
 
-def _compact(W, cols):
-    """Columns ``cols`` (ascending) of the C-ordered table ``W``, moved to
-    the front of its own buffer: the returned (N, cols.size) table is a
-    view of that buffer, and ``W`` is overwritten.
-
-    Row i is gathered into a one-row buffer, then written where it ends
-    before row i + 1 of ``W`` starts, so no row is overwritten before it
-    is read.
-    """
-    N, S = W.shape
-    k = cols.size
-    if k == S:
-        return W
-    flat = W.reshape(-1)
-    row = np.empty(k)
-    for i in range(N):
-        # cols holds valid indices, so "clip" only skips the bounds check
-        np.take(W[i], cols, out=row, mode="clip")
-        flat[i * k:(i + 1) * k] = row
-    return flat[:N * k].reshape(N, k)
+def marginals_from_joint(P, enum, cols):
+    """(rows, n, J) marginals from a joint table over state vectors
+    ``cols``."""
+    return (P @ enum.flat[cols]).reshape(P.shape[0], enum.n, enum.J)
 
 
-def state_mass(P):
-    """(S,) posterior mass P'1 of each state vector, as one GEMV."""
-    return np.ones(P.shape[0]) @ P
-
-
-def replicate_sums(P, X):
-    """(S, c) table P'X for per-replicate rows X (N, c).
-
-    Computed as (X'P)': on a C-ordered (N, S) table BLAS runs that product
-    several times faster than P'X.
-    """
-    return (X.T @ P).T
-
-
-def marginals_from_joint(P, enum):
-    """(N, n, J) pointwise posteriors from the joint table."""
-    return (P @ enum.flat).reshape(P.shape[0], enum.n, enum.J)
-
-
-def pairwise_from_joint(P, enum):
-    """(J, J) expected transition totals from the joint table.
-
-    Entry (l, j) is the posterior-expected number of l -> j moves summed
-    over replicates and neighbouring points: one GEMV of the state mass
-    P'1 with the per-vector transition counts.
-    """
+def pairwise_from_joint(P, enum, cols):
+    """(rows, J, J) expected numbers of l -> j moves per replicate from a
+    joint table over state vectors ``cols``."""
     J = enum.J
-    counts = enum.trans.reshape(enum.size, J * J)
-    return (state_mass(P) @ counts).reshape(J, J)
+    counts = enum.trans.reshape(enum.size, J * J)[cols]
+    return (P @ counts).reshape(P.shape[0], J, J)
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Fixed-size posterior sums of a structured-kind E-step.
+
+    With y_c = y - ybar, m_k replicate k's flat marginals, P_ks its joint
+    posterior, w_s = sum_k P_ks, E_s state vector s's flat indicators, z_s
+    = [E_s, its transition counts] and t_s = sum_k P_ks x_ks, x_ks = 1 or
+    for nonhomog_ri [1, 1'y_ck, (1'y_ck)^2, u_s'y_ck, 1'y_ck u_s'y_ck,
+    (u_s'y_ck)^2] (u_s its state-2 indicators): ``cooc`` and ``lin`` sum
+    w_s z_s z_s' and E_s t_s' per stratum (nonhomog_ri's count of state-2
+    points, else one); ``ucooc`` is each replicate's sum_s P_ks u_s u_s'.
+    """
+
+    N: int
+    ybar: np.ndarray          # (n,)
+    yy: np.ndarray            # (n, n) sum_k y_ck y_ck'
+    C: np.ndarray             # (n, n J) sum_k y_ck m_k'
+    cooc: np.ndarray          # (G, n J + J J, n J + J J)
+    lin: np.ndarray           # (G, n J, c)
+    ucooc: np.ndarray | None = None     # (N, n, n)
+
+    @property
+    def occupancy(self):
+        """(n J, n J) co-occupancy sum_s w_s E_s E_s' over every stratum."""
+        nJ = self.C.shape[1]
+        return self.cooc[:, :nJ, :nJ].sum(axis=0)
+
+
+def posterior_moments(blocks, enum, yc, ybar, latent_kind, nonhomog):
+    """``(loglik, marginals, transitions, moments)`` of a structured-kind
+    E-step from ``blocks`` of ``(rows, *joint_posterior(...))``: each block
+    writes its rows and adds its t_s (``Moments``) into an (S, c)
+    accumulator, reduced on the state vectors with mass after the last."""
+    (N, n), J = yc.shape, enum.J
+    loglik, marginals = np.empty(N), np.empty((N, n, J))
+    transitions = np.empty((N, J, J)) if latent_kind == "markov" else None
+    ucooc = np.empty((N, n, n)) if latent_kind == "covariate" else None
+    acc = np.zeros((enum.size, 6 if nonhomog else 1))
+    for rows, P, ll, cols in blocks:
+        loglik[rows] = ll
+        marginals[rows] = marginals_from_joint(P, enum, cols)
+        if transitions is not None:
+            transitions[rows] = pairwise_from_joint(P, enum, cols)
+        if ucooc is not None or nonhomog:
+            u = np.ascontiguousarray(enum.onehot[cols, :, 1])
+        if ucooc is not None:
+            for i in range(n):
+                ucooc[rows, i] = P @ (u * u[:, i:i + 1])
+        one = np.ones(P.shape[0])
+        if nonhomog:
+            ty = yc[rows].sum(axis=1)
+            X = np.column_stack([one, ty, ty * ty])
+            uy = yc[rows] @ u.T                         # u_s'y_ck
+            Q = P * uy
+            acc[cols] += np.vstack([X.T @ P, X[:, :2].T @ Q,
+                                    one @ np.multiply(Q, uy, out=Q)]).T
+        else:
+            acc[cols, 0] += one @ P
+        P = uy = Q = None       # freed before the next block is built
+
+    live = np.flatnonzero(acc[:, 0])
+    g = enum.counts[live, 1].astype(np.intp) if nonhomog else 0 * live
+    order = np.argsort(g, kind="stable")
+    live, G = live[order], n + 1 if nonhomog else 1
+    bounds = np.searchsorted(g[order], np.arange(G + 1))
+    Z = np.hstack([np.take(enum.flat, live, axis=0),
+                   np.take(enum.trans.reshape(enum.size, -1), live, axis=0)])
+    t, nJ = acc[live], n * J
+    cooc = np.empty((G, Z.shape[1], Z.shape[1]))
+    lin = np.empty((G, nJ, t.shape[1]))
+    for k in range(G):
+        z, tk = Z[bounds[k]:bounds[k + 1]], t[bounds[k]:bounds[k + 1]]
+        cooc[k] = z.T @ (tk[:, :1] * z)
+        lin[k] = z[:, :nJ].T @ tk
+    return loglik, marginals, transitions, Moments(
+        N=N, ybar=ybar, yy=yc.T @ yc, C=yc.T @ marginals.reshape(N, nJ),
+        cooc=cooc, lin=lin, ucooc=ucooc)
 
 
 def marginal_posterior_pointwise(pointwise_loglik, log_pstate):
@@ -403,8 +423,8 @@ def update_alpha(latent_spec, prev, marginals, transitions=None,
                  covariates=None):
     """Conditional M-step for the latent parameters.
 
-    ``transitions`` is the Markov model's (J, J) expected transition
-    totals.  Returns ``(params, flags)``.  Markov rows with vanishing
+    ``transitions`` holds the Markov model's (N, J, J) expected transition
+    counts.  Returns ``(params, flags)``.  Markov rows with vanishing
     occupancy keep their previous values and are flagged; a covariate
     Newton search that fails to reach the gradient tolerance is flagged
     "newton_diverged" and returns its best iterate.
@@ -419,13 +439,14 @@ def update_alpha(latent_spec, prev, marginals, transitions=None,
     if latent_spec.kind == "markov":
         pi = marginals[:, 0, :].mean(axis=0)
         pi = pi / pi.sum()
-        den = transitions.sum(axis=1)
+        totals = transitions.sum(axis=0)
+        den = totals.sum(axis=1)
         A = np.array(prev.A, dtype=float, copy=True)
         for l in range(A.shape[0]):
             if den[l] < _OCCUPANCY_EPS:
                 flags.append(f"zero_occupancy_row_{l + 1}")
                 continue
-            A[l] = transitions[l] / den[l]
+            A[l] = totals[l] / den[l]
         return MarkovParams(pi=pi, A=A), flags
 
     beta, newton_flags = _newton_beta(

@@ -184,11 +184,13 @@ def test_03_posterior_routes_match_enumeration():
         marg_fb, pair_fb, ll_fb = forward_backward(pointwise, pi, A)
 
         enum = enumerate_states(n, J)
+        every = np.arange(enum.size)
         loglik = np.einsum("kij,sij->ks", pointwise, enum.onehot)
         table = log_prior_table(enum, LatentSpec(kind="markov", J=J),
                                 MarkovParams(pi=pi, A=A))
         P, ll = joint_posterior_scattered(loglik, table)
-        errs = [np.max(np.abs(marg_fb - marginals_from_joint(P, enum))),
+        marg = marginals_from_joint(P, enum, every)
+        errs = [np.max(np.abs(marg_fb - marg)),
                 np.max(np.abs(pair_fb - pairwise_einsum(P, enum))),
                 np.max(np.abs(ll_fb - ll) / np.maximum(1.0, np.abs(ll)))]
         if max(errs) > 1e-12:
@@ -198,6 +200,7 @@ def test_03_posterior_routes_match_enumeration():
     for J in (2, 3):
         pointwise = 3.0 * rng.standard_normal((3, n, J))
         enum = enumerate_states(n, J)
+        every = np.arange(enum.size)
         loglik = np.einsum("kij,sij->ks", pointwise, enum.onehot)
 
         p = rng.dirichlet(np.ones(J))
@@ -205,7 +208,7 @@ def test_03_posterior_routes_match_enumeration():
         table = log_prior_table(enum, LatentSpec(kind="iid", J=J),
                                 IIDParams(p=p))
         P, _ = joint_posterior_scattered(loglik, table)
-        err = np.max(np.abs(marg - marginals_from_joint(P, enum)))
+        err = np.max(np.abs(marg - marginals_from_joint(P, enum, every)))
         if err > 1e-9:
             failures.append(f"iid J={J} n={n} err={err:.2e}")
 
@@ -216,7 +219,7 @@ def test_03_posterior_routes_match_enumeration():
         table = log_prior_table(enum, LatentSpec(kind="covariate", J=J),
                                 CovariateParams(beta=beta), covariates=v)
         P, _ = joint_posterior_scattered(loglik, table)
-        err = np.max(np.abs(marg - marginals_from_joint(P, enum)))
+        err = np.max(np.abs(marg - marginals_from_joint(P, enum, every)))
         if err > 1e-9:
             failures.append(f"covariate J={J} n={n} err={err:.2e}")
     verdict(3, "forward-backward and pointwise posteriors match "
@@ -311,7 +314,7 @@ def test_04_information_matches_numerical_hessian():
             return float(s.loglik.sum())
 
         info_fd = -fd_hessian(observed, coords(alpha))
-        info, _ = louis_information_generic(step.joint, enum, lat, alpha,
+        info, _ = louis_information_generic(step, lat, alpha,
                                             covariates=data.covariates)
         rel = np.max(np.abs(info - info_fd)) \
             / max(1.0, float(np.max(np.abs(info_fd))))
@@ -319,7 +322,7 @@ def test_04_information_matches_numerical_hessian():
             failures.append(f"{kind} vs finite differences rel={rel:.2e}")
 
     data, enum, lat, alpha, step = toy_fixed_point("iid")
-    info_gen, _ = louis_information_generic(step.joint, enum, lat, alpha)
+    info_gen, _ = louis_information_generic(step, lat, alpha)
     info_cls, _ = louis_information_iid_closed(step.marginals, alpha.p)
     rel = np.max(np.abs(info_cls - info_gen)) \
         / max(1.0, float(np.max(np.abs(info_gen))))
@@ -327,7 +330,7 @@ def test_04_information_matches_numerical_hessian():
         failures.append(f"iid closed form rel={rel:.2e}")
 
     data, enum, lat, alpha, step = toy_fixed_point("markov")
-    info_gen, _ = louis_information_generic(step.joint, enum, lat, alpha)
+    info_gen, _ = louis_information_generic(step, lat, alpha)
     info_cls, _ = louis_information_markov_closed(step.marginals,
                                                   step.pairwise, alpha)
     rel = np.max(np.abs(info_cls - info_gen)) \

@@ -7,6 +7,7 @@ double loops and against local perturbations of the objective they claim
 to maximize; the nonhomog_ri search also against the Nelder-Mead oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,8 +28,10 @@ from switchcurve.em import ecm_fit
 from switchcurve.errors import NonPositiveSigma, NotSPD
 from switchcurve.latent import enumerate_states
 
-from oracles import (intercept_sums_tables, nonhomog_simplex_update,
-                     vinv_for_state)
+from oracles import (estep_from_joint, intercept_sums_tables,
+                     loglik_table_whole, nonhomog_simplex_update,
+                     nonhomog_sufficient_stats_dense, update_homog_ri_dense,
+                     update_unrestricted_dense, vinv_for_state)
 
 
 def dense_v(kind, params, n, u=None):
@@ -99,7 +102,7 @@ def test_vinv_and_logdet_match_dense():
     params = NonHomogRIParams(sigma2=0.4, d1=0.3, d2=1.7)
     cov = make_structure(CovSpec(kind="nonhomog_ri"), params, n)
     E2 = np.tri(n + 1, n, -1)[:, ::-1]          # row m: m state-2 points
-    cm, h, logD = cov.state_terms(E2)
+    cm, h, logD = cov.state_terms(E2.sum(axis=1))
     U = E2 - cm[:, None]                        # row m: u~ at m
     for m in range(n + 1):
         u = E2[m]
@@ -132,9 +135,10 @@ def test_loglik_table_matches_per_pair_loop(kind, make):
     Fs = gathered_curves(F, enum.states)
     y = rng.standard_normal((N, n)) * 2.0
     E2 = (enum.states == 1).astype(float)
-    inputs = (y, Fs, E2)
+    inputs = (y, F, E2)
     before = [a.copy() for a in inputs]
-    table = cov.loglik_table(y, Fs, E2=E2 if kind == "nonhomog_ri" else None)
+    table = loglik_table_whole(cov, y, F, enum.states,
+                               E2=E2 if kind == "nonhomog_ri" else None)
     for a, b in zip(inputs, before):    # in-place table arithmetic only
         np.testing.assert_array_equal(a, b)
     for k in range(N):
@@ -159,7 +163,8 @@ def test_nonhomog_loglik_table_resolves_the_all_state_2_column():
     y = F[1] + 40.0 + 0.01 * rng.standard_normal((N, n))
     Fs = gathered_curves(F, enum.states)
     s = int(np.flatnonzero(enum.counts[:, 1] == n)[0])
-    got = cov.loglik_table(y, Fs, E2=enum.onehot[:, :, 1])[:, s]
+    got = loglik_table_whole(cov, y, F, enum.states,
+                             E2=enum.onehot[:, :, 1])[:, s]
 
     ld = np.longdouble
     r = y.astype(ld) - Fs[s].astype(ld)
@@ -176,11 +181,13 @@ def test_loglik_table_guards():
     cov = make_structure(CovSpec(kind="state_diag"),
                          StateDiagParams(sigma2=[1.0, 2.0]), 3)
     with pytest.raises(ValueError, match="pointwise"):
-        cov.loglik_table(np.zeros((1, 3)), np.zeros((1, 3)))
+        cov.state_factor(np.zeros((2, 3)), np.zeros((1, 3), np.int8),
+                         np.zeros(3))
     nh = make_structure(CovSpec(kind="nonhomog_ri"),
                         NonHomogRIParams(sigma2=1.0, d1=0.1, d2=0.1), 3)
     with pytest.raises(ValueError, match="indicators"):
-        nh.loglik_table(np.zeros((1, 3)), np.zeros((1, 3)))
+        nh.state_factor(np.zeros((2, 3)), np.zeros((1, 3), np.int8),
+                        np.zeros(3))
 
 
 def test_pointwise_loglik_matches_norm_logpdf():
@@ -221,8 +228,9 @@ def test_nonhomog_with_zero_d2_reduces_to_homog():
     ho = make_structure(CovSpec(kind="homog_ri"),
                         HomogRIParams(sigma2=0.8, d=0.4), n)
     E2 = (enum.states == 1).astype(float)
-    np.testing.assert_allclose(nh.loglik_table(y, Fs, E2=E2),
-                               ho.loglik_table(y, Fs), rtol=1e-12)
+    np.testing.assert_allclose(
+        loglik_table_whole(nh, y, F, enum.states, E2=E2),
+        loglik_table_whole(ho, y, F, enum.states), rtol=1e-12)
 
 
 def test_structure_validation():
@@ -276,6 +284,13 @@ def random_posterior(rng, N, S):
     return P / P.sum(axis=1, keepdims=True)
 
 
+def moments_of(P, y, nonhomog=False):
+    """The E-step moments of a joint table P over the two-state
+    enumeration at y's grid size."""
+    enum = enumerate_states(y.shape[1], 2)
+    return estep_from_joint(P, y, enum, "iid", nonhomog).moments
+
+
 def test_update_unrestricted_matches_double_loop():
     rng = np.random.default_rng(5)
     n, N = 4, 3
@@ -284,7 +299,9 @@ def test_update_unrestricted_matches_double_loop():
     Fs = gathered_curves(F, enum.states)
     y = rng.standard_normal((N, n))
     P = random_posterior(rng, N, enum.size)
-    V = update_unrestricted(P, y, Fs)
+    V = update_unrestricted(moments_of(P, y), F)
+    np.testing.assert_allclose(V, update_unrestricted_dense(P, y, Fs),
+                               rtol=1e-12, atol=1e-14)
     want = np.zeros((n, n))
     for k in range(N):
         for s in range(enum.size):
@@ -312,10 +329,11 @@ def test_update_unrestricted_is_local_maximum():
     rng = np.random.default_rng(6)
     n, N = 3, 4
     enum = enumerate_states(n, 2)
-    Fs = gathered_curves(rng.standard_normal((2, n)), enum.states)
+    F = rng.standard_normal((2, n))
+    Fs = gathered_curves(F, enum.states)
     y = rng.standard_normal((N, n)) * 1.5
     P = random_posterior(rng, N, enum.size)
-    V_hat = update_unrestricted(P, y, Fs)
+    V_hat = update_unrestricted(moments_of(P, y), F)
     base = expected_gaussian_term(P, y, Fs, lambda s: V_hat, enum.states)
     for _ in range(4):
         D = rng.standard_normal((n, n)) * 0.05
@@ -330,14 +348,15 @@ def test_update_homog_ri_beats_local_grid():
     rng = np.random.default_rng(7)
     n, N = 5, 6
     enum = enumerate_states(n, 2)
-    Fs = gathered_curves(rng.standard_normal((2, n)), enum.states)
+    F = rng.standard_normal((2, n))
+    Fs = gathered_curves(F, enum.states)
     # draw with a genuine shared intercept so the optimum is interior
     z = rng.integers(0, 2, n)
     f = Fs[int(np.sum(z * 2 ** np.arange(n)))]
     y = f + rng.standard_normal((N, n)) * 0.7 \
         + 1.2 * rng.standard_normal((N, 1))
     P = random_posterior(rng, N, enum.size)
-    sigma2, d = update_homog_ri(P, y, Fs)
+    sigma2, d = update_homog_ri(moments_of(P, y), F)
     assert sigma2 > 0 and d > 0
 
     def q(s2, dd):
@@ -352,28 +371,47 @@ def test_update_homog_ri_beats_local_grid():
 
 
 def test_update_homog_ri_clamps_d_at_zero():
-    # residuals orthogonal to the intercept direction push d negative
+    """Residuals orthogonal to the intercept direction push the
+    unconstrained d negative.  The update is then the conditional maximum
+    over d >= 0: d = 0 with sigma2 the mean squared residual, and no
+    (sigma2, d >= 0) near it gives a larger expected complete-data term."""
     rng = np.random.default_rng(8)
     n, N = 4, 5
+    enum = enumerate_states(n, 2)
     y = rng.standard_normal((N, n))
     y -= y.mean(axis=1, keepdims=True)
-    P = np.ones((N, 1))
-    Fs = np.zeros((1, n))
-    sigma2, d = update_homog_ri(P, y, Fs)
+    F = np.zeros((2, n))
+    Fs = gathered_curves(F, enum.states)
+    P = np.zeros((N, enum.size))
+    P[:, 0] = 1.0
+    sigma2, d = update_homog_ri(moments_of(P, y), F)
     assert d == 0.0
-    assert sigma2 == pytest.approx(float(np.sum(y ** 2)) / (N * (n - 1)),
+    assert sigma2 == pytest.approx(float(np.sum(y ** 2)) / (N * n),
                                    rel=1e-12)
+    assert (sigma2, d) == pytest.approx(update_homog_ri_dense(P, y, Fs),
+                                        rel=1e-12)
+
+    def q(s2, dd):
+        return expected_gaussian_term(
+            P, y, Fs,
+            lambda s: s2 * (np.eye(n) + dd * np.ones((n, n))), enum.states)
+
+    base = q(sigma2, d)
+    for fac_s in (0.9, 0.97, 1.0, 1.03, 1.1):
+        for dd in (0.0, 1e-3, 0.03, 0.1):
+            if (fac_s, dd) != (1.0, 0.0):
+                assert q(sigma2 * fac_s, dd) < base
 
 
 def test_nonhomog_expected_term_matches_dense_loop():
     rng = np.random.default_rng(9)
     n, N = 4, 3
     enum = enumerate_states(n, 2)
-    Fs = gathered_curves(rng.standard_normal((2, n)), enum.states)
+    F = rng.standard_normal((2, n))
+    Fs = gathered_curves(F, enum.states)
     y = rng.standard_normal((N, n))
-    E2 = (enum.states == 1).astype(float)
     P = random_posterior(rng, N, enum.size)
-    stats = nonhomog_sufficient_stats(P, y, Fs, E2)
+    stats = nonhomog_sufficient_stats(moments_of(P, y, nonhomog=True), F)
     for s2, d1, d2 in [(0.5, 0.2, 0.9), (1.3, 0.0, 0.4), (0.8, 0.6, 0.0)]:
         params = NonHomogRIParams(sigma2=s2, d1=d1, d2=d2)
         want = expected_gaussian_term(
@@ -384,9 +422,10 @@ def test_nonhomog_expected_term_matches_dense_loop():
 
 
 def test_intercept_sums_match_residual_tensor():
-    """The P-contracted statistics of update_homog_ri and
-    nonhomog_sufficient_stats against sums over every residual r_ks, on
-    curves far from zero so the expanded squares would cancel."""
+    """The moment forms of update_homog_ri and nonhomog_sufficient_stats
+    against sums over every residual r_ks and against their dense-P
+    forms, on curves far from zero so the expanded squares would
+    cancel."""
     rng = np.random.default_rng(14)
     n, N = 6, 5
     enum = enumerate_states(n, 2)
@@ -396,38 +435,46 @@ def test_intercept_sums_match_residual_tensor():
     E2 = (enum.states == 1).astype(float)
     P = random_posterior(rng, N, enum.size)
     A, b2, bc, c2 = intercept_sums_tables(P, y, Fs, E2)
-    got = nonhomog_sufficient_stats(P, y, Fs, E2)
+    moments = moments_of(P, y, nonhomog=True)
+    got = nonhomog_sufficient_stats(moments, F)
+    dense = nonhomog_sufficient_stats_dense(P, y, Fs, E2)
     m = E2.sum(axis=1).astype(int)
     assert got[0] == pytest.approx(A, rel=1e-12)
+    np.testing.assert_array_equal(got[1], np.arange(n + 1))
     np.testing.assert_allclose(got[2], np.bincount(m, weights=P.sum(axis=0)),
                                rtol=1e-12)
-    for have, per_s in zip(got[3:], (b2, bc, c2)):
+    for have, per_s, old in zip(got[3:], (b2, bc, c2), dense[3:]):
         want = np.bincount(m, weights=per_s)
         np.testing.assert_allclose(have, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
-    sigma2, d = update_homog_ri(P, y, Fs)
+        np.testing.assert_allclose(have, old, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+    sigma2, d = update_homog_ri(moments, F)
     ss_mean = float(b2.sum())
     want_s2 = (A - ss_mean / n) / (N * (n - 1))
     assert sigma2 == pytest.approx(want_s2, rel=1e-12)
-    assert d == pytest.approx(
-        max(ss_mean / (want_s2 * N * n ** 2) - 1.0 / n, 0.0), rel=1e-12)
+    assert d == pytest.approx(ss_mean / (want_s2 * N * n ** 2) - 1.0 / n,
+                              rel=1e-12)
+    assert (sigma2, d) == pytest.approx(update_homog_ri_dense(P, y, Fs),
+                                        rel=1e-12)
 
 
 def test_update_nonhomog_never_degrades_the_objective():
     rng = np.random.default_rng(10)
     n, N = 5, 8
     enum = enumerate_states(n, 2)
-    Fs = gathered_curves(rng.standard_normal((2, n)), enum.states)
-    E2 = (enum.states == 1).astype(float)
+    F = rng.standard_normal((2, n))
+    Fs = gathered_curves(F, enum.states)
     u = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
     noise = (rng.standard_normal((N, n)) * 0.6
              + 0.9 * rng.standard_normal((N, 1))
              + 1.4 * rng.standard_normal((N, 1)) * u)
     y = Fs[10] + noise
     P = random_posterior(rng, N, enum.size)
-    stats = nonhomog_sufficient_stats(P, y, Fs, E2)
+    moments = moments_of(P, y, nonhomog=True)
+    stats = nonhomog_sufficient_stats(moments, F)
     prev = NonHomogRIParams(sigma2=1.0, d1=0.1, d2=0.1)
-    s2, d1, d2 = update_nonhomog_ri(P, y, Fs, E2, prev)
+    s2, d1, d2 = update_nonhomog_ri(moments, F, prev)
     old = nonhomog_expected_term(prev.sigma2, prev.d1, prev.d2, n, N, stats)
     new = nonhomog_expected_term(s2, max(d1, 1e-300), max(d2, 1e-300), n, N,
                                  stats)
@@ -438,10 +485,12 @@ def test_update_nonhomog_never_degrades_the_objective():
 def nonhomog_problem(shared, second, n=6, N=40, seed=1):
     """A posterior concentrated on one state vector s0, and responses about
     its curves with a shared intercept of sd ``shared`` and an intercept of
-    sd ``second`` on s0's state-2 points."""
+    sd ``second`` on s0's state-2 points.  Returns the E-step moments and
+    the curves."""
     rng = np.random.default_rng(seed)
     enum = enumerate_states(n, 2)
-    Fs = gathered_curves(rng.standard_normal((2, n)), enum.states)
+    F = rng.standard_normal((2, n))
+    Fs = gathered_curves(F, enum.states)
     E2 = (enum.states == 1).astype(float)
     s0 = rng.integers(enum.size)
     y = (Fs[s0] + 0.5 * rng.standard_normal((N, n))
@@ -450,7 +499,7 @@ def nonhomog_problem(shared, second, n=6, N=40, seed=1):
     logits = rng.standard_normal((N, enum.size))
     logits[:, s0] += 8.0
     P = np.exp(logits)
-    return P / P.sum(axis=1, keepdims=True), y, Fs, E2
+    return moments_of(P / P.sum(axis=1, keepdims=True), y, nonhomog=True), F
 
 
 @pytest.mark.parametrize("start", [(1.0, 0.3, 0.3), (1.0, 0.0, 0.0)],
@@ -464,16 +513,16 @@ def test_update_nonhomog_reaches_a_stationary_point(shared, second, zeros,
     oracle, and no coordinate can rise further: the derivative in log theta
     vanishes on positive coordinates, and the one-sided slope into a zero
     bound is negative."""
-    P, y, Fs, E2 = nonhomog_problem(shared, second)
-    N, n = y.shape
-    stats = nonhomog_sufficient_stats(P, y, Fs, E2)
+    moments, F = nonhomog_problem(shared, second)
+    N, n = moments.N, F.shape[1]
+    stats = nonhomog_sufficient_stats(moments, F)
     prev = NonHomogRIParams(*start)
 
     def objective(theta):
         return nonhomog_expected_term(*theta, n, N, stats)
 
-    theta = update_nonhomog_ri(P, y, Fs, E2, prev)
-    ref = objective(nonhomog_simplex_update(P, y, Fs, E2, prev))
+    theta = update_nonhomog_ri(moments, F, prev)
+    ref = objective(nonhomog_simplex_update(moments, F, prev))
     assert objective(theta) >= ref - 1e-12 * abs(ref)
     assert [i for i in (1, 2) if theta[i] == 0.0] == zeros
     h = 1e-5
@@ -489,15 +538,15 @@ def test_update_nonhomog_reaches_a_stationary_point(shared, second, zeros,
 
 
 def test_update_nonhomog_is_continuous_in_the_posterior(monkeypatch):
-    """A one-ulp change in one posterior entry moves (sigma2, d1, d2) by
-    no more than rounding, at every M-step of a fit.  Trying a step whose
+    """A one-ulp change in one posterior sum moves (sigma2, d1, d2) by no
+    more than rounding, at every M-step of a fit.  Trying a step whose
     predicted gain is below f's rounding, and keeping it if f fell, let
     such a change move d2 by up to 3e-7 relative here."""
     calls = []
 
-    def record(P, y, Fs, E2, prev):
-        calls.append((P.copy(), y, Fs, E2, prev))
-        return update_nonhomog_ri(P, y, Fs, E2, prev)
+    def record(moments, F, prev):
+        calls.append((moments, F, prev))
+        return update_nonhomog_ri(moments, F, prev)
 
     monkeypatch.setattr(covariance, "update_nonhomog_ri", record)
     design = sim.SimDesign(kind="markov", N=100, x=np.linspace(1, 100, 8))
@@ -505,15 +554,16 @@ def test_update_nonhomog_is_continuous_in_the_posterior(monkeypatch):
     ecm_fit(data, LatentSpec(kind="markov", J=2),
             CovSpec(kind="nonhomog_ri"), lambdas=1e-4, compute_se=False)
     assert len(calls) >= 3
-    for P, y, Fs, E2, prev in calls:
-        base = update_nonhomog_ri(P, y, Fs, E2, prev)
-        for k in range(6):
-            nudged = P.copy()
-            i = np.argmax(nudged[k])
-            nudged[k, i] = np.nextafter(nudged[k, i], 0.0)
+    for moments, F, prev in calls:
+        base = update_nonhomog_ri(moments, F, prev)
+        g = int(np.argmax(moments.lin[:, :2, 0].sum(axis=1)))
+        for c in range(moments.lin.shape[2]):
+            lin = moments.lin.copy()
+            lin[g, 0, c] = np.nextafter(lin[g, 0, c], 0.0)
             np.testing.assert_allclose(
-                update_nonhomog_ri(nudged, y, Fs, E2, prev), base,
-                rtol=1e-10, atol=0.0)
+                update_nonhomog_ri(dataclasses.replace(moments, lin=lin),
+                                   F, prev),
+                base, rtol=1e-10, atol=0.0)
 
 
 def test_update_state_diag_matches_weighted_average():
@@ -582,6 +632,6 @@ def test_homog_update_recovers_simulated_components():
          + math.sqrt(sigma2 * d) * rng.standard_normal((N, 1)))
     P = np.zeros((N, enum.size))
     P[:, s_true] = 1.0
-    s2_hat, d_hat = update_homog_ri(P, y, Fs)
+    s2_hat, d_hat = update_homog_ri(moments_of(P, y), F)
     assert 0.93 * sigma2 < s2_hat < 1.07 * sigma2
     assert 0.8 * d < d_hat < 1.2 * d

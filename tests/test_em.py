@@ -22,18 +22,22 @@ from switchcurve.datamodel import (CovSpec, CovariateParams, HomogRIParams,
                                    NonHomogRIParams, StateDiagParams, Theta,
                                    UnrestrictedParams, theta_to_dict)
 from switchcurve.em import (_solve_spd, classify_marginals, e_step, ecm_fit,
-                            gather_curves, general_normal_system, initialize,
+                            general_normal_system, initialize,
                             penalty_value, update_f_diagonal,
                             update_f_general, weight_matrices)
-from switchcurve.errors import (BadInit, EnumerationTooLarge, NotSPD,
+from switchcurve.errors import (BadInit, EnumerationTooLarge,
+                                MonotonicityViolation, NotSPD,
                                 SingularSystem, SpecMismatch)
 from switchcurve.latent import enumerate_states
 
 from oracles import (enumerated_e_step, enumeration_joint_dense,
-                     gather_curves_fancy, joint_posterior_dense,
+                     estep_from_joint, gather_curves, gather_curves_fancy,
+                     general_normal_system_dense, joint_posterior_dense,
                      joint_posterior_full, log_prior_dense,
-                     loglik_table_dense, nonhomog_normal_system_loop,
-                     pairwise_einsum)
+                     loglik_table_dense, loglik_table_whole,
+                     louis_information_dense, nonhomog_normal_system_loop,
+                     pairwise_einsum, update_homog_ri_dense,
+                     update_unrestricted_dense)
 
 LAM = 1e-4
 
@@ -190,7 +194,9 @@ def test_general_coefficient_update_solves_loop_system(kind, params):
 
     from switchcurve.covariance import make_structure
     cov = make_structure(CovSpec(kind=kind), params, n)
-    phi = update_f_general(B, R, lambdas, y, cov, enum, P)
+    moments = estep_from_joint(P, y, enum, "iid",
+                               nonhomog=kind == "nonhomog_ri").moments
+    phi = update_f_general(B, R, lambdas, cov, moments)
 
     JK = J * K
     A = np.zeros((JK, JK))
@@ -214,7 +220,7 @@ def test_general_coefficient_update_solves_loop_system(kind, params):
     want = np.linalg.solve(A, b).reshape(J, K)
     np.testing.assert_allclose(phi, want, rtol=1e-8, atol=1e-10)
 
-    got_A, got_b = general_normal_system(B, R, lambdas, y, cov, enum, P)
+    got_A, got_b = general_normal_system(B, R, lambdas, cov, moments)
     np.testing.assert_allclose(got_A, A, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(got_b, b, rtol=1e-10, atol=1e-12)
 
@@ -236,7 +242,8 @@ def test_nonhomog_normal_system_matches_state_vector_loop(n, d1, d2):
 
     from switchcurve.covariance import make_structure
     cov = make_structure(CovSpec(kind="nonhomog_ri"), params, n)
-    got_A, got_b = general_normal_system(B, R, lambdas, y, cov, enum, P)
+    moments = estep_from_joint(P, y, enum, "iid", nonhomog=True).moments
+    got_A, got_b = general_normal_system(B, R, lambdas, cov, moments)
     A, b = nonhomog_normal_system_loop(B, R, lambdas, y, params, enum, P)
     np.testing.assert_allclose(got_A, A, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(A)))
@@ -263,7 +270,9 @@ def test_normal_system_path_is_searched_once_per_shape(kind, params, n,
     P = rng.uniform(0.1, 1.0, (N, enum.size))
     P /= P.sum(axis=1, keepdims=True)
     cov = make_structure(CovSpec(kind=kind), params, n)
-    args = B, R, np.array([0.05, 0.4]), y, cov, enum, P
+    moments = estep_from_joint(P, y, enum, "iid",
+                               nonhomog=kind == "nonhomog_ri").moments
+    args = B, R, np.array([0.05, 0.4]), cov, moments
     cached = general_normal_system(*args)
     hits = em._normal_system_path.cache_info().hits
     assert [np.array_equal(g, w) for g, w in
@@ -303,17 +312,17 @@ def test_estep_diagonal_route_matches_enumeration(lat_kind, cov_kind):
     np.testing.assert_allclose(fast.loglik, slow.loglik, rtol=1e-12)
     np.testing.assert_allclose(fast.marginals, slow.marginals, atol=1e-11)
     if lat_kind == "markov":
-        np.testing.assert_allclose(
-            fast.pairwise, pairwise_einsum(slow.joint, enum), atol=1e-11)
+        np.testing.assert_allclose(fast.pairwise, slow.pairwise, atol=1e-11)
 
 
 @pytest.mark.parametrize("cov_kind", ["iso_diag", "homog_ri"])
 def test_markov_e_step_carries_transition_totals(cov_kind):
-    """Both routes hand the latent M-step the (J, J) expected transition
-    totals; only forward-backward keeps its per-point pair table."""
+    """Both routes hand the latent M-step the (N, J, J) expected
+    transition counts per replicate; only forward-backward keeps its
+    per-point pair table."""
     rng = np.random.default_rng(6)
-    n, J = 6, 2
-    data, _, _ = two_state_data(seed=6, N=5, n=n)
+    n, J, N = 6, 2, 5
+    data, _, _ = two_state_data(seed=6, N=N, n=n)
     _, B, _ = design(n, 5)
     F = rng.standard_normal((J, 5)) @ B.T
     cov = IsoDiagParams(sigma2=0.3) if cov_kind == "iso_diag" \
@@ -325,15 +334,18 @@ def test_markov_e_step_carries_transition_totals(cov_kind):
     spec, cspec = LatentSpec(kind="markov", J=J), CovSpec(kind=cov_kind)
     enum = enumerate_states(n, J)
     step = e_step(data, F, theta, spec, cspec, enum=enum)
-    assert step.transitions.shape == (J, J)
+    assert step.transitions.shape == (N, J, J)
     if cspec.diagonal:
         np.testing.assert_array_equal(step.transitions,
-                                      step.pairwise.sum(axis=(0, 1)))
+                                      step.pairwise.sum(axis=1))
     else:
         assert step.pairwise is None
+        live, _, cols = enumeration_joint_dense(data, F, theta, spec, cspec,
+                                                enum)
+        P = np.zeros((N, enum.size))
+        P[:, cols] = live
         np.testing.assert_allclose(
-            step.transitions,
-            pairwise_einsum(step.joint, step.enum).sum(axis=(0, 1)),
+            step.transitions, pairwise_einsum(P, enum).sum(axis=1),
             atol=1e-13)
 
 
@@ -357,31 +369,36 @@ LATENT_PARAMS = {
 
 @pytest.mark.parametrize("lat_kind", list(LATENT_PARAMS))
 @pytest.mark.parametrize("cov_kind", list(STRUCTURED_PARAMS))
-def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
-    """The E-step builds the log joint in one augmented GEMM, normalizes
-    only its columns with mass and keeps those and their state vectors:
-    its joint is, bit for bit, ``joint_posterior`` of the package's
-    ``loglik_table``.  The dense route builds the log densities, adds the
-    row and column terms and an (N, S) prior table, normalizes every
-    column and takes the columns with mass last.  Both keep the same
-    columns with the same probabilities up to the rounding of the GEMM's
-    sum, and every consumer on (step.joint, step.enum) matches the dense
-    table on the full enumeration.  Entries more than T = ln S + 36.8
-    below their row's largest are exact zeros, the others are bit for bit
-    an oracle's with the same cut on the same columns, and each row drops
-    at most e^-36.8 of the uncut dense joint's mass.  At noise 1 every
-    state vector keeps mass, as in a fit's first E-step; at noise 0.03
-    against a state gap of 1, a state vector two points off a replicate's
-    own is below the cut; at noise 0.02 against a state gap of 0.14, 40
-    replicates put entries within 1 of the cut on both sides of it (and
-    no replicate's log-likelihood near 0, where rtol reads rounding)."""
-    from switchcurve.covariance import (make_structure, update_homog_ri,
-                                        update_nonhomog_ri,
+def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind,
+                                               monkeypatch):
+    """The E-step writes each block of replicates' log joint in one
+    augmented GEMM, normalizes only the columns that can carry mass, and
+    hands on marginals, transition counts and fixed-size moments.  On one
+    block its log-likelihoods and marginals are, bit for bit, those of
+    ``joint_posterior`` on the package's ``loglik_table``.  That joint's
+    entries more than T = ln S + 36.8 below their row's largest are exact
+    zeros, the others bit for bit an oracle's with the same cut on the same
+    columns, and each row drops at most e^-36.8 of the uncut dense joint's
+    mass.  The dense route builds the log densities, adds the row and
+    column terms and an (N, S) prior table and normalizes every column:
+    both keep mass on the same columns, with the same probabilities up to
+    the rounding of the GEMM's sum, and every consumer of the moments
+    matches its dense-P form on the dense table.  Blocks of 4 replicates
+    give the one-block outputs.  At noise 1 every state vector keeps mass,
+    as in a fit's first E-step; at noise 0.03 against a state gap of 1, a
+    state vector two points off a replicate's own is below the cut; at
+    noise 0.02 against a state gap of 0.14, 40 replicates put entries
+    within 1 of the cut on both sides of it (and no replicate's
+    log-likelihood near 0, where rtol reads rounding)."""
+    from switchcurve import covariance
+    from switchcurve.covariance import (make_structure,
+                                        nonhomog_sufficient_stats,
+                                        update_homog_ri, update_nonhomog_ri,
                                         update_unrestricted)
     from switchcurve.inference import louis_information_generic
     from switchcurve.latent import (joint_posterior, log_prior_table,
-                                    marginals_from_joint,
-                                    pairwise_from_joint)
+                                    marginals_from_joint)
+    from oracles import marginals_einsum, nonhomog_sufficient_stats_dense
 
     n, J, K = 8, 2, 5
     _, B, R = design(n, K)
@@ -398,87 +415,98 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind):
         theta = Theta(phi=np.zeros((J, K)), latent=alpha, cov=cov,
                       lambdas=np.full(J, LAM))
         step = e_step(data, f, theta, spec, cspec, enum=enum)
+        assert step.joint is None
 
         structure = make_structure(cspec, cov, n)
         E2 = enum.onehot[:, :, 1] if cov_kind == "nonhomog_ri" else None
         prior = log_prior_table(enum, spec, alpha,
                                 covariates=data.covariates)
-        W = structure.loglik_table(data.y, gather_curves(f, enum.states),
-                                   E2=E2, prior=prior)
-        own, own_ll, own_cols = joint_posterior(W.copy())
-        np.testing.assert_array_equal(step.joint, own)
+        W = loglik_table_whole(structure, data.y, f, enum.states, E2=E2,
+                               prior=prior)
+        own, own_ll, cols = joint_posterior(W.copy())
+        cols = np.arange(enum.size)[cols]       # slice(None) when dense
         np.testing.assert_array_equal(step.loglik, own_ll)
-        dense, ll, cols = enumeration_joint_dense(data, f, theta, spec,
-                                                  cspec, enum)
-        np.testing.assert_array_equal(own_cols, cols)
+        np.testing.assert_array_equal(step.marginals,
+                                      marginals_from_joint(own, enum, cols))
         T = np.log(enum.size) + 36.8
         same, same_ll = joint_posterior_full(
             np.take(W, cols, axis=1), np.zeros(cols.size), cut=T)
-        np.testing.assert_array_equal(step.joint, same)
-        np.testing.assert_array_equal(step.loglik, same_ll)
+        np.testing.assert_array_equal(own, same)
+        np.testing.assert_array_equal(own_ll, same_ll)
         gap = W - W.max(axis=1, keepdims=True)
-        np.testing.assert_array_equal(step.joint == 0.0,
+        np.testing.assert_array_equal(own == 0.0,
                                       np.take(gap, cols, axis=1) < -T)
         if N == 40:
             assert np.any((gap >= -T - 1.0) & (gap < -T))
             assert np.any((gap >= -T) & (gap < -T + 1.0))
+        cut = np.zeros((N, enum.size))
+        cut[:, cols] = own
         uncut, _ = joint_posterior_dense(
             loglik_table_dense(structure, data.y,
                                gather_curves(f, enum.states), E2=E2),
             log_prior_dense(prior))
-        kept = np.zeros(uncut.shape, dtype=bool)
-        kept[:, cols] = step.joint > 0.0
-        assert np.all(np.where(kept, 0.0, uncut).sum(axis=1)
+        assert np.all(np.where(cut > 0.0, 0.0, uncut).sum(axis=1)
                       <= np.exp(-36.8))
+        live = np.flatnonzero(cut.any(axis=0))
         if lat_kind == "markov-zero":
-            assert 0 < cols.size < enum.size // 2
+            assert 0 < live.size < enum.size // 2
         elif noise == 1.0:
-            assert cols.size == enum.size
+            assert live.size == enum.size
         elif noise == 0.03:
-            assert 0 < cols.size < enum.size // 4
-        np.testing.assert_array_equal(
-            step.enum.states.astype(int) @ J ** np.arange(n), cols)
-        np.testing.assert_allclose(step.joint, dense, rtol=0, atol=1e-13)
-        P = np.zeros((N, enum.size))
-        P[:, cols] = dense
-        for name in ("onehot", "counts", "trans"):
-            np.testing.assert_array_equal(getattr(step.enum, name),
-                                          getattr(enum, name)[cols])
+            assert 0 < live.size < enum.size // 4
 
+        dense, ll, dense_cols = enumeration_joint_dense(data, f, theta, spec,
+                                                        cspec, enum)
+        np.testing.assert_array_equal(dense_cols, live)
+        P = np.zeros((N, enum.size))
+        P[:, dense_cols] = dense
+        np.testing.assert_allclose(cut, P, rtol=0, atol=1e-13)
         np.testing.assert_allclose(step.loglik, ll, rtol=1e-13)
-        np.testing.assert_allclose(step.marginals,
-                                   marginals_from_joint(P, enum),
+        np.testing.assert_allclose(step.marginals, marginals_einsum(P, enum),
                                    rtol=0, atol=1e-13)
         if spec.kind == "markov":
             assert _rel_err(step.transitions,
-                            pairwise_from_joint(P, enum)) < 1e-13
+                            pairwise_einsum(P, enum).sum(axis=1)) < 1e-13
 
-        got = general_normal_system(B, R, theta.lambdas, data.y, structure,
-                                    step.enum, step.joint)
-        want = general_normal_system(B, R, theta.lambdas, data.y, structure,
-                                     enum, P)
+        with monkeypatch.context() as patch:
+            patch.setattr(lat_mod, "_BLOCK_BYTES", 8 * enum.size * 4)
+            blocked = e_step(data, f, theta, spec, cspec, enum=enum)
+        np.testing.assert_allclose(blocked.loglik, step.loglik, rtol=1e-14)
+        np.testing.assert_allclose(blocked.marginals, step.marginals,
+                                   rtol=0, atol=1e-14)
+        for name in ("C", "cooc", "lin"):
+            assert _rel_err(getattr(blocked.moments, name),
+                            getattr(step.moments, name)) < 1e-13
+
+        got = general_normal_system(B, R, theta.lambdas, structure,
+                                    step.moments)
+        want = general_normal_system_dense(B, R, theta.lambdas, data.y,
+                                           structure, enum, P)
         for g, w in zip(got, want):
             assert _rel_err(g, w) < 1e-12
         # the covariance M-steps at curves away from the E-step's
         F_new = f + 0.01 * rng.standard_normal(f.shape)
-        Fs, Fs_live = (gather_curves(F_new, e.states)
-                       for e in (enum, step.enum))
-        assert _rel_err(update_homog_ri(step.joint, data.y, Fs_live),
-                        update_homog_ri(P, data.y, Fs)) < 1e-12
-        assert _rel_err(update_unrestricted(step.joint, data.y, Fs_live),
-                        update_unrestricted(P, data.y, Fs)) < 1e-12
-        prev = STRUCTURED_PARAMS["nonhomog_ri"](noise ** 2)
-        assert _rel_err(
-            update_nonhomog_ri(step.joint, data.y, Fs_live,
-                               step.enum.onehot[:, :, 1], prev),
-            update_nonhomog_ri(P, data.y, Fs, enum.onehot[:, :, 1], prev)) \
-            < 1e-12
+        Fs = gather_curves(F_new, enum.states)
+        assert _rel_err(update_homog_ri(step.moments, F_new),
+                        update_homog_ri_dense(P, data.y, Fs)) < 1e-12
+        assert _rel_err(update_unrestricted(step.moments, F_new),
+                        update_unrestricted_dense(P, data.y, Fs)) < 1e-12
+        if cov_kind == "nonhomog_ri":
+            stats = nonhomog_sufficient_stats_dense(P, data.y, Fs, E2)
+            for g, w in zip(nonhomog_sufficient_stats(step.moments, F_new),
+                            stats):
+                assert _rel_err(g, w) < 1e-12
+            with monkeypatch.context() as patch:
+                patch.setattr(covariance, "nonhomog_sufficient_stats",
+                              lambda moments, F: stats)
+                want = update_nonhomog_ri(step.moments, F_new, cov)
+            assert _rel_err(update_nonhomog_ri(step.moments, F_new, cov),
+                            want) < 1e-12
         if lat_kind == "markov-zero":
             continue        # a21 = 0 is on the boundary: no information
         info, labels = louis_information_generic(
-            step.joint, step.enum, spec, alpha,
-            covariates=data.covariates)
-        want_info, want_labels = louis_information_generic(
+            step, spec, alpha, covariates=data.covariates)
+        want_info, want_labels = louis_information_dense(
             P, enum, spec, alpha, covariates=data.covariates)
         assert labels == want_labels
         assert _rel_err(info, want_info) < 1e-12
@@ -497,6 +525,40 @@ def test_collapsing_unrestricted_covariance_raises_not_spd():
                        r"beyond the 4.5e\+07"):
         ecm_fit(data, LatentSpec(kind="markov", J=2),
                 CovSpec(kind="unrestricted"), lambdas=LAM)
+
+
+def test_monotonicity_violation_names_the_iteration(monkeypatch):
+    """A covariance M-step that lowers the objective stops the fit with a
+    typed failure carrying both objectives and the ECM iteration whose
+    E-step saw the drop."""
+    from switchcurve import covariance
+    data, _, _ = two_state_data(seed=8)
+    monkeypatch.setattr(covariance, "update_iso", lambda *args: 100.0)
+    with pytest.raises(MonotonicityViolation,
+                       match="ECM iteration 1: objective decreased") as info:
+        ecm_fit(data, LatentSpec(kind="iid", J=2), CovSpec(kind="iso_diag"),
+                lambdas=LAM, compute_se=False)
+    assert info.value.iteration == 1
+    assert info.value.current < info.value.previous
+
+
+@pytest.mark.parametrize("kind,seeds", [("markov", (2, 34, 55)),
+                                        ("iid", (2, 8, 9, 23, 40, 43))])
+def test_homog_ri_fits_ascend_when_d_clamps_at_zero(kind, seeds):
+    """Data without a random intercept (tau2 = 0) drive the unconstrained
+    d below 0.  The covariance M-step then returns the conditional
+    maximum at d = 0, so these quantile-split fits ascend to convergence
+    with SEs; with sigma2 left at its unconstrained-d value each of them
+    stopped on a MonotonicityViolation."""
+    for seed in seeds:
+        design = sim.SimDesign(kind=kind, N=40, tau2=0.0)
+        data = sim.generate_dataset(design, seed)[0]
+        fit = ecm_fit(data, LatentSpec(kind=kind, J=2),
+                      CovSpec(kind="homog_ri"), lambdas=design.lambdas)
+        trace = fit.loglik_trace
+        assert fit.converged and fit.theta.cov.d == 0.0, seed
+        assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1])), seed
+        assert fit.std_errors is not None, seed
 
 
 def test_single_state_fit_is_a_penalized_spline():
@@ -687,12 +749,14 @@ def test_initialize_refuses_a_non_finite_supplied_value(latent, cov, part,
 def test_validate_estimate_bounds_the_fits_peak_bytes(latent, cov,
                                                       monkeypatch):
     """The bytes ``validate`` checks against the budget hold, within 1.5x,
-    the tracemalloc peak of a fit with SEs from a cold enumeration cache."""
+    the tracemalloc peak of a fit with SEs from a cold enumeration cache,
+    also at N = 1000, where (N, S) tables would outweigh every other
+    term."""
     estimates = []
     monkeypatch.setattr(dm, "refuse_over_budget",
                         lambda need, what: estimates.append(need))
     specs = LatentSpec(kind=latent, J=2), CovSpec(kind=cov)
-    for N, n in ((50, 12), (200, 10)):
+    for N, n in ((50, 12), (200, 10), (1000, 10)):
         design = sim.SimDesign(kind=latent, N=N, x=np.linspace(1, 100, n))
         data = sim.generate_dataset(design, 3)[0]
         # a first fit makes the allocations a process makes only once
@@ -731,6 +795,29 @@ def test_validate_estimate_covers_small_fits(cov, monkeypatch):
             tracemalloc.stop()
         assert fit.std_errors is not None
         assert peak <= estimates[-1], (N, n)
+
+
+def test_structured_fit_peak_does_not_grow_with_replicates():
+    """The E-step holds one block of replicates at a time and hands on
+    fixed-size moments, so a markov x homog_ri fit's tracemalloc peak at
+    N = 1000 exceeds the one at N = 100 by at most one block's bytes and
+    a few (N, n, J) outputs."""
+    n, J = 12, 2
+    specs = LatentSpec(kind="markov", J=J), CovSpec(kind="homog_ri")
+    peaks = {}
+    for N in (100, 1000):
+        design = sim.SimDesign(kind="markov", N=N, x=np.linspace(1, 100, n))
+        data = sim.generate_dataset(design, 3)[0]
+        ecm_fit(data, *specs, lambdas=LAM)
+        tracemalloc.start()
+        try:
+            fit = ecm_fit(data, *specs, lambdas=LAM)
+            peaks[N] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.std_errors is not None
+    outputs = 4 * 8 * 1000 * n * J
+    assert peaks[1000] - peaks[100] <= lat_mod._BLOCK_BYTES + outputs, peaks
 
 
 def test_fit_refuses_oversized_enumeration(monkeypatch):

@@ -19,10 +19,11 @@ from switchcurve.datamodel import (CovSpec, CovariateParams, IIDParams,
                                    MultiCurveDataset, Theta)
 from switchcurve.em import e_step, ecm_fit
 from switchcurve.errors import BoundaryParameter, SingularInformation
-from switchcurve.latent import enumerate_states, state_mass, update_alpha
+from switchcurve.latent import enumerate_states, update_alpha
 
 from oracles import (covariate_moments_loop, enumerated_e_step,
-                     score_second_moment_einsum)
+                     estep_from_joint, score_second_moment_einsum,
+                     state_mass)
 
 N_TOY, N_POINTS, J = 3, 3, 2
 COV_SPEC = CovSpec(kind="iso_diag")
@@ -117,7 +118,7 @@ def test_generic_information_matches_finite_differences(kind):
 
     I_fd = -fd_hessian(ll_of, coords(alpha))
     I_gen, labels = inf_mod.louis_information_generic(
-        step.joint, enum, lat, alpha, covariates=data.covariates)
+        step, lat, alpha, covariates=data.covariates)
     assert len(labels) == coords(alpha).size
     scale = max(1.0, float(np.max(np.abs(I_fd))))
     assert np.max(np.abs(I_gen - I_fd)) / scale < 1e-4
@@ -168,7 +169,7 @@ def test_information_matches_finite_differences_away_from_fixed_point(
                              enum)
     if route == "generic":
         info, _ = inf_mod.louis_information_generic(
-            step.joint, enum, lat, alpha, covariates=data.covariates)
+            step, lat, alpha, covariates=data.covariates)
     else:
         info, _ = diagonal_form(kind, step, data, alpha)
     scale = max(1.0, float(np.max(np.abs(I_fd))))
@@ -177,7 +178,7 @@ def test_information_matches_finite_differences_away_from_fixed_point(
 
 def test_iid_closed_form_matches_generic():
     data, enum, lat, alpha, step = fixed_point("iid")
-    I_gen, _ = inf_mod.louis_information_generic(step.joint, enum, lat,
+    I_gen, _ = inf_mod.louis_information_generic(step, lat,
                                                  alpha)
     I_closed, labels = inf_mod.louis_information_iid_closed(
         step.marginals, alpha.p)
@@ -188,7 +189,7 @@ def test_iid_closed_form_matches_generic():
 
 def test_markov_closed_form_matches_generic():
     data, enum, lat, alpha, step = fixed_point("markov")
-    I_gen, _ = inf_mod.louis_information_generic(step.joint, enum, lat,
+    I_gen, _ = inf_mod.louis_information_generic(step, lat,
                                                  alpha)
     I_closed, labels = inf_mod.louis_information_markov_closed(
         step.marginals, step.pairwise, alpha)
@@ -200,7 +201,7 @@ def test_markov_closed_form_matches_generic():
 def test_covariate_marginal_form_matches_generic():
     data, enum, lat, alpha, step = fixed_point("covariate")
     I_gen, _ = inf_mod.louis_information_generic(
-        step.joint, enum, lat, alpha, covariates=data.covariates)
+        step, lat, alpha, covariates=data.covariates)
     diag_step = e_step(data, toy_data()[1], make_theta(alpha), lat, COV_SPEC)
     I_marg, labels = inf_mod.louis_information_covariate(
         diag_step.marginals, data.covariates, alpha.beta)
@@ -213,10 +214,16 @@ def test_score_second_moment_matches_einsum_form(n, J):
     rng = np.random.default_rng(n * J)
     enum = enumerate_states(n, J)
     P = rng.dirichlet(np.ones(enum.size), size=4)
-    G = enum.counts @ inf_mod._iid_factor_scores(rng.dirichlet(np.ones(J)))
+    a = inf_mod._iid_factor_scores(rng.dirichlet(np.ones(J)))
+    G = enum.counts @ a
     want = score_second_moment_einsum(P, G)
     np.testing.assert_allclose(inf_mod._second_moment(state_mass(P), G),
                                want, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(want)))
+    # the generic route's form: G_s = E_s' H, H the scores tiled over points
+    moments = estep_from_joint(P, np.zeros((4, n)), enum, "iid").moments
+    H = np.tile(a, (n, 1))
+    np.testing.assert_allclose(H.T @ moments.occupancy @ H, want, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(want)))
 
 
@@ -227,7 +234,9 @@ def test_covariate_moments_match_per_replicate_tables():
     P = rng.dirichlet(np.ones(enum.size), size=N)
     v = rng.standard_normal((N, n, M))
     beta = rng.standard_normal((1, M + 1))
-    T2, gbar, _ = inf_mod._covariate_moments(P, enum, beta, v)
+    step = estep_from_joint(P, np.zeros((N, n)), enum, "covariate")
+    T2, gbar, _ = inf_mod._covariate_moments(step.marginals,
+                                             step.moments.ucooc, beta, v)
     want_T2, want_gbar = covariate_moments_loop(P, enum, beta, v)
     np.testing.assert_allclose(T2, want_T2, rtol=1e-13,
                                atol=1e-13 * np.max(np.abs(want_T2)))
@@ -252,9 +261,10 @@ def test_boundary_estimates_are_rejected():
 def test_generic_rejects_unsupported_sizes():
     enum = enumerate_states(3, 3)
     P = np.full((2, enum.size), 1.0 / enum.size)
+    step = estep_from_joint(P, np.zeros((2, 3)), enum, "markov")
     with pytest.raises(SingularInformation, match="J = 2"):
         inf_mod.louis_information_generic(
-            P, enum, LatentSpec(kind="markov", J=3),
+            step, LatentSpec(kind="markov", J=3),
             MarkovParams(pi=[0.3, 0.3, 0.4], A=np.full((3, 3), 1.0 / 3.0)))
     with pytest.raises(SingularInformation, match="J = 2"):
         inf_mod.louis_information_covariate(
@@ -321,7 +331,7 @@ def test_diagonal_kind_ses_match_the_enumerated_oracle(kind, cov_kind):
         oracle = enumerated_e_step(data, report.curves, theta, lat, cspec,
                                    enum)
         want, labels = inf_mod.louis_information_generic(
-            oracle.joint, enum, lat, alpha, covariates=data.covariates)
+            oracle, lat, alpha, covariates=data.covariates)
         step = e_step(data, report.curves, theta, lat, cspec)
         got, got_labels = diagonal_form(kind, step, data, alpha)
         assert got_labels == labels

@@ -323,7 +323,7 @@ def test_joint_posterior_zeroes_exactly_the_entries_below_the_cut(
     at 0, with -inf prior entries, T = ln S + 36.8: the first three bands
     come out as exact 0, the others bit for bit as an oracle's with the
     same cut, normalized over the same columns.  Columns with no entry at
-    or above -T are dropped, including those the candidate pass keeps
+    or above -T hold no mass, including those the candidate pass keeps
     because some entry lies within 1 below -T.  Against the uncut dense
     joint, each row drops at most e^-36.8 of its mass; three quarters of
     the columns sit just above -T and Z is about 1, so a cut 1 higher
@@ -350,12 +350,14 @@ def test_joint_posterior_zeroes_exactly_the_entries_below_the_cut(
 
     total = loglik + prior
     P, ll, cols = joint_posterior(total.copy())
+    cols = np.arange(S)[cols]           # slice(None) when most are kept
     want_P, want_ll = joint_posterior_dense(loglik, prior)
 
     gap = total - total.max(axis=1, keepdims=True)
     live = gap >= -T
     assert live[0, 200] and not live[0, 201]
-    np.testing.assert_array_equal(cols, np.flatnonzero(live.any(axis=0)))
+    np.testing.assert_array_equal(cols[P.any(axis=0)],
+                                  np.flatnonzero(live.any(axis=0)))
     assert np.any((gap >= -T - 1.0).any(axis=0) & ~live.any(axis=0))
     assert np.any(want_P[~live] > 0.0)          # the oracle keeps them
     full = np.zeros_like(want_P)
@@ -374,9 +376,8 @@ def test_joint_posterior_zeroes_exactly_the_entries_below_the_cut(
 
 def test_joint_posterior_keeps_the_dense_columns_at_any_offset():
     """Rows offset by up to 3e17, where one ulp of the row max exceeds 1
-    and W - m rounds: the candidate pass keeps exactly the columns the
-    dense route with the same cut gives mass, and the same entries are
-    zero."""
+    and W - m rounds: the columns with mass are exactly those the dense
+    route with the same cut gives mass, and the same entries are zero."""
     S = 8
     T = cut_for(S)
     shifted = np.array([0.0, -T, np.nextafter(-T, -np.inf), -T + 0.5,
@@ -385,7 +386,8 @@ def test_joint_posterior_keeps_the_dense_columns_at_any_offset():
     W = offsets[:, None] + shifted[None, :]
     want_P, want_ll = joint_posterior_full(W, np.zeros(S), cut=T)
     P, ll, cols = joint_posterior(W.copy())
-    np.testing.assert_array_equal(cols,
+    cols = np.arange(S)[cols]
+    np.testing.assert_array_equal(cols[P.any(axis=0)],
                                   np.flatnonzero(want_P.any(axis=0)))
     np.testing.assert_array_equal(P == 0, want_P[:, cols] == 0)
     np.testing.assert_array_equal(
@@ -396,17 +398,41 @@ def test_joint_posterior_keeps_the_dense_columns_at_any_offset():
     assert_dropped_mass_within_bound(
         joint_posterior_dense(W, np.zeros(S))[0], P, cols)
 
-    # every column a candidate and two of them dead: the live ones come
-    # from the table the shift has overwritten, and are not shifted twice
+    # every column a candidate and two of them dead: the table is
+    # normalized in its own buffer, shifted once, the dead columns zero
     T = cut_for(4)
     W = np.array([[0.0, -T - 0.5, -T, -T - 1.0]]) - 5.0
-    P, ll, cols = joint_posterior(W.copy())
-    np.testing.assert_array_equal(cols, [0, 2])
-    want_P, want_ll = joint_posterior_full(W[:, cols], np.zeros(2), cut=T)
-    np.testing.assert_array_equal(P, want_P)
+    P, ll, cols = joint_posterior(table := W.copy())
+    assert np.shares_memory(P, table)
+    assert cols == slice(None)
+    np.testing.assert_array_equal(np.flatnonzero(P[0]), [0, 2])
+    want_P, want_ll = joint_posterior_full(W[:, [0, 2]], np.zeros(2),
+                                           cut=T)
+    np.testing.assert_array_equal(P[:, [0, 2]], want_P)
     np.testing.assert_array_equal(ll, want_ll)
     assert_dropped_mass_within_bound(
         joint_posterior_dense(W, np.zeros(4))[0], P, cols)
+
+
+def test_joint_posterior_takes_few_candidate_columns():
+    """When at most half the columns are candidates, ``joint_posterior``
+    takes them into a table of their own and leaves ``W`` as it was."""
+    rng = np.random.default_rng(30)
+    N, S = 6, 64
+    T = cut_for(S)
+    W = rng.uniform(-3.0 * T, -T - 2.0, (N, S))
+    W[:, :20] = rng.uniform(-T - 0.5, 0.0, (N, 20))
+    W[:, 0] = 0.0
+    before = W.copy()
+    P, ll, cols = joint_posterior(W)
+    np.testing.assert_array_equal(W, before)
+    np.testing.assert_array_equal(cols, np.arange(20))
+    want_P, want_ll = joint_posterior_full(np.take(W, cols, axis=1),
+                                           np.zeros(cols.size), cut=T)
+    np.testing.assert_array_equal(P, want_P)
+    np.testing.assert_array_equal(ll, want_ll)
+    assert_dropped_mass_within_bound(
+        joint_posterior_dense(W, np.zeros(S))[0], P, cols)
 
 
 @pytest.mark.parametrize("loglik_entry,prior_entry", [
@@ -441,19 +467,20 @@ def test_joint_summaries_match_brute_force():
         table = log_prior_table(enum, LatentSpec(kind="iid", J=J),
                                 IIDParams(p=p))
         P, ll = joint_posterior_scattered(loglik, table)
+        every = np.arange(enum.size)
         np.testing.assert_allclose(ll, want_ll, atol=1e-12)
         np.testing.assert_allclose(
-            marginals_from_joint(P, enum), want_m, atol=1e-13)
+            marginals_from_joint(P, enum, every), want_m, atol=1e-13)
         np.testing.assert_allclose(
-            pairwise_from_joint(P, enum), want_p.sum(axis=(0, 1)),
+            pairwise_from_joint(P, enum, every), want_p.sum(axis=1),
             atol=1e-13)
 
 
 @pytest.mark.parametrize("n,J", [(10, 2), (5, 3)])
 def test_flat_table_contractions_match_einsum_forms(n, J):
     """Marginal posteriors as a product with the flat (S, n*J) table and
-    transition totals as one with the (S, J*J) counts; J = 3 catches a
-    wrong column order."""
+    per-replicate transition counts as one with the (S, J*J) counts, on
+    every column and on a subset; J = 3 catches a wrong column order."""
     rng = np.random.default_rng(n * J)
     enum = enumerate_states(n, J)
     loglik = rng.standard_normal((4, enum.size)) * 3.0
@@ -463,11 +490,20 @@ def test_flat_table_contractions_match_einsum_forms(n, J):
         P, _ = joint_posterior_scattered(loglik, prior)
         np.testing.assert_array_equal(loglik, before[0])
         np.testing.assert_array_equal(prior, before[1])
-        np.testing.assert_allclose(marginals_from_joint(P, enum),
+        every = np.arange(enum.size)
+        np.testing.assert_allclose(marginals_from_joint(P, enum, every),
                                    marginals_einsum(P, enum), atol=1e-13)
-        np.testing.assert_allclose(pairwise_from_joint(P, enum),
-                                   pairwise_einsum(P, enum).sum(axis=(0, 1)),
+        np.testing.assert_allclose(pairwise_from_joint(P, enum, every),
+                                   pairwise_einsum(P, enum).sum(axis=1),
                                    atol=1e-13)
+        some = every[::3]
+        P[:, np.setdiff1d(every, some)] = 0.0
+        np.testing.assert_allclose(
+            marginals_from_joint(P[:, some], enum, some),
+            marginals_einsum(P, enum), atol=1e-13)
+        np.testing.assert_allclose(
+            pairwise_from_joint(P[:, some], enum, some),
+            pairwise_einsum(P, enum).sum(axis=1), atol=1e-13)
 
 
 def test_pointwise_bayes_matches_enumeration():
@@ -483,8 +519,9 @@ def test_pointwise_bayes_matches_enumeration():
     table = log_prior_table(enum, LatentSpec(kind="iid", J=J), IIDParams(p=p))
     P, ll_enum = joint_posterior_scattered(loglik, table)
     np.testing.assert_allclose(ll, ll_enum, rtol=1e-12)
-    np.testing.assert_allclose(marg, marginals_from_joint(P, enum),
-                               atol=1e-12)
+    np.testing.assert_allclose(
+        marg, marginals_from_joint(P, enum, np.arange(enum.size)),
+        atol=1e-12)
 
     beta = rng.standard_normal((1, 2))
     v = rng.standard_normal((4, n, 1))
@@ -495,8 +532,9 @@ def test_pointwise_bayes_matches_enumeration():
                              covariates=v)
     P, ll_enum = joint_posterior_scattered(loglik, ctable)
     np.testing.assert_allclose(ll, ll_enum, rtol=1e-12)
-    np.testing.assert_allclose(marg, marginals_from_joint(P, enum),
-                               atol=1e-12)
+    np.testing.assert_allclose(
+        marg, marginals_from_joint(P, enum, np.arange(enum.size)),
+        atol=1e-12)
 
 
 def test_forward_backward_matches_brute_force():
@@ -566,7 +604,7 @@ def test_markov_update_moment_matching():
     marg, pair, _ = forward_backward(pointwise, pi, A)
     params, flags = update_alpha(LatentSpec(kind="markov", J=2),
                                  MarkovParams(pi=pi, A=A), marg,
-                                 transitions=pair.sum(axis=(0, 1)))
+                                 transitions=pair.sum(axis=1))
     assert flags == []
     np.testing.assert_allclose(params.pi, marg[:, 0, :].mean(axis=0),
                                atol=1e-14)
@@ -588,7 +626,7 @@ def test_markov_update_keeps_unoccupied_rows():
     pair[:, 2, 0, :] = [0.5, 0.5]
     prev = MarkovParams(pi=[0.5, 0.5], A=[[0.6, 0.4], [0.3, 0.7]])
     params, flags = update_alpha(LatentSpec(kind="markov", J=2), prev,
-                                 marg, transitions=pair.sum(axis=(0, 1)))
+                                 marg, transitions=pair.sum(axis=1))
     assert flags == ["zero_occupancy_row_2"]
     np.testing.assert_array_equal(params.A[1], [0.3, 0.7])
     np.testing.assert_allclose(params.A[0], [5.0 / 6.0, 1.0 / 6.0],
@@ -638,7 +676,7 @@ def test_alpha_update_increases_expected_latent_loglik():
         prev_m = MarkovParams(*random_stochastic(rng, 2))
         spec = LatentSpec(kind="markov", J=2)
         new, _ = update_alpha(spec, prev_m, marg,
-                              transitions=pair.sum(axis=(0, 1)))
+                              transitions=pair.sum(axis=1))
         assert expected_latent_loglik(spec, new, marg, pairwise=pair) >= \
             expected_latent_loglik(spec, prev_m, marg, pairwise=pair) - 1e-12
 
