@@ -43,7 +43,7 @@ from .errors import (
     SpecMismatch,
     XInconsistent,
 )
-from .latent import _BLOCK_BYTES, enumeration_bytes, refuse_over_budget
+from .latent import block_rows, enumeration_bytes, refuse_over_budget
 
 DIAGONAL_KINDS = ("iso_diag", "state_diag")
 
@@ -320,32 +320,39 @@ def validate(dataset, latent_spec, cov_spec):
 
 def _fit_peak_bytes(N, n, J, latent_kind, cov_kind):
     """Estimated peak bytes of a structured-kind fit, as an exact int.
-
-    The cached enumeration; the float64 rows per state vector kept through
-    the E-step (the GEMM's right factor, n + 2 + c columns, the prior and
-    accumulator columns, nonhomog_ri's rank-one rows); the widest passing
-    phase: a pass over (rows, S) blocks of at most ``_BLOCK_BYTES`` holds
-    1 5/8 of one (the log joint, its taken columns, a mask) or one and the
-    D = n J + J J taken indicator rows, or three for nonhomog_ri; the
-    reduction to moments two copies of the D rows (more than building the
-    factor takes); and the per-replicate outputs.
-    """
+    Each count names its arrays; a block is one (rows, S) float64 table of
+    ``block_rows`` replicates."""
     J, n, N = int(J), int(n), int(N)
-    S = J ** n
-    block = 8 * min(N, max(1, _BLOCK_BYTES // (8 * S))) * S
-    c = n * J if latent_kind == "covariate" else 1
-    D = n * J + J * J
-    kept = n + 2 + c + 2
-    if cov_kind == "nonhomog_ri":
-        kept += n + 7
-        blocks = 3 * block + 8 * (n + 48) * S
-    else:
-        blocks = max(13 * block // 8, block + 8 * D * S)
-    widest = max(blocks, 8 * (2 * D + 24) * S)
-    per_replicate = n + n * J + J * J + 2 + (
-        2 * n * n if latent_kind == "covariate" else 0)
+    S, nJ, c = J ** n, n * J, n * J if latent_kind == "covariate" else 1
+    nonhomog = cov_kind == "nonhomog_ri"
+    rows = min(N, block_rows(S, n + 2 + c))
+    block = 8 * rows * S
+    # the right factor (c the log prior's rank), the iid or markov log
+    # prior (the covariate one is a view of the indicators), the
+    # accumulator; nonhomog_ri's five more columns, U, U'Fc and h / 2
+    kept = n + 2 + c + (c == 1) + 1 + (n + 7) * nonhomog
+    widest = max(
+        # V^-1 Fc and its quadratic form, or nonhomog_ri's state_terms
+        8 * max(n + 1, 5) * S,
+        # the log joint, its taken half, a mask, the column flags, indices
+        13 * block // 8 + 9 * S,
+        # a block and the indicators of its taken half, or covariate's u
+        # and u u_i, or the state mass and its gathered accumulator rows
+        block + max(4 * nJ, 16 * n if c > 1 else 16) * S,
+        # nonhomog_ri's P, u'y and P u'y, u, the six stacked sums twice,
+        # and 1'y, its square, a ones column and the three stacked
+        nonhomog * (3 * block + 8 * ((n + 12) * S + 6 * rows)),
+        # the reduction: the live indices, their strata, one stratum's mask
+        # and indices, and two blocks of z rows
+        25 * S + 16 * (nJ + J * J) * min(S, block_rows(nJ + J * J)))
+    # y - ybar, marginals, log-likelihoods, transition counts; covariate's
+    # log prior and the Louis step's three (N, n, n) arrays
+    per_replicate = n + nJ + 1 + J * J + (
+        nJ + 3 * n * n if latent_kind == "covariate" else 0)
+    # 2 ** 16 for the basis, penalty, parameters and Python's own objects
+    # (14 to 35 KB under tracemalloc at N = 50 to 1000)
     return (enumeration_bytes(n, J) + 8 * kept * S + widest
-            + 8 * per_replicate * N)
+            + 8 * per_replicate * N + 2 ** 16)
 
 
 # ---------------------------------------------------------------------------

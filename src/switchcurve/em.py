@@ -120,13 +120,14 @@ def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
         factor = cov.state_factor(
             F, enum.states, ybar,
             E2=enum.onehot[:, :, 1] if nonhomog else None, R=R)
-        b = max(1, lat_mod._BLOCK_BYTES // (8 * enum.size))
+        b = lat_mod.block_rows(enum.size, factor[0].shape[0])
 
         def blocks():       # one (rows, S) table alive at a time
             for k in range(0, y.shape[0], b):
                 rows = slice(k, k + b)
                 yield rows, *lat_mod.joint_posterior(cov.loglik_table(
-                    yc[rows], factor, L=L if L.shape[0] == 1 else L[rows]))
+                    yc[rows], factor, L=L if L.shape[0] == 1 else L[rows]),
+                    first=k)
 
         ll, marg, trans, moments = lat_mod.posterior_moments(
             blocks(), enum, yc, ybar, latent_spec.kind, nonhomog)

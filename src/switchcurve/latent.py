@@ -15,7 +15,7 @@ keeps only entries within T = ln S + 36.8 of it and writes
 an exact 0 for the rest, which together hold at most e^-36.8 (about
 1.05e-16) of the replicate's total, under half an ulp of 1.
 
-The structured-kind E-step runs over blocks of at most ``_BLOCK_BYTES`` of
+The structured-kind E-step runs over blocks of ``block_rows`` replicates'
 (rows, S) log joint.  ``joint_posterior`` normalizes a block on the columns
 that can carry mass; ``posterior_moments`` keeps its rows of the outputs and
 adds its column sums into S-long accumulators, which reduce to fixed-size
@@ -32,7 +32,8 @@ from .errors import DegenerateLikelihood, EnumerationTooLarge
 
 _OCCUPANCY_EPS = 1e-12
 
-# bytes of (rows, S) float64 log joint per E-step block, or one row
+# bytes of a (rows, S) float64 block (see block_rows): of the E-step's log
+# joint, or of the state vectors' rows in the reduction to moments
 _BLOCK_BYTES = 4 * 2 ** 20
 
 # the joint posterior keeps a replicate's entries within T = ln S + 36.8 of
@@ -75,6 +76,14 @@ def enumeration_bytes(n, J):
     """Bytes of the (n, J) enumeration's four tables, as an exact int."""
     J, n = int(J), int(n)
     return J ** n * (n + 8 * (n * J + J + J * J))
+
+
+def block_rows(S, width=1):
+    """Rows per block of a (rows, S) float64 table: as many as fit in
+    ``_BLOCK_BYTES``, but at least ``width``.  An E-step block holds at
+    least the rows of the log joint's right factor, which its GEMM reads
+    whole."""
+    return max(width, _BLOCK_BYTES // (8 * S))
 
 
 def memory_budget():
@@ -204,7 +213,7 @@ def log_prior_single(states, latent_spec, params, covariate_rows=None):
 # posteriors
 # ---------------------------------------------------------------------------
 
-def joint_posterior(W):
+def joint_posterior(W, first=0):
     """Normalize per-replicate joint posteriors on the columns that can
     carry mass.
 
@@ -224,7 +233,8 @@ def joint_posterior(W):
     summing to one, the log marginal likelihoods, and the columns of ``W``
     that ``P`` holds: ascending indices, or ``slice(None)`` for all.
     Raises ``DegenerateLikelihood`` if a row holds a NaN or +inf entry, or
-    has no finite entry.
+    has no finite entry, naming its replicate: row i is replicate
+    ``first + i``.
     """
     # a NaN entry makes its row's max NaN, so it is refused here rather
     # than zeroed by the mask below
@@ -232,12 +242,9 @@ def joint_posterior(W):
     bad = ~np.isfinite(m)
     if np.any(bad):
         k = int(np.argmax(bad))
-        if np.isneginf(m[k]):
-            raise DegenerateLikelihood(
-                f"replicate {k + 1}: no state vector has positive "
-                "likelihood")
-        raise DegenerateLikelihood(
-            f"replicate {k + 1}: non-finite log-likelihood")
+        raise DegenerateLikelihood(f"replicate {first + k + 1}: " + (
+            "no state vector has positive likelihood" if np.isneginf(m[k])
+            else "non-finite log-likelihood"))
     cut = -(float(np.log(W.shape[1])) + _CUT_NATS)
     # rounding is monotone: a shift W - m that rounds to -T or above is
     # exactly at least -(T + 1), so W is at or above the rounded floor
@@ -333,19 +340,17 @@ def posterior_moments(blocks, enum, yc, ybar, latent_kind, nonhomog):
         P = uy = Q = None       # freed before the next block is built
 
     live = np.flatnonzero(acc[:, 0])
-    g = enum.counts[live, 1].astype(np.intp) if nonhomog else 0 * live
-    order = np.argsort(g, kind="stable")
-    live, G = live[order], n + 1 if nonhomog else 1
-    bounds = np.searchsorted(g[order], np.arange(G + 1))
-    Z = np.hstack([np.take(enum.flat, live, axis=0),
-                   np.take(enum.trans.reshape(enum.size, -1), live, axis=0)])
-    t, nJ = acc[live], n * J
-    cooc = np.empty((G, Z.shape[1], Z.shape[1]))
-    lin = np.empty((G, nJ, t.shape[1]))
-    for k in range(G):
-        z, tk = Z[bounds[k]:bounds[k + 1]], t[bounds[k]:bounds[k + 1]]
-        cooc[k] = z.T @ (tk[:, :1] * z)
-        lin[k] = z[:, :nJ].T @ tk
+    g = enum.counts[live, 1] if nonhomog else np.zeros(live.size)
+    trans, nJ = enum.trans.reshape(enum.size, -1), n * J
+    cooc = np.zeros((n + 1 if nonhomog else 1, nJ + J * J, nJ + J * J))
+    lin = np.zeros((len(cooc), nJ, acc.shape[1]))
+    step = block_rows(cooc.shape[1])
+    for k in range(len(cooc)):      # in blocks of z rows
+        ks = live[g == k]
+        for s in (ks[a:a + step] for a in range(0, ks.size, step)):
+            z, t = np.hstack([enum.flat[s], trans[s]]), acc[s]
+            cooc[k] += z.T @ (t[:, :1] * z)
+            lin[k] += z[:, :nJ].T @ t
     return loglik, marginals, transitions, Moments(
         N=N, ybar=ybar, yy=yc.T @ yc, C=yc.T @ marginals.reshape(N, nJ),
         cooc=cooc, lin=lin, ucooc=ucooc)

@@ -160,11 +160,11 @@ def test_classify_rejects_a_different_grid(tmp_path):
 
 def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
     """A saved fit is re-scored when its E-step fits the memory budget,
-    here pinned at 3.5 GiB for the 3.01 GiB estimate at n = 21, and refused
+    here pinned at 3 GiB for the 1.57 GiB estimate at n = 21, and refused
     with EnumerationTooLarge when it does not.  The enumeration and the
     E-step are stubbed, since real ones would hold several 2**21-row
     tables."""
-    monkeypatch.setattr(latent, "memory_budget", lambda: 3.5 * 2 ** 30)
+    monkeypatch.setattr(latent, "memory_budget", lambda: 3 * 2 ** 30)
     N, n, K = 3, 21, 5
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, n)
@@ -210,7 +210,7 @@ def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
 
 def test_oversized_structured_fit_exits_with_validation_code(tmp_path,
                                                              monkeypatch):
-    """A homog_ri fit of 40 replicates at n = 25 is estimated at 55.3 GiB:
+    """A homog_ri fit of 40 replicates at n = 25 is estimated at 35.5 GiB:
     refused before anything is allocated, with the estimate in the
     message."""
     monkeypatch.setattr(latent, "memory_budget", lambda: 2 ** 33)
@@ -223,7 +223,7 @@ def test_oversized_structured_fit_exits_with_validation_code(tmp_path,
     assert rc == 2
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "EnumerationTooLarge"
-    assert "N = 40" in err["message"] and "55.3 GiB" in err["message"]
+    assert "N = 40" in err["message"] and "35.5 GiB" in err["message"]
 
 
 def test_malformed_csv_exits_with_validation_code(tmp_path):

@@ -100,13 +100,13 @@ def test_validate_enumeration_cap(monkeypatch):
 
 
 def test_validate_budget_scales_with_replicates(monkeypatch):
-    """At n = 20 the E-step's block is one replicate's row of 2**20
+    """At n = 20 the E-step's block is 23 replicates' rows of 2**20
     columns, and no table has both a replicate and a state-vector axis:
-    markov x homog_ri fits are estimated at 1.45 GiB at N = 100 and 300
-    alike, and only the per-replicate outputs grow, to 1.50 GiB at
-    N = 100 000.  A 1.47 GiB budget admits the first two and refuses the
+    markov x homog_ri fits are estimated at 0.91 GiB at N = 100 and 300
+    alike, and only the per-replicate outputs grow, to 0.959 GiB at
+    N = 100 000.  A 0.93 GiB budget admits the first two and refuses the
     third, and validate allocates no table of either size."""
-    monkeypatch.setattr(latent, "memory_budget", lambda: 1.47 * 2 ** 30)
+    monkeypatch.setattr(latent, "memory_budget", lambda: 0.93 * 2 ** 30)
     specs = dm.LatentSpec(kind="markov", J=2), dm.CovSpec(kind="homog_ri")
     small, middle = small_dataset(N=100, n=20), small_dataset(N=300, n=20)
     large = small_dataset(N=100_000, n=20)
@@ -115,7 +115,7 @@ def test_validate_budget_scales_with_replicates(monkeypatch):
         dm.validate(small, *specs)
         dm.validate(middle, *specs)
         with pytest.raises(EnumerationTooLarge,
-                           match="N = 100000, n = 20 needs about 1.50 GiB"):
+                           match="N = 100000, n = 20 needs about 0.959 GiB"):
             dm.validate(large, *specs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -383,8 +383,8 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind,
     column terms and an (N, S) prior table and normalizes every column:
     both keep mass on the same columns, with the same probabilities up to
     the rounding of the GEMM's sum, and every consumer of the moments
-    matches its dense-P form on the dense table.  Blocks of 4 replicates
-    give the one-block outputs.  At noise 1 every state vector keeps mass,
+    matches its dense-P form on the dense table.  Blocks of 4 replicates,
+    reduced 4 state vectors at a time, give the one-block outputs.  At noise 1 every state vector keeps mass,
     as in a fit's first E-step; at noise 0.03 against a state gap of 1, a
     state vector two points off a replicate's own is below the cut; at
     noise 0.02 against a state gap of 0.14, 40 replicates put entries
@@ -469,7 +469,8 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind,
                             pairwise_einsum(P, enum).sum(axis=1)) < 1e-13
 
         with monkeypatch.context() as patch:
-            patch.setattr(lat_mod, "_BLOCK_BYTES", 8 * enum.size * 4)
+            # blocks of 4 replicates, reduced 4 state vectors at a time
+            patch.setattr(lat_mod, "block_rows", lambda S, width=1: 4)
             blocked = e_step(data, f, theta, spec, cspec, enum=enum)
         np.testing.assert_allclose(blocked.loglik, step.loglik, rtol=1e-14)
         np.testing.assert_allclose(blocked.marginals, step.marginals,
@@ -510,6 +511,29 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind,
             P, enum, spec, alpha, covariates=data.covariates)
         assert labels == want_labels
         assert _rel_err(info, want_info) < 1e-12
+
+
+def test_e_step_blocks_hold_at_least_the_factors_rows(monkeypatch):
+    """At n = 17 the block bytes hold 4 rows of 2**17 columns, fewer than
+    the 20 rows of the homog_ri right factor, so 30 replicates run in
+    blocks of 20 and 10; each block names its replicates from its first."""
+    n, N = 17, 30
+    data, f, _ = two_state_data(seed=3, N=N, n=n)
+    theta = Theta(phi=np.zeros((2, 5)), latent=LATENT_PARAMS["markov"],
+                  cov=HomogRIParams(sigma2=0.02, d=0.5),
+                  lambdas=np.full(2, LAM))
+    seen, joint_posterior = [], lat_mod.joint_posterior
+
+    def spy(W, first=0):
+        seen.append((first, W.shape[0]))
+        return joint_posterior(W, first=first)
+
+    monkeypatch.setattr(lat_mod, "joint_posterior", spy)
+    assert lat_mod._BLOCK_BYTES // (8 * 2 ** n) < n + 3
+    step = e_step(data, f, theta, LatentSpec(kind="markov", J=2),
+                  CovSpec(kind="homog_ri"), enum=enumerate_states(n, 2))
+    assert seen == [(0, n + 3), (n + 3, N - n - 3)]
+    assert np.all(np.isfinite(step.loglik))
 
 
 def test_collapsing_unrestricted_covariance_raises_not_spd():
