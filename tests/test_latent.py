@@ -461,15 +461,6 @@ def test_joint_posterior_names_the_replicate_of_a_later_block():
         joint_posterior(W, first=4)
 
 
-def test_block_rows_holds_at_least_the_width():
-    """A block holds as many rows as fit in the block bytes, but no fewer
-    than the width: an E-step passes its right factor's rows."""
-    S = 2 ** 20
-    assert lat_mod.block_rows(2 ** 10, 13) == lat_mod._BLOCK_BYTES // 2 ** 13
-    assert lat_mod.block_rows(S, 23) == 23
-    assert lat_mod.block_rows(2 ** 30) == 1
-
-
 def test_joint_summaries_match_brute_force():
     rng = np.random.default_rng(13)
     for J, n in [(2, 5), (3, 4)]:
