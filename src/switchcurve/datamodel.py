@@ -324,6 +324,7 @@ def _fit_peak_bytes(N, n, J, latent_kind, cov_kind):
     ``block_rows`` replicates."""
     J, n, N = int(J), int(n), int(N)
     S, nJ, c = J ** n, n * J, n * J if latent_kind == "covariate" else 1
+    nu = n * (J - 1)
     nonhomog = cov_kind == "nonhomog_ri"
     rows = min(N, block_rows(S, n + 2 + c))
     block = 8 * rows * S
@@ -337,18 +338,21 @@ def _fit_peak_bytes(N, n, J, latent_kind, cov_kind):
         # the log joint, its taken half, a mask, the column flags, indices
         13 * block // 8 + 9 * S,
         # a block and the indicators of its taken half, or covariate's u
-        # and u u_i, or the state mass and its gathered accumulator rows
-        block + max(4 * nJ, 16 * n if c > 1 else 16) * S,
+        # and u u_a, or the state mass and its gathered accumulator rows
+        block + max(4 * nJ, 16 * nu if c > 1 else 16) * S,
         # nonhomog_ri's P, u'y and P u'y, u, the six stacked sums twice,
         # and 1'y, its square, a ones column and the three stacked
         nonhomog * (3 * block + 8 * ((n + 12) * S + 6 * rows)),
         # the reduction: the live indices, their strata, one stratum's mask
         # and indices, and two blocks of z rows
-        25 * S + 16 * (nJ + J * J) * min(S, block_rows(nJ + J * J)))
+        25 * S + 16 * (nJ + J * J) * min(S, block_rows(nJ + J * J)),
+        # covariate's Louis step after the last block: Cov(u | y) and a
+        # temporary, and Z and the point rows (under one more while M < n)
+        24 * nu * nu * N * (c > 1))
     # y - ybar, marginals, log-likelihoods, transition counts; covariate's
-    # log prior and the Louis step's three (N, n, n) arrays
+    # log prior and (N, n(J-1), n(J-1)) non-reference co-occupancy
     per_replicate = n + nJ + 1 + J * J + (
-        nJ + 3 * n * n if latent_kind == "covariate" else 0)
+        nJ + nu * nu if latent_kind == "covariate" else 0)
     # 2 ** 16 for the basis, penalty, parameters and Python's own objects
     # (14 to 35 KB under tracemalloc at N = 50 to 1000)
     return (enumeration_bytes(n, J) + 8 * kept * S + widest

@@ -509,12 +509,8 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
 
     if compute_se and J >= 2:
         try:
-            se, reason = inference.standard_errors_for_fit(
+            report.std_errors = inference.standard_errors_for_fit(
                 dataset, latent_spec, cov_spec, theta, step)
-            if se is not None:
-                report.std_errors = se
-            elif reason:
-                warnings.append(f"se_unavailable: {reason}")
         except inference.SE_SOFT_ERRORS as exc:
             warnings.append(f"se_unavailable: {type(exc).__name__}: {exc}")
     return report

@@ -8,11 +8,14 @@ of replicate k's latent log prior and H its curvature,
 
 This is the negative Hessian of the observed log-likelihood at any theta,
 not only at a fixed point of the latent update, and it is the one assembly
-every route below uses.  Free coordinates:
+every route below uses.  Free coordinates, at any J:
 
-* iid: p_1..p_{J-1} (p_J implied),
-* markov, J = 2: (pi_1, a_12, a_21),
-* covariate, J = 2: the logistic coefficients beta.
+* iid: p_1..p_{J-1} (p_J implied);
+* markov: pi_1..pi_{J-1} (pi_J implied), then each row l of A without its
+  diagonal, a_lj for j != l (a_ll implied): (J - 1)(J + 1) in all, so
+  (pi_1, a_12, a_21) at J = 2;
+* covariate: the multinomial-logit coefficients beta, row by row, labelled
+  beta<m> for state 2 and beta<m>_<j> for state j >= 3.
 
 Each covariance family has one route, fed by its own E-step:
 
@@ -34,6 +37,7 @@ each route by name.
 import numpy as np
 
 from .errors import BoundaryParameter, SingularInformation
+from .latent import log_state_probs, logit_curvature
 
 _BOUNDARY_EPS = 1e-8
 
@@ -58,29 +62,33 @@ def _se_from_information(info, labels):
 # scores of the prior's factors in free coordinates
 # ---------------------------------------------------------------------------
 #
-# Each factor of the iid and Markov log priors is the log of one free
-# coordinate, or of one minus a sum of them, so a factor with score a has
-# curvature -a a', and E(-H | y) is the second moment of the factor scores
-# weighted by the expected factor counts.
+# Each factor of the iid and Markov log priors is the log of one entry of a
+# probability vector, a free coordinate or one minus a sum of them, so a
+# factor with score a has curvature -a a', and E(-H | y) is the second
+# moment of the factor scores weighted by the expected factor counts.
 
-def _iid_factor_scores(p):
-    """(J, J-1) scores of log p_j: e_j / p_j, and -1 / p_J for state J."""
-    J = p.size
-    a = np.zeros((J, J - 1))
-    a[np.arange(J - 1), np.arange(J - 1)] = 1.0 / p[:-1]
-    a[-1] = -1.0 / p[-1]
+def _simplex_scores(p, implied):
+    """(J, J-1) scores of log p_j in the free coordinates of the probability
+    vector p, every entry but p[implied] in order: e_j / p_j for a free
+    entry, -1 / p[implied] on every coordinate for the implied one."""
+    a = np.diag(1.0 / p)[:, [j for j in range(p.size) if j != implied]]
+    a[implied] = -1.0 / p[implied]
     return a
 
 
 def _markov_factor_scores(pi, A):
-    """Scores of log pi_l, (2, 3), and of log A_lj, (2, 2, 3)."""
-    p1, a12, a21 = pi[0], A[0, 1], A[1, 0]
-    h0 = np.zeros((2, 3))
-    h0[:, 0] = 1.0 / p1, -1.0 / (1 - p1)
-    h = np.zeros((2, 2, 3))
-    h[0, :, 1] = -1.0 / (1 - a12), 1.0 / a12
-    h[1, :, 2] = 1.0 / a21, -1.0 / (1 - a21)
-    return h0, h
+    """(J + J J, d) scores of the factors log pi_l, then log A_lj row by
+    row, in the d = (J-1)(J+1) free coordinates, with their labels: block
+    diagonal, pi's block first, then A's rows in turn."""
+    J = pi.size
+    blocks = [_simplex_scores(pi, J - 1)] + [
+        _simplex_scores(A[l], l) for l in range(J)]
+    F = np.zeros((J * (J + 1), (J - 1) * (J + 1)))
+    for b, a in enumerate(blocks):
+        F[J * b:J * (b + 1), (J - 1) * b:(J - 1) * (b + 1)] = a
+    labels = [f"pi{j}" for j in range(1, J)] + [
+        f"a{l}{j}" for l in range(1, J + 1) for j in range(1, J + 1) if j != l]
+    return F, labels
 
 
 def _second_moment(w, a):
@@ -88,27 +96,16 @@ def _second_moment(w, a):
     return (a.T * w) @ a
 
 
-def _covariate_moments(marginals, ucooc, beta, covariates):
-    """Louis terms of the two-state logistic model from E(u u' | y_k)
-    (``ucooc``) and the marginals.
-
-    Returns (T2, gbar, H): T2 = sum_k E(g_k g_k' | y_k) written as
-    sum_k X_k' D_k X_k with D_k = E((u - mu_k)(u - mu_k)' | y_k), the
-    (N, M+1) mean scores gbar, and the curvature H summed over replicates
-    and points.
-    """
-    N, n, M = covariates.shape
-    X = np.concatenate([np.ones((N, n, 1)), covariates], axis=2)
-    eta = X @ np.concatenate([[beta[0, 0]], beta[0, 1:]])
-    mu = 1.0 / (1.0 + np.exp(-eta))                      # (N, n)
-    ubar = marginals[:, :, 1]
-    e = ubar - mu
-    D = ucooc - ubar[:, :, None] * ubar[:, None, :]
-    D += e[:, :, None] * e[:, None, :]
-    T2 = np.einsum("kip,kij,kjq->pq", X, D, X, optimize=True)
-    gbar = np.einsum("kip,ki->kp", X, e)
-    H = -np.einsum("ki,kip,kiq->pq", mu * (1 - mu), X, X)
-    return T2, gbar, H
+def _covariate_setup(marginals, covariates, beta):
+    """Pooled design rows X (N n, M+1), the non-reference probabilities mu
+    and posteriors q (N n, J-1), and the beta labels."""
+    N, n, J = marginals.shape
+    X = np.concatenate([np.ones((N * n, 1)),
+                        covariates.reshape(N * n, -1)], axis=1)
+    mu = np.exp(log_state_probs(beta, X[:, 1:]))[:, 1:]
+    labels = [f"beta{m}" + (f"_{j}" if j > 2 else "")
+              for j in range(2, J + 1) for m in range(X.shape[1])]
+    return X, mu, marginals.reshape(N * n, J)[:, 1:], labels
 
 
 # ---------------------------------------------------------------------------
@@ -124,29 +121,29 @@ def louis_information_generic(step, latent_spec, params, covariates=None):
     count.  Returns (information matrix, labels).
     """
     kind = latent_spec.kind
-    if kind == "covariate":
-        if params.beta.shape[0] != 1:
-            raise SingularInformation(
-                "covariate information implemented for J = 2")
-        T2, gbar, H = _covariate_moments(
-            step.marginals, step.moments.ucooc, params.beta, covariates)
-        labels = [f"beta{m}" for m in range(params.beta.shape[1])]
-        return -H - (T2 - gbar.T @ gbar), labels
     N, n, J = step.marginals.shape
+    if kind == "covariate":
+        # g_k = Z_k'(u_k - mu_k), u_k the n(J-1) non-reference indicators
+        # and Z_k (n(J-1), (J-1)(M+1)) places x_ki in state j's block, so
+        # Cov(g_k | y_k) = Z_k' Cov(u_k | y_k) Z_k
+        X, mu, q, labels = _covariate_setup(step.marginals, covariates,
+                                            params.beta)
+        Z = np.einsum("kip,jl->kijlp", X.reshape(N, n, -1),
+                      np.eye(J - 1)).reshape(N, n * (J - 1), -1)
+        q = q.reshape(N, -1)
+        C = step.moments.ucooc - q[:, :, None] * q[:, None, :]
+        return (logit_curvature(X, mu)
+                - (Z.transpose(0, 2, 1) @ C @ Z).sum(axis=0)), labels
     z = step.marginals.reshape(N, n * J)
     if kind == "iid":
-        H = np.tile(_iid_factor_scores(params.p), (n, 1))
-        labels = [f"p{j}" for j in range(1, params.p.size)]
+        H = np.tile(_simplex_scores(params.p, J - 1), (n, 1))
+        labels = [f"p{j}" for j in range(1, J)]
     else:
-        if params.pi.size != 2:
-            raise SingularInformation(
-                "markov information implemented for J = 2")
-        h0, h = _markov_factor_scores(params.pi, params.A)
-        H = np.zeros((n * J + J * J, 3))
-        H[:J] = h0
-        H[n * J:] = h.reshape(J * J, 3)
+        F, labels = _markov_factor_scores(params.pi, params.A)
+        # z's rows: the indicators (only the first point's have a factor),
+        # then the transition counts
+        H = np.vstack([F[:J], np.zeros((n * J - J, F.shape[1])), F[J:]])
         z = np.hstack([z, step.transitions.reshape(N, J * J)])
-        labels = ["pi1", "a12", "a21"]
     # each row of H scores one factor, so E(-H | y) is the second moment
     # of H's rows weighted by their expected counts
     T1 = _second_moment(z.sum(axis=0), H)
@@ -164,73 +161,56 @@ def louis_information_iid_closed(marginals, p):
 
     States are independent across points given the data, so the score
     covariance is the sum over points of each point's centred second
-    moment.
+    moment, sum_j q_j a_j a_j' - gbar gbar' with gbar = sum_j q_j a_j.
+    Its first term is E(-H | y), so the information is sum gbar gbar'.
     """
-    a = _iid_factor_scores(np.asarray(p, dtype=float))
-    Q = marginals.reshape(-1, a.shape[0])               # (N n, J)
-    T1 = _second_moment(Q.sum(axis=0), a)
-    D = a[None, :, :] - (Q @ a)[:, None, :]             # a_j - E(a | y)
-    T2 = _second_moment(Q.ravel(), D.reshape(-1, a.shape[1]))
-    return T1 - T2, [f"p{j}" for j in range(1, a.shape[0])]
+    J = marginals.shape[2]
+    gbar = marginals.reshape(-1, J) @ _simplex_scores(
+        np.asarray(p, dtype=float), J - 1)              # (N n, J-1)
+    return gbar.T @ gbar, [f"p{j}" for j in range(1, J)]
 
 
 def louis_information_markov_closed(marginals, pairwise, params):
-    """Louis information of the two-state Markov model from the posterior
-    chain.
+    """Louis information of the Markov model from the posterior chain.
 
     Given y_k the states form a Markov chain with transitions
     T_i = pairwise_i / marginal_i.  With R_i(l) the expected score of the
     transitions after point i given state l there, the score covariance is
     the spread of h0(l) + R_1(l) under the first marginal plus, at each i,
     the spread of h(l, j) + R_{i+1}(j) under the pair posterior, each about
-    its conditional mean.  R comes from one backward pass: O(N n J^2).
+    its conditional mean.  R comes from one backward pass: O(N n J^2 d).
     """
-    pi, A = params.pi, params.A
-    if pi.size != 2:
-        raise SingularInformation(
-            "markov information implemented for J = 2")
-    h0, h = _markov_factor_scores(pi, A)
+    F, labels = _markov_factor_scores(params.pi, params.A)
     N, n, J = marginals.shape
+    h0, h, d = F[:J], F[J:].reshape(J, J, -1), F.shape[1]
     first = marginals[:, 0, :]
-    T1 = (_second_moment(first.sum(axis=0), h0)
-          + _second_moment(pairwise.sum(axis=(0, 1)).ravel(),
-                           h.reshape(4, 3)))
+    T1 = _second_moment(np.concatenate(
+        [first.sum(axis=0), pairwise.sum(axis=(0, 1)).ravel()]), F)
     prev = marginals[:, :-1, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         chain = np.where(prev > 0, pairwise / prev, 0.0)
     # R[:, i, l]: expected score of the transitions after point i, given
     # state l at i
-    R = np.zeros((N, n, J, 3))
+    R = np.zeros((N, n, J, d))
     nxt = np.einsum("kilj,lja->kila", chain, h, optimize=True)
     for i in range(n - 2, -1, -1):
         R[:, i] = nxt[:, i] + chain[:, i] @ R[:, i + 1]
     D = h + R[:, 1:, None, :, :] - R[:, :-1, :, None, :]
     U0 = h0 + R[:, 0]
     D0 = U0 - np.einsum("kl,kla->ka", first, U0)[:, None, :]
-    T2 = (_second_moment(first.ravel(), D0.reshape(-1, 3))
-          + _second_moment(pairwise.ravel(), D.reshape(-1, 3)))
-    return T1 - T2, ["pi1", "a12", "a21"]
+    T2 = (_second_moment(first.ravel(), D0.reshape(-1, d))
+          + _second_moment(pairwise.ravel(), D.reshape(-1, d)))
+    return T1 - T2, labels
 
 
 def louis_information_covariate(marginals, covariates, beta):
-    """Louis information of the logistic model (J = 2) from pointwise
-    posteriors.
-
-    Valid when states are conditionally independent across points given
-    the data, which holds for the diagonal covariance kinds.
-    """
-    if beta.shape[0] != 1:
-        raise SingularInformation(
-            "covariate information implemented for J = 2")
-    N, n, M = covariates.shape
-    X = np.concatenate([np.ones((N, n, 1)), covariates], axis=2)
-    eta = X @ np.concatenate([[beta[0, 0]], beta[0, 1:]])
-    mu = 1.0 / (1.0 + np.exp(-eta))
-    q2 = marginals[:, :, 1]
-    T1 = np.einsum("ki,kip,kiq->pq", mu * (1 - mu), X, X)
-    T2 = np.einsum("ki,kip,kiq->pq", q2 * (1 - q2), X, X)
-    labels = [f"beta{m}" for m in range(beta.shape[1])]
-    return T1 - T2, labels
+    """Louis information of the multinomial-logit model from pointwise
+    posteriors q, for the diagonal covariance kinds: states are then
+    independent across points given the data, and each point's indicators
+    have covariance diag(q) - q q', so the score covariance is the logit
+    curvature at q."""
+    X, mu, q, labels = _covariate_setup(marginals, covariates, beta)
+    return logit_curvature(X, mu) - logit_curvature(X, q), labels
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +218,22 @@ def louis_information_covariate(marginals, covariates, beta):
 # ---------------------------------------------------------------------------
 
 def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step):
-    """Compute SEs for a finished fit; returns (dict or None, skip reason).
+    """Compute SEs for a finished fit; returns {label: SE}.
 
     ``step`` is the E-step at ``theta``; ``ecm_fit`` passes its final
-    one.  Soft failures (boundary estimates, singular information) raise
-    their specific errors; unsupported model combinations return a reason
-    string instead.
+    one.  Soft failures raise their specific errors: ``BoundaryParameter``
+    names the first entry of p, pi or A below ``_BOUNDARY_EPS``, and
+    ``SingularInformation`` a singular information matrix.
     """
-    J, kind = latent_spec.J, latent_spec.kind
-    if kind != "iid" and J != 2:
-        return None, f"{kind} standard errors need J = 2"
-    params = theta.latent
-    if kind == "iid" and np.any(params.p < _BOUNDARY_EPS):
-        raise BoundaryParameter(
-            "a state probability sits at the simplex boundary")
-    if kind == "markov":
-        for value, name in ((params.pi[0], "pi1"), (params.A[0, 1], "a12"),
-                            (params.A[1, 0], "a21")):
-            if value < _BOUNDARY_EPS or value > 1.0 - _BOUNDARY_EPS:
-                raise BoundaryParameter(
-                    f"{name} = {value!r} is at the boundary; "
-                    "standard errors are unavailable there")
+    kind, params = latent_spec.kind, theta.latent
+    for field in {"iid": ("p",), "markov": ("pi", "A")}.get(kind, ()):
+        values = getattr(params, field)
+        low = np.argwhere(values < _BOUNDARY_EPS)
+        if low.size:
+            raise BoundaryParameter(
+                f"{field.lower()}{''.join(str(i + 1) for i in low[0])} = "
+                f"{float(values[tuple(low[0])])!r} is at the boundary; "
+                "standard errors are unavailable there")
     if not cov_spec.diagonal:
         info, labels = louis_information_generic(
             step, latent_spec, params, covariates=dataset.covariates)
@@ -270,4 +245,4 @@ def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step):
     else:
         info, labels = louis_information_covariate(
             step.marginals, dataset.covariates, params.beta)
-    return _se_from_information(info, labels), None
+    return _se_from_information(info, labels)

@@ -146,6 +146,20 @@ def log_state_probs(beta, v):
     return eta - _logsumexp(eta)
 
 
+def logit_curvature(X, mu):
+    """Negative Hessian of the multinomial-logit log-likelihood in beta
+    (row by row) at rows X (P, M+1) and probabilities mu (P, J-1) of states
+    2..J.  Block (j, l) is X' diag(mu_j (delta_jl - mu_l)) X: with K the
+    rows mu_i (x) x_i, the blocks of X'K on the diagonal less K'K."""
+    P, p1 = X.shape
+    K = (mu[:, :, None] * X[:, None, :]).reshape(P, -1)
+    H = -(K.T @ K)
+    for j in range(mu.shape[1]):
+        b = slice(j * p1, (j + 1) * p1)
+        H[b, b] += X.T @ K[:, b]
+    return H
+
+
 def _logsumexp(a):
     """log sum exp(a) over the last axis, kept as a length-1 axis.
 
@@ -287,9 +301,9 @@ class Moments:
     posterior, w_s = sum_k P_ks, E_s state vector s's flat indicators, z_s
     = [E_s, its transition counts] and t_s = sum_k P_ks x_ks, x_ks = 1 or
     for nonhomog_ri [1, 1'y_ck, (1'y_ck)^2, u_s'y_ck, 1'y_ck u_s'y_ck,
-    (u_s'y_ck)^2] (u_s its state-2 indicators): ``cooc`` and ``lin`` sum
-    w_s z_s z_s' and E_s t_s' per stratum (nonhomog_ri's count of state-2
-    points, else one); ``ucooc`` is each replicate's sum_s P_ks u_s u_s'.
+    (u_s'y_ck)^2] (u_s its n(J-1) indicators of states 2..J): ``cooc`` and
+    ``lin`` sum w_s z_s z_s' and E_s t_s' per stratum (nonhomog_ri's count
+    of state-2 points, else one); ``ucooc`` is sum_s P_ks u_s u_s' per k.
     """
 
     N: int
@@ -298,7 +312,7 @@ class Moments:
     C: np.ndarray             # (n, n J) sum_k y_ck m_k'
     cooc: np.ndarray          # (G, n J + J J, n J + J J)
     lin: np.ndarray           # (G, n J, c)
-    ucooc: np.ndarray | None = None     # (N, n, n)
+    ucooc: np.ndarray | None = None     # (N, n(J-1), n(J-1))
 
     @property
     def occupancy(self):
@@ -315,7 +329,8 @@ def posterior_moments(blocks, enum, yc, ybar, latent_kind, nonhomog):
     (N, n), J = yc.shape, enum.J
     loglik, marginals = np.empty(N), np.empty((N, n, J))
     transitions = np.empty((N, J, J)) if latent_kind == "markov" else None
-    ucooc = np.empty((N, n, n)) if latent_kind == "covariate" else None
+    nu = n * (J - 1)
+    ucooc = np.empty((N, nu, nu)) if latent_kind == "covariate" else None
     acc = np.zeros((enum.size, 6 if nonhomog else 1))
     for rows, P, ll, cols in blocks:
         loglik[rows] = ll
@@ -323,10 +338,11 @@ def posterior_moments(blocks, enum, yc, ybar, latent_kind, nonhomog):
         if transitions is not None:
             transitions[rows] = pairwise_from_joint(P, enum, cols)
         if ucooc is not None or nonhomog:
-            u = np.ascontiguousarray(enum.onehot[cols, :, 1])
+            u = np.ascontiguousarray(
+                enum.onehot[cols, :, 1:].reshape(-1, nu))
         if ucooc is not None:
-            for i in range(n):
-                ucooc[rows, i] = P @ (u * u[:, i:i + 1])
+            for a in range(nu):
+                ucooc[rows, a] = P @ (u * u[:, a:a + 1])
         one = np.ones(P.shape[0])
         if nonhomog:
             ty = yc[rows].sum(axis=1)
@@ -467,30 +483,19 @@ def _newton_beta(marginals, covariates, beta0, grad_tol, max_steps):
     points pooled.  Steps that do not improve the objective are halved.
     """
     N, n, J = marginals.shape
-    M = covariates.shape[2]
     X = np.concatenate(
-        [np.ones((N * n, 1)), covariates.reshape(N * n, M)], axis=1)
+        [np.ones((N * n, 1)), covariates.reshape(N * n, -1)], axis=1)
     Q = marginals.reshape(N * n, J)
     beta = np.array(beta0, dtype=float, copy=True)
-    npar = (J - 1) * (M + 1)
 
     def objective(b):
         lp = log_state_probs(b, X[:, 1:])
         return float(np.sum(Q * lp))
 
     def grad_hess(b):
-        eta = np.concatenate(
-            [np.zeros((X.shape[0], 1)), X @ b.T], axis=1)
-        mu = np.exp(eta - _logsumexp(eta))
-        G = X.T @ (Q[:, 1:] - mu[:, 1:])                # (M+1, J-1)
-        H = np.empty((npar, npar))
-        p1 = M + 1
-        for j in range(J - 1):
-            for l in range(J - 1):
-                w = mu[:, j + 1] * ((j == l) - mu[:, l + 1])
-                H[j * p1:(j + 1) * p1, l * p1:(l + 1) * p1] = \
-                    -(X.T * w) @ X
-        return G.T.ravel(), H
+        mu = np.exp(log_state_probs(b, X[:, 1:]))[:, 1:]
+        G = X.T @ (Q[:, 1:] - mu)                       # (M+1, J-1)
+        return G.T.ravel(), -logit_curvature(X, mu)
 
     flags = []
     obj = objective(beta)
@@ -499,7 +504,7 @@ def _newton_beta(marginals, covariates, beta0, grad_tol, max_steps):
         if np.max(np.abs(g)) <= grad_tol:
             return beta, flags
         try:
-            step = np.linalg.solve(-H, g).reshape(J - 1, M + 1)
+            step = np.linalg.solve(-H, g).reshape(beta.shape)
         except np.linalg.LinAlgError:
             flags.append("newton_diverged")
             return beta, flags

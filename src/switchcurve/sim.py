@@ -17,7 +17,8 @@ curve error, and records parameter estimates, standard errors, confidence
 interval hits, and pointwise squared curve errors.
 """
 
-import concurrent.futures
+import multiprocessing
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -287,14 +288,33 @@ def run_replication(design, seed, rep):
     }
 
 
+_WORKER_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def run_study(design, n_reps=300, seed=0, threads=1):
-    """Run the full replication study and aggregate."""
+    """Run the full replication study and aggregate.
+
+    With ``threads`` > 1 the replications run in that many workers, each
+    one small fit at a time, so BLAS threads of their own would only
+    contend for the shared cores.  OpenBLAS fixes its thread count when
+    numpy loads it, before any pool initializer runs, and a forked worker
+    inherits it: the workers are spawned from an environment asking for
+    one thread, and the caller's is restored afterwards.
+    """
     if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(threads) as pool:
-            results = list(pool.map(
-                _replication_task,
-                [(design, seed, r) for r in range(n_reps)],
-                chunksize=max(1, n_reps // (8 * threads))))
+        saved = {k: os.environ[k] for k in _WORKER_BLAS_ENV
+                 if k in os.environ}
+        os.environ.update(dict.fromkeys(_WORKER_BLAS_ENV, "1"))
+        try:
+            with multiprocessing.get_context("spawn").Pool(threads) as pool:
+                results = pool.starmap(
+                    run_replication,
+                    [(design, seed, r) for r in range(n_reps)],
+                    chunksize=max(1, n_reps // (8 * threads)))
+        finally:
+            for k in _WORKER_BLAS_ENV:
+                del os.environ[k]
+            os.environ.update(saved)
     else:
         results = [run_replication(design, seed, r)
                    for r in range(n_reps)]
@@ -338,8 +358,3 @@ def run_study(design, n_reps=300, seed=0, threads=1):
         design_kind=design.kind, n_reps=n_reps, seed=seed, x=design.x,
         params=params, variance=variance, emse=emse,
         estimates=estimates, ses=ses, n_se_missing=n_missing)
-
-
-def _replication_task(args):
-    design, seed, rep = args
-    return run_replication(design, seed, rep)

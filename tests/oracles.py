@@ -25,23 +25,24 @@ itself gathers the curves point by point into its GEMM factor.
 The ``*_dense`` consumers are the structured M-steps, the joint normal
 system and the Louis information as they were before the E-step handed
 on fixed-size moments: each reads a full (N, S) joint posterior P,
-through P'1, P'y and P Fs products.  ``estep_from_joint`` turns such a P
-into the package's E-step outputs (moments included) with the package's
-own accumulation, one block over every column.
+through P'1, P'y and P Fs products.  ``louis_information_dense`` writes
+each state vector's scores and curvatures from its own derivatives of the
+log prior, at any J, not from the package's factor scores.
+``estep_from_joint`` turns such a P into the package's E-step outputs
+(moments included) with the package's own accumulation, one block over
+every column.
 """
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 from switchcurve.covariance import (LOG_2PI, make_structure,
                                     nonhomog_expected_term,
                                     nonhomog_sufficient_stats)
 from switchcurve.em import EStep, _normal_system_path
-from switchcurve.errors import (DegenerateLikelihood, NonPositiveSigma,
-                                SingularInformation)
-from switchcurve.inference import (_iid_factor_scores,
-                                   _markov_factor_scores, _second_moment)
+from switchcurve.errors import DegenerateLikelihood, NonPositiveSigma
 from switchcurve.latent import (joint_posterior, log_prior_table,
                                 log_state_probs, posterior_moments)
 
@@ -278,17 +279,18 @@ def score_second_moment_einsum(P, G):
 
 
 def covariate_moments_loop(P, enum, beta, covariates):
-    """(T2, gbar) of the two-state logistic model from per-replicate
-    (S, M+1) score tables."""
+    """(T2, gbar) of the multinomial-logit model from per-replicate
+    (S, (J-1)(M+1)) score tables: G_s = sum_i (u_si - mu_ki) (x) x_ki, u_si
+    the indicators of states 2..J at point i."""
     N, n, M = covariates.shape
     X = np.concatenate([np.ones((N, n, 1)), covariates], axis=2)
-    eta = X @ np.concatenate([[beta[0, 0]], beta[0, 1:]])
-    mu = 1.0 / (1.0 + np.exp(-eta))
-    ind2 = enum.onehot[:, :, 1]
-    T2 = np.zeros((M + 1, M + 1))
-    gbar = np.empty((N, M + 1))
+    mu = np.exp(log_state_probs(beta, covariates))[:, :, 1:]
+    ind = enum.onehot[:, :, 1:]
+    d = beta.size
+    T2 = np.zeros((d, d))
+    gbar = np.empty((N, d))
     for k in range(N):
-        G = np.einsum("si,ip->sp", ind2 - mu[k][None, :], X[k])
+        G = np.einsum("sij,ip->sjp", ind - mu[k][None], X[k]).reshape(-1, d)
         T2 += np.einsum("s,sa,sb->ab", P[k], G, G)
         gbar[k] = P[k] @ G
     return T2, gbar
@@ -484,39 +486,47 @@ def nonhomog_sufficient_stats_dense(P, y, Fs, E2):
             np.bincount(m_s, weights=c2, minlength=size))
 
 
+def simplex_score_terms(C, p, implied):
+    """Per state vector score (S, J-1) and negative Hessian (S, J-1, J-1)
+    of sum_j C_sj log p_j in the free entries of p, all but p[implied]:
+    d/dp_m = C_sm / p_m - C_s,implied / p_implied."""
+    free = [j for j in range(p.size) if j != implied]
+    G = C[:, free] / p[free] - C[:, [implied]] / p[implied]
+    curv = (np.einsum("sa,ab->sab", C[:, free] / p[free] ** 2,
+                      np.eye(len(free)))
+            + (C[:, implied] / p[implied] ** 2)[:, None, None])
+    return G, curv
+
+
 def louis_information_dense(P, enum, latent_spec, params, covariates=None):
-    """Louis information from the joint table: per state vector scores G,
-    T2 = sum_s w_s G_s G_s' and gbar = P G."""
-    kind = latent_spec.kind
+    """Louis information from the joint table, at any J: per state vector
+    scores G and curvatures, E(-H | y) = sum_s w_s (-H_s), T2 = sum_s w_s
+    G_s G_s' and gbar = P G."""
+    kind, J = latent_spec.kind, enum.J
     if kind == "covariate":
-        if params.beta.shape[0] != 1:
-            raise SingularInformation(
-                "covariate information implemented for J = 2")
         beta = params.beta
         T2, gbar = covariate_moments_loop(P, enum, beta, covariates)
         X = np.concatenate([np.ones(covariates.shape[:2] + (1,)),
                             covariates], axis=2)
-        mu = 1.0 / (1.0 + np.exp(-(X @ beta[0])))
-        T1 = np.einsum("ki,kip,kiq->pq", mu * (1 - mu), X, X)
-        labels = [f"beta{m}" for m in range(beta.shape[1])]
+        mu = np.exp(log_state_probs(beta, covariates))[:, :, 1:]
+        W = mu[..., :, None] * (np.eye(J - 1) - mu[..., None, :])
+        T1 = np.einsum("kijl,kip,kiq->jplq", W, X, X).reshape(
+            beta.size, beta.size)
+        labels = [f"beta{m}" + (f"_{j}" if j > 2 else "")
+                  for j in range(2, J + 1) for m in range(beta.shape[1])]
+        return T1 - (T2 - gbar.T @ gbar), labels
+    w = state_mass(P)
+    if kind == "iid":
+        terms = [simplex_score_terms(enum.counts, params.p, J - 1)]
+        labels = [f"p{j}" for j in range(1, J)]
     else:
-        w = state_mass(P)
-        if kind == "iid":
-            a = _iid_factor_scores(params.p)
-            G = enum.counts @ a
-            T1 = _second_moment(w @ enum.counts, a)
-            labels = [f"p{j}" for j in range(1, params.p.size)]
-        else:
-            if params.pi.size != 2:
-                raise SingularInformation(
-                    "markov information implemented for J = 2")
-            h0, h = _markov_factor_scores(params.pi, params.A)
-            h = h.reshape(4, 3)
-            first = enum.onehot[:, 0, :]
-            trans = enum.trans.reshape(enum.size, 4)
-            G = first @ h0 + trans @ h
-            T1 = _second_moment(w @ first, h0) + _second_moment(w @ trans, h)
-            labels = ["pi1", "a12", "a21"]
-        T2 = _second_moment(w, G)
-        gbar = P @ G
-    return T1 - (T2 - gbar.T @ gbar), labels
+        terms = [simplex_score_terms(enum.onehot[:, 0, :], params.pi, J - 1)]
+        terms += [simplex_score_terms(enum.trans[:, l, :], params.A[l], l)
+                  for l in range(J)]
+        labels = [f"pi{j}" for j in range(1, J)] + [
+            f"a{l}{j}" for l in range(1, J + 1) for j in range(1, J + 1)
+            if j != l]
+    G = np.hstack([g for g, _ in terms])
+    T1 = block_diag(*[np.einsum("s,sab->ab", w, c) for _, c in terms])
+    gbar = P @ G
+    return T1 - (score_second_moment_einsum(P, G) - gbar.T @ gbar), labels

@@ -767,22 +767,47 @@ def test_initialize_refuses_a_non_finite_supplied_value(latent, cov, part,
                    init=poisoned)
 
 
-@pytest.mark.parametrize("latent, cov", [
-    ("markov", "homog_ri"), ("markov", "nonhomog_ri"),
-    ("iid", "unrestricted"), ("covariate", "homog_ri")])
-def test_validate_estimate_bounds_the_fits_peak_bytes(latent, cov,
+def three_state_covariate_data(N, n, seed):
+    """Three states with logits 0.5 + 2v and 0.5 - 2v against state 1 in
+    one standard-normal covariate v; curves sin(2 pi x) + j, a replicate
+    intercept of sd 0.3 and noise of sd 0.1."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, n)
+    v = rng.standard_normal((N, n, 1))
+    p = np.exp(lat_mod.log_state_probs(np.array([[0.5, 2.0], [0.5, -2.0]]),
+                                       v))
+    z = (rng.random((N, n, 1)) > np.cumsum(p, axis=2)).sum(axis=2)
+    f = np.sin(2.0 * np.pi * x) + np.arange(3.0)[:, None]
+    y = (f[z, np.arange(n)] + 0.3 * rng.standard_normal((N, 1))
+         + 0.1 * rng.standard_normal((N, n)))
+    return MultiCurveDataset(x=x, y=y, covariates=v)
+
+
+@pytest.mark.parametrize("latent, cov, J", [
+    pytest.param("markov", "homog_ri", 2, id="markov-homog_ri"),
+    pytest.param("markov", "nonhomog_ri", 2, id="markov-nonhomog_ri"),
+    pytest.param("iid", "unrestricted", 2, id="iid-unrestricted"),
+    pytest.param("covariate", "homog_ri", 2, id="covariate-homog_ri"),
+    pytest.param("covariate", "homog_ri", 3, id="covariate-homog_ri-J3")])
+def test_validate_estimate_bounds_the_fits_peak_bytes(latent, cov, J,
                                                       monkeypatch):
     """The bytes ``validate`` checks against the budget hold, within 1.5x,
     the tracemalloc peak of a fit with SEs from a cold enumeration cache,
     also at N = 1000, where (N, S) tables would outweigh every other
-    term."""
+    term.  At J = 3 the covariate arrays have n(J-1) indicator columns."""
     estimates = []
     monkeypatch.setattr(dm, "refuse_over_budget",
                         lambda need, what: estimates.append(need))
-    specs = LatentSpec(kind=latent, J=2), CovSpec(kind=cov)
-    for N, n in ((50, 12), (200, 10), (1000, 10)):
-        design = sim.SimDesign(kind=latent, N=N, x=np.linspace(1, 100, n))
-        data = sim.generate_dataset(design, 3)[0]
+    specs = LatentSpec(kind=latent, J=J), CovSpec(kind=cov)
+    sizes = ((50, 12), (200, 10), (1000, 10)) if J == 2 else (
+        (50, 7), (200, 7), (1000, 6))
+    for N, n in sizes:
+        if J == 2:
+            design = sim.SimDesign(kind=latent, N=N,
+                                   x=np.linspace(1, 100, n))
+            data = sim.generate_dataset(design, 3)[0]
+        else:
+            data = three_state_covariate_data(N, n, 3)
         # a first fit makes the allocations a process makes only once
         ecm_fit(data, *specs, lambdas=LAM)
         enumerate_states.cache_clear()

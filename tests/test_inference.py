@@ -21,8 +21,8 @@ from switchcurve.em import e_step, ecm_fit
 from switchcurve.errors import BoundaryParameter, SingularInformation
 from switchcurve.latent import enumerate_states, update_alpha
 
-from oracles import (covariate_moments_loop, enumerated_e_step,
-                     estep_from_joint, score_second_moment_einsum,
+from oracles import (enumerated_e_step, estep_from_joint,
+                     louis_information_dense, score_second_moment_einsum,
                      state_mass)
 
 N_TOY, N_POINTS, J = 3, 3, 2
@@ -176,6 +176,71 @@ def test_information_matches_finite_differences_away_from_fixed_point(
     assert np.max(np.abs(info - I_fd)) / scale < 1e-4
 
 
+def three_state_unpack_markov(vec):
+    """pi_1, pi_2, then a_lj for j != l, row by row; the rest implied."""
+    A = np.zeros((3, 3))
+    A[~np.eye(3, dtype=bool)] = vec[2:]
+    A[np.diag_indices(3)] = 1.0 - A.sum(axis=1)
+    return MarkovParams(pi=np.append(vec[:2], 1.0 - vec[:2].sum()), A=A)
+
+
+THREE_STATE_KINDS = {
+    "iid": (
+        IIDParams(p=np.array([0.2, 0.3, 0.5])),
+        lambda a: a.p[:2].copy(),
+        lambda vec: IIDParams(p=np.append(vec, 1.0 - vec.sum()))),
+    "markov": (
+        MarkovParams(pi=np.array([0.3, 0.3, 0.4]),
+                     A=np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3],
+                                 [0.25, 0.25, 0.5]])),
+        lambda a: np.append(a.pi[:2], a.A[~np.eye(3, dtype=bool)]),
+        three_state_unpack_markov),
+    "covariate": (
+        CovariateParams(beta=np.array([[0.2, 0.4], [-0.3, 0.7]])),
+        lambda a: a.beta.ravel().copy(),
+        lambda vec: CovariateParams(beta=vec.reshape(2, 2))),
+}
+
+
+@pytest.mark.parametrize("route", ["generic", "diagonal"])
+@pytest.mark.parametrize("kind", ["iid", "markov", "covariate"])
+def test_information_matches_finite_differences_at_three_states(kind,
+                                                                route):
+    """Both routes at J = 3: iso_diag, n = 4, away from the MLE; the
+    Markov coordinates are (pi1, pi2, a12, a13, a21, a23, a31, a32)."""
+    rng = np.random.default_rng(8)
+    J3, n = 3, 4
+    f = np.outer(np.arange(J3), 0.8 * np.ones(n))
+    z = rng.integers(0, J3, size=(5, n))
+    y = f[z, np.arange(n)] + 0.4 * rng.standard_normal((5, n))
+    data = MultiCurveDataset(x=np.linspace(0.0, 1.0, n), y=y,
+                             covariates=rng.standard_normal((5, n, 1)))
+    enum = enumerate_states(n, J3)
+    lat = LatentSpec(kind=kind, J=J3)
+    alpha, coords, unpack = THREE_STATE_KINDS[kind]
+
+    def theta_of(a):
+        return Theta(phi=np.zeros((J3, 4)), latent=a, cov=COV_PARAMS,
+                     lambdas=np.zeros(J3))
+
+    def ll_of(vec):
+        return float(enumerated_e_step(data, f, theta_of(unpack(vec)), lat,
+                                       COV_SPEC, enum).loglik.sum())
+
+    I_fd = -fd_hessian(ll_of, coords(alpha))
+    if route == "generic":
+        step = enumerated_e_step(data, f, theta_of(alpha), lat, COV_SPEC,
+                                 enum)
+        info, labels = inf_mod.louis_information_generic(
+            step, lat, alpha, covariates=data.covariates)
+    else:
+        step = e_step(data, f, theta_of(alpha), lat, COV_SPEC)
+        info, labels = diagonal_form(kind, step, data, alpha)
+    assert len(labels) == coords(alpha).size
+    scale = max(1.0, float(np.max(np.abs(I_fd))))
+    assert np.max(np.abs(info - I_fd)) / scale < 1e-4
+
+
 def test_iid_closed_form_matches_generic():
     data, enum, lat, alpha, step = fixed_point("iid")
     I_gen, _ = inf_mod.louis_information_generic(step, lat,
@@ -214,7 +279,7 @@ def test_score_second_moment_matches_einsum_form(n, J):
     rng = np.random.default_rng(n * J)
     enum = enumerate_states(n, J)
     P = rng.dirichlet(np.ones(enum.size), size=4)
-    a = inf_mod._iid_factor_scores(rng.dirichlet(np.ones(J)))
+    a = inf_mod._simplex_scores(rng.dirichlet(np.ones(J)), J - 1)
     G = enum.counts @ a
     want = score_second_moment_einsum(P, G)
     np.testing.assert_allclose(inf_mod._second_moment(state_mass(P), G),
@@ -227,26 +292,41 @@ def test_score_second_moment_matches_einsum_form(n, J):
                                atol=1e-13 * np.max(np.abs(want)))
 
 
-def test_covariate_moments_match_per_replicate_tables():
+def random_latent(kind, J, M, rng):
+    if kind == "iid":
+        return IIDParams(p=rng.dirichlet(np.ones(J)))
+    if kind == "markov":
+        return MarkovParams(pi=rng.dirichlet(np.ones(J)),
+                            A=rng.dirichlet(np.ones(J), size=J))
+    return CovariateParams(beta=rng.standard_normal((J - 1, M + 1)))
+
+
+@pytest.mark.parametrize("J", [2, 3])
+@pytest.mark.parametrize("kind", ["iid", "markov", "covariate"])
+def test_generic_information_matches_per_state_vector_scores(kind, J):
+    """The structured route's moments (co-occupancy, and for covariate
+    each replicate's non-reference co-occupancy) against scores and
+    curvatures written per state vector on a random joint table."""
     rng = np.random.default_rng(31)
-    N, n, M = 5, 7, 2
-    enum = enumerate_states(n, 2)
+    N, n, M = 5, 4, 2
+    enum = enumerate_states(n, J)
     P = rng.dirichlet(np.ones(enum.size), size=N)
     v = rng.standard_normal((N, n, M))
-    beta = rng.standard_normal((1, M + 1))
-    step = estep_from_joint(P, np.zeros((N, n)), enum, "covariate")
-    T2, gbar, _ = inf_mod._covariate_moments(step.marginals,
-                                             step.moments.ucooc, beta, v)
-    want_T2, want_gbar = covariate_moments_loop(P, enum, beta, v)
-    np.testing.assert_allclose(T2, want_T2, rtol=1e-13,
-                               atol=1e-13 * np.max(np.abs(want_T2)))
-    np.testing.assert_allclose(gbar, want_gbar, rtol=1e-13,
-                               atol=1e-13 * np.max(np.abs(want_gbar)))
+    lat, alpha = LatentSpec(kind=kind, J=J), random_latent(kind, J, M, rng)
+    step = estep_from_joint(P, np.zeros((N, n)), enum, kind)
+    got, labels = inf_mod.louis_information_generic(step, lat, alpha,
+                                                    covariates=v)
+    want, want_labels = louis_information_dense(P, enum, lat, alpha,
+                                                covariates=v)
+    assert labels == want_labels
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_boundary_estimates_are_rejected():
+    """Any entry of p, pi or A below 1e-8 is named, the implied ones too."""
     data = fit_data(3, n=5)
-    with pytest.raises(BoundaryParameter):
+    with pytest.raises(BoundaryParameter, match="p2"):
         inf_mod.standard_errors_for_fit(
             data, LatentSpec(kind="iid", J=2), COV_SPEC,
             make_theta(IIDParams(p=[1.0 - 1e-9, 1e-9])), step=None)
@@ -256,20 +336,14 @@ def test_boundary_estimates_are_rejected():
             make_theta(MarkovParams(pi=[0.5, 0.5],
                                     A=[[1.0 - 1e-9, 1e-9], [0.4, 0.6]])),
             step=None)
-
-
-def test_generic_rejects_unsupported_sizes():
-    enum = enumerate_states(3, 3)
-    P = np.full((2, enum.size), 1.0 / enum.size)
-    step = estep_from_joint(P, np.zeros((2, 3)), enum, "markov")
-    with pytest.raises(SingularInformation, match="J = 2"):
-        inf_mod.louis_information_generic(
-            step, LatentSpec(kind="markov", J=3),
-            MarkovParams(pi=[0.3, 0.3, 0.4], A=np.full((3, 3), 1.0 / 3.0)))
-    with pytest.raises(SingularInformation, match="J = 2"):
-        inf_mod.louis_information_covariate(
-            np.full((2, 3, 3), 1.0 / 3.0), np.zeros((2, 3, 1)),
-            np.zeros((2, 2)))
+    A = np.full((3, 3), 1.0 / 3.0)
+    A[1] = [0.5, 0.5 - 1e-9, 1e-9]
+    with pytest.raises(BoundaryParameter, match="a23"):
+        inf_mod.standard_errors_for_fit(
+            data, LatentSpec(kind="markov", J=3), COV_SPEC,
+            Theta(phi=np.zeros((3, 4)),
+                  latent=MarkovParams(pi=np.full(3, 1.0 / 3.0), A=A),
+                  cov=COV_PARAMS, lambdas=np.zeros(3)), step=None)
 
 
 def test_se_inversion_guards():
@@ -281,12 +355,12 @@ def test_se_inversion_guards():
     assert se == {"a": 0.5, "b": 0.2}
 
 
-def fit_data(seed, M=0, N=20, n=8, noise=0.2):
+def fit_data(seed, M=0, N=20, n=8, noise=0.2, J=2):
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, n)
     base = np.sin(2.0 * np.pi * x)
-    f = np.stack([base, base + 1.2])
-    z = rng.integers(0, 2, (N, n))
+    f = np.stack([base + 1.2 * j for j in range(J)])
+    z = rng.integers(0, J, (N, n))
     y = f[z, np.arange(n)] + noise * rng.standard_normal((N, n))
     v = rng.standard_normal((N, n, M)) if M else None
     return MultiCurveDataset(x=x, y=y, covariates=v)
@@ -319,10 +393,9 @@ def test_diagonal_kind_ses_match_the_enumerated_oracle(kind, cov_kind):
                     noise=0.6)
     lat, cspec = LatentSpec(kind=kind, J=2), CovSpec(kind=cov_kind)
     report = ecm_fit(data, lat, cspec, lambdas=1e-4)
-    se, reason = inf_mod.standard_errors_for_fit(
+    se = inf_mod.standard_errors_for_fit(
         data, lat, cspec, report.theta,
         e_step(data, report.curves, report.theta, lat, cspec))
-    assert reason is None
     assert report.std_errors == se
 
     enum = enumerate_states(data.n_points, 2)
@@ -338,25 +411,19 @@ def test_diagonal_kind_ses_match_the_enumerated_oracle(kind, cov_kind):
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def test_unsupported_combinations_return_reasons():
-    data = fit_data(3, n=5)
-    theta = Theta(phi=np.zeros((3, 4)),
-                  latent=MarkovParams(pi=np.full(3, 1.0 / 3.0),
-                                      A=np.full((3, 3), 1.0 / 3.0)),
-                  cov=IsoDiagParams(sigma2=1.0), lambdas=np.zeros(3))
-    se, reason = inf_mod.standard_errors_for_fit(
-        data, LatentSpec(kind="markov", J=3), CovSpec(kind="iso_diag"),
-        theta, step=None)
-    assert se is None and "J = 2" in reason
-
-    theta_c = Theta(phi=np.zeros((3, 4)),
-                    latent=CovariateParams(beta=np.zeros((2, 2))),
-                    cov=IsoDiagParams(sigma2=1.0), lambdas=np.zeros(3))
-    data_v = fit_data(3, M=1, n=5)
-    se, reason = inf_mod.standard_errors_for_fit(
-        data_v, LatentSpec(kind="covariate", J=3), CovSpec(kind="iso_diag"),
-        theta_c, step=None)
-    assert se is None and "J = 2" in reason
+@pytest.mark.parametrize("kind, cov_kind", [
+    ("markov", "iso_diag"), ("markov", "homog_ri"),
+    ("covariate", "state_diag")])
+def test_three_state_fits_report_standard_errors(kind, cov_kind):
+    data = fit_data(6, M=1 if kind == "covariate" else 0, J=3)
+    report = ecm_fit(data, LatentSpec(kind=kind, J=3),
+                     CovSpec(kind=cov_kind), lambdas=1e-4)
+    assert list(report.std_errors) == (
+        ["pi1", "pi2", "a12", "a13", "a21", "a23", "a31", "a32"]
+        if kind == "markov" else ["beta0", "beta1", "beta0_3", "beta1_3"])
+    assert all(np.isfinite(v) and v > 0
+               for v in report.std_errors.values())
+    assert not any(w.startswith("se_unavailable") for w in report.warnings)
 
 
 def test_diagonal_kind_ses_exist_past_the_enumeration_cap():

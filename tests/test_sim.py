@@ -1,6 +1,7 @@
 """Simulation designs, label alignment, and the study harness."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -219,7 +220,9 @@ def test_coverage_z_values_are_normal_quantiles():
 def test_threaded_study_matches_serial_exactly():
     d = stock_design(1)
     serial = run_study(d, n_reps=4, seed=0, threads=1)
+    environ = dict(os.environ)
     pooled = run_study(d, n_reps=4, seed=0, threads=2)
+    assert dict(os.environ) == environ
     assert serial.params == pooled.params
     assert serial.variance == pooled.variance
     np.testing.assert_array_equal(serial.emse, pooled.emse)
