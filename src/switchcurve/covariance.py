@@ -24,15 +24,17 @@ rank-one term h_s (u~_s'r)^2 / 2 is one more block table.  The M-steps
 read the E-step's fixed-size posterior moments (``latent.Moments``).
 
 Every M-step is closed form except nonhomog_ri's.  There sigma2 profiles
-out in closed form and (d1, d2) >= 0 come from a Newton search with
-analytic derivatives, a bound-aware active set and step halving; it starts
-at the previous parameters and never returns a lower objective.  Dense
-factorizations are numpy's (Cholesky for ``unrestricted``).
+out in closed form and (d1, d2) >= 0 come from ``latent.newton_search``,
+the search the covariate latent M-step also runs: damped Newton on the
+analytic derivatives, with the bound on, from the previous parameters; an
+ascent guard keeps the previous parameters if the result's objective is
+lower.  Dense factorizations are numpy's (Cholesky for ``unrestricted``).
 """
 
 import numpy as np
 
 from .errors import NonPositiveSigma, NotSPD
+from .latent import newton_search
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -45,9 +47,6 @@ _MASS_EPS = 1e-12     # posterior mass below this means an empty state
 # (``em._ASCENT_RTOL``), so past cond(C) = 1e-8 / eps (about 4.5e7) the
 # check reads rounding, not ascent.
 _COND_MAX = 1e-8 / np.finfo(float).eps
-_NEWTON_MAX_STEPS = 50      # nonhomog_ri M-step: Newton steps,
-_NEWTON_MAX_HALVINGS = 60   # halvings of one step,
-_NEWTON_RTOL = 1e-14        # and the predicted decrease that ends it
 
 
 class CovStructure:
@@ -329,10 +328,8 @@ def update_nonhomog_ri(moments, F, prev):
 
     sigma2 profiles out in closed form, sigma2(d) = (A - q(d)) / (N n),
     which leaves a smooth problem in d = (d1, d2) >= 0 (see
-    ``_profiled_nonhomog``).  Newton runs on the free coordinates: a
-    coordinate at 0 whose gradient points outward is held there.  Each
-    step is halved until the objective rises, and candidates are projected
-    onto d >= 0, so d1 or d2 can reach exactly 0.  If the result's
+    ``_profiled_nonhomog``): ``latent.newton_search`` minimizes it with
+    its bound on, so d1 or d2 can reach exactly 0.  If the result's
     ``nonhomog_expected_term`` is below the one at ``prev`` (or its sigma2
     is not positive), ``prev`` is returned: conditional ascent holds by
     construction.
@@ -341,31 +338,9 @@ def update_nonhomog_ri(moments, F, prev):
     """
     N, n = moments.N, moments.yy.shape[0]
     stats = nonhomog_sufficient_stats(moments, F)
-    d = np.array([prev.d1, prev.d2], dtype=float)
-    f, g, H, resid = _profiled_nonhomog(d, n, N, stats)
-    for _ in range(_NEWTON_MAX_STEPS):
-        if not np.isfinite(f):
-            break
-        free = (d > 0.0) | (g < 0.0)
-        if not free.any():
-            break
-        step = np.zeros(2)
-        step[free] = _descent_step(g[free], H[np.ix_(free, free)])
-        # f's rounding hides a gain this small: take the step whole, stop
-        if -(g @ step) <= _NEWTON_RTOL * (abs(f) + N * n):
-            d = np.maximum(d + step, 0.0)
-            resid = _profiled_nonhomog(d, n, N, stats)[3]
-            break
-        for t in 0.5 ** np.arange(_NEWTON_MAX_HALVINGS):
-            cand = np.maximum(d + t * step, 0.0)
-            new = _profiled_nonhomog(cand, n, N, stats)
-            if new[0] < f:
-                break
-        else:
-            break
-        d = cand
-        f, g, H, resid = new
-    sigma2 = resid / (N * n)
+    d, _ = newton_search(lambda d: _profiled_nonhomog(d, n, N, stats),
+                         [prev.d1, prev.d2], N * n, bounded=True)
+    sigma2 = _profiled_nonhomog(d, n, N, stats)[3] / (N * n)
     if sigma2 > 0 and (
             nonhomog_expected_term(sigma2, d[0], d[1], n, N, stats)
             >= nonhomog_expected_term(prev.sigma2, prev.d1, prev.d2,
@@ -408,15 +383,6 @@ def _profiled_nonhomog(d, n, N, stats):
     g = -Nn * g_q / resid + g_det @ W
     H = -Nn * (H_q / resid + np.outer(g_q, g_q) / resid ** 2) + H_ld
     return f, g, H, resid
-
-
-def _descent_step(g, H):
-    """Newton step -H^{-1} g with H's eigenvalues taken in absolute value
-    (and floored), so it points downhill where f is not convex."""
-    w, V = np.linalg.eigh(H)
-    w = np.abs(w)
-    w = np.maximum(w, 1e-12 * w.max(initial=0.0) + 1e-300)
-    return -V @ ((V.T @ g) / w)
 
 
 # ---------------------------------------------------------------------------

@@ -340,9 +340,10 @@ def _fit_peak_bytes(N, n, J, latent_kind, cov_kind):
         # a block and the indicators of its taken half, or covariate's u
         # and u u_a, or the state mass and its gathered accumulator rows
         block + max(4 * nJ, 16 * nu if c > 1 else 16) * S,
-        # nonhomog_ri's P, u'y and P u'y, u, the six stacked sums twice,
-        # and 1'y, its square, a ones column and the three stacked
-        nonhomog * (3 * block + 8 * ((n + 12) * S + 6 * rows)),
+        # nonhomog_ri's P (scaled by u'y in place) and u'y, u, the six
+        # stacked sums twice, and 1'y, its square, a ones column and the
+        # three stacked
+        nonhomog * (2 * block + 8 * ((n + 12) * S + 6 * rows)),
         # the reduction: the live indices, their strata, one stratum's mask
         # and indices, and two blocks of z rows
         25 * S + 16 * (nJ + J * J) * min(S, block_rows(nJ + J * J)),

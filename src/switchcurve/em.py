@@ -290,8 +290,11 @@ def _update_cov(cov_spec, theta, step, y, F_new):
 # initialization
 # ---------------------------------------------------------------------------
 
-def _floor_probs(p):
-    p = np.maximum(np.asarray(p, dtype=float), _ALPHA_FLOOR)
+def _floor_probs(w):
+    """Nonnegative weights (counts or frequencies) as probabilities, each
+    weight first raised to ``_ALPHA_FLOOR`` of their total."""
+    w = np.asarray(w, dtype=float)
+    p = np.maximum(w, _ALPHA_FLOOR * w.sum())
     return p / p.sum()
 
 
@@ -361,8 +364,7 @@ def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
         np.put_along_axis(hard, assign[:, :, None], 1.0, axis=2)
         soft = _ALPHA_FLOOR / J + (1 - _ALPHA_FLOOR) * hard
         beta0 = np.zeros((J - 1, dataset.n_covariates + 1))
-        beta, _ = lat_mod._newton_beta(
-            soft, dataset.covariates, beta0, 1e-8, 25)
+        beta, _ = lat_mod._newton_beta(soft, dataset.covariates, beta0)
         alpha = CovariateParams(beta=beta)
 
     kind = cov_spec.kind

@@ -24,7 +24,7 @@ adds its column sums into S-long accumulators, which reduce to fixed-size
 
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -41,10 +41,12 @@ _BLOCK_BYTES = 4 * 2 ** 20
 # together under e^-36.8 (about 1.05e-16) of the replicate's total
 _CUT_NATS = 36.8
 
-# stopping rules of the covariate alpha M-step's Newton search
-_NEWTON_GRAD_TOL = 1e-10
+# stopping rules of ``newton_search``, the iterative M-steps' one search:
+# Newton steps, halvings of one step, and the predicted decrease, relative
+# to |f| + scale, below which a step is taken whole and ends the search
 _NEWTON_MAX_STEPS = 50
-_NEWTON_MAX_HALVINGS = 30
+_NEWTON_MAX_HALVINGS = 60
+_NEWTON_RTOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +166,15 @@ def _logsumexp(a):
     """log sum exp(a) over the last axis, kept as a length-1 axis.
 
     Shifted by the row maximum where that is finite; a row of -inf gives
-    -inf.
+    -inf.  The axis is short (J), so it is reduced column by column:
+    numpy's own reduction along a short last axis costs several times
+    more, and below eight columns it sums in this same order.
     """
-    m = np.max(a, axis=-1, keepdims=True)
+    cols = [a[..., j] for j in range(a.shape[-1])]
+    m = np.array(reduce(np.maximum, cols))
     m[~np.isfinite(m)] = 0.0
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)) + m
+        return (np.log(sum(np.exp(c - m) for c in cols)) + m)[..., None]
 
 
 def log_prior_table(enum, latent_spec, params, covariates=None):
@@ -325,7 +330,8 @@ def posterior_moments(blocks, enum, yc, ybar, latent_kind, nonhomog):
     """``(loglik, marginals, transitions, moments)`` of a structured-kind
     E-step from ``blocks`` of ``(rows, *joint_posterior(...))``: each block
     writes its rows and adds its t_s (``Moments``) into an (S, c)
-    accumulator, reduced on the state vectors with mass after the last."""
+    accumulator, reduced on the state vectors with mass after the last.
+    A nonhomog_ri block's joint table is overwritten."""
     (N, n), J = yc.shape, enum.J
     loglik, marginals = np.empty(N), np.empty((N, n, J))
     transitions = np.empty((N, J, J)) if latent_kind == "markov" else None
@@ -348,12 +354,14 @@ def posterior_moments(blocks, enum, yc, ybar, latent_kind, nonhomog):
             ty = yc[rows].sum(axis=1)
             X = np.column_stack([one, ty, ty * ty])
             uy = yc[rows] @ u.T                         # u_s'y_ck
-            Q = P * uy
-            acc[cols] += np.vstack([X.T @ P, X[:, :2].T @ Q,
-                                    one @ np.multiply(Q, uy, out=Q)]).T
+            # P is used up here: scaled by u'y in place, twice, so that
+            # only P and u'y are (rows, S) blocks
+            acc[cols] += np.vstack([
+                X.T @ P, X[:, :2].T @ np.multiply(P, uy, out=P),
+                one @ np.multiply(P, uy, out=P)]).T
         else:
             acc[cols, 0] += one @ P
-        P = uy = Q = None       # freed before the next block is built
+        P = uy = None       # freed before the next block is built
 
     live = np.flatnonzero(acc[:, 0])
     g = enum.counts[live, 1] if nonhomog else np.zeros(live.size)
@@ -437,7 +445,7 @@ def forward_backward(pointwise_loglik, pi, A):
 
 
 # ---------------------------------------------------------------------------
-# alpha updates
+# alpha updates and the iterative M-steps' Newton search
 # ---------------------------------------------------------------------------
 
 def update_alpha(latent_spec, prev, marginals, transitions=None,
@@ -446,9 +454,10 @@ def update_alpha(latent_spec, prev, marginals, transitions=None,
 
     ``transitions`` holds the Markov model's (N, J, J) expected transition
     counts.  Returns ``(params, flags)``.  Markov rows with vanishing
-    occupancy keep their previous values and are flagged; a covariate
-    Newton search that fails to reach the gradient tolerance is flagged
-    "newton_diverged" and returns its best iterate.
+    occupancy keep their previous values and are flagged.  The covariate
+    coefficients come from ``newton_search``, started at ``prev``; a search
+    that runs out of steps or halvings is flagged "newton_diverged" and
+    returns its last iterate, whose objective is never below the start's.
     """
     from .datamodel import CovariateParams, IIDParams, MarkovParams
 
@@ -470,56 +479,77 @@ def update_alpha(latent_spec, prev, marginals, transitions=None,
             A[l] = totals[l] / den[l]
         return MarkovParams(pi=pi, A=A), flags
 
-    beta, newton_flags = _newton_beta(
-        marginals, covariates, prev.beta, _NEWTON_GRAD_TOL,
-        _NEWTON_MAX_STEPS)
+    beta, newton_flags = _newton_beta(marginals, covariates, prev.beta)
     return CovariateParams(beta=beta), flags + newton_flags
 
 
-def _newton_beta(marginals, covariates, beta0, grad_tol, max_steps):
-    """Newton-Raphson for the multinomial-logistic alpha M-step.
-
-    Soft targets are the marginal posteriors; observations are all (k, i)
-    points pooled.  Steps that do not improve the objective are halved.
-    """
+def _newton_beta(marginals, covariates, beta0):
+    """The multinomial-logistic alpha M-step: ``newton_search`` on
+    f = -sum Q log p over all (k, i) points pooled, Q the marginal
+    posteriors, from ``beta0``.  Returns ``(beta, flags)``."""
     N, n, J = marginals.shape
     X = np.concatenate(
         [np.ones((N * n, 1)), covariates.reshape(N * n, -1)], axis=1)
     Q = marginals.reshape(N * n, J)
-    beta = np.array(beta0, dtype=float, copy=True)
+    shape = np.shape(beta0)
 
-    def objective(b):
-        lp = log_state_probs(b, X[:, 1:])
-        return float(np.sum(Q * lp))
+    def fgh(b):
+        lp = log_state_probs(b.reshape(shape), X[:, 1:])
+        mu = np.exp(lp[:, 1:])
+        g = X.T @ (mu - Q[:, 1:])                       # (M+1, J-1)
+        return -float(np.sum(Q * lp)), g.T.ravel(), logit_curvature(X, mu)
 
-    def grad_hess(b):
-        mu = np.exp(log_state_probs(b, X[:, 1:]))[:, 1:]
-        G = X.T @ (Q[:, 1:] - mu)                       # (M+1, J-1)
-        return G.T.ravel(), -logit_curvature(X, mu)
+    beta, ok = newton_search(fgh, np.ravel(beta0), N * n)
+    return beta.reshape(shape), [] if ok else ["newton_diverged"]
 
-    flags = []
-    obj = objective(beta)
-    for _ in range(max_steps):
-        g, H = grad_hess(beta)
-        if np.max(np.abs(g)) <= grad_tol:
-            return beta, flags
-        try:
-            step = np.linalg.solve(-H, g).reshape(beta.shape)
-        except np.linalg.LinAlgError:
-            flags.append("newton_diverged")
-            return beta, flags
-        scale = 1.0
-        for _ in range(_NEWTON_MAX_HALVINGS + 1):
-            cand = beta + scale * step
-            cand_obj = objective(cand)
-            if cand_obj >= obj - 1e-14 * max(1.0, abs(obj)):
-                beta, obj = cand, cand_obj
+
+def newton_search(fgh, x, scale, bounded=False):
+    """Minimize f from ``x`` by damped Newton; the one search of the
+    iterative M-steps.
+
+    ``fgh(x)`` returns f, its gradient and Hessian (more entries are
+    ignored); f is +inf where it is undefined.  Each step is
+    ``_descent_step``'s and is halved until f falls.  Once the predicted
+    decrease -g'step is below f's rounding, ``_NEWTON_RTOL`` (|f| + scale),
+    the step is taken whole and the search stops.  With ``bounded`` the
+    search keeps x >= 0: candidates are projected onto it, and a
+    coordinate at 0 whose gradient points outward is held there.
+
+    Returns ``(x, ok)``; ``ok`` is False if f is not finite, or the steps
+    or one step's halvings ran out.  f(x) is never above f at the start.
+    """
+    def project(v):
+        return np.maximum(v, 0.0) if bounded else v
+
+    x = np.array(x, dtype=float)
+    f, g, H = fgh(x)[:3]
+    for _ in range(_NEWTON_MAX_STEPS):
+        if not np.isfinite(f):
+            return x, False
+        free = (x > 0.0) | (g < 0.0) if bounded else np.ones(x.size, bool)
+        if not free.any():
+            return x, True
+        step = np.zeros(x.size)
+        step[free] = _descent_step(g[free], H[np.ix_(free, free)])
+        # f's rounding hides a gain this small: take the step whole, stop
+        if -(g @ step) <= _NEWTON_RTOL * (abs(f) + scale):
+            return project(x + step), True
+        for t in 0.5 ** np.arange(_NEWTON_MAX_HALVINGS):
+            cand = project(x + t * step)
+            new = fgh(cand)
+            if new[0] < f:
                 break
-            scale *= 0.5
         else:
-            flags.append("newton_diverged")
-            return beta, flags
-    g, _ = grad_hess(beta)
-    if np.max(np.abs(g)) > grad_tol:
-        flags.append("newton_diverged")
-    return beta, flags
+            return x, False
+        x = cand
+        f, g, H = new[:3]
+    return x, False
+
+
+def _descent_step(g, H):
+    """Newton step -H^{-1} g with H's eigenvalues taken in absolute value
+    (and floored), so it points downhill where f is not convex."""
+    w, V = np.linalg.eigh(H)
+    w = np.abs(w)
+    w = np.maximum(w, 1e-12 * w.max(initial=0.0) + 1e-300)
+    return -V @ ((V.T @ g) / w)

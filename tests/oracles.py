@@ -83,11 +83,12 @@ def estep_from_joint(P, y, enum, latent_kind, nonhomog=False,
                      loglik=np.nan):
     """The package's E-step outputs for a full (N, S) joint table ``P``:
     marginals, per-replicate transition counts and ``Moments``, with
-    ``loglik`` (N,) passed through."""
+    ``loglik`` (N,) passed through.  ``P`` is left as it is (the package
+    overwrites a nonhomog_ri block)."""
     ybar = y.mean(axis=0)
     ll, marg, trans, moments = posterior_moments(
-        [(slice(None), P, loglik, np.arange(enum.size))], enum, y - ybar,
-        ybar, latent_kind, nonhomog)
+        [(slice(None), P.copy(), loglik, np.arange(enum.size))], enum,
+        y - ybar, ybar, latent_kind, nonhomog)
     return EStep(marginals=marg, loglik=ll, transitions=trans,
                  moments=moments)
 

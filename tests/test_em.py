@@ -696,6 +696,29 @@ def test_initialize_quantile_split_orders_states_low_to_high():
     assert cv.latent.beta.shape == (1, 2)
 
 
+def test_initialize_floors_a_transition_never_seen():
+    """Replicates that stay in state 1, stay in state 2 or move once from
+    1 to 2, with exactly half the points in state 2, so that the quantile
+    split recovers the states: no 2 -> 1 move is seen, and that entry of A
+    starts at the floor, 0.05 / 1.05 of its row once the row is
+    renormalized, not at 0.05 over the row's raw count."""
+    n, noise = 10, 0.05
+    x = np.linspace(0.0, 1.0, n)
+    switch = [0] * 4 + [n] * 4 + [2, 8, 4, 6]
+    z = (np.arange(n)[None, :] >= np.array(switch)[:, None]).astype(int)
+    rng = np.random.default_rng(3)
+    y = (np.sin(2.0 * np.pi * x) + 2.0 * z
+         + noise * rng.standard_normal(z.shape))
+    _, B, R = design(n, 6)
+    theta = initialize(MultiCurveDataset(x=x, y=y),
+                       LatentSpec(kind="markov", J=2),
+                       CovSpec(kind="iso_diag"), B, R, [LAM, LAM])
+    floor = 0.05 / 1.05
+    assert theta.latent.A[1, 0] == pytest.approx(floor, rel=1e-12)
+    assert np.all(theta.latent.A >= floor * (1.0 - 1e-12))
+    np.testing.assert_allclose(theta.latent.A.sum(axis=1), 1.0, atol=1e-15)
+
+
 def test_initialize_uses_a_supplied_theta_verbatim():
     data, _, _ = two_state_data(seed=13, n=8)
     x, B, R = design(8, 5)

@@ -46,6 +46,56 @@ def test_logsumexp_matches_scipy():
     assert np.isneginf(lat_mod._logsumexp(infs)[4, 0])
 
 
+@pytest.mark.parametrize("J", [2, 3])
+def test_logsumexp_sums_in_numpys_order(J):
+    """At a short last axis numpy's own reduction adds the columns left to
+    right, as the column-by-column form does: equal to the last bit."""
+    rng = np.random.default_rng(J)
+    a = 5.0 * rng.standard_normal((100, 10, J))
+    a[::7, :, 0] = -np.inf
+    a[3, 4] = -np.inf
+    m = np.max(a, axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        want = np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)) + m
+    np.testing.assert_array_equal(lat_mod._logsumexp(a), want)
+
+
+def test_newton_search_holds_a_bound_coordinate_at_zero():
+    """f = (x - c)'H(x - c) / 2 with c[1] < 0: on x >= 0 the minimum has
+    x[1] = 0 and x[0] at its conditional minimum c[0] + H01 c[1] / H00."""
+    H = np.array([[2.0, 0.6], [0.6, 1.0]])
+    c = np.array([1.0, -0.5])
+
+    def fgh(x):
+        r = x - c
+        return 0.5 * r @ H @ r, H @ r, H
+
+    x, ok = lat_mod.newton_search(fgh, [3.0, 2.0], 1.0, bounded=True)
+    assert ok
+    assert x[1] == 0.0
+    assert x[0] == pytest.approx(c[0] + H[0, 1] * c[1] / H[0, 0], rel=1e-12)
+    free, _ = lat_mod.newton_search(fgh, [3.0, 2.0], 1.0)
+    np.testing.assert_allclose(free, c, rtol=1e-12)
+
+
+def test_newton_search_descends_where_the_hessian_is_indefinite():
+    """f = x0^2 - x1^2 + x1^4 / 2 at (1, 0.1): H = diag(2, -1.94), whose
+    plain Newton step climbs in x1; the search still lowers f and ends at
+    a minimum, (0, +-1)."""
+    def fgh(x):
+        return (x[0] ** 2 - x[1] ** 2 + 0.5 * x[1] ** 4,
+                np.array([2.0 * x[0], -2.0 * x[1] + 2.0 * x[1] ** 3]),
+                np.diag([2.0, -2.0 + 6.0 * x[1] ** 2]))
+
+    start = np.array([1.0, 0.1])
+    assert np.linalg.eigvalsh(fgh(start)[2])[0] < 0
+    x, ok = lat_mod.newton_search(fgh, start, 1.0)
+    assert ok
+    assert fgh(x)[0] < fgh(start)[0]
+    np.testing.assert_allclose(np.abs(x), [0.0, 1.0], atol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
