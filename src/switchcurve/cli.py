@@ -184,8 +184,12 @@ def _cmd_simstudy(args):
         raise SpecMismatch(
             f"--reps must be at least 2 for a standard deviation, got "
             f"{args.reps}")
+    if args.threads < 0:
+        raise SpecMismatch(
+            f"--threads must be non-negative (0 for one per core), got "
+            f"{args.threads}")
     design = sim_mod.stock_design(args.design)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    threads = args.threads or os.cpu_count() or 1
     study = sim_mod.run_study(design, n_reps=args.reps, seed=args.seed,
                               threads=threads)
     dm.atomic_write_text(os.path.join(args.out, "study_report.json"),

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import em as em_mod
+from .basis import basis_matrix, build_basis, penalty_matrix
 # CVConfig is parsed with the rest of the config; its default grid stays
 # importable from here as cv.DEFAULT_GRID
 from .datamodel import (DEFAULT_GRID, DEFAULT_MAX_ITER,  # noqa: F401
@@ -123,14 +124,17 @@ class CVResult:
 def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
                    tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
                    init="quantile-split", compute_se=True):
-    """Iterate ECM fits and frozen-weight grid searches until stable.
+    """Iterate ECM fits and frozen-weight grid searches to a fixed point.
 
-    Convergence means every state picks the same grid point twice in a
-    row, or the relative change of every selected lambda drops below the
-    outer tolerance.  Picks that repeat an earlier step's picks end the
-    loop unconverged, with the result the loop would have reached at
-    ``outer_max_iter``; ``n_outer`` counts the steps actually run.  Returns
-    a CVResult whose ``fit`` is the final ECM fit at the selected lambdas.
+    The picks, one grid index per state, start at the grid's middle index.
+    Each outer step fits ECM at the picks' lambdas and moves every state
+    to the argmin of its score over the grid.  The loop stops when the new
+    picks were seen before.  Picks equal to the current ones have
+    converged, and that step's fit is the result.  Picks equal to an older
+    step's start a cycle: the loop stops unconverged with the picks and
+    scores it would hold at ``outer_max_iter``.  A cycling or capped
+    selection is fitted once more at its picks.  ``n_outer`` counts the
+    steps run.
     """
     if not cov_spec.diagonal:
         raise SpecMismatch(
@@ -139,29 +143,20 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
     config = config or CVConfig()
     J = latent_spec.J
     grid = config.grid
-    from .basis import basis_matrix, build_basis, penalty_matrix
     basis = build_basis(dataset.x, K)
     B = basis_matrix(basis, dataset.x)
     R = penalty_matrix(basis)
 
-    if grid.size == 1:
-        lambdas = np.full(J, grid[0])
-        fit = em_mod.ecm_fit(
-            dataset, latent_spec, cov_spec, lambdas=lambdas, K=K, tol=tol,
-            max_iter=max_iter, init=init, compute_se=compute_se)
-        return CVResult(lambdas=lambdas, scores=np.zeros((J, 1)),
-                        grid=grid, n_outer=0, converged=True,
-                        n_fallback=0, fit=fit)
+    def fit_at(picks):
+        return em_mod.ecm_fit(
+            dataset, latent_spec, cov_spec, lambdas=grid[picks], K=K,
+            tol=tol, max_iter=max_iter, init=init, compute_se=compute_se)
 
-    lambdas = np.full(J, config.lambda0)
-    picks = np.full(J, -1)
-    history = []                    # (picks, scores) of each outer step
+    picks = np.full(J, grid.size // 2)
+    history = [(picks, None)]       # (picks, scores) after each step
     n_fallback = 0
-    converged = False
     for n_outer in range(1, config.outer_max_iter + 1):
-        fit = em_mod.ecm_fit(
-            dataset, latent_spec, cov_spec, lambdas=lambdas, K=K, tol=tol,
-            max_iter=max_iter, init=init, compute_se=False)
+        fit = fit_at(picks)
         weights = em_mod.weight_matrices(fit.posteriors,
                                          fit.theta.cov.sigma2)
         scores = np.empty((J, grid.size))
@@ -169,33 +164,21 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
             scores[j], nf = cv_score(B, R, grid, dataset.y, weights[:, :, j])
             n_fallback += nf
         new_picks = np.argmin(scores, axis=1)
-        new_lambdas = grid[new_picks]
-        same_points = np.array_equal(new_picks, picks)
-        small_change = np.all(
-            np.abs(new_lambdas - lambdas)
-            <= config.outer_tol * np.maximum(lambdas, 1e-300))
-        lambdas, picks = new_lambdas, new_picks
-        if same_points or small_change:
-            converged = True
-            break
-        # Each step is a deterministic function of the previous picks, so
-        # picks seen before start a cycle whose every transition has
-        # already failed the test above.  Return the cycle member the
-        # capped loop would stop on instead of running out the cap.
-        seen = [i for i, (p, _) in enumerate(history)
-                if np.array_equal(p, picks)]
-        history.append((picks, scores))
+        if np.array_equal(new_picks, picks):
+            return CVResult(lambdas=grid[picks], scores=scores, grid=grid,
+                            n_outer=n_outer, converged=True,
+                            n_fallback=n_fallback, fit=fit)
+        seen = [s for s, (p, _) in enumerate(history)
+                if np.array_equal(p, new_picks)]
+        history.append((new_picks, scores))
+        picks = new_picks
         if seen:
-            start = seen[0] + 1
-            period = len(history) - start
+            # Each step is a deterministic function of its picks, so from
+            # step s + 1 on the capped loop repeats history[s + 1:].
+            s = seen[0]
             picks, scores = history[
-                start + (config.outer_max_iter - 1 - start) % period]
-            lambdas = grid[picks]
+                s + 1 + (config.outer_max_iter - 1 - s) % (n_outer - s)]
             break
-
-    final = em_mod.ecm_fit(
-        dataset, latent_spec, cov_spec, lambdas=lambdas, K=K, tol=tol,
-        max_iter=max_iter, init=init, compute_se=compute_se)
-    return CVResult(lambdas=lambdas, scores=scores, grid=grid,
-                    n_outer=n_outer, converged=converged,
-                    n_fallback=n_fallback, fit=final)
+    return CVResult(lambdas=grid[picks], scores=scores, grid=grid,
+                    n_outer=n_outer, converged=False, n_fallback=n_fallback,
+                    fit=fit_at(picks))

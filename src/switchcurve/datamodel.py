@@ -15,9 +15,10 @@ External formats
   once and all replicates must agree on x (tolerance 1e-9).
 * Config JSON: keys ``latent`` ({kind, J}), ``covariance`` ({kind}),
   ``lambdas`` (number, array, or "cv"), and optional ``K, tol, max_iter,
-  init, cv``; any other key is refused.  Smoothing
-  parameters (``lambdas``, the ``cv`` grid and ``lambda0``) must be finite
-  and non-negative.
+  init, cv``; any other key is refused.  ``cv`` holds ``grid`` and
+  ``outer_max_iter`` only.  Smoothing parameters (``lambdas`` and the
+  ``cv`` grid) must be finite and non-negative.  Whether the covariance
+  kind admits cross-validation is checked by ``cv.select_lambdas``.
 * Theta JSON (the ``theta`` of a fit report, or a supplied ``init``):
   ``phi``, ``alpha``, ``cov`` and ``lambdas``.  The keys of ``alpha`` and
   ``cov`` are the fields of the kind's parameter dataclass, in declaration
@@ -479,26 +480,19 @@ DEFAULT_GRID = np.logspace(-6.0, 2.0, 25)
 
 @dataclass
 class CVConfig:
-    """Grid and outer-loop settings for select_lambdas."""
+    """Grid and outer-step cap for select_lambdas, whose picks start at
+    the grid's middle index (1e-2 on the default grid)."""
 
     grid: np.ndarray = field(default_factory=lambda: DEFAULT_GRID.copy())
-    lambda0: float = 1e-2
     outer_max_iter: int = 20
-    outer_tol: float = 1e-3
 
     def __post_init__(self):
         self.grid = np.sort(check_lambdas(self.grid, "cv grid").ravel())
-        self.lambda0 = float(check_lambdas(self.lambda0, "cv lambda0"))
         self.outer_max_iter = _config_int(self.outer_max_iter,
                                           "outer_max_iter")
-        self.outer_tol = float(self.outer_tol)
         if self.grid.size < 1 or self.outer_max_iter < 1:
             raise SpecMismatch(
                 "cv grid must hold a value, and outer_max_iter must be >= 1")
-        # NaN or a negative value would disable the relative-change test,
-        # and infinity would stop after one outer step
-        if not 0.0 <= self.outer_tol < math.inf:
-            raise SpecMismatch("cv outer_tol must be finite and non-negative")
 
 
 @dataclass
@@ -535,9 +529,6 @@ def parse_config(doc):
         if lambdas != "cv":
             raise SpecMismatch(f"lambdas must be numeric or 'cv', "
                                f"got {lambdas!r}")
-        if not cov.diagonal:
-            raise SpecMismatch(
-                "lambdas='cv' requires a diagonal covariance kind")
     else:
         try:
             lambdas = np.broadcast_to(

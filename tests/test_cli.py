@@ -100,7 +100,7 @@ def test_fit_with_cross_validated_lambdas(tmp_path):
     data = write_data(tmp_path / "data.csv", N=6)
     grid = [1e-5, 1e-3, 1e-1]
     config = write_config(tmp_path / "config.json", lambdas="cv",
-                          cv={"grid": grid, "lambda0": 1e-3})
+                          cv={"grid": grid})
     out = tmp_path / "out"
     assert main(["fit", "--data", data, "--config", config,
                  "--out", str(out)]) == 0
@@ -262,7 +262,7 @@ def test_malformed_csv_exits_with_validation_code(tmp_path):
     {"lambdas": "cv", "cv": {"outer_max_iter": 2.5}},
     {"lambdas": "cv", "cv": {"outer_max_iter": True}},
     {"lambdas": "cv", "cv": {"outer_max_iter": 0}},
-    {"cv": {"lambda0": -1}},
+    {"cv": {"grid": [-1, 2]}},
     {"lambdas": "cv", "cv": {"outer_tol": float("nan")}},
     {"lambdas": "cv", "cv": {"outer_tol": -1e-3}},
     {"lambdas": "cv", "cv": {"outer_tol": float("inf")}},
@@ -316,10 +316,13 @@ def _fit_with_config_text(tmp_path, text):
     lambda tmp: ["simulate", "--design", "1", "--seed", "-1"],
     lambda tmp: ["simstudy", "--design", "1", "--seed", "-1",
                  "--threads", "1"],
+    # 0 means one worker per core; a negative count is refused
+    lambda tmp: ["simstudy", "--design", "1", "--reps", "2",
+                 "--threads", "-3"],
 ], ids=["config-not-json", "fit-without-model", "fit-without-theta",
         "simulate-negative-N", "simulate-zero-N", "simstudy-zero-reps",
         "simstudy-one-rep", "simulate-negative-seed",
-        "simstudy-negative-seed"])
+        "simstudy-negative-seed", "simstudy-negative-threads"])
 def test_malformed_inputs_exit_with_validation_code(tmp_path, argv):
     out = tmp_path / "out"
     rc = main(argv(tmp_path) + ["--out", str(out)])
@@ -370,6 +373,22 @@ def test_cv_on_a_structured_kind_exits_with_validation_code(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "SpecMismatch"
     assert "diagonal" in err["message"]
+
+
+def test_fit_taking_cv_on_a_structured_kind_exits_as_cv_does(tmp_path):
+    data = write_data(tmp_path / "data.csv", n=6)
+    messages = []
+    for cmd, lambdas in (("fit", "cv"), ("cv", 1e-3)):
+        config = write_config(tmp_path / f"{cmd}.json", lambdas=lambdas,
+                              covariance={"kind": "homog_ri"})
+        out = tmp_path / cmd
+        assert main([cmd, "--data", data, "--config", config,
+                     "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "SpecMismatch"
+        messages.append(err["message"])
+    assert messages[0] == messages[1]
+    assert "diagonal" in messages[0]
 
 
 @pytest.mark.parametrize("covariance,cov", [

@@ -8,12 +8,17 @@ simultaneous diagonalization per left-out system, or per lambda for
 systems that are rank-deficient somewhere on the grid.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from switchcurve import cv as cv_mod
+from switchcurve import em
 from switchcurve.basis import basis_matrix, build_basis, penalty_matrix
 from switchcurve.cv import DEFAULT_GRID, CVConfig, cv_score, select_lambdas
-from switchcurve.datamodel import CovSpec, LatentSpec, MultiCurveDataset
+from switchcurve.datamodel import (CovSpec, LatentSpec, MultiCurveDataset,
+                                   theta_to_dict)
 from switchcurve.errors import SpecMismatch
 from switchcurve.sim import SimDesign, generate_dataset
 
@@ -249,7 +254,8 @@ def test_select_lambdas_rejects_structured_covariance():
                        CovSpec(kind="homog_ri"))
 
 
-def test_single_point_grid_short_circuits():
+def test_single_point_grid_is_one_fit(monkeypatch):
+    fits = count_fits(monkeypatch)
     rng = np.random.default_rng(4)
     x = np.linspace(0.0, 1.0, 8)
     data = MultiCurveDataset(
@@ -257,10 +263,98 @@ def test_single_point_grid_short_circuits():
     res = select_lambdas(data, LatentSpec(kind="iid", J=1),
                          CovSpec(kind="iso_diag"),
                          config=CVConfig(grid=[0.01]), compute_se=False)
-    assert res.n_outer == 0
+    assert res.n_outer == 1 == len(fits)
     assert res.converged
     np.testing.assert_array_equal(res.lambdas, [0.01])
-    assert res.fit is not None
+    _, B, R = design(8, None)
+    weights = res.fit.posteriors[:, :, 0] / res.fit.theta.cov.sigma2
+    assert res.scores[0, 0] == cv_score(B, R, [0.01], data.y, weights)[0][0]
+
+
+def count_fits(monkeypatch):
+    """Record the lambdas of every ECM fit select_lambdas makes."""
+    fits = []
+    ecm_fit = em.ecm_fit
+
+    def counted(*args, **kwargs):
+        fits.append(kwargs["lambdas"])
+        return ecm_fit(*args, **kwargs)
+
+    monkeypatch.setattr(em, "ecm_fit", counted)
+    return fits
+
+
+def test_converged_selection_returns_its_last_step_fit(monkeypatch):
+    design_ = SimDesign(kind="markov", N=30, x=np.linspace(0.0, 1.0, 20),
+                        sigma2=1e-2, tau2=0.0)
+    data, _ = generate_dataset(design_, 1)
+    specs = LatentSpec(kind="markov", J=2), CovSpec(kind="state_diag")
+    fits = count_fits(monkeypatch)
+    res = select_lambdas(data, *specs)
+    assert res.converged and res.n_outer > 1
+    assert len(fits) == res.n_outer
+    again = em.ecm_fit(data, *specs, lambdas=res.lambdas)
+    assert res.fit.iterations == again.iterations
+    assert theta_to_dict(res.fit.theta) == theta_to_dict(again.theta)
+    np.testing.assert_array_equal(res.fit.posteriors, again.posteriors)
+    assert res.fit.std_errors == again.std_errors
+    assert set(res.fit.std_errors) == {"pi1", "a12", "a21"}
+
+    fits.clear()
+    capped = select_lambdas(data, *specs, config=CVConfig(outer_max_iter=1))
+    assert not capped.converged and capped.n_outer == 1
+    assert len(fits) == 2
+    np.testing.assert_array_equal(fits[-1], capped.lambdas)
+    np.testing.assert_array_equal(capped.fit.theta.lambdas, capped.lambdas)
+
+
+# Each script maps the picks a step fits at to the picks its scores choose,
+# on a 9-point grid whose middle index 4 is the start.
+PICK_SCRIPTS = {
+    "converges-at-step-3": ({4: 1, 1: 7, 7: 7}, 3),
+    "two-cycle-through-start": ({4: 2, 2: 4}, 2),
+    "three-cycle-after-transient": ({4: 0, 0: 5, 5: 6, 6: 8, 8: 5}, 5),
+}
+
+
+@pytest.mark.parametrize("name", PICK_SCRIPTS)
+def test_stop_rule_matches_the_plain_capped_loop(monkeypatch, name):
+    script, stop_step = PICK_SCRIPTS[name]
+    grid = np.logspace(-4.0, 4.0, 9)
+    fitted = []
+
+    def fake_fit(dataset, latent_spec, cov_spec, lambdas, **kwargs):
+        fitted.append(int(np.searchsorted(grid, lambdas[0])))
+        return SimpleNamespace(posteriors=np.ones(dataset.y.shape + (1,)),
+                               theta=SimpleNamespace(
+                                   cov=SimpleNamespace(sigma2=1.0)))
+
+    def scores_at(pick):
+        # argmin at the scripted pick; the offset tells steps apart
+        return np.abs(np.arange(grid.size) - script[pick]) + 0.01 * pick
+
+    monkeypatch.setattr(em, "ecm_fit", fake_fit)
+    monkeypatch.setattr(cv_mod, "cv_score",
+                        lambda B, R, lam, y, w: (scores_at(fitted[-1]), 0))
+    x = np.linspace(0.0, 1.0, 6)
+    data = MultiCurveDataset(x=x, y=np.zeros((2, 6)) + x)
+    for cap in range(1, 9):
+        picks = 4                   # the plain loop, with no detection
+        for _ in range(cap):
+            scores, new = scores_at(picks), script[picks]
+            converged = new == picks
+            picks = new
+            if converged:
+                break
+        fitted.clear()
+        res = select_lambdas(data, LatentSpec(kind="iid", J=1),
+                             CovSpec(kind="iso_diag"),
+                             config=CVConfig(grid=grid, outer_max_iter=cap))
+        assert res.lambdas[0] == grid[picks]
+        np.testing.assert_array_equal(res.scores, [scores])
+        assert res.converged == converged
+        assert res.n_outer == min(cap, stop_step)
+        assert len(fitted) == res.n_outer + (not converged)
 
 
 def test_cv_config_validation():

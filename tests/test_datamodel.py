@@ -192,13 +192,12 @@ def test_parse_config_defaults_and_broadcast():
     assert cfg.K == 7
 
 
-def test_parse_config_cv_requires_diagonal():
-    doc = {"latent": {"kind": "iid", "J": 2},
-           "covariance": {"kind": "homog_ri"}, "lambdas": "cv"}
-    with pytest.raises(SpecMismatch, match="diagonal"):
-        dm.parse_config(doc)
-    doc["covariance"] = {"kind": "iso_diag"}
-    assert dm.parse_config(doc).lambdas == "cv"
+def test_parse_config_leaves_the_cv_domain_to_select_lambdas():
+    # select_lambdas alone refuses CV on a structured kind
+    for kind in ("homog_ri", "iso_diag"):
+        doc = {"latent": {"kind": "iid", "J": 2},
+               "covariance": {"kind": kind}, "lambdas": "cv"}
+        assert dm.parse_config(doc).lambdas == "cv"
 
 
 def test_parse_config_rejects_bad_values():
@@ -225,6 +224,11 @@ def test_parse_config_refuses_unknown_keys():
     # the state-enumeration limit is the memory budget, not a setting
     with pytest.raises(SpecMismatch, match="enumeration_cap"):
         dm.parse_config({**base, "enumeration_cap": 1024})
+    # the selection starts at the grid's middle index and stops on repeated
+    # picks, so a start value and a relative-change tolerance are refused
+    for key, value in (("lambda0", 1e-2), ("outer_tol", 1e-3)):
+        with pytest.raises(SpecMismatch, match=key):
+            dm.parse_config({**base, "cv": {key: value}})
     cfg = dm.parse_config({**base, "K": 6, "tol": 1e-6, "max_iter": 3,
                            "init": "quantile-split", "cv": {}})
     assert cfg.max_iter == 3
