@@ -19,6 +19,8 @@ External formats
   ``outer_max_iter`` only.  Smoothing parameters (``lambdas`` and the
   ``cv`` grid) must be finite and non-negative.  Whether the covariance
   kind admits cross-validation is checked by ``cv.select_lambdas``.
+  Numbers here and in theta JSON are ints or floats, never booleans or
+  strings (``_numbers``); an integer also reads from 2.0.
 * Theta JSON (the ``theta`` of a fit report, or a supplied ``init``):
   ``phi``, ``alpha``, ``cov`` and ``lambdas``.  The keys of ``alpha`` and
   ``cov`` are the fields of the kind's parameter dataclass, in declaration
@@ -465,10 +467,22 @@ def write_csv(path, header, rows):
 # config JSON
 # ---------------------------------------------------------------------------
 
+def _numbers(value, name, error=SpecMismatch):
+    """``value`` as a float array if it holds only ints and floats (numpy's
+    too, at any list depth), never a bool or a string; else ``error``."""
+    def numeric(v):
+        if isinstance(v, (list, tuple)):
+            return all(map(numeric, v))
+        return np.asarray(v).dtype.kind in "iuf"
+    if not numeric(value):
+        raise error(f"{name} must hold numbers only, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def check_lambdas(values, name):
     """Smoothing parameters as a float array; each must be finite and
     non-negative."""
-    values = np.asarray(values, dtype=float)
+    values = _numbers(values, name)
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise SpecMismatch(f"{name} must be finite and non-negative")
     return values
@@ -511,12 +525,15 @@ class FitConfig:
 
 def parse_config(doc):
     """Build a FitConfig from a parsed JSON document (a dict)."""
-    if not isinstance(doc, dict):
-        raise SpecMismatch("config must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
-    if unknown:
-        raise SpecMismatch(f"unknown config keys {unknown}; expected a "
-                           f"subset of {list(_CONFIG_KEYS)}")
+    cv = doc.get("cv", {}) if isinstance(doc, dict) else None
+    for what, block, keys in (("config", doc, _CONFIG_KEYS),
+                              ("cv", cv, [f.name for f in fields(CVConfig)])):
+        if not isinstance(block, dict):
+            raise SpecMismatch(f"{what} must be a JSON object")
+        unknown = sorted(set(block) - set(keys))
+        if unknown:
+            raise SpecMismatch(f"unknown {what} keys {unknown}; expected a "
+                               f"subset of {list(keys)}")
     try:
         latent = LatentSpec(kind=doc["latent"]["kind"],
                             J=_config_int(doc["latent"]["J"], "J"))
@@ -541,11 +558,11 @@ def parse_config(doc):
         cfg = FitConfig(
             latent=latent, cov=cov, lambdas=lambdas,
             K=None if doc.get("K") is None else _config_int(doc["K"], "K"),
-            tol=float(doc.get("tol", DEFAULT_TOL)),
+            tol=float(_numbers(doc.get("tol", DEFAULT_TOL), "tol")),
             max_iter=_config_int(doc.get("max_iter", DEFAULT_MAX_ITER),
                                  "max_iter"),
             init=doc.get("init", "quantile-split"),
-            cv=CVConfig(**doc.get("cv", {})))
+            cv=CVConfig(**cv))
     except (TypeError, ValueError) as exc:
         raise SpecMismatch(f"malformed config value: {exc}") from None
     if isinstance(cfg.init, str):
@@ -559,13 +576,13 @@ def parse_config(doc):
 
 
 def _config_int(value, name):
-    """An integer config field.  ``int`` would truncate 2.7 to 2 and read
-    true as 1, so booleans and non-integral numbers are refused; integral
-    floats such as 2.0 pass."""
-    if isinstance(value, bool) or (
-            isinstance(value, float) and not value.is_integer()):
+    """An integer config field by the number rule.  ``int`` would truncate
+    2.7 to 2, so non-integral numbers are refused; integral floats such as
+    2.0 pass."""
+    number = _numbers(value, name)
+    if number.ndim or not float(number).is_integer():
         raise SpecMismatch(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return int(number)
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +613,14 @@ def _block_to_dict(block):
 def theta_from_dict(doc, latent_spec, cov_spec):
     """Parse theta JSON under the given model; extra keys are ignored."""
     def block(cls, values):
-        return cls(**{f.name: values[f.name] for f in fields(cls)})
+        return cls(**{f.name: _numbers(values[f.name], f.name, BadInit)
+                      for f in fields(cls)})
     try:
-        return Theta(phi=doc["phi"],
+        return Theta(phi=_numbers(doc["phi"], "phi", BadInit),
                      latent=block(LATENT_PARAMS[latent_spec.kind],
                                   doc["alpha"]),
                      cov=block(COV_PARAMS[cov_spec.kind], doc["cov"]),
-                     lambdas=doc["lambdas"])
+                     lambdas=_numbers(doc["lambdas"], "lambdas", BadInit))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInit(f"malformed theta document: {exc}") from None
 

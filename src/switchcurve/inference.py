@@ -17,6 +17,8 @@ every route below uses.  Free coordinates, at any J:
 * covariate: the multinomial-logit coefficients beta, row by row, labelled
   beta<m> for state 2 and beta<m>_<j> for state j >= 3.
 
+``free_coordinates`` names them for every route and the study harness.
+
 Each covariance family has one route, fed by its own E-step:
 
 * structured kinds: ``louis_information_generic`` reads the E-step's
@@ -36,6 +38,7 @@ each route by name.
 
 import numpy as np
 
+from .datamodel import CovariateParams, IIDParams
 from .errors import BoundaryParameter, SingularInformation
 from .latent import log_state_probs, logit_curvature
 
@@ -58,6 +61,22 @@ def _se_from_information(info, labels):
     return {lab: float(np.sqrt(v)) for lab, v in zip(labels, diag)}
 
 
+def free_coordinates(latent_params):
+    """{label: value} of a latent block's free coordinates, in the
+    information matrix's order (see the module docstring)."""
+    al = latent_params
+    if isinstance(al, CovariateParams):
+        return {f"beta{m}" + (f"_{j}" if j > 2 else ""): float(b)
+                for j, row in enumerate(al.beta, start=2)
+                for m, b in enumerate(row)}
+    # each probability vector's entries but its implied one
+    vectors = ([("p", al.p, al.p.size - 1)] if isinstance(al, IIDParams)
+               else [("pi", al.pi, al.pi.size - 1)]
+               + [(f"a{l}", row, l - 1) for l, row in enumerate(al.A, 1)])
+    return {f"{name}{j + 1}": float(v[j]) for name, v, implied in vectors
+            for j in range(v.size) if j != implied}
+
+
 # ---------------------------------------------------------------------------
 # scores of the prior's factors in free coordinates
 # ---------------------------------------------------------------------------
@@ -78,17 +97,15 @@ def _simplex_scores(p, implied):
 
 def _markov_factor_scores(pi, A):
     """(J + J J, d) scores of the factors log pi_l, then log A_lj row by
-    row, in the d = (J-1)(J+1) free coordinates, with their labels: block
-    diagonal, pi's block first, then A's rows in turn."""
+    row, in the d = (J-1)(J+1) free coordinates: block diagonal, pi's block
+    first, then A's rows in turn."""
     J = pi.size
     blocks = [_simplex_scores(pi, J - 1)] + [
         _simplex_scores(A[l], l) for l in range(J)]
     F = np.zeros((J * (J + 1), (J - 1) * (J + 1)))
     for b, a in enumerate(blocks):
         F[J * b:J * (b + 1), (J - 1) * b:(J - 1) * (b + 1)] = a
-    labels = [f"pi{j}" for j in range(1, J)] + [
-        f"a{l}{j}" for l in range(1, J + 1) for j in range(1, J + 1) if j != l]
-    return F, labels
+    return F
 
 
 def _second_moment(w, a):
@@ -98,14 +115,12 @@ def _second_moment(w, a):
 
 def _covariate_setup(marginals, covariates, beta):
     """Pooled design rows X (N n, M+1), the non-reference probabilities mu
-    and posteriors q (N n, J-1), and the beta labels."""
+    and posteriors q (N n, J-1)."""
     N, n, J = marginals.shape
     X = np.concatenate([np.ones((N * n, 1)),
                         covariates.reshape(N * n, -1)], axis=1)
     mu = np.exp(log_state_probs(beta, X[:, 1:]))[:, 1:]
-    labels = [f"beta{m}" + (f"_{j}" if j > 2 else "")
-              for j in range(2, J + 1) for m in range(X.shape[1])]
-    return X, mu, marginals.reshape(N * n, J)[:, 1:], labels
+    return X, mu, marginals.reshape(N * n, J)[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +137,12 @@ def louis_information_generic(step, latent_spec, params, covariates=None):
     """
     kind = latent_spec.kind
     N, n, J = step.marginals.shape
+    labels = list(free_coordinates(params))
     if kind == "covariate":
         # g_k = Z_k'(u_k - mu_k), u_k the n(J-1) non-reference indicators
         # and Z_k (n(J-1), (J-1)(M+1)) places x_ki in state j's block, so
         # Cov(g_k | y_k) = Z_k' Cov(u_k | y_k) Z_k
-        X, mu, q, labels = _covariate_setup(step.marginals, covariates,
-                                            params.beta)
+        X, mu, q = _covariate_setup(step.marginals, covariates, params.beta)
         Z = np.einsum("kip,jl->kijlp", X.reshape(N, n, -1),
                       np.eye(J - 1)).reshape(N, n * (J - 1), -1)
         q = q.reshape(N, -1)
@@ -137,9 +152,8 @@ def louis_information_generic(step, latent_spec, params, covariates=None):
     z = step.marginals.reshape(N, n * J)
     if kind == "iid":
         H = np.tile(_simplex_scores(params.p, J - 1), (n, 1))
-        labels = [f"p{j}" for j in range(1, J)]
     else:
-        F, labels = _markov_factor_scores(params.pi, params.A)
+        F = _markov_factor_scores(params.pi, params.A)
         # z's rows: the indicators (only the first point's have a factor),
         # then the transition counts
         H = np.vstack([F[:J], np.zeros((n * J - J, F.shape[1])), F[J:]])
@@ -167,7 +181,7 @@ def louis_information_iid_closed(marginals, p):
     J = marginals.shape[2]
     gbar = marginals.reshape(-1, J) @ _simplex_scores(
         np.asarray(p, dtype=float), J - 1)              # (N n, J-1)
-    return gbar.T @ gbar, [f"p{j}" for j in range(1, J)]
+    return gbar.T @ gbar, list(free_coordinates(IIDParams(p=p)))
 
 
 def louis_information_markov_closed(marginals, pairwise, params):
@@ -180,7 +194,7 @@ def louis_information_markov_closed(marginals, pairwise, params):
     the spread of h(l, j) + R_{i+1}(j) under the pair posterior, each about
     its conditional mean.  R comes from one backward pass: O(N n J^2 d).
     """
-    F, labels = _markov_factor_scores(params.pi, params.A)
+    F = _markov_factor_scores(params.pi, params.A)
     N, n, J = marginals.shape
     h0, h, d = F[:J], F[J:].reshape(J, J, -1), F.shape[1]
     first = marginals[:, 0, :]
@@ -200,7 +214,7 @@ def louis_information_markov_closed(marginals, pairwise, params):
     D0 = U0 - np.einsum("kl,kla->ka", first, U0)[:, None, :]
     T2 = (_second_moment(first.ravel(), D0.reshape(-1, d))
           + _second_moment(pairwise.ravel(), D.reshape(-1, d)))
-    return T1 - T2, labels
+    return T1 - T2, list(free_coordinates(params))
 
 
 def louis_information_covariate(marginals, covariates, beta):
@@ -209,8 +223,9 @@ def louis_information_covariate(marginals, covariates, beta):
     independent across points given the data, and each point's indicators
     have covariance diag(q) - q q', so the score covariance is the logit
     curvature at q."""
-    X, mu, q, labels = _covariate_setup(marginals, covariates, beta)
-    return logit_curvature(X, mu) - logit_curvature(X, q), labels
+    X, mu, q = _covariate_setup(marginals, covariates, beta)
+    return (logit_curvature(X, mu) - logit_curvature(X, q),
+            list(free_coordinates(CovariateParams(beta=beta))))
 
 
 # ---------------------------------------------------------------------------

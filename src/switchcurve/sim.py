@@ -12,11 +12,14 @@ Three stock designs mirror the estimation settings the package targets:
 The default truth curves live on [x_min, x_max] with range about [0, 0.1]
 and two interior extrema; the low curve is exactly the high curve minus
 0.1.  Each study replication generates data from a replication-specific
-seed, fits with a truth start, aligns labels to the truth by total squared
-curve error, and records parameter estimates, standard errors, confidence
-interval hits, and pointwise squared curve errors.
+seed, fits with a truth start, and records parameter estimates, standard
+errors, confidence interval hits, and pointwise squared curve errors,
+named by ``inference.free_coordinates`` (then sigma2 or sigma2_<j>, and
+tau2).  At any J, the state labels whose curves have the least squared
+error against the truth's are taken, and the SEs recomputed in them.
 """
 
+import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass, field, asdict
@@ -26,8 +29,10 @@ import numpy as np
 from .basis import basis_matrix, build_basis
 from .datamodel import (CovariateParams, CovSpec, HomogRIParams,
                         IIDParams, IsoDiagParams, LatentSpec, MarkovParams,
-                        MultiCurveDataset, Theta, theta_to_dict)
+                        MultiCurveDataset, StateDiagParams, Theta,
+                        theta_to_dict)
 from .em import ecm_fit
+from .inference import free_coordinates
 
 DEFAULT_GRID = np.linspace(1.0, 100.0, 10)
 
@@ -82,13 +87,10 @@ class SimDesign:
                                  A=[[1.0 - self.a12, self.a12],
                                     [self.a21, 1.0 - self.a21]])
         else:
-            alpha = CovariateParams(beta=[[self.beta0, self.beta1]])
-        if self.kind == "covariate":
-            cov = IsoDiagParams(sigma2=self.sigma2)
-        else:
-            cov = HomogRIParams(sigma2=self.sigma2,
-                                d=self.tau2 / self.sigma2)
-        return alpha, cov
+            return (CovariateParams(beta=[[self.beta0, self.beta1]]),
+                    IsoDiagParams(sigma2=self.sigma2))
+        return alpha, HomogRIParams(sigma2=self.sigma2,
+                                    d=self.tau2 / self.sigma2)
 
 
 DESIGNS = {
@@ -138,8 +140,7 @@ def generate_dataset(design, seed):
 
 def truth_start(design, dataset):
     """Supplied-init dict with the data-generating parameter values."""
-    K = design.K if design.K is not None else min(dataset.n_points, 15)
-    basis = build_basis(dataset.x, K)
+    basis = build_basis(dataset.x, design.K)
     B = basis_matrix(basis, dataset.x)
     F = default_true_functions(dataset.x)
     phi0 = np.linalg.lstsq(B, F.T, rcond=None)[0].T
@@ -160,72 +161,45 @@ def fit_design(design, dataset):
 # label alignment
 # ---------------------------------------------------------------------------
 
+def permute_theta(theta, perm):
+    """Theta with new state j the old state perm[j]: the covariate beta is
+    re-referenced to the new state 1 (a J = 2 swap negates it)."""
+    perm = list(perm)
+    al, cov = theta.latent, theta.cov
+    if isinstance(al, IIDParams):
+        al = IIDParams(p=al.p[perm])
+    elif isinstance(al, MarkovParams):
+        al = MarkovParams(pi=al.pi[perm], A=al.A[np.ix_(perm, perm)])
+    else:
+        eta = np.vstack([np.zeros(al.beta.shape[1]), al.beta])[perm]
+        al = CovariateParams(beta=eta[1:] - eta[0])
+    if isinstance(cov, StateDiagParams):
+        cov = StateDiagParams(sigma2=cov.sigma2[perm])
+    return Theta(phi=theta.phi[perm], latent=al, cov=cov,
+                 lambdas=theta.lambdas[perm])
+
+
 def align_to_truth(report, F_true):
-    """Permute state labels to minimize total squared curve error.
-
-    Returns (aligned curves, aligned parameter dict, aligned SE dict,
-    permutation).  Two-state models only, which covers the stock designs.
-    """
-    direct = float(np.sum((report.curves - F_true) ** 2))
-    swapped = float(np.sum((report.curves[::-1] - F_true) ** 2))
-    theta = report.theta
-    se = dict(report.std_errors or {})
-    if direct <= swapped:
-        perm = (0, 1)
-        curves = report.curves
-        params = _flat_params(theta, perm)
-    else:
-        perm = (1, 0)
-        curves = report.curves[::-1]
-        params = _flat_params(theta, perm)
-        se = _swap_se(se)
-    return curves, params, se, perm
+    """The relabelling (new state j is old state perm[j]) whose curves have
+    the least total squared error against F_true; the identity wins ties."""
+    return min(itertools.permutations(range(report.curves.shape[0])),
+               key=lambda perm: float(np.sum(
+                   (report.curves[list(perm)] - F_true) ** 2)))
 
 
-def _flat_params(theta, perm):
-    al = theta.latent
-    out = {}
-    if hasattr(al, "p"):
-        out["p1"] = float(al.p[perm[0]])
-    elif hasattr(al, "pi"):
-        out["pi1"] = float(al.pi[perm[0]])
-        out["a12"] = float(al.A[perm[0], perm[1]])
-        out["a21"] = float(al.A[perm[1], perm[0]])
-    else:
-        sign = 1.0 if perm == (0, 1) else -1.0
-        out["beta0"] = sign * float(al.beta[0, 0])
-        out["beta1"] = sign * float(al.beta[0, 1])
-    cp = theta.cov
-    if hasattr(cp, "d"):
-        out["sigma2"] = float(cp.sigma2)
-        out["tau2"] = float(cp.tau2)
-    elif hasattr(cp, "sigma2"):
-        s2 = np.atleast_1d(np.asarray(cp.sigma2, dtype=float))
-        if s2.size > 1:
-            out["sigma2_1"] = float(s2[perm[0]])
-            out["sigma2_2"] = float(s2[perm[1]])
-        else:
-            out["sigma2"] = float(s2[0])
+def _variances(cov):
+    """sigma2 (or sigma2_<j> per state) and the random intercept's tau2."""
+    s2 = np.atleast_1d(getattr(cov, "sigma2", []))
+    out = ({"sigma2": float(s2[0])} if s2.size == 1 else
+           {f"sigma2_{j}": float(v) for j, v in enumerate(s2, start=1)})
+    if isinstance(cov, HomogRIParams):
+        out["tau2"] = float(cov.tau2)
     return out
-
-
-def _swap_se(se):
-    swapped = dict(se)
-    if "a12" in se and "a21" in se:
-        swapped["a12"], swapped["a21"] = se["a21"], se["a12"]
-    # p1, pi1, beta SEs are invariant under a two-state relabel
-    return swapped
 
 
 # ---------------------------------------------------------------------------
 # the study harness
 # ---------------------------------------------------------------------------
-
-_STUDY_PARAMS = {
-    "iid": ("p1",),
-    "markov": ("pi1", "a12", "a21"),
-    "covariate": ("beta0", "beta1"),
-}
 
 # two-sided normal quantiles Phi^{-1}(0.5 + lev / 2) of the interval levels
 # the study reports; simstudy's writer names exactly these two columns
@@ -260,31 +234,27 @@ class StudyReport:
         }
 
 
-def _truth_values(design):
-    truth = {}
-    if design.kind == "iid":
-        truth["p1"] = design.p1
-    elif design.kind == "markov":
-        truth.update(pi1=design.pi1, a12=design.a12, a21=design.a21)
-    else:
-        truth.update(beta0=design.beta0, beta1=design.beta1)
-    truth["sigma2"] = design.sigma2
-    if design.kind != "covariate":
-        truth["tau2"] = design.tau2
-    return truth
-
-
 def run_replication(design, seed, rep):
-    """Generate, fit, and score one study replication."""
+    """Generate, fit, and score one study replication.  A fit in other
+    labels than the truth's is restarted from its relabelled theta with no
+    ECM step, for SEs from an E-step in the truth's labels."""
     dataset, _ = generate_dataset(design, seed=[seed, rep])
     report = fit_design(design, dataset)
+    converged = report.converged
     F_true = default_true_functions(dataset.x)
-    curves, params, se, _ = align_to_truth(report, F_true)
+    perm = align_to_truth(report, F_true)
+    if perm != tuple(range(len(perm))):
+        report = ecm_fit(
+            dataset, design.latent_spec, design.cov_spec,
+            lambdas=np.asarray(design.lambdas), K=design.K, max_iter=0,
+            init=theta_to_dict(permute_theta(report.theta, perm)))
+    coords = free_coordinates(report.theta.latent)
+    se = report.std_errors or {}
     return {
-        "params": params,
-        "se": {k: se.get(k, np.nan) for k in _STUDY_PARAMS[design.kind]},
-        "sqerr": (curves - F_true) ** 2,
-        "converged": report.converged,
+        "params": {**coords, **_variances(report.theta.cov)},
+        "se": {k: se.get(k, np.nan) for k in coords},
+        "sqerr": (report.curves - F_true) ** 2,
+        "converged": converged,
     }
 
 
@@ -319,39 +289,34 @@ def run_study(design, n_reps=300, seed=0, threads=1):
         results = [run_replication(design, seed, r)
                    for r in range(n_reps)]
 
-    names = _STUDY_PARAMS[design.kind]
-    truth = _truth_values(design)
+    alpha, cov = design.truth_params()
+    names = free_coordinates(alpha)
+    truth = {**names, **_variances(cov)}
     estimates = {k: np.array([res["params"][k] for res in results])
                  for k in results[0]["params"]}
     ses = {k: np.array([res["se"][k] for res in results]) for k in names}
 
+    def summary(name):
+        est = estimates[name]
+        return {"truth": float(truth[name]), "mean": float(est.mean()),
+                "sd": float(est.std(ddof=1))}
+
     params = {}
     n_missing = 0
     for name in names:
-        est = estimates[name]
-        se = ses[name]
+        est, se = estimates[name], ses[name]
         ok = np.isfinite(se)
         n_missing = max(n_missing, int(np.sum(~ok)))
-        entry = {
-            "truth": float(truth[name]),
-            "mean": float(est.mean()),
-            "sd": float(est.std(ddof=1)),
-            "mean_se": float(se[ok].mean()) if ok.any() else float("nan"),
-        }
+        entry = {**summary(name), "mean_se": (
+            float(se[ok].mean()) if ok.any() else float("nan"))}
         for lev, z in _COVERAGE_Z.items():
             hit = np.abs(est[ok] - truth[name]) <= z * se[ok]
             entry[f"coverage{int(round(lev * 100))}"] = (
                 float(hit.mean()) if ok.any() else float("nan"))
         params[name] = entry
 
-    variance = {}
-    for name in ("sigma2", "tau2"):
-        if name in estimates:
-            variance[name] = {
-                "truth": float(truth[name]),
-                "mean": float(estimates[name].mean()),
-                "sd": float(estimates[name].std(ddof=1)),
-            }
+    variance = {name: summary(name) for name in estimates
+                if name not in names}
 
     emse = np.mean([res["sqerr"] for res in results], axis=0)
     return StudyReport(

@@ -332,6 +332,23 @@ def test_malformed_inputs_exit_with_validation_code(tmp_path, argv):
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
+def test_classify_refuses_a_fit_with_a_numeric_string(tmp_path):
+    data = write_data(tmp_path / "data.csv", N=4, n=6)
+    config = write_config(tmp_path / "config.json")
+    assert main(["fit", "--data", data, "--config", config,
+                 "--out", str(tmp_path / "fit")]) == 0
+    doc = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    doc["theta"]["cov"]["sigma2"] = [str(v)
+                                     for v in doc["theta"]["cov"]["sigma2"]]
+    (tmp_path / "fit.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["classify", "--data", data, "--fit", str(tmp_path / "fit.json"),
+               "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "BadInit" and "sigma2" in err["message"]
+
+
 def test_numerical_failure_exits_with_code_three(tmp_path):
     # two replicates cannot support a 6 x 6 unrestricted V: the first
     # covariance M-step returns a singular matrix

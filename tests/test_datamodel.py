@@ -234,6 +234,59 @@ def test_parse_config_refuses_unknown_keys():
     assert cfg.max_iter == 3
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"tol": True}, "tol"),
+    ({"tol": "1e-6"}, "tol"),
+    ({"max_iter": "5"}, "max_iter"),
+    ({"K": "7"}, "K"),
+    ({"latent": {"kind": "iid", "J": "2"}}, "J"),
+    ({"cv": {"outer_max_iter": "3"}}, "outer_max_iter"),
+    ({"lambdas": True}, "lambdas"),
+    ({"lambdas": [True, 1.0]}, "lambdas"),
+    ({"lambdas": ["1e-4", 1]}, "lambdas"),
+    ({"cv": {"grid": [True, False]}}, "cv grid"),
+    ({"cv": {"lambda0": 1e-2}}, r"unknown cv keys \['lambda0'\]; expected "
+     r"a subset of \['grid', 'outer_max_iter'\]"),
+])
+def test_parse_config_reads_numbers_only_as_numbers(overrides, field):
+    """A number is an int or a float: booleans and numeric strings are
+    refused, naming the field, where int() and float() would read them."""
+    base = {"latent": {"kind": "iid", "J": 2},
+            "covariance": {"kind": "iso_diag"}, "lambdas": 1.0}
+    with pytest.raises(SpecMismatch, match=field):
+        dm.parse_config({**base, **overrides})
+
+
+def test_parse_config_takes_integral_floats_and_numpy_numbers():
+    cfg = dm.parse_config({
+        "latent": {"kind": "iid", "J": 2.0},
+        "covariance": {"kind": "iso_diag"}, "lambdas": [1, np.float64(2.5)],
+        "K": 7.0, "tol": np.float64(1e-6), "max_iter": np.int64(5),
+        "cv": {"grid": np.array([1e-2, 1.0]), "outer_max_iter": 3.0}})
+    assert (cfg.latent.J, cfg.K, cfg.max_iter, cfg.cv.outer_max_iter) == (
+        2, 7, 5, 3)
+    assert all(type(v) is int for v in (cfg.latent.J, cfg.K, cfg.max_iter,
+                                        cfg.cv.outer_max_iter))
+    assert cfg.tol == 1e-6
+    np.testing.assert_array_equal(cfg.lambdas, [1.0, 2.5])
+
+
+@pytest.mark.parametrize("part,value,field", [
+    ("cov", {"sigma2": "1e-2"}, "sigma2"),
+    ("lambdas", [True, False], "lambdas"),
+    ("alpha", {"p": [True, 0.0]}, "p"),
+    ("phi", [[0.0, 1.0], ["1", 2.0]], "phi"),
+])
+def test_theta_from_dict_reads_numbers_only_as_numbers(part, value, field):
+    doc = {"phi": [[0.0, 1.0], [1.0, 2.0]], "alpha": {"p": [0.5, 0.5]},
+           "cov": {"sigma2": 1e-2}, "lambdas": [0.1, 0.1]}
+    latent = dm.LatentSpec(kind="iid", J=2)
+    cov_spec = dm.CovSpec(kind="iso_diag")
+    dm.theta_from_dict(doc, latent, cov_spec)
+    with pytest.raises(BadInit, match=field):
+        dm.theta_from_dict({**doc, part: value}, latent, cov_spec)
+
+
 THETA_CASES = [
     ("iid", "iso_diag",
      {"p": [0.3, 0.7]}, {"sigma2": 0.5}),

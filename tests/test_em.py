@@ -643,6 +643,37 @@ def test_fit_with_no_iteration_budget_evaluates_the_start():
     assert report.loglik_trace.size == 1
 
 
+@pytest.mark.parametrize("kind,flags", [
+    ("iid", ["empty_state_2"]),
+    ("markov", ["empty_state_2", "zero_occupancy_row_2"]),
+])
+def test_fit_flags_reach_the_report_once_each(kind, flags):
+    """All replicates follow one curve and state 2 starts far from it, so
+    every M-step flags the empty state (and, for Markov, its transition
+    row); each flag is kept once, in first-seen order, and the boundary
+    probability then leaves the SEs out with a warning."""
+    x = np.linspace(0.0, 1.0, 12)
+    rng = np.random.default_rng(0)
+    data = MultiCurveDataset(
+        x=x, y=np.sin(x) + 0.1 * rng.standard_normal((20, 12)))
+    B = basis_matrix(build_basis(x), x)
+    phi = np.vstack([np.linalg.lstsq(B, np.sin(x), rcond=None)[0],
+                     np.full(B.shape[1], 50.0)])
+    alpha = (IIDParams(p=[0.99, 0.01]) if kind == "iid" else
+             MarkovParams(pi=[0.99, 0.01], A=[[0.99, 0.01], [0.5, 0.5]]))
+    init = theta_to_dict(Theta(phi=phi, latent=alpha,
+                               cov=StateDiagParams(sigma2=[0.01, 1e-4]),
+                               lambdas=[LAM, LAM]))
+    report = ecm_fit(data, LatentSpec(kind=kind, J=2),
+                     CovSpec(kind="state_diag"), lambdas=LAM, init=init)
+    assert report.iterations == 3 and report.converged
+    assert report.std_errors is None
+    field = "p2" if kind == "iid" else "pi2"
+    assert report.warnings == flags + [
+        f"se_unavailable: BoundaryParameter: {field} = 0.0 is at the "
+        "boundary; standard errors are unavailable there"]
+
+
 def test_ecm_fit_refuses_negative_or_nan_lambdas():
     data, _, _ = two_state_data(seed=11)
     for lambdas in (-5.0, float("nan")):

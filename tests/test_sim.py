@@ -7,15 +7,21 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from switchcurve import sim
 from switchcurve.basis import basis_matrix, build_basis
-from switchcurve.datamodel import (CovariateParams, FitReport, HomogRIParams,
-                                   IIDParams, IsoDiagParams, MarkovParams,
-                                   Theta, theta_to_dict)
+from switchcurve.datamodel import (CovariateParams, CovSpec, FitReport,
+                                   HomogRIParams, IIDParams, IsoDiagParams,
+                                   LatentSpec, MarkovParams,
+                                   MultiCurveDataset, StateDiagParams, Theta,
+                                   theta_from_dict, theta_to_dict)
 from switchcurve.em import ecm_fit
+from switchcurve.inference import free_coordinates
+from switchcurve.latent import log_state_probs
 from switchcurve.sim import (_COVERAGE_Z, SimDesign, align_to_truth,
                              default_true_functions, fit_design,
-                             generate_dataset, run_replication, run_study,
-                             stock_design, truth_start)
+                             generate_dataset, permute_theta,
+                             run_replication, run_study, stock_design,
+                             truth_start)
 
 
 def test_true_curves_frozen_values():
@@ -118,24 +124,20 @@ def test_a_supplied_init_takes_the_fits_lambdas():
 
 
 def test_single_replication_lands_near_truth():
-    d = stock_design(1)
-    data, _ = generate_dataset(d, seed=[0, 0])
-    report = fit_design(d, data)
-    assert report.converged
-    curves, params, se, perm = align_to_truth(
-        report, default_true_functions(data.x))
-    assert abs(params["p1"] - 0.5) < 0.1
-    assert 0.3e-5 < params["sigma2"] < 3e-5
-    assert np.isfinite(se.get("p1", np.nan))
+    out = run_replication(stock_design(1), 0, 0)
+    assert out["converged"]
+    assert abs(out["params"]["p1"] - 0.5) < 0.1
+    assert 0.3e-5 < out["params"]["sigma2"] < 3e-5
+    assert np.isfinite(out["se"]["p1"])
 
 
-def fake_report(theta, curves, se):
-    n = curves.shape[1]
+def fake_report(theta, curves):
+    J, n = curves.shape
     return FitReport(
         theta=theta, knots=np.zeros(8), x=np.linspace(1.0, 100.0, n),
-        curves=curves, posteriors=np.full((1, n, 2), 0.5),
+        curves=curves, posteriors=np.full((1, n, J), 1.0 / J),
         loglik_trace=np.array([0.0]), iterations=1, converged=True,
-        std_errors=se, warnings=[])
+        std_errors=None, warnings=[])
 
 
 def test_alignment_undoes_a_label_swap():
@@ -145,41 +147,140 @@ def test_alignment_undoes_a_label_swap():
     theta = Theta(phi=np.zeros((2, 4)), latent=IIDParams(p=[0.3, 0.7]),
                   cov=HomogRIParams(sigma2=2e-5, d=5.0),
                   lambdas=np.array([1e-4, 1e-4]))
-    curves, params, se, perm = align_to_truth(
-        fake_report(theta, F[::-1].copy(), {"p1": 0.01}), F)
+    report = fake_report(theta, F[::-1].copy())
+    perm = align_to_truth(report, F)
     assert perm == (1, 0)
-    np.testing.assert_allclose(curves, F, atol=1e-15)
-    assert params["p1"] == 0.7
-    assert params["tau2"] == pytest.approx(1e-4)
-    assert se["p1"] == 0.01
+    np.testing.assert_allclose(report.curves[list(perm)], F, atol=1e-15)
+    aligned = permute_theta(theta, perm)
+    assert free_coordinates(aligned.latent) == {"p1": 0.7}
+    assert aligned.cov.tau2 == pytest.approx(1e-4)
 
     theta_m = Theta(phi=np.zeros((2, 4)),
                     latent=MarkovParams(pi=[0.6, 0.4],
                                         A=[[0.9, 0.1], [0.2, 0.8]]),
                     cov=HomogRIParams(sigma2=1e-5, d=10.0),
                     lambdas=np.array([1e-4, 1e-4]))
-    _, params, se, perm = align_to_truth(
-        fake_report(theta_m, F[::-1].copy(),
-                    {"pi1": 0.05, "a12": 0.01, "a21": 0.02}), F)
+    perm = align_to_truth(fake_report(theta_m, F[::-1].copy()), F)
     assert perm == (1, 0)
+    params = free_coordinates(permute_theta(theta_m, perm).latent)
     assert params["pi1"] == 0.4
     assert params["a12"] == 0.2 and params["a21"] == pytest.approx(0.1)
-    assert (se["a12"], se["a21"]) == (0.02, 0.01)
 
     theta_c = Theta(phi=np.zeros((2, 4)),
                     latent=CovariateParams(beta=[[-2.0, -5.0]]),
                     cov=IsoDiagParams(sigma2=5e-5),
                     lambdas=np.array([1e-4, 1e-4]))
-    _, params, _, perm = align_to_truth(
-        fake_report(theta_c, F[::-1].copy(), None), F)
+    perm = align_to_truth(fake_report(theta_c, F[::-1].copy()), F)
     assert perm == (1, 0)
-    assert params["beta0"] == 2.0 and params["beta1"] == 5.0
+    assert free_coordinates(permute_theta(theta_c, perm).latent) == {
+        "beta0": 2.0, "beta1": 5.0}
 
     # already aligned reports pass through untouched
-    _, params, _, perm = align_to_truth(
-        fake_report(theta, F.copy(), {"p1": 0.01}), F)
+    perm = align_to_truth(fake_report(theta, F.copy()), F)
     assert perm == (0, 1)
-    assert params["p1"] == 0.3
+    assert free_coordinates(permute_theta(theta, perm).latent) == {"p1": 0.3}
+
+
+@pytest.mark.parametrize("number", [1, 2, 3])
+def test_a_fit_in_swapped_labels_is_restarted_in_the_truths(monkeypatch,
+                                                            number):
+    """Started from the truth with its labels swapped, the fit is aligned
+    back, restarted from its relabelled theta, and scores as the fit in
+    the truth's labels does."""
+    d = stock_design(number)
+    want = run_replication(d, 0, 0)
+
+    def swapped_start(design, dataset):
+        truth = theta_from_dict(truth_start(design, dataset),
+                                design.latent_spec, design.cov_spec)
+        return theta_to_dict(permute_theta(truth, (1, 0)))
+
+    monkeypatch.setattr(sim, "truth_start", swapped_start)
+    data, _ = generate_dataset(d, seed=[0, 0])
+    assert align_to_truth(fit_design(d, data),
+                          default_true_functions(data.x)) == (1, 0)
+    got = run_replication(d, 0, 0)
+    assert got["converged"]
+    for key in ("params", "se"):
+        assert list(got[key]) == list(want[key])
+        for name, value in want[key].items():
+            assert got[key][name] == pytest.approx(value, rel=1e-10,
+                                                   abs=0), name
+    np.testing.assert_allclose(got["sqerr"], want["sqerr"], rtol=1e-10)
+
+
+def test_three_state_relabelling_is_undone_exactly():
+    x = np.linspace(0.0, 1.0, 12)
+    F = np.vstack([0.3 * np.sin(2 * np.pi * x), 0.6 + 0.2 * x,
+                   1.2 - 0.3 * x])
+    theta = Theta(phi=np.arange(12.0).reshape(3, 4),
+                  latent=MarkovParams(pi=[0.3, 0.3, 0.4],
+                                      A=[[0.8, 0.1, 0.1], [0.15, 0.7, 0.15],
+                                         [0.1, 0.2, 0.7]]),
+                  cov=StateDiagParams(sigma2=[1e-2, 2e-2, 3e-2]),
+                  lambdas=np.array([1e-4, 2e-4, 3e-4]))
+    shuffled = permute_theta(theta, (2, 0, 1))
+    assert free_coordinates(shuffled.latent)["pi1"] == 0.4
+    perm = align_to_truth(fake_report(shuffled, F[[2, 0, 1]]), F)
+    assert perm == (1, 2, 0)
+    back = permute_theta(shuffled, perm)
+    assert theta_to_dict(back) == theta_to_dict(theta)
+    assert free_coordinates(back.latent) == free_coordinates(theta.latent)
+
+    # beta is re-referenced to the new state 1: the state probabilities
+    # are those of the old states, reordered
+    beta = np.array([[0.5, -1.0], [-0.3, 2.0]])
+    v = np.linspace(-2.0, 2.0, 7)[:, None]
+    relabelled = permute_theta(
+        Theta(phi=np.zeros((3, 4)), latent=CovariateParams(beta=beta),
+              cov=IsoDiagParams(sigma2=1.0), lambdas=np.ones(3)), (2, 0, 1))
+    np.testing.assert_allclose(
+        log_state_probs(relabelled.latent.beta, v),
+        log_state_probs(beta, v)[:, [2, 0, 1]], rtol=0, atol=1e-14)
+
+
+def test_three_state_chain_standard_errors_cover_the_truth():
+    """Markov x iso_diag at J = 3, each fit from the truth, named by
+    free_coordinates and aligned: the 95% intervals of all 8 coordinates
+    cover the truth at about their nominal rate."""
+    N, n = 100, 12
+    x = np.linspace(0.0, 1.0, n)
+    F = np.vstack([0.3 * np.sin(2 * np.pi * x), 0.6 + 0.2 * x,
+                   1.2 - 0.3 * x])
+    pi = np.array([0.3, 0.3, 0.4])
+    A = np.array([[0.8, 0.1, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]])
+    latent_spec = LatentSpec(kind="markov", J=3)
+    cov_spec = CovSpec(kind="iso_diag")
+    B = basis_matrix(build_basis(x), x)
+    init = theta_to_dict(Theta(
+        phi=np.linalg.lstsq(B, F.T, rcond=None)[0].T,
+        latent=MarkovParams(pi=pi, A=A), cov=IsoDiagParams(sigma2=0.01),
+        lambdas=np.full(3, 1e-4)))
+    truth = free_coordinates(MarkovParams(pi=pi, A=A))
+    hits = {name: [] for name in truth}
+    for rep in range(200):
+        rng = np.random.default_rng([11, rep])
+        z = np.empty((N, n), dtype=int)
+        z[:, 0] = (rng.random((N, 1)) > np.cumsum(pi)[:-1]).sum(axis=1)
+        for i in range(1, n):
+            cum = np.cumsum(A[z[:, i - 1]], axis=1)[:, :-1]
+            z[:, i] = (rng.random((N, 1)) > cum).sum(axis=1)
+        y = F[z, np.arange(n)] + 0.1 * rng.standard_normal((N, n))
+        data = MultiCurveDataset(x=x, y=y)
+        report = ecm_fit(data, latent_spec, cov_spec, lambdas=1e-4,
+                         init=init)
+        perm = align_to_truth(report, F)
+        if perm != (0, 1, 2):
+            report = ecm_fit(
+                data, latent_spec, cov_spec, lambdas=1e-4, max_iter=0,
+                init=theta_to_dict(permute_theta(report.theta, perm)))
+        se = report.std_errors
+        for name, value in free_coordinates(report.theta.latent).items():
+            hits[name].append(
+                abs(value - truth[name]) <= _COVERAGE_Z[0.95] * se[name])
+    coverage = {name: np.mean(h) for name, h in hits.items()}
+    assert 0.93 <= np.mean(list(coverage.values())) <= 0.975, coverage
+    assert min(coverage.values()) >= 0.90, coverage
 
 
 def test_replications_are_independent_of_history():
