@@ -6,9 +6,14 @@ penalty uses ``R[v, w] = integral of b_v'' * b_w''`` over the grid span,
 computed exactly: second derivatives of cubic splines are piecewise linear,
 so their products are piecewise quadratic and a two-point Gauss-Legendre
 rule per knot interval integrates them without error.
+
+A grid's whole set-up, ``(basis, B, R)``, depends only on the grid and K.
+:func:`spline_setup` builds it once per exact grid and K, with read-only
+arrays, and every fit, truth start and CV selection on that grid shares it.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,3 +162,34 @@ def penalty_matrix(basis):
     # numpy evaluates X.T @ X as a symmetric rank-k update, so R comes out
     # exactly symmetric
     return D.T @ D
+
+
+def spline_setup(x, K=None):
+    """The basis on grid x with its grid matrix and penalty: the triple
+    ``(basis, basis_matrix(basis, x), penalty_matrix(basis))``.
+
+    Cached per exact grid (its float64 values; grids one ulp apart are two
+    entries) and K, with ``None`` resolved to ``min(len(x), 15)`` as
+    :func:`build_basis` does.  The 32 most recent set-ups are kept.  Every
+    caller shares one entry, so its knots, B and R are read-only.  A bad
+    grid or K raises on every call, as :func:`build_basis` does.
+    ``spline_setup.cache_clear()`` frees the cache.
+    """
+    x = np.asarray(x, dtype=float)
+    K = min(x.size, 15) if K is None else int(K)
+    return _cached_setup(x.shape, x.tobytes(), K)
+
+
+@lru_cache(maxsize=32)
+def _cached_setup(shape, grid_bytes, K):
+    x = np.frombuffer(grid_bytes).reshape(shape)
+    basis = build_basis(x, K)
+    B = basis_matrix(basis, x)
+    R = penalty_matrix(basis)
+    for a in (basis.knots, B, R):
+        a.flags.writeable = False
+    return basis, B, R
+
+
+spline_setup.cache_info = _cached_setup.cache_info
+spline_setup.cache_clear = _cached_setup.cache_clear

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import em as em_mod
-from .basis import basis_matrix, build_basis, penalty_matrix
+from .basis import spline_setup
 # CVConfig is parsed with the rest of the config; its default grid stays
 # importable from here as cv.DEFAULT_GRID
 from .datamodel import (DEFAULT_GRID, DEFAULT_MAX_ITER,  # noqa: F401
@@ -143,9 +143,7 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
     config = config or CVConfig()
     J = latent_spec.J
     grid = config.grid
-    basis = build_basis(dataset.x, K)
-    B = basis_matrix(basis, dataset.x)
-    R = penalty_matrix(basis)
+    _, B, R = spline_setup(dataset.x, K)
 
     def fit_at(picks):
         return em_mod.ecm_fit(

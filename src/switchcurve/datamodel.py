@@ -650,13 +650,16 @@ def report_from_dict(doc):
     posteriors.csv, not in the report, so the parsed report carries an
     empty posterior table.  A document that lacks a key
     ``report_to_dict`` writes, or holds a value of the wrong type, raises
-    ``SpecMismatch``.
+    ``SpecMismatch``, its ``theta`` included.
     """
     try:
         latent_spec = LatentSpec(kind=doc["model"]["latent"],
                                  J=len(doc["theta"]["phi"]))
         cov_spec = CovSpec(kind=doc["model"]["covariance"])
-        theta = theta_from_dict(doc["theta"], latent_spec, cov_spec)
+        try:
+            theta = theta_from_dict(doc["theta"], latent_spec, cov_spec)
+        except BadInit as exc:
+            raise SpecMismatch(str(exc)) from None
         x = np.asarray(doc["x"], dtype=float)
         report = FitReport(
             theta=theta, knots=np.asarray(doc["knots"], dtype=float), x=x,

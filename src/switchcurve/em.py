@@ -31,7 +31,7 @@ import numpy as np
 from . import covariance as cov_mod
 from . import inference
 from . import latent as lat_mod
-from .basis import basis_matrix, build_basis, penalty_matrix
+from .basis import spline_setup
 from .datamodel import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -447,9 +447,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
     """
     validate(dataset, latent_spec, cov_spec)
     J, n, N = latent_spec.J, dataset.n_points, dataset.n_replicates
-    basis = build_basis(dataset.x, K)
-    B = basis_matrix(basis, dataset.x)
-    R = penalty_matrix(basis)
+    basis, B, R = spline_setup(dataset.x, K)
 
     lambdas = np.broadcast_to(
         check_lambdas(lambdas, "lambdas").ravel(), (J,)).copy()

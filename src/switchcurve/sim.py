@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .basis import basis_matrix, build_basis
+from .basis import spline_setup
 from .datamodel import (CovariateParams, CovSpec, HomogRIParams,
                         IIDParams, IsoDiagParams, LatentSpec, MarkovParams,
                         MultiCurveDataset, StateDiagParams, Theta,
@@ -140,8 +140,7 @@ def generate_dataset(design, seed):
 
 def truth_start(design, dataset):
     """Supplied-init dict with the data-generating parameter values."""
-    basis = build_basis(dataset.x, design.K)
-    B = basis_matrix(basis, dataset.x)
+    _, B, _ = spline_setup(dataset.x, design.K)
     F = default_true_functions(dataset.x)
     phi0 = np.linalg.lstsq(B, F.T, rcond=None)[0].T
     alpha, cov = design.truth_params()

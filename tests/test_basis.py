@@ -12,7 +12,7 @@ import pytest
 
 from oracles import bspline_design_matrix, bspline_second_derivatives
 from switchcurve.basis import (SplineBasis, _bspline_table, basis_matrix,
-                               build_basis, penalty_matrix)
+                               build_basis, penalty_matrix, spline_setup)
 from switchcurve.errors import (BadK, GridTooSmall, NonIncreasingGrid,
                                 OutOfDomain)
 
@@ -225,3 +225,61 @@ def test_basis_rebuilds_from_stored_knots():
     pts = np.linspace(0.0, 4.0, 31)
     np.testing.assert_array_equal(
         basis_matrix(first, pts), basis_matrix(second, pts))
+
+
+UNEVEN = np.array([0.0, 0.1, 0.15, 0.4, 0.45, 0.9, 1.3, 1.31, 2.0, 2.6, 3.0])
+
+
+@pytest.mark.parametrize("x", [np.linspace(1.0, 100.0, 10), UNEVEN],
+                         ids=["uniform", "uneven"])
+def test_spline_setup_is_the_three_builders_bit_for_bit(x):
+    spline_setup.cache_clear()
+    for K in (None, min(x.size, 15), 4, 7, x.size + 2):
+        basis, B, R = spline_setup(x, K)
+        fresh = build_basis(x, K)
+        assert basis.K == fresh.K
+        np.testing.assert_array_equal(basis.knots, fresh.knots, strict=True)
+        np.testing.assert_array_equal(B, basis_matrix(fresh, x), strict=True)
+        np.testing.assert_array_equal(R, penalty_matrix(fresh), strict=True)
+
+
+def test_spline_setup_keys_on_exact_grid_values_and_resolved_K():
+    x = np.linspace(0.0, 1.0, 20)
+    setup = spline_setup(x)
+    # the default K, the same K given (as build_basis reads it) and the
+    # same values in a new container share one entry
+    assert spline_setup(x, 15) is setup
+    assert spline_setup(x.tolist(), 15.0) is setup
+    moved = x.copy()
+    moved[7] = np.nextafter(moved[7], 1.0)
+    other = spline_setup(moved)
+    assert other is not setup
+    # the moved point's row of B is evaluated where that point now lies
+    assert not np.array_equal(other[1], setup[1])
+
+
+def test_spline_setup_arrays_refuse_writes():
+    basis, B, R = spline_setup(np.linspace(0.0, 1.0, 9))
+    for a in (basis.knots, B, R):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("x,K,error", [
+    (np.array([0.0, 1.0, 2.0]), None, GridTooSmall),
+    (np.array([0.0, 1.0, 1.0, 2.0]), None, NonIncreasingGrid),
+    (np.linspace(0, 1, 8), 3, BadK),
+    (np.linspace(0, 1, 8), 11, BadK),
+])
+def test_spline_setup_raises_on_every_call(x, K, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            spline_setup(x, K)
+
+
+def test_spline_setup_cache_is_bounded():
+    spline_setup.cache_clear()
+    maxsize = spline_setup.cache_info().maxsize
+    for m in range(maxsize + 5):
+        spline_setup(np.linspace(0.0, 1.0 + m, 6))
+    assert spline_setup.cache_info().currsize == maxsize

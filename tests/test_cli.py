@@ -286,13 +286,16 @@ def test_malformed_config_values_exit_with_validation_code(tmp_path,
     assert err["error"] == "SpecMismatch"
 
 
-def _fit_json_without(tmp_path, key):
+def _fit_json_without(tmp_path, *keys):
     data = write_data(tmp_path / "data.csv", N=4, n=6)
     config = write_config(tmp_path / "config.json")
     assert main(["fit", "--data", data, "--config", config,
                  "--out", str(tmp_path / "fit")]) == 0
     doc = json.loads((tmp_path / "fit" / "fit.json").read_text())
-    del doc[key]
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    del node[keys[-1]]
     (tmp_path / "fit.json").write_text(json.dumps(doc))
     return ["classify", "--data", data, "--fit", str(tmp_path / "fit.json")]
 
@@ -307,6 +310,8 @@ def _fit_with_config_text(tmp_path, text):
     lambda tmp: _fit_with_config_text(tmp, '{"latent": {"kind": "iid"'),
     lambda tmp: _fit_json_without(tmp, "model"),
     lambda tmp: _fit_json_without(tmp, "theta"),
+    # a state_diag cov holds sigma2 alone, so this leaves "cov": {}
+    lambda tmp: _fit_json_without(tmp, "theta", "cov", "sigma2"),
     lambda tmp: ["simulate", "--design", "1", "--N", "-3"],
     lambda tmp: ["simulate", "--design", "1", "--N", "0"],
     lambda tmp: ["simstudy", "--design", "1", "--reps", "0",
@@ -320,6 +325,7 @@ def _fit_with_config_text(tmp_path, text):
     lambda tmp: ["simstudy", "--design", "1", "--reps", "2",
                  "--threads", "-3"],
 ], ids=["config-not-json", "fit-without-model", "fit-without-theta",
+        "fit-with-empty-cov",
         "simulate-negative-N", "simulate-zero-N", "simstudy-zero-reps",
         "simstudy-one-rep", "simulate-negative-seed",
         "simstudy-negative-seed", "simstudy-negative-threads"])
@@ -346,7 +352,7 @@ def test_classify_refuses_a_fit_with_a_numeric_string(tmp_path):
                "--out", str(out)])
     assert rc == 2
     err = json.loads((out / "error.json").read_text())
-    assert err["error"] == "BadInit" and "sigma2" in err["message"]
+    assert err["error"] == "SpecMismatch" and "sigma2" in err["message"]
 
 
 def test_numerical_failure_exits_with_code_three(tmp_path):

@@ -15,7 +15,8 @@ import pytest
 
 from switchcurve import cv as cv_mod
 from switchcurve import em
-from switchcurve.basis import basis_matrix, build_basis, penalty_matrix
+from switchcurve.basis import (basis_matrix, build_basis, penalty_matrix,
+                               spline_setup)
 from switchcurve.cv import DEFAULT_GRID, CVConfig, cv_score, select_lambdas
 from switchcurve.datamodel import (CovSpec, LatentSpec, MultiCurveDataset,
                                    theta_to_dict)
@@ -221,6 +222,31 @@ def test_select_lambdas_two_states():
     for j in range(2):
         assert 0 < int(np.argmin(res.scores[j])) < grid.size - 1
     np.testing.assert_array_equal(res.fit.theta.lambdas, res.lambdas)
+
+
+def test_select_lambdas_is_the_same_from_a_cold_or_warm_spline_setup():
+    design = SimDesign(kind="markov", N=40, x=np.linspace(0.0, 1.0, 12),
+                       sigma2=1e-4, tau2=0.0)
+    data, _ = generate_dataset(design, 5)
+
+    def select():
+        return select_lambdas(data, LatentSpec(kind="markov", J=2),
+                              CovSpec(kind="state_diag"),
+                              config=CVConfig(grid=np.logspace(-6, 0, 9)))
+
+    spline_setup.cache_clear()
+    want = select()
+    got = select()
+    for name in ("lambdas", "scores", "n_outer", "converged", "n_fallback"):
+        np.testing.assert_array_equal(getattr(got, name),
+                                      getattr(want, name), strict=True)
+    fit, ref = got.fit, want.fit
+    assert theta_to_dict(fit.theta) == theta_to_dict(ref.theta)
+    np.testing.assert_array_equal(fit.posteriors, ref.posteriors,
+                                  strict=True)
+    np.testing.assert_array_equal(fit.loglik_trace, ref.loglik_trace,
+                                  strict=True)
+    assert list(fit.std_errors.items()) == list(ref.std_errors.items())
 
 
 def test_select_lambdas_stops_a_cycle_with_the_capped_result():

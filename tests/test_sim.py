@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from switchcurve import basis as basis_mod
 from switchcurve import sim
-from switchcurve.basis import basis_matrix, build_basis
+from switchcurve.basis import basis_matrix, build_basis, spline_setup
 from switchcurve.datamodel import (CovariateParams, CovSpec, FitReport,
                                    HomogRIParams, IIDParams, IsoDiagParams,
                                    LatentSpec, MarkovParams,
@@ -291,6 +292,43 @@ def test_replications_are_independent_of_history():
     np.testing.assert_array_equal(first["sqerr"], again["sqerr"])
     other = run_replication(d, 0, 4)
     assert first["params"] != other["params"]
+
+
+@pytest.mark.parametrize("number", [1, 2, 3])
+def test_replications_are_the_same_from_a_cold_or_warm_spline_setup(number):
+    d = stock_design(number)
+
+    def cold(rep):
+        spline_setup.cache_clear()
+        return run_replication(d, 0, rep)
+
+    for rep in range(3):
+        want, got = cold(rep), run_replication(d, 0, rep)
+        for key in ("params", "se"):
+            assert list(got[key]) == list(want[key])
+            np.testing.assert_array_equal(
+                list(got[key].values()), list(want[key].values()),
+                strict=True)
+        np.testing.assert_array_equal(got["sqerr"], want["sqerr"],
+                                      strict=True)
+        assert got["converged"] == want["converged"]
+
+
+def test_truth_start_and_fits_on_one_grid_build_its_basis_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_basis(*args, **kwargs)
+
+    monkeypatch.setattr(basis_mod, "build_basis", counting)
+    spline_setup.cache_clear()
+    d = stock_design(2)
+    data, _ = generate_dataset(d, seed=[0, 0])
+    fit_design(d, data)                 # one truth start, one ecm_fit
+    ecm_fit(data, d.latent_spec, d.cov_spec, lambdas=np.asarray(d.lambdas),
+            K=d.K, compute_se=False)
+    assert len(calls) == 1
 
 
 def test_small_study_aggregates_and_serializes():
