@@ -21,7 +21,10 @@ and per-state-vector (col) terms and the log prior, given as the factor
 pair (L, R); the right factor is built once per E-step.  For nonhomog_ri,
 V^{-1} and the log determinant are the shared homog_ri parts, and the
 rank-one term h_s (u~_s'r)^2 / 2 is one more block table.  The M-steps
-read the E-step's fixed-size posterior moments (``latent.Moments``).
+read the E-step's fixed-size posterior moments (``latent.Moments``)
+through the residual second-moment matrix
+S = sum_k sum_s P_ks (y_k - f_s)(y_k - f_s)': ``unrestricted`` is S / N,
+``homog_ri`` reads tr S and 1'S1, and nonhomog_ri's r'r sum is tr S.
 
 Every M-step is closed form except nonhomog_ri's.  There sigma2 profiles
 out in closed form and (d1, d2) >= 0 come from ``latent.newton_search``,
@@ -149,14 +152,14 @@ class CovStructure:
             raise ValueError(f"{self.kind} is not diagonal")
         return -0.5 * (r2 / s2 + np.log(s2) + LOG_2PI)
 
-    def state_factor(self, F, states, ybar, E2=None, R=None):
+    def state_factor(self, F, states, ybar, R=None):
         """``loglik_table``'s right factor, built once per E-step:
         ``(right, rank1)`` with right = [Fc, 1, col, R]' (n + 2 + c, S),
         Fc[s] = F[states[s, i], i] - ybar_i the curves (J, n) along each
         state vector centred like the response rows, col its terms of the
         quadratic form and log determinant and R the log prior's right half
         (S, c); rank1 is nonhomog_ri's (U, U'Fc, h / 2), U the columns u~_s
-        (``E2``)."""
+        (``state_terms``) read off the state-2 points of ``states``."""
         n = self.n
         if self.kind == "state_diag":
             # state_diag factorizes over points; contract the pointwise
@@ -164,9 +167,6 @@ class CovStructure:
             raise ValueError(
                 "state_diag tables decompose pointwise; build them from "
                 "pointwise_loglik and the enumeration one-hots")
-        nonhomog = self.kind == "nonhomog_ri"
-        if nonhomog and E2 is None:
-            raise ValueError("nonhomog_ri needs state-2 indicators")
         c = 0 if R is None else R.shape[1]
         right = np.empty((n + 2 + c, states.shape[0]))
         Fc = right[:n]
@@ -176,8 +176,9 @@ class CovStructure:
         right[n + 1] = -0.5 * np.einsum("is,is->s", self.vinv() @ Fc, Fc)
         if c:
             right[n + 2:] = R.T
-        if not nonhomog:
+        if self.kind != "nonhomog_ri":
             return right, None
+        E2 = (states == 1).astype(float)
         cm, h, logD = self.state_terms(E2.sum(axis=1))
         right[n + 1] -= 0.5 * logD
         U = E2.T - cm
@@ -229,12 +230,11 @@ def log_mvn_density(cov, r, states=None):
     if cov.kind == "state_diag":
         s2 = cov.params.sigma2[np.asarray(states, dtype=int)]
         return float(-0.5 * np.sum(r ** 2 / s2 + np.log(s2) + LOG_2PI))
-    E2 = None
-    if cov.kind == "nonhomog_ri":
-        E2 = (np.asarray(states, dtype=int) == 1).astype(float)[None, :]
-    zero = np.zeros((1, r.size))
+    s = np.zeros((1, r.size), np.int8) if states is None \
+        else np.asarray(states, dtype=np.int8)[None, :]
+    zero = np.zeros((int(s.max()) + 1, r.size))    # a row per state in s
     return float(cov.loglik_table(r[None, :], cov.state_factor(
-        zero, zero.astype(np.int8), zero[0], E2=E2))[0, 0])
+        zero, s, zero[0]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,36 +246,34 @@ def log_mvn_density(cov, r, states=None):
 # along state vector s, so every posterior sum of a quadratic in the
 # residuals y_k - f_s is a product of the moments with phi.
 
-def _residual_ss(moments, phi):
-    """sum_k sum_s P_ks |y_k - f_s|^2."""
-    n = moments.yy.shape[0]
-    own = np.einsum("iij->ij", moments.C.reshape(n, n, -1)).ravel()
-    return float(np.trace(moments.yy) - 2.0 * own @ phi
-                 + moments.lin[:, :, 0].sum(axis=0) @ (phi * phi))
+def residual_second_moment(moments, F):
+    """S = sum_k sum_s P_ks (y_k - f_s)(y_k - f_s)', symmetrized.
+
+    With Phi the (n, n J) matrix that puts phi's row i on point i's
+    indicators, f_s - ybar = Phi E_s, so S = yy - C Phi' - Phi C'
+    + Phi O Phi' for the centred sums yy and C and the co-occupancy O.
+    """
+    J, n = F.shape
+    phi = (F - moments.ybar).T
+    Phi = np.einsum("ip,pj->ipj", np.eye(n), phi).reshape(n, n * J)
+    cross = moments.C @ Phi.T
+    S = moments.yy - cross - cross.T + Phi @ moments.occupancy @ Phi.T
+    return 0.5 * (S + S.T)
 
 
 def update_unrestricted(moments, F):
     """Posterior-weighted residual second-moment matrix."""
-    J, n = F.shape
-    phi = (F - moments.ybar).T
-    # sum_s (sum_k P_ks y_ck) (f_s - ybar)' and sum_s w_s (f_s - ybar)(...)'
-    cross = np.einsum("qij,ij->qi", moments.C.reshape(n, n, J), phi)
-    quad = np.einsum("ij,ijpl,pl->ip", phi,
-                     moments.occupancy.reshape(n, J, n, J), phi)
-    V = (moments.yy - cross - cross.T + quad) / moments.N
-    return 0.5 * (V + V.T)
+    return residual_second_moment(moments, F) / moments.N
 
 
 def update_homog_ri(moments, F):
     """Closed-form conditional maximum of sigma2 and d >= 0 for the shared
     random-intercept model; where the unconstrained d is <= 0, it is d = 0
-    with sigma2 the mean squared residual."""
+    with sigma2 the mean squared residual.  Its two sums, of |y_k - f_s|^2
+    and of (1'(y_k - f_s))^2, are the trace and the total of S."""
     N, n = moments.N, moments.yy.shape[0]
-    phi = (F - moments.ybar).T.ravel()
-    ss_full = _residual_ss(moments, phi)
-    # sum_k sum_s P_ks (1'(y_k - f_s))^2
-    ss_mean = float(moments.yy.sum() - 2.0 * moments.C.sum(axis=0) @ phi
-                    + phi @ moments.occupancy @ phi)
+    S = residual_second_moment(moments, F)
+    ss_full, ss_mean = float(np.trace(S)), float(S.sum())
     sigma2 = (ss_full - ss_mean / n) / (N * (n - 1))
     if sigma2 <= 0:
         raise NonPositiveSigma(f"sigma2 update gave {sigma2!r}")
@@ -290,7 +288,7 @@ def nonhomog_sufficient_stats(moments, F):
 
     Groups by m = number of state-2 points, since V_s depends on s only
     through m and u_s'r.  Returns (A, counts m, mass W_m, S1, S2, S3)
-    where A is the posterior sum of r'r and S1/S2/S3 aggregate
+    where A is the posterior sum of r'r (tr S) and S1/S2/S3 aggregate
     P * 1'r 1'r, P * 1'r u'r, P * u'r u'r per m, r the residuals.
     """
     J, n = F.shape
@@ -304,8 +302,8 @@ def nonhomog_sufficient_stats(moments, F):
           + np.einsum("p,mpq,q->m", phi, occ, phi2))
     S3 = t[:, 5] - 2.0 * lu @ phi2 + np.einsum("p,mpq,q->m", phi2, occ,
                                                  phi2)
-    return (_residual_ss(moments, phi), np.arange(t.shape[0]), t[:, 0],
-            S1, S2, S3)
+    return (float(np.trace(residual_second_moment(moments, F))),
+            np.arange(t.shape[0]), t[:, 0], S1, S2, S3)
 
 
 def nonhomog_expected_term(sigma2, d1, d2, n, N, stats):

@@ -18,13 +18,14 @@ structured kinds need the joint posterior over all J**n state vectors,
 built over blocks of replicates (one GEMM each, prior included) and
 normalized on the state vectors that can carry mass; the blocks reduce to
 fixed-size posterior moments (``latent.Moments``).  The joint coefficient
-system, the covariance M-steps and the Louis information are products of
-those moments, never loops over state vectors.
+system (the weighted co-occupancy projected on the stacked basis), the
+covariance M-steps (the residual second-moment matrix) and the Louis
+information are products of those moments, never loops over state
+vectors.
 """
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -117,9 +118,7 @@ def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
             enum, latent_spec, theta.latent, covariates=dataset.covariates)
         ybar = y.mean(axis=0)
         yc = y - ybar
-        factor = cov.state_factor(
-            F, enum.states, ybar,
-            E2=enum.onehot[:, :, 1] if nonhomog else None, R=R)
+        factor = cov.state_factor(F, enum.states, ybar, R=R)
         b = lat_mod.block_rows(enum.size, factor[0].shape[0])
 
         def blocks():       # one (rows, S) table alive at a time
@@ -206,27 +205,24 @@ def update_f_diagonal(B, R, lambdas, y, marginals, sigma2):
 def general_normal_system(B, R, lambdas, cov, moments):
     """Stacked JK x JK normal equations for the joint coefficient update.
 
-    Used by the structured covariance kinds.  Blocks are
-    A_jl = sum_s w_s (D_sj B)' V_s^{-1} (D_sl B) and
-    b_j = sum_s (D_sj B)' V_s^{-1} ytil_s, with w_s = sum_k P_ks,
-    ytil_s = sum_k P_ks y_k and D_sj the state-j indicator matrix of state
-    vector s: products of B and V^{-1} with the co-occupancy and with
-    sum_k y_k m_k' (``latent.Moments``).  nonhomog_ri subtracts the
-    rank-one h_m u~_s u~_s' (``CovStructure.state_terms``): with
+    Used by the structured covariance kinds.  With Bk the (n J, J K)
+    stacked basis (B on each state's rows, columns j-major), W the
+    co-occupancy sum_s w_s E_s E_s' (``latent.Moments``) weighted
+    entrywise by V^{-1} (x) 1 1' and r the state-j columns of
+    V^{-1} sum_k y_k m_k' read at their own point, A = Bk' W Bk and
+    b = Bk' r.  nonhomog_ri subtracts from W and r the rank-one
+    h_m u~_s u~_s' (``CovStructure.state_terms``): with
     a_m(j) = [j = 2] - c m, E_s * a_m is u~_s spread over the indicators.
     """
     n, K = B.shape
     J = moments.C.shape[1] // n
-    JK = J * K
     Vi = cov.vinv()
-    Mexp = moments.occupancy.reshape(n, J, n, J) * Vi[:, None, :, None]
-    A = np.einsum("ia,ijpq,pb->jaqb", B, Mexp, B,
-                  optimize=_normal_system_path(n, J, K)).reshape(JK, JK)
+    Bk = np.einsum("ia,jl->ijla", B, np.eye(J)).reshape(n * J, J * K)
+    W = moments.occupancy * np.kron(Vi, np.ones((J, J)))
     # sum_k y_k m_k' from the centred sums: y_k = y_ck + ybar
     msum = moments.lin[:, :, 0].sum(axis=0)
     C = (moments.C + np.outer(moments.ybar, msum)).reshape(n, n, J)
-    agg = np.einsum("qi,qij->ij", Vi, C)
-    b = np.einsum("ia,ij->ja", B, agg).reshape(JK)
+    r = np.einsum("qi,qij->ij", Vi, C).reshape(n * J)
     if cov.kind == "nonhomog_ri":
         G = moments.cooc.shape[0]
         cm, h, _ = cov.state_terms(np.arange(G))
@@ -236,23 +232,14 @@ def general_normal_system(B, R, lambdas, cov, moments):
         e = (moments.lin[:, :, 3] - cm[:, None] * moments.lin[:, :, 1]
              + np.einsum("mpq,mq->mp", occ,
                          np.repeat(moments.ybar, J)[None, :] * a))
-        Bk = np.einsum("ia,jl->ijla", B, np.eye(J)).reshape(n * J, JK)
-        A -= Bk.T @ np.einsum("m,mp,mpq,mq->pq", h, a, occ, a) @ Bk
-        b -= Bk.T @ np.einsum("m,mp,mp->p", h, a, e)
+        W -= np.einsum("m,mp,mpq,mq->pq", h, a, occ, a)
+        r -= np.einsum("m,mp,mp->p", h, a, e)
+    A = Bk.T @ W @ Bk
+    b = Bk.T @ r
 
     for j in range(J):
         A[j * K:(j + 1) * K, j * K:(j + 1) * K] += 2.0 * lambdas[j] * R
     return A, b
-
-
-@lru_cache(maxsize=32)
-def _normal_system_path(n, J, K):
-    """The contraction order of ``general_normal_system``'s A that
-    ``np.einsum(..., optimize=True)`` searches for, searched once per
-    shape: the search costs more than the contraction at these sizes."""
-    return np.einsum_path("ia,ijpq,pb->jaqb", np.empty((n, K)),
-                          np.empty((n, J, n, J)), np.empty((n, K)),
-                          optimize=True)[0]
 
 
 def update_f_general(B, R, lambdas, cov, moments):

@@ -109,7 +109,8 @@ def refuse_over_budget(need, what):
 
 @lru_cache(maxsize=8)
 def enumerate_states(n, J):
-    """Build the canonical enumeration for (n, J).  Cached."""
+    """Build the canonical enumeration for (n, J).  Cached, so its
+    tables are read-only: copy one before writing to it."""
     refuse_over_budget(enumeration_bytes(n, J),
                        f"the enumeration of {J}**{n} state vectors")
     S = J ** n
@@ -121,6 +122,8 @@ def enumerate_states(n, J):
     np.put_along_axis(onehot, states[:, :, None].astype(int), 1.0, axis=2)
     counts = onehot.sum(axis=1)
     trans = np.einsum("sil,sij->slj", onehot[:, :-1, :], onehot[:, 1:, :])
+    for a in (states, onehot, counts, trans):
+        a.flags.writeable = False
     return StateEnumeration(n=n, J=J, states=states, onehot=onehot,
                             counts=counts, trans=trans)
 

@@ -41,7 +41,7 @@ from scipy.optimize import minimize
 from switchcurve.covariance import (LOG_2PI, make_structure,
                                     nonhomog_expected_term,
                                     nonhomog_sufficient_stats)
-from switchcurve.em import EStep, _normal_system_path
+from switchcurve.em import EStep
 from switchcurve.errors import DegenerateLikelihood, NonPositiveSigma
 from switchcurve.latent import (joint_posterior, log_prior_table,
                                 log_state_probs, posterior_moments)
@@ -69,14 +69,14 @@ def gather_curves(F, states):
     return np.take(F, flat)
 
 
-def loglik_table_whole(cov, y, F, states, E2=None, prior=None):
+def loglik_table_whole(cov, y, F, states, prior=None):
     """The package's ``loglik_table`` over every replicate at once: (N, S)
     log densities about the curves F along ``states``, plus the log
     prior's factor pair, if given."""
     ybar = y.mean(axis=0)
     L, R = prior if prior is not None else (None, None)
     return cov.loglik_table(
-        y - ybar, cov.state_factor(F, states, ybar, E2=E2, R=R), L=L)
+        y - ybar, cov.state_factor(F, states, ybar, R=R), L=L)
 
 
 def estep_from_joint(P, y, enum, latent_kind, nonhomog=False,
@@ -403,7 +403,7 @@ def general_normal_system_dense(B, R, lambdas, y, cov, enum, P):
     Pi = E.T @ (w[:, None] * E)
     Mexp = Pi.reshape(n, J, n, J) * Vi[:, None, :, None]
     A = np.einsum("ia,ijpq,pb->jaqb", B, Mexp, B,
-                  optimize=_normal_system_path(n, J, K)).reshape(JK, JK)
+                  optimize=True).reshape(JK, JK)
     C = (ytil.T @ E).reshape(n, n, J)        # sum_s ytil_sq D_s(i, j)
     agg = np.einsum("qi,qij->ij", Vi, C)
     b = np.einsum("ia,ij->ja", B, agg).reshape(JK)

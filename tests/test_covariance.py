@@ -18,6 +18,7 @@ from switchcurve import covariance, sim
 from switchcurve.covariance import (CovStructure, log_mvn_density,
                                     make_structure, nonhomog_expected_term,
                                     nonhomog_sufficient_stats,
+                                    residual_second_moment,
                                     update_homog_ri, update_iso,
                                     update_nonhomog_ri, update_state_diag,
                                     update_unrestricted)
@@ -134,11 +135,9 @@ def test_loglik_table_matches_per_pair_loop(kind, make):
     F = rng.standard_normal((J, n))
     Fs = gathered_curves(F, enum.states)
     y = rng.standard_normal((N, n)) * 2.0
-    E2 = (enum.states == 1).astype(float)
-    inputs = (y, F, E2)
+    inputs = (y, F)
     before = [a.copy() for a in inputs]
-    table = loglik_table_whole(cov, y, F, enum.states,
-                               E2=E2 if kind == "nonhomog_ri" else None)
+    table = loglik_table_whole(cov, y, F, enum.states)
     for a, b in zip(inputs, before):    # in-place table arithmetic only
         np.testing.assert_array_equal(a, b)
     for k in range(N):
@@ -163,8 +162,7 @@ def test_nonhomog_loglik_table_resolves_the_all_state_2_column():
     y = F[1] + 40.0 + 0.01 * rng.standard_normal((N, n))
     Fs = gathered_curves(F, enum.states)
     s = int(np.flatnonzero(enum.counts[:, 1] == n)[0])
-    got = loglik_table_whole(cov, y, F, enum.states,
-                             E2=enum.onehot[:, :, 1])[:, s]
+    got = loglik_table_whole(cov, y, F, enum.states)[:, s]
 
     ld = np.longdouble
     r = y.astype(ld) - Fs[s].astype(ld)
@@ -183,11 +181,6 @@ def test_loglik_table_guards():
     with pytest.raises(ValueError, match="pointwise"):
         cov.state_factor(np.zeros((2, 3)), np.zeros((1, 3), np.int8),
                          np.zeros(3))
-    nh = make_structure(CovSpec(kind="nonhomog_ri"),
-                        NonHomogRIParams(sigma2=1.0, d1=0.1, d2=0.1), 3)
-    with pytest.raises(ValueError, match="indicators"):
-        nh.state_factor(np.zeros((2, 3)), np.zeros((1, 3), np.int8),
-                        np.zeros(3))
 
 
 def test_pointwise_loglik_matches_norm_logpdf():
@@ -227,9 +220,8 @@ def test_nonhomog_with_zero_d2_reduces_to_homog():
                         NonHomogRIParams(sigma2=0.8, d1=0.4, d2=0.0), n)
     ho = make_structure(CovSpec(kind="homog_ri"),
                         HomogRIParams(sigma2=0.8, d=0.4), n)
-    E2 = (enum.states == 1).astype(float)
     np.testing.assert_allclose(
-        loglik_table_whole(nh, y, F, enum.states, E2=E2),
+        loglik_table_whole(nh, y, F, enum.states),
         loglik_table_whole(ho, y, F, enum.states), rtol=1e-12)
 
 
@@ -310,6 +302,53 @@ def test_update_unrestricted_matches_double_loop():
     want /= N
     np.testing.assert_allclose(V, want, rtol=1e-12, atol=1e-14)
     np.testing.assert_array_equal(V, V.T)
+
+
+@pytest.mark.parametrize("J", [2, 3])
+def test_residual_second_moment_matches_double_loop(J):
+    rng = np.random.default_rng(15 + J)
+    n, N = 4, 3
+    enum = enumerate_states(n, J)
+    F = rng.standard_normal((J, n))
+    Fs = gathered_curves(F, enum.states)
+    y = rng.standard_normal((N, n)) + 2.0
+    P = random_posterior(rng, N, enum.size)
+    S = residual_second_moment(
+        estep_from_joint(P, y, enum, "iid").moments, F)
+    want = np.zeros((n, n))
+    for k in range(N):
+        for s in range(enum.size):
+            r = y[k] - Fs[s]
+            want += P[k, s] * np.outer(r, r)
+    np.testing.assert_allclose(S, want, rtol=1e-12, atol=1e-13)
+    np.testing.assert_array_equal(S, S.T)
+
+
+def test_update_homog_ri_sums_are_trace_and_total():
+    """sum P |y_k - f_s|^2 and sum P (1'(y_k - f_s))^2, by a double loop,
+    are tr S and 1'S1, and give update_homog_ri's closed form."""
+    rng = np.random.default_rng(17)
+    n, N = 5, 4
+    enum = enumerate_states(n, 2)
+    F = rng.standard_normal((2, n))
+    Fs = gathered_curves(F, enum.states)
+    y = rng.standard_normal((N, n)) + 1.5 * rng.standard_normal((N, 1))
+    P = random_posterior(rng, N, enum.size)
+    moments = moments_of(P, y)
+    ss_full = ss_mean = 0.0
+    for k in range(N):
+        for s in range(enum.size):
+            r = y[k] - Fs[s]
+            ss_full += P[k, s] * (r @ r)
+            ss_mean += P[k, s] * r.sum() ** 2
+    S = residual_second_moment(moments, F)
+    assert np.trace(S) == pytest.approx(ss_full, rel=1e-12)
+    assert S.sum() == pytest.approx(ss_mean, rel=1e-12)
+    sigma2 = (ss_full - ss_mean / n) / (N * (n - 1))
+    d = ss_mean / (sigma2 * N * n ** 2) - 1.0 / n
+    assert d > 0
+    assert update_homog_ri(moments, F) == pytest.approx((sigma2, d),
+                                                        rel=1e-12)
 
 
 def expected_gaussian_term(P, y, Fs, V_of_s, states):

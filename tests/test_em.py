@@ -176,12 +176,17 @@ GENERAL_KINDS = [
 ]
 
 
-@pytest.mark.parametrize("kind,params", GENERAL_KINDS)
-def test_general_coefficient_update_solves_loop_system(kind, params):
+# J = 3 checks the stacked basis's column order past two states;
+# nonhomog_ri is J = 2 only
+@pytest.mark.parametrize("kind,params,J", [
+    pytest.param(*p.values, 2, id=p.id) for p in GENERAL_KINDS] + [
+    pytest.param(*p.values, 3, id=f"{p.id}-J3") for p in GENERAL_KINDS
+    if p.values[0] != "nonhomog_ri"])
+def test_general_coefficient_update_solves_loop_system(kind, params, J):
     """The stacked JK x JK system, re-assembled state vector by state
     vector with scalar loops."""
     rng = np.random.default_rng(4)
-    n, N, K, J = 4, 3, 4, 2
+    n, N, K = 4, 3, 4
     _, B, R = design(n, K)
     if kind == "unrestricted":
         A0 = rng.standard_normal((n, n))
@@ -190,7 +195,7 @@ def test_general_coefficient_update_solves_loop_system(kind, params):
     y = rng.standard_normal((N, n))
     P = rng.uniform(0.1, 1.0, (N, enum.size))
     P /= P.sum(axis=1, keepdims=True)
-    lambdas = np.array([0.05, 0.4])
+    lambdas = np.array([0.05, 0.4, 1.5])[:J]
 
     from switchcurve.covariance import make_structure
     cov = make_structure(CovSpec(kind=kind), params, n)
@@ -249,39 +254,6 @@ def test_nonhomog_normal_system_matches_state_vector_loop(n, d1, d2):
                                atol=1e-12 * np.max(np.abs(A)))
     np.testing.assert_allclose(got_b, b, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(b)))
-
-
-@pytest.mark.parametrize("kind,params", GENERAL_KINDS)
-@pytest.mark.parametrize("n", [4, 7])
-def test_normal_system_path_is_searched_once_per_shape(kind, params, n,
-                                                       monkeypatch):
-    """A and b with the contraction order cached per shape are bit for bit
-    those of a fresh ``optimize=True`` search on every call."""
-    from switchcurve import em
-    from switchcurve.covariance import make_structure
-    rng = np.random.default_rng(40 + n)
-    N, K, J = 6, min(n, 5), 2
-    _, B, R = design(n, K)
-    if kind == "unrestricted":
-        A0 = rng.standard_normal((n, n))
-        params = UnrestrictedParams(V=A0 @ A0.T + n * np.eye(n))
-    enum = enumerate_states(n, J)
-    y = rng.standard_normal((N, n)) + 3.0
-    P = rng.uniform(0.1, 1.0, (N, enum.size))
-    P /= P.sum(axis=1, keepdims=True)
-    cov = make_structure(CovSpec(kind=kind), params, n)
-    moments = estep_from_joint(P, y, enum, "iid",
-                               nonhomog=kind == "nonhomog_ri").moments
-    args = B, R, np.array([0.05, 0.4]), cov, moments
-    cached = general_normal_system(*args)
-    hits = em._normal_system_path.cache_info().hits
-    assert [np.array_equal(g, w) for g, w in
-            zip(general_normal_system(*args), cached)] == [True, True]
-    assert em._normal_system_path.cache_info().hits == hits + 1
-    monkeypatch.setattr(em, "_normal_system_path", lambda n, J, K: True)
-    searched = general_normal_system(*args)
-    for g, w in zip(cached, searched):
-        np.testing.assert_array_equal(g, w)
 
 
 @pytest.mark.parametrize("lat_kind", ["iid", "markov", "covariate"])
@@ -421,7 +393,7 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind,
         E2 = enum.onehot[:, :, 1] if cov_kind == "nonhomog_ri" else None
         prior = log_prior_table(enum, spec, alpha,
                                 covariates=data.covariates)
-        W = loglik_table_whole(structure, data.y, f, enum.states, E2=E2,
+        W = loglik_table_whole(structure, data.y, f, enum.states,
                                prior=prior)
         own, own_ll, cols = joint_posterior(W.copy())
         cols = np.arange(enum.size)[cols]       # slice(None) when dense

@@ -203,6 +203,19 @@ def test_enumeration_cached_and_capped(monkeypatch):
     assert lat_mod.enumeration_bytes(np.int64(60), 2) == 2 ** 60 * 1068
 
 
+def test_cached_enumeration_refuses_writes():
+    enum = enumerate_states(4, 2)
+    before = [a.copy() for a in (enum.states, enum.onehot, enum.counts,
+                                 enum.trans)]
+    for a in (enum.states, enum.onehot, enum.counts, enum.trans, enum.flat):
+        with pytest.raises(ValueError):
+            a.flat[0] = 7
+    again = enumerate_states(4, 2)
+    for a, b in zip((again.states, again.onehot, again.counts, again.trans),
+                    before):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("text, budget", [
     (b"MemTotal:  8000 kB\nMemAvailable:    2048 kB\n", 2 ** 20),
     (b"MemTotal:  8000 kB\n", 2 ** 32),
