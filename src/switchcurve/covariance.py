@@ -37,11 +37,10 @@ lower.  Dense factorizations are numpy's (Cholesky for ``unrestricted``).
 import numpy as np
 
 from .errors import NonPositiveSigma, NotSPD
-from .latent import newton_search
+from .latent import MASS_EPS, newton_search
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-_MASS_EPS = 1e-12     # posterior mass below this means an empty state
 # The log-density table expands the quadratic form (y - f)'V^{-1}(y - f)
 # into y'V^{-1}y - 2 y'V^{-1}f + f'V^{-1}f, whose rounding is about
 # cond(C) * eps relative to the form, C the correlation matrix of V (a
@@ -388,25 +387,18 @@ def _profiled_nonhomog(d, n, N, stats):
 # ---------------------------------------------------------------------------
 
 def update_state_diag(marginals, y, F, prev_sigma2):
-    """Per-state variances; empty states keep their previous value.
-
-    Returns (sigma2 array, flags).
-    """
+    """Per-state variances; a state without posterior mass (under
+    ``latent.MASS_EPS``) keeps its previous value."""
     r2 = (y[:, :, None] - F.T[None, :, :]) ** 2
     num = np.einsum("kij,kij->j", marginals, r2)
     den = marginals.sum(axis=(0, 1))
     sigma2 = np.array(prev_sigma2, dtype=float, copy=True)
-    flags = []
-    for j in range(sigma2.size):
-        if den[j] < _MASS_EPS:
-            flags.append(f"empty_state_{j + 1}")
-            continue
-        val = num[j] / den[j]
-        if val <= 0:
+    for j in np.flatnonzero(den >= MASS_EPS):
+        sigma2[j] = num[j] / den[j]
+        if sigma2[j] <= 0:
             raise NonPositiveSigma(
-                f"state {j + 1} variance update gave {val!r}")
-        sigma2[j] = val
-    return sigma2, flags
+                f"state {j + 1} variance update gave {sigma2[j]!r}")
+    return sigma2
 
 
 def update_iso(marginals, y, F):

@@ -21,8 +21,8 @@ so every lambda costs O(K) per replicate on top of two batched
 eigendecompositions.  A left-out system that is rank-deficient somewhere
 on the grid (eigenvalues at or below K * eps times the largest) cannot be
 whitened at lo; such replicates are solved per lambda by a symmetric
-eigendecomposition and get the minimum-norm solution where rank-deficient,
-as a least-squares refit would.
+eigendecomposition (``em.min_norm_solve``) and get the minimum-norm
+solution where rank-deficient, as a least-squares refit would.
 """
 
 from dataclasses import dataclass
@@ -38,20 +38,6 @@ from .datamodel import (DEFAULT_GRID, DEFAULT_MAX_ITER,  # noqa: F401
 from .errors import SpecMismatch
 
 _EPS = np.finfo(float).eps
-
-
-def _min_norm_solve(M, rhs):
-    """Minimum-norm solutions of a stack of symmetric systems (N, K, K),
-    dropping eigenvalues at or below K * eps times the largest, as
-    ``lstsq(rcond=None)`` does; also returns how many were rank-deficient.
-    """
-    ev, V = np.linalg.eigh(M)
-    cut = M.shape[-1] * _EPS * np.abs(ev).max(axis=1, keepdims=True)
-    full = np.abs(ev) > cut
-    inv_ev = np.divide(1.0, ev, out=np.zeros_like(ev), where=full)
-    coef = inv_ev * np.einsum("kab,ka->kb", V, rhs)
-    return (np.einsum("kab,kb->ka", V, coef),
-            int(np.sum(~full.all(axis=1))))
 
 
 def cv_score(B, R, lam, y, weights):
@@ -99,9 +85,10 @@ def cv_score(B, R, lam, y, weights):
     if slow.any():
         for g, lam_g in enumerate(grid):
             M_g, _ = em_mod.diagonal_normal_system(B, R, lam_g, weights, y)
-            coef, deficient = _min_norm_solve(M_g - own[slow], rhs_loo[slow])
+            coef, _, kept = em_mod.min_norm_solve(M_g - own[slow],
+                                                  rhs_loo[slow])
             fits[slow, :, g] = coef @ B.T
-            n_fallback += deficient
+            n_fallback += int(np.sum(~kept.all(axis=1)))
 
     r = y[:, :, None] - fits
     scores = np.einsum("kn,kng->g", weights, r * r)
@@ -123,7 +110,7 @@ class CVResult:
 
 def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
                    tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                   init="quantile-split", compute_se=True):
+                   init="quantile-split"):
     """Iterate ECM fits and frozen-weight grid searches to a fixed point.
 
     The picks, one grid index per state, start at the grid's middle index.
@@ -148,7 +135,7 @@ def select_lambdas(dataset, latent_spec, cov_spec, config=None, K=None,
     def fit_at(picks):
         return em_mod.ecm_fit(
             dataset, latent_spec, cov_spec, lambdas=grid[picks], K=K,
-            tol=tol, max_iter=max_iter, init=init, compute_se=compute_se)
+            tol=tol, max_iter=max_iter, init=init)
 
     picks = np.full(J, grid.size // 2)
     history = [(picks, None)]       # (picks, scores) after each step

@@ -643,6 +643,12 @@ def report_to_dict(report, latent_kind, cov_kind):
     return doc
 
 
+def _checked(value, name, what, ok):
+    if not ok(value):
+        raise SpecMismatch(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def report_from_dict(doc):
     """Parse a fit-report JSON document.
 
@@ -660,16 +666,23 @@ def report_from_dict(doc):
             theta = theta_from_dict(doc["theta"], latent_spec, cov_spec)
         except BadInit as exc:
             raise SpecMismatch(str(exc)) from None
-        x = np.asarray(doc["x"], dtype=float)
+        x = _numbers(doc["x"], "x")
         report = FitReport(
-            theta=theta, knots=np.asarray(doc["knots"], dtype=float), x=x,
-            curves=np.asarray(doc["curves"], dtype=float),
+            theta=theta, knots=_numbers(doc["knots"], "knots"), x=x,
+            curves=_numbers(doc["curves"], "curves"),
             posteriors=np.empty((0, x.size, theta.J)),
-            loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
-            iterations=int(doc["iterations"]),
-            converged=bool(doc["converged"]),
-            std_errors=doc.get("std_errors"),
-            warnings=list(doc.get("warnings", [])))
+            loglik_trace=_numbers(doc["loglik_trace"], "loglik_trace"),
+            iterations=_config_int(doc["iterations"], "iterations"),
+            converged=_checked(doc["converged"], "converged", "a bool",
+                               lambda v: isinstance(v, bool)),
+            std_errors=_checked(
+                doc["std_errors"], "std_errors", "null or named numbers",
+                lambda v: v is None or isinstance(v, dict) and _numbers(
+                    list(v.values()), "std_errors").ndim == 1),
+            warnings=_checked(
+                doc["warnings"], "warnings", "a list of strings",
+                lambda v: isinstance(v, list)
+                and all(isinstance(w, str) for w in v)))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecMismatch(f"malformed fit document: {exc!r}") from None
     return report, latent_spec, cov_spec

@@ -22,9 +22,12 @@ system (the weighted co-occupancy projected on the stacked basis), the
 covariance M-steps (the residual second-moment matrix) and the Louis
 information are products of those moments, never loops over state
 vectors.
+
+A state without posterior mass leaves lambda R alone in its block of the
+coefficient system; that singular system gets its minimum-norm solution,
+an exact conditional maximizer, and the report flags the state.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +61,7 @@ from .errors import (
     SingularSystem,
 )
 
-log = logging.getLogger(__name__)
-
-_RIDGE_SCALE = 1e-10
+_EPS = np.finfo(float).eps
 _ASCENT_RTOL = 1e-8
 _ALPHA_FLOOR = 0.05
 _TIE_TOL = 1e-12
@@ -159,24 +160,30 @@ def penalty_value(theta, R):
 # ---------------------------------------------------------------------------
 
 def _solve_spd(A, b, what):
-    """Cholesky solve with a trace-scaled ridge retry."""
+    """A^{-1} b by Cholesky; the minimum-norm solution for a singular A,
+    ``SingularSystem`` for an indefinite one, ValueError for a NaN or inf."""
     try:
-        return _cholesky_solve(A, b)
+        L = np.linalg.cholesky(np.asarray_chkfinite(A))
+        return np.linalg.solve(L.T, np.linalg.solve(L, b))
     except np.linalg.LinAlgError:
-        ridge = _RIDGE_SCALE * np.trace(A) / A.shape[0]
-        log.warning("%s: singular normal matrix, retrying with ridge %.3e",
-                    what, ridge)
-        try:
-            return _cholesky_solve(A + ridge * np.eye(A.shape[0]), b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"{what}: {exc}") from None
+        x, ev, kept = min_norm_solve(A[None], b[None])
+    if np.any(ev[kept] < 0):
+        raise SingularSystem(
+            f"{what}: normal matrix is indefinite, eigenvalue {ev.min():.3e}")
+    return x[0]
 
 
-def _cholesky_solve(A, b):
-    """A^{-1} b through A = L L'; LinAlgError unless A is positive
-    definite, ValueError if A holds a NaN or an infinity."""
-    L = np.linalg.cholesky(np.asarray_chkfinite(A))
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+def min_norm_solve(M, rhs):
+    """Minimum-norm solutions of a stack of symmetric systems (N, K, K),
+    dropping eigenvalues at or below K * eps times the largest, as
+    ``lstsq(rcond=None)`` does; returns them with the (N, K) eigenvalues
+    and the mask of those kept."""
+    ev, V = np.linalg.eigh(M)
+    cut = M.shape[-1] * _EPS * np.abs(ev).max(axis=1, keepdims=True)
+    kept = np.abs(ev) > cut
+    inv_ev = np.divide(1.0, ev, out=np.zeros_like(ev), where=kept)
+    coef = inv_ev * np.einsum("kab,ka->kb", V, rhs)
+    return np.einsum("kab,kb->ka", V, coef), ev, kept
 
 
 def diagonal_normal_system(B, R, lam, weights, y):
@@ -255,22 +262,20 @@ def update_f_general(B, R, lambdas, cov, moments):
 
 def _update_cov(cov_spec, theta, step, y, F_new):
     kind = cov_spec.kind
-    flags = []
     if kind == "iso_diag":
         return IsoDiagParams(
-            sigma2=cov_mod.update_iso(step.marginals, y, F_new)), flags
+            sigma2=cov_mod.update_iso(step.marginals, y, F_new))
     if kind == "state_diag":
-        s2, flags = cov_mod.update_state_diag(
-            step.marginals, y, F_new, theta.cov.sigma2)
-        return StateDiagParams(sigma2=s2), flags
+        return StateDiagParams(sigma2=cov_mod.update_state_diag(
+            step.marginals, y, F_new, theta.cov.sigma2))
     if kind == "unrestricted":
         return UnrestrictedParams(
-            V=cov_mod.update_unrestricted(step.moments, F_new)), flags
+            V=cov_mod.update_unrestricted(step.moments, F_new))
     if kind == "homog_ri":
         s2, d = cov_mod.update_homog_ri(step.moments, F_new)
-        return HomogRIParams(sigma2=s2, d=d), flags
+        return HomogRIParams(sigma2=s2, d=d)
     s2, d1, d2 = cov_mod.update_nonhomog_ri(step.moments, F_new, theta.cov)
-    return NonHomogRIParams(sigma2=s2, d1=d1, d2=d2), flags
+    return NonHomogRIParams(sigma2=s2, d1=d1, d2=d2)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +435,11 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
     ``init`` is either the string "quantile-split" or a supplied-theta
     dict.  Standard errors are attempted when ``compute_se`` and the model
     falls in the supported set; failures demote to report warnings rather
-    than errors.
+    than errors.  Flags are kept once each, in first-seen order: each
+    ``empty_state_j`` (mass under ``latent.MASS_EPS``), then the latent's.
     """
     validate(dataset, latent_spec, cov_spec)
-    J, n, N = latent_spec.J, dataset.n_points, dataset.n_replicates
+    J, n = latent_spec.J, dataset.n_points
     basis, B, R = spline_setup(dataset.x, K)
 
     lambdas = np.broadcast_to(
@@ -475,12 +481,13 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
             phi_new = update_f_diagonal(
                 B, R, lambdas, dataset.y, step.marginals, theta.cov.sigma2)
         F_new = phi_new @ B.T
-        cov_new, cflags = _update_cov(
-            cov_spec, theta, step, dataset.y, F_new)
+        cov_new = _update_cov(cov_spec, theta, step, dataset.y, F_new)
         alpha_new, aflags = lat_mod.update_alpha(
             latent_spec, theta.latent, step.marginals,
             transitions=step.transitions, covariates=dataset.covariates)
-        for fl in cflags + aflags:
+        empty = [f"empty_state_{j + 1}" for j, mass in enumerate(
+            np.einsum("kij->j", step.marginals)) if mass < lat_mod.MASS_EPS]
+        for fl in empty + aflags:
             if fl not in warnings:
                 warnings.append(fl)
         theta = Theta(phi=phi_new, latent=alpha_new, cov=cov_new,

@@ -71,7 +71,7 @@ class NonPositiveSigma(NumericalError):
 
 
 class SingularSystem(NumericalError):
-    """A linear system was singular beyond the ridge fallback."""
+    """An indefinite normal matrix (a singular one is solved by min-norm)."""
 
 
 class MonotonicityViolation(NumericalError):

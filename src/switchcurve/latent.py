@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateLikelihood, EnumerationTooLarge
 
-_OCCUPANCY_EPS = 1e-12
+MASS_EPS = 1e-12    # posterior mass below this counts as none
 
 # bytes of a (rows, S) float64 block (see block_rows): of the E-step's log
 # joint, or of the state vectors' rows in the reduction to moments
@@ -476,7 +476,7 @@ def update_alpha(latent_spec, prev, marginals, transitions=None,
         den = totals.sum(axis=1)
         A = np.array(prev.A, dtype=float, copy=True)
         for l in range(A.shape[0]):
-            if den[l] < _OCCUPANCY_EPS:
+            if den[l] < MASS_EPS:
                 flags.append(f"zero_occupancy_row_{l + 1}")
                 continue
             A[l] = totals[l] / den[l]

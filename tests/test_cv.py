@@ -189,7 +189,7 @@ def test_select_lambdas_finds_an_interior_minimum():
     grid = np.logspace(-6.0, 2.0, 9)
     res = select_lambdas(data, LatentSpec(kind="iid", J=1),
                          CovSpec(kind="iso_diag"),
-                         config=CVConfig(grid=grid), compute_se=False)
+                         config=CVConfig(grid=grid))
     assert res.converged
     pick = int(np.argmin(res.scores[0]))
     assert 0 < pick < grid.size - 1
@@ -198,7 +198,7 @@ def test_select_lambdas_finds_an_interior_minimum():
 
     again = select_lambdas(data, LatentSpec(kind="iid", J=1),
                            CovSpec(kind="iso_diag"),
-                           config=CVConfig(grid=grid), compute_se=False)
+                           config=CVConfig(grid=grid))
     np.testing.assert_array_equal(again.lambdas, res.lambdas)
     np.testing.assert_array_equal(again.scores, res.scores)
 
@@ -215,7 +215,7 @@ def test_select_lambdas_two_states():
     grid = np.logspace(-6.0, 1.0, 7)
     res = select_lambdas(data, LatentSpec(kind="iid", J=2),
                         CovSpec(kind="state_diag"),
-                        config=CVConfig(grid=grid), compute_se=False)
+                        config=CVConfig(grid=grid))
     assert res.converged
     assert res.lambdas.shape == (2,)
     assert all(lam in grid for lam in res.lambdas)
@@ -259,8 +259,7 @@ def test_select_lambdas_stops_a_cycle_with_the_capped_result():
 
     def select(config):
         return select_lambdas(data, LatentSpec(kind="markov", J=2),
-                              CovSpec(kind="state_diag"), config=config,
-                              compute_se=False)
+                              CovSpec(kind="state_diag"), config=config)
 
     res = select(CVConfig())
     assert not res.converged
@@ -288,7 +287,7 @@ def test_single_point_grid_is_one_fit(monkeypatch):
         x=x, y=np.sin(x)[None, :] + 0.1 * rng.standard_normal((3, 8)))
     res = select_lambdas(data, LatentSpec(kind="iid", J=1),
                          CovSpec(kind="iso_diag"),
-                         config=CVConfig(grid=[0.01]), compute_se=False)
+                         config=CVConfig(grid=[0.01]))
     assert res.n_outer == 1 == len(fits)
     assert res.converged
     np.testing.assert_array_equal(res.lambdas, [0.01])

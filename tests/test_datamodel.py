@@ -346,7 +346,7 @@ def test_theta_from_dict_rejects_malformed():
              "lambdas": [0.1]}, latent, cov_spec)
 
 
-def test_report_json_round_trip_is_bitwise():
+def report_doc():
     theta_doc = {"phi": [[0.1, 0.2, 0.3, 0.4]], "alpha": {"p": [1.0]},
                  "cov": {"sigma2": 1.0 / 3.0}, "lambdas": [1e-4]}
     latent = dm.LatentSpec(kind="iid", J=1)
@@ -359,12 +359,43 @@ def test_report_json_round_trip_is_bitwise():
         loglik_trace=np.array([-10.0, -9.0, -8.9999]),
         iterations=3, converged=True,
         std_errors={"p1": 0.01}, warnings=["not_converged"])
-    doc = dm.report_to_dict(report, "iid", "iso_diag")
-    text = dm.dumps_json(doc)
+    return dm.report_to_dict(report, "iid", "iso_diag")
+
+
+def test_report_json_round_trip_is_bitwise():
+    text = dm.dumps_json(report_doc())
     back, lat2, cov2 = dm.report_from_dict(json.loads(text))
     assert (lat2.kind, cov2.kind) == ("iid", "iso_diag")
     assert dm.dumps_json(
         dm.report_to_dict(back, lat2.kind, cov2.kind)) == text
+
+
+@pytest.mark.parametrize("key,value", [
+    ("warnings", "not_converged"),
+    ("warnings", ["not_converged", 3]),
+    ("std_errors", "abc"),
+    ("std_errors", {"p1": "0.01"}),
+    ("std_errors", {"p1": [0.01]}),
+    ("iterations", 2.7),
+    ("converged", "no"),
+    ("converged", 1),
+    ("x", ["0.0", "0.25", "0.5", "0.75", "1.0"]),
+    ("knots", [True] * 8),
+    ("curves", [["1.0"] * 5]),
+    ("loglik_trace", [-10.0, True, -8.9999]),
+])
+def test_report_from_dict_refuses_a_field_of_the_wrong_type(key, value):
+    doc = dict(report_doc(), **{key: value})
+    with pytest.raises(SpecMismatch, match=key):
+        dm.report_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["std_errors", "warnings"])
+def test_report_from_dict_refuses_a_missing_key(key):
+    doc = report_doc()
+    del doc[key]
+    with pytest.raises(SpecMismatch, match=key):
+        dm.report_from_dict(doc)
 
 
 def test_write_csv_cell_rule(tmp_path):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from switchcurve import datamodel as dm
+from switchcurve import em as em_mod
 from switchcurve import latent as lat_mod
 from switchcurve import sim
 from switchcurve.basis import basis_matrix, build_basis, penalty_matrix
@@ -42,15 +43,15 @@ from oracles import (enumerated_e_step, enumeration_joint_dense,
 LAM = 1e-4
 
 
-def test_solve_spd_retries_a_singular_matrix_with_a_ridge(caplog):
+def test_solve_spd_gives_a_singular_matrix_its_minimum_norm_solution(
+        caplog):
     # the second pivot is exactly 1 - 1 = 0
     A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
     b = np.array([1.0, 1.0, 3.0])
-    with caplog.at_level(logging.WARNING, logger="switchcurve.em"):
+    with caplog.at_level(logging.DEBUG):
         x = _solve_spd(A, b, "probe")
-    assert "probe: singular normal matrix, retrying with ridge" in caplog.text
-    ridge = 1e-10 * np.trace(A) / 3
-    np.testing.assert_allclose((A + ridge * np.eye(3)) @ x, b, atol=1e-12)
+    assert caplog.records == []
+    np.testing.assert_allclose(x, np.linalg.pinv(A) @ b, rtol=0, atol=1e-14)
     np.testing.assert_allclose(_solve_spd(A + np.eye(3), b, "probe"),
                                np.linalg.solve(A + np.eye(3), b), rtol=1e-14)
 
@@ -615,15 +616,9 @@ def test_fit_with_no_iteration_budget_evaluates_the_start():
     assert report.loglik_trace.size == 1
 
 
-@pytest.mark.parametrize("kind,flags", [
-    ("iid", ["empty_state_2"]),
-    ("markov", ["empty_state_2", "zero_occupancy_row_2"]),
-])
-def test_fit_flags_reach_the_report_once_each(kind, flags):
+def fit_emptying_state_two(latent_kind, cov_kind, cov):
     """All replicates follow one curve and state 2 starts far from it, so
-    every M-step flags the empty state (and, for Markov, its transition
-    row); each flag is kept once, in first-seen order, and the boundary
-    probability then leaves the SEs out with a warning."""
+    every E-step leaves state 2 without posterior mass."""
     x = np.linspace(0.0, 1.0, 12)
     rng = np.random.default_rng(0)
     data = MultiCurveDataset(
@@ -631,19 +626,55 @@ def test_fit_flags_reach_the_report_once_each(kind, flags):
     B = basis_matrix(build_basis(x), x)
     phi = np.vstack([np.linalg.lstsq(B, np.sin(x), rcond=None)[0],
                      np.full(B.shape[1], 50.0)])
-    alpha = (IIDParams(p=[0.99, 0.01]) if kind == "iid" else
+    alpha = (IIDParams(p=[0.99, 0.01]) if latent_kind == "iid" else
              MarkovParams(pi=[0.99, 0.01], A=[[0.99, 0.01], [0.5, 0.5]]))
-    init = theta_to_dict(Theta(phi=phi, latent=alpha,
-                               cov=StateDiagParams(sigma2=[0.01, 1e-4]),
+    init = theta_to_dict(Theta(phi=phi, latent=alpha, cov=cov,
                                lambdas=[LAM, LAM]))
-    report = ecm_fit(data, LatentSpec(kind=kind, J=2),
-                     CovSpec(kind="state_diag"), lambdas=LAM, init=init)
+    return ecm_fit(data, LatentSpec(kind=latent_kind, J=2),
+                   CovSpec(kind=cov_kind), lambdas=LAM, init=init)
+
+
+@pytest.mark.parametrize("kind,flags", [
+    ("iid", ["empty_state_2"]),
+    ("markov", ["empty_state_2", "zero_occupancy_row_2"]),
+])
+def test_fit_flags_reach_the_report_once_each(kind, flags):
+    """Every M-step flags the empty state (and, for Markov, its transition
+    row); each flag is kept once, in first-seen order, and the boundary
+    probability then leaves the SEs out with a warning."""
+    report = fit_emptying_state_two(
+        kind, "state_diag", StateDiagParams(sigma2=[0.01, 1e-4]))
     assert report.iterations == 3 and report.converged
     assert report.std_errors is None
     field = "p2" if kind == "iid" else "pi2"
     assert report.warnings == flags + [
         f"se_unavailable: BoundaryParameter: {field} = 0.0 is at the "
         "boundary; standard errors are unavailable there"]
+
+
+@pytest.mark.parametrize("kind,cov_kind,cov", [
+    ("iid", "iso_diag", IsoDiagParams(sigma2=0.01)),
+    ("iid", "state_diag", StateDiagParams(sigma2=[0.01, 1e-4])),
+    ("iid", "homog_ri", HomogRIParams(sigma2=0.01, d=0.0)),
+    ("markov", "iso_diag", IsoDiagParams(sigma2=0.01)),
+], ids=["iid-iso_diag", "iid-state_diag", "iid-homog_ri", "markov-iso_diag"])
+def test_an_empty_state_is_flagged_and_solved_by_minimum_norm(
+        caplog, kind, cov_kind, cov):
+    """On the diagonal and the enumeration route alike, an emptied state
+    is flagged once, before the latent flags, its coefficients are the
+    minimum-norm solution 0, no warning is logged and ECM ascends."""
+    with caplog.at_level(logging.WARNING, logger="switchcurve"):
+        report = fit_emptying_state_two(kind, cov_kind, cov)
+    assert [r for r in caplog.records if r.name.startswith("switchcurve")
+            ] == []
+    flags = ["empty_state_2"] + (
+        ["zero_occupancy_row_2"] if kind == "markov" else [])
+    assert report.warnings[:len(flags)] == flags
+    assert report.warnings.count("empty_state_2") == 1
+    np.testing.assert_array_equal(report.theta.phi[1], 0.0)
+    trace = report.loglik_trace
+    assert np.all(trace[1:] >= trace[:-1] - em_mod._ASCENT_RTOL
+                  * np.maximum(1.0, np.abs(trace[:-1])))
 
 
 def test_ecm_fit_refuses_negative_or_nan_lambdas():
