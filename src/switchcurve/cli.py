@@ -17,9 +17,9 @@ import numpy as np
 from . import cv as cv_mod
 from . import datamodel as dm
 from . import sim as sim_mod
-from .em import classify_marginals, e_step, ecm_fit
-from .errors import (NumericalError, SpecMismatch, SwitchCurveError,
-                     ValidationError)
+from .em import check_theta, classify_marginals, e_step, ecm_fit
+from .errors import (BadInit, NumericalError, SpecMismatch,
+                     SwitchCurveError, ValidationError)
 from .latent import enumerate_states
 
 
@@ -138,10 +138,15 @@ def _cmd_classify(args):
     dataset = dm.read_dataset_csv(args.data)
     saved, latent, cov = dm.report_from_dict(_read_json(args.fit))
     if dataset.n_points != saved.x.size or np.max(
-            np.abs(dataset.x - saved.x)) > 1e-9:
+            np.abs(dataset.x - saved.x)) > dm._X_AGREE_TOL:
         raise SpecMismatch(
             "dataset grid differs from the grid of the saved fit")
     dm.validate(dataset, latent, cov)
+    try:        # a clamped cubic basis of K functions has K + 4 knots
+        check_theta(saved.theta, latent, cov, saved.knots.size - 4,
+                    dataset, curves=saved.curves)
+    except BadInit as exc:
+        raise SpecMismatch(f"fit document: {exc}") from None
     enum = (enumerate_states(dataset.n_points, saved.theta.J)
             if not cov.diagonal else None)
     step = e_step(dataset, saved.curves, saved.theta, latent, cov,

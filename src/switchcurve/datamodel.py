@@ -469,14 +469,18 @@ def write_csv(path, header, rows):
 
 def _numbers(value, name, error=SpecMismatch):
     """``value`` as a float array if it holds only ints and floats (numpy's
-    too, at any list depth), never a bool or a string; else ``error``."""
+    too, at any list depth, in a regular array), never a bool or a string;
+    else ``error``."""
     def numeric(v):
         if isinstance(v, (list, tuple)):
             return all(map(numeric, v))
         return np.asarray(v).dtype.kind in "iuf"
-    if not numeric(value):
-        raise error(f"{name} must hold numbers only, got {value!r}")
-    return np.asarray(value, dtype=float)
+    try:
+        if numeric(value):
+            return np.asarray(value, dtype=float)
+    except ValueError:                  # ragged lists
+        pass
+    raise error(f"{name} must be numbers in a regular array, got {value!r}")
 
 
 def check_lambdas(values, name):
@@ -486,6 +490,15 @@ def check_lambdas(values, name):
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise SpecMismatch(f"{name} must be finite and non-negative")
     return values
+
+
+def state_lambdas(values, J):
+    """Smoothing parameters for J states from one number or J numbers."""
+    values = check_lambdas(values, "lambdas").ravel()
+    if values.size not in (1, J):
+        raise SpecMismatch(f"lambdas must be one number or J = {J} "
+                           f"numbers, got {values.size}")
+    return np.broadcast_to(values, (J,)).copy()
 
 
 # the smoothing-parameter grid select_lambdas searches by default
@@ -547,13 +560,7 @@ def parse_config(doc):
             raise SpecMismatch(f"lambdas must be numeric or 'cv', "
                                f"got {lambdas!r}")
     else:
-        try:
-            lambdas = np.broadcast_to(
-                check_lambdas(lambdas, "lambdas").ravel(),
-                (latent.J,)).copy()
-        except (TypeError, ValueError):
-            raise SpecMismatch(f"lambdas must be 'cv', one number or "
-                               f"J = {latent.J} numbers") from None
+        lambdas = state_lambdas(lambdas, latent.J)
     try:
         cfg = FitConfig(
             latent=latent, cov=cov, lambdas=lambdas,

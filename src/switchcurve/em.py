@@ -49,7 +49,7 @@ from .datamodel import (
     StateDiagParams,
     Theta,
     UnrestrictedParams,
-    check_lambdas,
+    state_lambdas,
     theta_from_dict,
     validate,
 )
@@ -283,23 +283,25 @@ def _update_cov(cov_spec, theta, step, y, F_new):
 # ---------------------------------------------------------------------------
 
 def _floor_probs(w):
-    """Nonnegative weights (counts or frequencies) as probabilities, each
+    """Nonnegative weights as probabilities along the last axis, each
     weight first raised to ``_ALPHA_FLOOR`` of their total."""
     w = np.asarray(w, dtype=float)
-    p = np.maximum(w, _ALPHA_FLOOR * w.sum())
-    return p / p.sum()
+    p = np.maximum(w, _ALPHA_FLOOR * w.sum(axis=-1, keepdims=True))
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
                init="quantile-split"):
     """Starting parameters.
 
-    The default "quantile-split" strategy fits one pooled penalized spline,
-    banks points into J bands by residual quantile (lowest band = state 1),
-    fits per-state splines to the banded points, and reads empirical state
-    frequencies (floored at 0.05) and residual moments off the assignment.
+    The default "quantile-split" strategy bands points into J states by
+    residual quantile from one pooled penalized spline (lowest band =
+    state 1).  On the split's one-hot posteriors the ECM's coefficient
+    update gives the curves (the pooled one for a state of under 4
+    points), their floored sums the state probabilities, and the latent
+    M-step beta; residual moments give the covariance.
 
-    A supplied-theta dict (see datamodel.theta_from_dict) is validated and
+    A supplied-theta dict (see datamodel.theta_from_dict) is checked and
     used as-is, except that ``lambdas`` always sets the smoothing
     parameters: a ``lambdas`` key in the dict (a reused fit.json has one)
     is ignored.
@@ -307,57 +309,41 @@ def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
     J = latent_spec.J
     y = dataset.y
     N, n = y.shape
-    K = B.shape[1]
 
     if isinstance(init, dict):
         theta = theta_from_dict(dict(init, lambdas=lambdas), latent_spec,
                                 cov_spec)
-        _check_supplied(theta, latent_spec, cov_spec, J, K, n,
-                        dataset.n_covariates)
+        check_theta(theta, latent_spec, cov_spec, B.shape[1], dataset)
         return theta
 
     lam_bar = float(np.mean(lambdas))
-    ones = np.ones((N, n))
-    M, rhs = diagonal_normal_system(B, R, lam_bar, ones, y)
+    M, rhs = diagonal_normal_system(B, R, lam_bar, np.ones((N, n)), y)
     pooled = _solve_spd(M, rhs, "pooled initial fit")
     resid = y - (B @ pooled)[None, :]
+    # no edges at J = 1: every point in state 0
+    edges = np.quantile(resid, np.arange(1, J) / J)
+    assign = np.searchsorted(edges, resid, side="left")
+    hard = (assign[:, :, None] == np.arange(J)).astype(float)
+    counts = np.einsum("kij->j", hard)
 
-    if J == 1:
-        assign = np.zeros((N, n), dtype=int)
-    else:
-        edges = np.quantile(resid, np.arange(1, J) / J)
-        assign = np.searchsorted(edges, resid, side="left")
-
-    phi = np.empty((J, K))
-    for j in range(J):
-        w = (assign == j).astype(float)
-        if w.sum() < 4:
-            phi[j] = pooled
-            continue
-        M, rhs = diagonal_normal_system(B, R, lambdas[j], w, y)
-        phi[j] = _solve_spd(M, rhs, f"initial fit, state {j + 1}")
+    phi = update_f_diagonal(B, R, lambdas, y, hard, 1.0)
+    phi[counts < 4] = pooled                # too few points for a spline
     F0 = phi @ B.T
 
     r = y - F0[assign, np.arange(n)[None, :]]
     if latent_spec.kind == "iid":
-        freq = np.bincount(assign.ravel(), minlength=J) / (N * n)
-        alpha = IIDParams(p=_floor_probs(freq))
+        alpha = IIDParams(p=_floor_probs(counts / (N * n)))
     elif latent_spec.kind == "markov":
-        pi = np.bincount(assign[:, 0], minlength=J) / N
-        A = np.zeros((J, J))
-        for l in range(J):
-            for j in range(J):
-                A[l, j] = np.sum((assign[:, :-1] == l)
-                                 & (assign[:, 1:] == j))
-            A[l] = _floor_probs(A[l] if A[l].sum() > 0 else np.ones(J))
-        alpha = MarkovParams(pi=_floor_probs(pi), A=A)
+        trans = np.einsum("kil,kij->lj", hard[:, :-1], hard[:, 1:])
+        trans[trans.sum(axis=1) == 0] = 1.0       # no move seen: uniform
+        alpha = MarkovParams(pi=_floor_probs(hard[:, 0].sum(axis=0) / N),
+                             A=_floor_probs(trans))
     else:
-        hard = np.zeros((N, n, J))
-        np.put_along_axis(hard, assign[:, :, None], 1.0, axis=2)
         soft = _ALPHA_FLOOR / J + (1 - _ALPHA_FLOOR) * hard
         beta0 = np.zeros((J - 1, dataset.n_covariates + 1))
-        beta, _ = lat_mod._newton_beta(soft, dataset.covariates, beta0)
-        alpha = CovariateParams(beta=beta)
+        alpha, _ = lat_mod.update_alpha(
+            latent_spec, CovariateParams(beta=beta0), soft,
+            covariates=dataset.covariates)
 
     kind = cov_spec.kind
     if kind == "iso_diag":
@@ -385,13 +371,20 @@ def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
         lambdas, dtype=float))
 
 
-def _check_supplied(theta, latent_spec, cov_spec, J, K, n, M):
+def check_theta(theta, latent_spec, cov_spec, K, dataset, curves=None):
+    """``BadInit`` unless theta (and ``curves``, if given) from outside a
+    fit is finite and fits K basis functions and ``dataset``."""
+    J, n, M = latent_spec.J, dataset.n_points, dataset.n_covariates
     supplied = {"phi": theta.phi, **vars(theta.latent), **vars(theta.cov)}
+    if curves is not None:
+        supplied["curves"] = curves
     for name, value in supplied.items():
         if not np.all(np.isfinite(value)):
             raise BadInit(f"{name} must be finite")
     if theta.phi.shape != (J, K):
         raise BadInit(f"phi shape {theta.phi.shape}, expected {(J, K)}")
+    if curves is not None and curves.shape != (J, n):
+        raise BadInit(f"curves shape {curves.shape}, expected {(J, n)}")
     al = theta.latent
     if latent_spec.kind == "iid":
         if al.p.shape != (J,) or np.any(al.p < 0) \
@@ -429,21 +422,19 @@ def _check_supplied(theta, latent_spec, cov_spec, J, K, n, M):
 
 def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
             tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-            init="quantile-split", compute_se=True):
+            init="quantile-split"):
     """Run the penalized ECM to convergence and assemble a FitReport.
 
     ``init`` is either the string "quantile-split" or a supplied-theta
-    dict.  Standard errors are attempted when ``compute_se`` and the model
-    falls in the supported set; failures demote to report warnings rather
-    than errors.  Flags are kept once each, in first-seen order: each
+    dict.  Standard errors are attempted at J >= 2, and a failure is a
+    report warning.  Flags are kept once each, in first-seen order: each
     ``empty_state_j`` (mass under ``latent.MASS_EPS``), then the latent's.
     """
     validate(dataset, latent_spec, cov_spec)
     J, n = latent_spec.J, dataset.n_points
     basis, B, R = spline_setup(dataset.x, K)
 
-    lambdas = np.broadcast_to(
-        check_lambdas(lambdas, "lambdas").ravel(), (J,)).copy()
+    lambdas = state_lambdas(lambdas, J)
     use_enum = not cov_spec.diagonal
     enum = lat_mod.enumerate_states(n, J) if use_enum else None
     theta = initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
@@ -501,7 +492,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
         loglik_trace=np.asarray(trace), iterations=iterations,
         converged=converged, warnings=warnings)
 
-    if compute_se and J >= 2:
+    if J >= 2:
         try:
             report.std_errors = inference.standard_errors_for_fit(
                 dataset, latent_spec, cov_spec, theta, step)

@@ -482,19 +482,13 @@ def update_alpha(latent_spec, prev, marginals, transitions=None,
             A[l] = totals[l] / den[l]
         return MarkovParams(pi=pi, A=A), flags
 
-    beta, newton_flags = _newton_beta(marginals, covariates, prev.beta)
-    return CovariateParams(beta=beta), flags + newton_flags
-
-
-def _newton_beta(marginals, covariates, beta0):
-    """The multinomial-logistic alpha M-step: ``newton_search`` on
-    f = -sum Q log p over all (k, i) points pooled, Q the marginal
-    posteriors, from ``beta0``.  Returns ``(beta, flags)``."""
+    # the multinomial logit: f = -sum Q log p over all (k, i) points
+    # pooled, Q the marginal posteriors
     N, n, J = marginals.shape
     X = np.concatenate(
         [np.ones((N * n, 1)), covariates.reshape(N * n, -1)], axis=1)
     Q = marginals.reshape(N * n, J)
-    shape = np.shape(beta0)
+    shape = np.shape(prev.beta)
 
     def fgh(b):
         lp = log_state_probs(b.reshape(shape), X[:, 1:])
@@ -502,8 +496,9 @@ def _newton_beta(marginals, covariates, beta0):
         g = X.T @ (mu - Q[:, 1:])                       # (M+1, J-1)
         return -float(np.sum(Q * lp)), g.T.ravel(), logit_curvature(X, mu)
 
-    beta, ok = newton_search(fgh, np.ravel(beta0), N * n)
-    return beta.reshape(shape), [] if ok else ["newton_diverged"]
+    beta, ok = newton_search(fgh, np.ravel(prev.beta), N * n)
+    return (CovariateParams(beta=beta.reshape(shape)),
+            [] if ok else ["newton_diverged"])
 
 
 def newton_search(fgh, x, scale, bounded=False):

@@ -21,6 +21,10 @@ taken last.  ``joint_posterior_scattered`` runs the package's
 to all S columns.  ``gather_curves_fancy`` is the two-array fancy index
 that ``gather_curves`` replaced with one flat ``np.take``; the package
 itself gathers the curves point by point into its GEMM factor.
+``quantile_split_loop`` is the quantile-split start as it was before it
+ran the ECM's own coefficient update on the split's one-hot posteriors:
+one normal-system solve per state, bincounts, and a loop over the J**2
+transition pairs.
 
 The ``*_dense`` consumers are the structured M-steps, the joint normal
 system and the Louis information as they were before the E-step handed
@@ -38,9 +42,15 @@ from scipy.interpolate import BSpline
 from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
+from switchcurve import em as em_mod
+from switchcurve import latent as lat_mod
 from switchcurve.covariance import (LOG_2PI, make_structure,
                                     nonhomog_expected_term,
                                     nonhomog_sufficient_stats)
+from switchcurve.datamodel import (CovariateParams, HomogRIParams,
+                                   IIDParams, IsoDiagParams, MarkovParams,
+                                   NonHomogRIParams, StateDiagParams, Theta,
+                                   UnrestrictedParams)
 from switchcurve.em import EStep
 from switchcurve.errors import DegenerateLikelihood, NonPositiveSigma
 from switchcurve.latent import (joint_posterior, log_prior_table,
@@ -531,3 +541,89 @@ def louis_information_dense(P, enum, latent_spec, params, covariates=None):
     T1 = block_diag(*[np.einsum("s,sab->ab", w, c) for _, c in terms])
     gbar = P @ G
     return T1 - (score_second_moment_einsum(P, G) - gbar.T @ gbar), labels
+
+
+def quantile_split_loop(dataset, latent_spec, cov_spec, B, R, lambdas):
+    """The quantile-split start in loop form: a pooled penalized spline,
+    points banked into J bands by residual quantile, then one spline per
+    band (the pooled one for a band of fewer than 4 points), counted
+    frequencies and transitions floored at 0.05 of their total, the
+    multinomial-logit fit to the floored split, and residual moments."""
+    floor = em_mod._ALPHA_FLOOR
+
+    def floor_probs(w):
+        w = np.asarray(w, dtype=float)
+        p = np.maximum(w, floor * w.sum())
+        return p / p.sum()
+
+    J = latent_spec.J
+    y = dataset.y
+    N, n = y.shape
+    K = B.shape[1]
+    lam_bar = float(np.mean(lambdas))
+    M, rhs = em_mod.diagonal_normal_system(B, R, lam_bar, np.ones((N, n)), y)
+    pooled = em_mod._solve_spd(M, rhs, "pooled initial fit")
+    resid = y - (B @ pooled)[None, :]
+
+    if J == 1:
+        assign = np.zeros((N, n), dtype=int)
+    else:
+        edges = np.quantile(resid, np.arange(1, J) / J)
+        assign = np.searchsorted(edges, resid, side="left")
+
+    phi = np.empty((J, K))
+    for j in range(J):
+        w = (assign == j).astype(float)
+        if w.sum() < 4:
+            phi[j] = pooled
+            continue
+        M, rhs = em_mod.diagonal_normal_system(B, R, lambdas[j], w, y)
+        phi[j] = em_mod._solve_spd(M, rhs, f"initial fit, state {j + 1}")
+    F0 = phi @ B.T
+
+    r = y - F0[assign, np.arange(n)[None, :]]
+    if latent_spec.kind == "iid":
+        freq = np.bincount(assign.ravel(), minlength=J) / (N * n)
+        alpha = IIDParams(p=floor_probs(freq))
+    elif latent_spec.kind == "markov":
+        pi = np.bincount(assign[:, 0], minlength=J) / N
+        A = np.zeros((J, J))
+        for l in range(J):
+            for j in range(J):
+                A[l, j] = np.sum((assign[:, :-1] == l)
+                                 & (assign[:, 1:] == j))
+            A[l] = floor_probs(A[l] if A[l].sum() > 0 else np.ones(J))
+        alpha = MarkovParams(pi=floor_probs(pi), A=A)
+    else:
+        hard = np.zeros((N, n, J))
+        np.put_along_axis(hard, assign[:, :, None], 1.0, axis=2)
+        soft = floor / J + (1 - floor) * hard
+        beta0 = np.zeros((J - 1, dataset.n_covariates + 1))
+        alpha, _ = lat_mod.update_alpha(
+            latent_spec, CovariateParams(beta=beta0), soft,
+            covariates=dataset.covariates)
+
+    kind = cov_spec.kind
+    if kind == "iso_diag":
+        cov = IsoDiagParams(sigma2=max(float(np.mean(r ** 2)), 1e-12))
+    elif kind == "state_diag":
+        s2 = np.empty(J)
+        for j in range(J):
+            mask = assign == j
+            s2[j] = np.mean(r[mask] ** 2) if mask.any() else np.mean(r ** 2)
+        cov = StateDiagParams(sigma2=np.maximum(s2, 1e-12))
+    elif kind == "unrestricted":
+        C = (r.T @ r) / N
+        cov = UnrestrictedParams(
+            V=C + (0.05 * np.trace(C) / n + 1e-10) * np.eye(n))
+    else:
+        mk = r.mean(axis=1)
+        within = max(float(np.mean((r - mk[:, None]) ** 2)), 1e-12)
+        between = float(np.var(mk))
+        d = max(between - within / n, 0.0) / within
+        if kind == "homog_ri":
+            cov = HomogRIParams(sigma2=within, d=d)
+        else:
+            cov = NonHomogRIParams(sigma2=within, d1=d, d2=max(d, 1e-2))
+    return Theta(phi=phi, latent=alpha, cov=cov, lambdas=np.asarray(
+        lambdas, dtype=float))

@@ -110,7 +110,7 @@ def test_01_monotone_ascent_for_every_model_pair():
     failures = []
     for lat, cov in itertools.product(LATENT_KINDS, COV_KINDS):
         report = ecm_fit(data, LatentSpec(kind=lat, J=J), CovSpec(kind=cov),
-                         lambdas=1e-3, K=5, max_iter=80, compute_se=False)
+                         lambdas=1e-3, K=5, max_iter=80)
         trace = np.asarray(report.loglik_trace)
         diffs = np.diff(trace)
         floor = -1e-8 * np.maximum(1.0, np.abs(trace[:-1]))
@@ -430,9 +430,9 @@ def test_10_usage_lookalike_explained_by_variance_or_intercept():
     data = usage_lookalike(0)
     lat = LatentSpec(kind="iid", J=2)
     rep_sd = ecm_fit(data, lat, CovSpec(kind="state_diag"),
-                     lambdas=1e-4, compute_se=False)
+                     lambdas=1e-4)
     rep_ri = ecm_fit(data, lat, CovSpec(kind="nonhomog_ri"),
-                     lambdas=1e-4, compute_se=False)
+                     lambdas=1e-4)
 
     failures = []
     s2 = rep_sd.theta.cov.sigma2

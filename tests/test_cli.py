@@ -174,7 +174,9 @@ def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
     theta = dm.Theta(phi=np.zeros((2, K)), latent=dm.IIDParams(p=[0.5, 0.5]),
                      cov=dm.HomogRIParams(sigma2=1.0, d=0.5),
                      lambdas=[1e-4, 1e-4])
-    report = dm.FitReport(theta=theta, knots=np.linspace(0.0, 1.0, K - 2),
+    # the clamped cubic knots of K = 5 functions: one interior knot
+    knots = np.r_[np.zeros(4), 0.5, np.ones(4)]
+    report = dm.FitReport(theta=theta, knots=knots,
                           x=x, curves=np.zeros((2, n)),
                           posteriors=np.empty((0, n, 2)),
                           loglik_trace=np.array([-1.0]), iterations=1,
@@ -353,6 +355,65 @@ def test_classify_refuses_a_fit_with_a_numeric_string(tmp_path):
     assert rc == 2
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "SpecMismatch" and "sigma2" in err["message"]
+
+
+@pytest.fixture(scope="module")
+def covariate_fit(tmp_path_factory):
+    """A stock design 3 dataset (one covariate) and its covariate x
+    iso_diag fit.json document."""
+    tmp = tmp_path_factory.mktemp("design3")
+    assert main(["simulate", "--design", "3", "--seed", "1", "--N", "20",
+                 "--out", str(tmp / "sim")]) == 0
+    config = write_config(tmp / "config.json",
+                          latent={"kind": "covariate", "J": 2},
+                          covariance={"kind": "iso_diag"})
+    data = str(tmp / "sim" / "data.csv")
+    assert main(["fit", "--data", data, "--config", config,
+                 "--out", str(tmp / "fit")]) == 0
+    return data, json.loads((tmp / "fit" / "fit.json").read_text())
+
+
+def _write_fit(tmp_path, doc):
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _nan_in_curves(doc):
+    doc["curves"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda doc: doc.update(curves=doc["curves"][:1]), "curves"),
+    (lambda doc: doc["theta"]["alpha"].update(
+        beta=[row + [0.0] for row in doc["theta"]["alpha"]["beta"]]),
+     "beta"),
+    (lambda doc: doc.update(curves=doc["curves"] + doc["curves"][:1]),
+     "curves"),
+    (lambda doc: doc.update(curves=[row[:-1] for row in doc["curves"]]),
+     "curves"),
+    (_nan_in_curves, "curves"),
+], ids=["one-curve", "beta-three-columns", "three-curves",
+        "curves-a-point-short", "nan-in-curves"])
+def test_classify_refuses_an_inconsistent_fit_document(tmp_path,
+                                                       covariate_fit, edit,
+                                                       field):
+    """A saved theta and its curves pass the check a supplied start does,
+    at the dataset's grid and covariates: each fault exits 2 with a
+    SpecMismatch that names the field, and writes nothing else."""
+    data, doc = covariate_fit
+    out = tmp_path / "out"
+    assert main(["classify", "--data", data, "--fit", _write_fit(
+        tmp_path, doc), "--out", str(out)]) == 0
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    out = tmp_path / "bad"
+    rc = main(["classify", "--data", data,
+               "--fit", _write_fit(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "SpecMismatch" and field in err["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
 def test_numerical_failure_exits_with_code_three(tmp_path):

@@ -591,7 +591,7 @@ def test_update_nonhomog_is_continuous_in_the_posterior(monkeypatch):
     design = sim.SimDesign(kind="markov", N=100, x=np.linspace(1, 100, 8))
     data = sim.generate_dataset(design, 39)[0]
     ecm_fit(data, LatentSpec(kind="markov", J=2),
-            CovSpec(kind="nonhomog_ri"), lambdas=1e-4, compute_se=False)
+            CovSpec(kind="nonhomog_ri"), lambdas=1e-4)
     assert len(calls) >= 3
     for moments, F, prev in calls:
         base = update_nonhomog_ri(moments, F, prev)

@@ -207,6 +207,10 @@ def test_parse_config_rejects_bad_values():
         dm.parse_config({**base, "lambdas": -1.0})
     with pytest.raises(SpecMismatch):
         dm.parse_config({**base, "lambdas": "grid"})
+    with pytest.raises(SpecMismatch, match="one number or J = 2 numbers"):
+        dm.parse_config({**base, "lambdas": [1.0, 2.0, 3.0]})
+    with pytest.raises(SpecMismatch, match="lambdas"):
+        dm.parse_config({**base, "lambdas": [[1.0], [2.0, 3.0]]})
     with pytest.raises(SpecMismatch):
         dm.parse_config({**base, "init": "random"})
     with pytest.raises(SpecMismatch):

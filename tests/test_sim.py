@@ -327,7 +327,7 @@ def test_truth_start_and_fits_on_one_grid_build_its_basis_once(monkeypatch):
     data, _ = generate_dataset(d, seed=[0, 0])
     fit_design(d, data)                 # one truth start, one ecm_fit
     ecm_fit(data, d.latent_spec, d.cov_spec, lambdas=np.asarray(d.lambdas),
-            K=d.K, compute_se=False)
+            K=d.K)
     assert len(calls) == 1
 
 
