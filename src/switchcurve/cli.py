@@ -17,10 +17,9 @@ import numpy as np
 from . import cv as cv_mod
 from . import datamodel as dm
 from . import sim as sim_mod
-from .em import check_theta, classify_marginals, e_step, ecm_fit
+from .em import classify_marginals, ecm_fit
 from .errors import (BadInit, NumericalError, SpecMismatch,
                      SwitchCurveError, ValidationError)
-from .latent import enumerate_states
 
 
 def main(argv=None):
@@ -111,27 +110,23 @@ def _load_inputs(args):
 def _cmd_fit(args):
     dataset, cfg = _load_inputs(args)
     if isinstance(cfg.lambdas, str):
-        result = _run_cv(dataset, cfg)
-        _write_cv(args.out, result)
-        report = result.fit
-    else:
-        report = ecm_fit(
-            dataset, cfg.latent, cfg.cov, lambdas=cfg.lambdas, K=cfg.K,
-            tol=cfg.tol, max_iter=cfg.max_iter, init=cfg.init)
+        return _fit_by_cv(args.out, dataset, cfg)
+    report = ecm_fit(
+        dataset, cfg.latent, cfg.cov, lambdas=cfg.lambdas, K=cfg.K,
+        tol=cfg.tol, max_iter=cfg.max_iter, init=cfg.init)
     _write_fit_outputs(args.out, report, cfg)
 
 
 def _cmd_cv(args):
-    dataset, cfg = _load_inputs(args)
-    result = _run_cv(dataset, cfg)
-    _write_cv(args.out, result)
-    _write_fit_outputs(args.out, result.fit, cfg)
+    _fit_by_cv(args.out, *_load_inputs(args))
 
 
-def _run_cv(dataset, cfg):
-    return cv_mod.select_lambdas(
+def _fit_by_cv(out, dataset, cfg):
+    result = cv_mod.select_lambdas(
         dataset, cfg.latent, cfg.cov, config=cfg.cv, K=cfg.K, tol=cfg.tol,
         max_iter=cfg.max_iter, init=cfg.init)
+    _write_cv(out, result)
+    _write_fit_outputs(out, result.fit, cfg)
 
 
 def _cmd_classify(args):
@@ -141,18 +136,24 @@ def _cmd_classify(args):
             np.abs(dataset.x - saved.x)) > dm._X_AGREE_TOL:
         raise SpecMismatch(
             "dataset grid differs from the grid of the saved fit")
-    dm.validate(dataset, latent, cov)
     try:        # a clamped cubic basis of K functions has K + 4 knots
-        check_theta(saved.theta, latent, cov, saved.knots.size - 4,
-                    dataset, curves=saved.curves)
+        report = ecm_fit(dataset, latent, cov, lambdas=saved.theta.lambdas,
+                         K=saved.knots.size - 4, max_iter=0,
+                         init=dm.theta_to_dict(saved.theta))
     except BadInit as exc:
         raise SpecMismatch(f"fit document: {exc}") from None
-    enum = (enumerate_states(dataset.n_points, saved.theta.J)
-            if not cov.diagonal else None)
-    step = e_step(dataset, saved.curves, saved.theta, latent, cov,
-                  enum=enum)
-    _write_posteriors(args.out, step.marginals)
-    _write_classified(args.out, step.marginals)
+    # the saved curves are the fit's phi on the fit's grid: on one within
+    # the grid tolerance they move by about the slope (a chord, with a
+    # margin) times it, and otherwise differ by rounding
+    F = report.curves
+    tol = 1e-12 * np.abs(report.theta.phi).max() + 4.0 * dm._X_AGREE_TOL \
+        * np.abs(np.diff(F) / np.diff(dataset.x)).max(initial=0.0)
+    if saved.curves.shape != F.shape \
+            or not np.abs(saved.curves - F).max() <= tol:     # NaN fails
+        raise SpecMismatch(
+            "fit document: curves are not its phi on the dataset grid")
+    _write_posteriors(args.out, report.posteriors)
+    _write_classified(args.out, report.posteriors)
 
 
 def _check_seed(seed):

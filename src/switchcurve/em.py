@@ -371,20 +371,16 @@ def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
         lambdas, dtype=float))
 
 
-def check_theta(theta, latent_spec, cov_spec, K, dataset, curves=None):
-    """``BadInit`` unless theta (and ``curves``, if given) from outside a
-    fit is finite and fits K basis functions and ``dataset``."""
+def check_theta(theta, latent_spec, cov_spec, K, dataset):
+    """``BadInit`` unless theta from outside a fit is finite and fits K
+    basis functions and ``dataset``."""
     J, n, M = latent_spec.J, dataset.n_points, dataset.n_covariates
     supplied = {"phi": theta.phi, **vars(theta.latent), **vars(theta.cov)}
-    if curves is not None:
-        supplied["curves"] = curves
     for name, value in supplied.items():
         if not np.all(np.isfinite(value)):
             raise BadInit(f"{name} must be finite")
     if theta.phi.shape != (J, K):
         raise BadInit(f"phi shape {theta.phi.shape}, expected {(J, K)}")
-    if curves is not None and curves.shape != (J, n):
-        raise BadInit(f"curves shape {curves.shape}, expected {(J, n)}")
     al = theta.latent
     if latent_spec.kind == "iid":
         if al.p.shape != (J,) or np.any(al.p < 0) \
@@ -426,8 +422,10 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
     """Run the penalized ECM to convergence and assemble a FitReport.
 
     ``init`` is either the string "quantile-split" or a supplied-theta
-    dict.  Standard errors are attempted at J >= 2, and a failure is a
-    report warning.  Flags are kept once each, in first-seen order: each
+    dict.  With ``max_iter=0`` a supplied theta is only evaluated: the
+    report holds its curves and the E-step at it, which ``classify`` and
+    ``sim.run_replication`` rely on.  Standard errors are attempted at
+    J >= 2, and a failure is a report warning.  Flags are kept once each, in first-seen order: each
     ``empty_state_j`` (mass under ``latent.MASS_EPS``), then the latent's.
     """
     validate(dataset, latent_spec, cov_spec)

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 import switchcurve
-from switchcurve import cli
 from switchcurve import datamodel as dm
-from switchcurve import latent
+from switchcurve import em, inference, latent
 from switchcurve.cli import main
 from switchcurve.datamodel import MultiCurveDataset
 from switchcurve.em import EStep
@@ -161,9 +160,9 @@ def test_classify_rejects_a_different_grid(tmp_path):
 def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
     """A saved fit is re-scored when its E-step fits the memory budget,
     here pinned at 3 GiB for the 1.57 GiB estimate at n = 21, and refused
-    with EnumerationTooLarge when it does not.  The enumeration and the
-    E-step are stubbed, since real ones would hold several 2**21-row
-    tables."""
+    with EnumerationTooLarge when it does not.  The enumeration, the
+    E-step and the standard errors are stubbed, since real ones would hold
+    several 2**21-row tables."""
     monkeypatch.setattr(latent, "memory_budget", lambda: 3 * 2 ** 30)
     N, n, K = 3, 21, 5
     rng = np.random.default_rng(3)
@@ -185,7 +184,7 @@ def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
     fit.write_text(dm.dumps_json(dm.report_to_dict(report, "iid",
                                                    "homog_ri")))
     calls = []
-    monkeypatch.setattr(cli, "enumerate_states",
+    monkeypatch.setattr(latent, "enumerate_states",
                         lambda n_points, J: ("enum", n_points, J))
 
     def fake_e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
@@ -193,7 +192,9 @@ def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
         return EStep(marginals=np.full((dataset.n_replicates, n, 2), 0.5),
                      loglik=np.zeros(dataset.n_replicates))
 
-    monkeypatch.setattr(cli, "e_step", fake_e_step)
+    monkeypatch.setattr(em, "e_step", fake_e_step)
+    monkeypatch.setattr(inference, "standard_errors_for_fit",
+                        lambda *args: {})
     out = tmp_path / "cls"
     rc = main(["classify", "--data", str(data), "--fit", str(fit),
                "--out", str(out)])
@@ -383,6 +384,10 @@ def _nan_in_curves(doc):
     doc["curves"][0][0] = float("nan")
 
 
+def _shift_state_2(doc):
+    doc["curves"][1] = [v + 5.0 for v in doc["curves"][1]]
+
+
 @pytest.mark.parametrize("edit,field", [
     (lambda doc: doc.update(curves=doc["curves"][:1]), "curves"),
     (lambda doc: doc["theta"]["alpha"].update(
@@ -393,13 +398,15 @@ def _nan_in_curves(doc):
     (lambda doc: doc.update(curves=[row[:-1] for row in doc["curves"]]),
      "curves"),
     (_nan_in_curves, "curves"),
+    (_shift_state_2, "curves"),
 ], ids=["one-curve", "beta-three-columns", "three-curves",
-        "curves-a-point-short", "nan-in-curves"])
+        "curves-a-point-short", "nan-in-curves", "state-2-curve-shifted"])
 def test_classify_refuses_an_inconsistent_fit_document(tmp_path,
                                                        covariate_fit, edit,
                                                        field):
-    """A saved theta and its curves pass the check a supplied start does,
-    at the dataset's grid and covariates: each fault exits 2 with a
+    """A saved theta passes the check a supplied start does, at the
+    dataset's grid and covariates, and its curves must be its phi on that
+    grid (a shifted curve is not scored): each fault exits 2 with a
     SpecMismatch that names the field, and writes nothing else."""
     data, doc = covariate_fit
     out = tmp_path / "out"
