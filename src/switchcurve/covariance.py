@@ -4,7 +4,11 @@ Five covariance kinds are supported.  ``iso_diag`` and ``state_diag`` are
 diagonal; ``unrestricted`` is a dense SPD matrix; ``homog_ri`` adds a
 shared random intercept, V = sigma2 (I + d 11'); ``nonhomog_ri`` (J = 2
 only) adds a second intercept acting on the state-2 points of each
-replicate, V_s = sigma2 (I + d1 11' + d2 u_s u_s').
+replicate, V_s = sigma2 (I + d1 11' + d2 u_s u_s').  Each is its parameter
+block's class (``COV_PARAMS`` by kind), which holds the kind's start,
+M-step, one check, V^{-1} and log det V, derived values and relabelling;
+``CovStructure`` is a checked block on n points with the log densities
+every kind shares.
 
 Structured kinds never materialize V: inverses and log-determinants use
 the Sherman-Morrison identity.  nonhomog_ri is homog_ri at d = d1 plus the
@@ -34,10 +38,13 @@ ascent guard keeps the previous parameters if the result's objective is
 lower.  Dense factorizations are numpy's (Cholesky for ``unrestricted``).
 """
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
-from .errors import NonPositiveSigma, NotSPD
-from .latent import MASS_EPS, newton_search
+from .errors import BadInit, NonPositiveSigma, NotSPD
+from .latent import MASS_EPS, _Block, newton_search
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -52,88 +59,29 @@ _COND_MAX = 1e-8 / np.finfo(float).eps
 
 
 class CovStructure:
-    """A covariance kind plus parameters, with cached decompositions."""
+    """A covariance kind's block on n points, checked once by the kind's
+    ``check``, with the log densities every kind shares."""
 
     def __init__(self, kind, params, n):
         self.kind = kind
         self.params = params
         self.n = int(n)
-        if kind in ("iso_diag", "homog_ri", "nonhomog_ri"):
-            if params.sigma2 <= 0:
-                raise NonPositiveSigma(f"sigma2 = {params.sigma2!r}")
-        if kind == "state_diag" and np.any(params.sigma2 <= 0):
-            raise NonPositiveSigma(f"sigma2 = {params.sigma2!r}")
-        if kind == "homog_ri" and 1.0 + n * params.d <= 0:
-            raise NotSPD(f"homog_ri with d = {params.d!r} is not SPD")
-        if kind == "nonhomog_ri" and (params.d1 < 0 or params.d2 < 0):
-            raise NotSPD("nonhomog_ri needs d1, d2 >= 0")
-        if kind == "unrestricted":
-            V = params.V
-            if V.shape != (self.n, self.n):
-                raise NotSPD(f"V shape {V.shape}, expected {(n, n)}")
-            if not np.allclose(V, V.T, rtol=1e-10, atol=1e-12):
-                raise NotSPD("V is not symmetric")
-            try:
-                self._chol = np.linalg.cholesky(np.asarray_chkfinite(V))
-            except np.linalg.LinAlgError as exc:
-                raise NotSPD(f"V is not positive definite: {exc}") from None
-            # the rows of L over sqrt(diag V) factor V's correlation matrix
-            sv = np.linalg.svd(self._chol / np.sqrt(np.diag(V))[:, None],
-                               compute_uv=False)
-            cond = (sv[0] / sv[-1]) ** 2
-            if not cond <= _COND_MAX:
-                raise NotSPD(
-                    f"V's correlation matrix has condition number "
-                    f"{cond:.3g}, beyond the {_COND_MAX:.3g} at which its "
-                    "log densities still resolve the ascent check")
-            self._logdet = 2.0 * np.sum(np.log(np.diag(self._chol)))
+        params.check(self.n)
 
     # -- whole-matrix views --------------------------------------------------
 
     def vinv(self):
         """Dense V^{-1}, shape (n, n); for nonhomog_ri the homog_ri inverse
         at d = d1 that every V_s^{-1} shares (see ``state_terms``)."""
-        p, n = self.params, self.n
-        if self.kind == "iso_diag":
-            return np.eye(n) / p.sigma2
-        if self.kind in ("homog_ri", "nonhomog_ri"):
-            d = self._d_shared()
-            c = d / (1.0 + n * d)
-            return (np.eye(n) - c * np.ones((n, n))) / p.sigma2
-        if self.kind == "unrestricted":
-            Li = np.linalg.solve(self._chol, np.eye(n))
-            return Li.T @ Li
-        raise ValueError(f"{self.kind} has state-dependent V")
+        return self.params.vinv(self.n)
 
     def logdet(self):
         """log det V; for nonhomog_ri the homog_ri part at d = d1."""
-        p, n = self.params, self.n
-        if self.kind == "iso_diag":
-            return n * np.log(p.sigma2)
-        if self.kind in ("homog_ri", "nonhomog_ri"):
-            return n * np.log(p.sigma2) + np.log(1.0 + n * self._d_shared())
-        if self.kind == "unrestricted":
-            return self._logdet
-        raise ValueError(f"{self.kind} has state-dependent V")
-
-    def _d_shared(self):
-        p = self.params
-        return p.d1 if self.kind == "nonhomog_ri" else p.d
+        return self.params.logdet(self.n)
 
     def state_terms(self, m):
-        """nonhomog_ri's rank-one terms for state vectors with ``m`` (array)
-        state-2 points.
-
-        With c = d1 / (1 + n d1), u~_s = u_s - c m 1 and
-        D_m = 1 + d2 m (1 - c m) >= 1, Sherman-Morrison gives
-        V_s^{-1} = vinv() - h_m u~_s u~_s' with h_m = d2 / (sigma2 D_m),
-        and log det V_s = logdet() + log D_m.  Returns
-        ``(c m, h_m, log D_m)``.
-        """
-        p = self.params
-        cm = p.d1 / (1.0 + self.n * p.d1) * m
-        D = 1.0 + p.d2 * m * (1.0 - cm)
-        return cm, p.d2 / (p.sigma2 * D), np.log(D)
+        """nonhomog_ri's rank-one terms (``NonHomogRIParams.state_terms``)."""
+        return self.params.state_terms(self.n, m)
 
     # -- log densities -------------------------------------------------------
 
@@ -142,13 +90,10 @@ class CovStructure:
 
         Diagonal kinds only.
         """
-        r2 = (y[:, :, None] - F.T[None, :, :]) ** 2
-        if self.kind == "iso_diag":
-            s2 = np.full(F.shape[0], self.params.sigma2)
-        elif self.kind == "state_diag":
-            s2 = self.params.sigma2
-        else:
+        if not self.params.diagonal:
             raise ValueError(f"{self.kind} is not diagonal")
+        r2 = (y[:, :, None] - F.T[None, :, :]) ** 2
+        s2 = self.params.sigma2 * np.ones(F.shape[0])   # one per state
         return -0.5 * (r2 / s2 + np.log(s2) + LOG_2PI)
 
     def state_factor(self, F, states, ybar, R=None):
@@ -158,24 +103,19 @@ class CovStructure:
         state vector centred like the response rows, col its terms of the
         quadratic form and log determinant and R the log prior's right half
         (S, c); rank1 is nonhomog_ri's (U, U'Fc, h / 2), U the columns u~_s
-        (``state_terms``) read off the state-2 points of ``states``."""
-        n = self.n
-        if self.kind == "state_diag":
-            # state_diag factorizes over points; contract the pointwise
-            # table with the caller's state one-hots instead.
-            raise ValueError(
-                "state_diag tables decompose pointwise; build them from "
-                "pointwise_loglik and the enumeration one-hots")
+        (``state_terms``) read off the state-2 points of ``states``.
+        state_diag has no such factor: its tables decompose pointwise."""
+        n, Vi = self.n, self.vinv()
         c = 0 if R is None else R.shape[1]
         right = np.empty((n + 2 + c, states.shape[0]))
         Fc = right[:n]
         for i, curve in enumerate((F - ybar).T):
             np.take(curve, states[:, i], out=Fc[i])
         right[n] = 1.0
-        right[n + 1] = -0.5 * np.einsum("is,is->s", self.vinv() @ Fc, Fc)
+        right[n + 1] = -0.5 * np.einsum("is,is->s", Vi @ Fc, Fc)
         if c:
             right[n + 2:] = R.T
-        if self.kind != "nonhomog_ri":
+        if not self.params.rank_one:
             return right, None
         E2 = (states == 1).astype(float)
         cm, h, logD = self.state_terms(E2.sum(axis=1))
@@ -226,12 +166,13 @@ def log_mvn_density(cov, r, states=None):
     state-dependent kinds (state_diag, nonhomog_ri) and ignored otherwise.
     """
     r = np.asarray(r, dtype=float)
-    if cov.kind == "state_diag":
-        s2 = cov.params.sigma2[np.asarray(states, dtype=int)]
-        return float(-0.5 * np.sum(r ** 2 / s2 + np.log(s2) + LOG_2PI))
     s = np.zeros((1, r.size), np.int8) if states is None \
         else np.asarray(states, dtype=np.int8)[None, :]
     zero = np.zeros((int(s.max()) + 1, r.size))    # a row per state in s
+    if cov.params.diagonal:     # one variance, or one per state
+        s2 = np.asarray(cov.params.sigma2)
+        s2 = s2[s[0]] if s2.ndim else s2
+        return float(-0.5 * np.sum(r ** 2 / s2 + np.log(s2) + LOG_2PI))
     return float(cov.loglik_table(r[None, :], cov.state_factor(
         zero, s, zero[0]))[0, 0])
 
@@ -413,3 +354,246 @@ def update_iso(marginals, y, F):
 
 def make_structure(cov_spec, params, n):
     return CovStructure(cov_spec.kind, params, n)
+
+
+# ---------------------------------------------------------------------------
+# parameter blocks: one class per covariance kind
+# ---------------------------------------------------------------------------
+
+def _finite_logdet(block, name, logdet):
+    if not np.all(np.isfinite(logdet)):
+        raise BadInit(f"{name} = {getattr(block, name)!r} gives a "
+                      "non-finite log det V")
+
+
+class _CovBlock(_Block):
+    """A covariance kind.  ``check(n, J=None)`` raises ``NonPositiveSigma``
+    or ``NotSPD`` unless the block is a covariance on n points and, given
+    the J of the fit it is supplied to, ``BadInit`` naming the field unless
+    it fits J, lies in the M-step's range and has a finite log det V.
+    ``vinv`` and ``logdet`` default to V = sigma2 (I + d 11'), d =
+    ``d_shared``.  Route facts: ``diagonal`` (V factorizes over points,
+    with sigma2 one variance or one per state), ``rank_one`` (V_s is a
+    shared V plus a rank-one term in the state vector, so the E-step's
+    moments are stratified by its count of state-2 points) and ``only_J``.
+    """
+
+    diagonal = False
+    rank_one = False
+    only_J = None
+    d_shared = 0.0
+
+    def check(self, n, J=None):
+        if (np.asarray(self.sigma2) <= 0).any():
+            raise NonPositiveSigma(f"sigma2 = {self.sigma2!r}")
+
+    def vinv(self, n):
+        d = self.d_shared
+        c = d / (1.0 + n * d)
+        return (np.eye(n) - c * np.ones((n, n))) / self.sigma2
+
+    def logdet(self, n):
+        return n * np.log(self.sigma2) + np.log(1.0 + n * self.d_shared)
+
+
+@dataclass
+class IsoDiagParams(_CovBlock):
+    """V = sigma2 * I."""
+
+    sigma2: float
+
+    kind = "iso_diag"
+    diagonal = True
+
+    @classmethod
+    def start(cls, r, hard):
+        return cls(sigma2=max(float(np.mean(r ** 2)), 1e-12))
+
+    def m_step(self, step, y, F):
+        return IsoDiagParams(sigma2=update_iso(step.marginals, y, F))
+
+
+@dataclass
+class StateDiagParams(_CovBlock):
+    """Diagonal V with per-state variances sigma2[j]."""
+
+    sigma2: np.ndarray
+
+    kind = "state_diag"
+    diagonal = True
+    by_state = {"sigma2": 1}
+
+    @classmethod
+    def start(cls, r, hard):
+        s2 = np.empty(hard.shape[2])
+        for j in range(s2.size):
+            mask = hard[:, :, j] > 0
+            s2[j] = np.mean(r[mask] ** 2) if mask.any() else np.mean(r ** 2)
+        return cls(sigma2=np.maximum(s2, 1e-12))
+
+    def check(self, n, J=None):
+        if J is not None and self.sigma2.shape != (J,):
+            raise BadInit(f"sigma2 must hold J = {J} values")
+        super().check(n, J)
+
+    def m_step(self, step, y, F):
+        return StateDiagParams(sigma2=update_state_diag(
+            step.marginals, y, F, self.sigma2))
+
+    def vinv(self, n):
+        raise ValueError("state_diag tables decompose pointwise; build them "
+                         "from pointwise_loglik and the enumeration one-hots")
+
+
+@dataclass
+class UnrestrictedParams(_CovBlock):
+    """Dense symmetric positive definite V."""
+
+    V: np.ndarray
+
+    kind = "unrestricted"
+
+    @classmethod
+    def start(cls, r, hard):
+        """The residual covariance, ridged by 5% of its mean variance."""
+        N, n = r.shape
+        C = (r.T @ r) / N
+        return cls(V=C + (0.05 * np.trace(C) / n + 1e-10) * np.eye(n))
+
+    def check(self, n, J=None):
+        V = self.V
+        if V.shape != (n, n):
+            raise NotSPD(f"V shape {V.shape}, expected {(n, n)}")
+        if not np.allclose(V, V.T, rtol=1e-10, atol=1e-12):
+            raise NotSPD("V is not symmetric")
+        try:
+            chol = self._chol
+        except np.linalg.LinAlgError as exc:
+            raise NotSPD(f"V is not positive definite: {exc}") from None
+        # the rows of L over sqrt(diag V) factor V's correlation matrix
+        sv = np.linalg.svd(chol / np.sqrt(np.diag(V))[:, None],
+                           compute_uv=False)
+        cond = (sv[0] / sv[-1]) ** 2
+        if not cond <= _COND_MAX:
+            raise NotSPD(
+                f"V's correlation matrix has condition number "
+                f"{cond:.3g}, beyond the {_COND_MAX:.3g} at which its "
+                "log densities still resolve the ascent check")
+
+    @cached_property
+    def _chol(self):
+        return np.linalg.cholesky(np.asarray_chkfinite(self.V))
+
+    def m_step(self, step, y, F):
+        return UnrestrictedParams(V=update_unrestricted(step.moments, F))
+
+    def vinv(self, n):
+        Li = np.linalg.solve(self._chol, np.eye(n))
+        return Li.T @ Li
+
+    def logdet(self, n):
+        return 2.0 * np.sum(np.log(np.diag(self._chol)))
+
+
+@dataclass
+class HomogRIParams(_CovBlock):
+    """Random-intercept V = sigma2 * (I + d * 11'); tau2 = d * sigma2."""
+
+    sigma2: float
+    d: float
+
+    kind = "homog_ri"
+    d_shared = property(lambda self: self.d)
+
+    @property
+    def tau2(self):
+        return self.d * self.sigma2
+
+    @classmethod
+    def start(cls, r, hard):
+        """sigma2 the within-replicate variance of the split's residuals
+        and d the excess variance of their replicate means, relative."""
+        mk = r.mean(axis=1)
+        within = max(float(np.mean((r - mk[:, None]) ** 2)), 1e-12)
+        between = float(np.var(mk))
+        return cls(sigma2=within,
+                   d=max(between - within / r.shape[1], 0.0) / within)
+
+    def check(self, n, J=None):
+        # the structure admits -1/n < d < 0, which the M-step never gives
+        if J is not None and self.d < 0:
+            raise BadInit("need d >= 0")
+        super().check(n, J)
+        if 1.0 + n * self.d <= 0:
+            raise NotSPD(f"homog_ri with d = {self.d!r} is not SPD")
+        if J is not None:
+            _finite_logdet(self, "d", self.logdet(n))
+
+    def m_step(self, step, y, F):
+        return HomogRIParams(*update_homog_ri(step.moments, F))
+
+    def derived(self):
+        return {"tau2": self.tau2}
+
+
+@dataclass
+class NonHomogRIParams(_CovBlock):
+    """Two-state random intercept with a state-2 variance component.
+
+    V_s = sigma2 * (I + d1 * 11' + d2 * u_s u_s') where u_s indicates the
+    points assigned to state 2; tau2_j = d_j * sigma2.
+    """
+
+    sigma2: float
+    d1: float
+    d2: float
+
+    kind = "nonhomog_ri"
+    rank_one = True
+    only_J = 2
+    d_shared = property(lambda self: self.d1)
+
+    @property
+    def tau2(self):
+        return self.d1 * self.sigma2, self.d2 * self.sigma2
+
+    @classmethod
+    def start(cls, r, hard):
+        """homog_ri's start, d2 at least 1e-2."""
+        shared = HomogRIParams.start(r, hard)
+        return cls(sigma2=shared.sigma2, d1=shared.d, d2=max(shared.d, 1e-2))
+
+    def check(self, n, J=None):
+        super().check(n, J)
+        if self.d1 < 0 or self.d2 < 0:
+            raise NotSPD("nonhomog_ri needs d1, d2 >= 0")
+        if J is not None:
+            _finite_logdet(self, "d1", self.logdet(n))
+            with np.errstate(over="ignore", invalid="ignore"):
+                log_D = self.state_terms(n, np.arange(n + 1.0))[2]
+            _finite_logdet(self, "d2", log_D)
+
+    def state_terms(self, n, m):
+        """The rank-one terms for state vectors with ``m`` (array) state-2
+        points.
+
+        With c = d1 / (1 + n d1), u~_s = u_s - c m 1 and
+        D_m = 1 + d2 m (1 - c m) >= 1, Sherman-Morrison gives
+        V_s^{-1} = vinv() - h_m u~_s u~_s' with h_m = d2 / (sigma2 D_m),
+        and log det V_s = logdet() + log D_m.  Returns
+        ``(c m, h_m, log D_m)``.
+        """
+        cm = self.d1 / (1.0 + n * self.d1) * m
+        D = 1.0 + self.d2 * m * (1.0 - cm)
+        return cm, self.d2 / (self.sigma2 * D), np.log(D)
+
+    def m_step(self, step, y, F):
+        return NonHomogRIParams(*update_nonhomog_ri(step.moments, F, self))
+
+    def derived(self):
+        return dict(zip(("tau2_1", "tau2_2"), self.tau2))
+
+
+COV_PARAMS = {c.kind: c for c in (IsoDiagParams, StateDiagParams,
+                                  UnrestrictedParams, HomogRIParams,
+                                  NonHomogRIParams)}

@@ -46,9 +46,13 @@ from .errors import (
     SpecMismatch,
     XInconsistent,
 )
-from .latent import block_rows, enumeration_bytes, refuse_over_budget
-
-DIAGONAL_KINDS = ("iso_diag", "state_diag")
+# each kind's parameter block, by kind, re-exported from its module
+from .covariance import (COV_PARAMS, HomogRIParams,  # noqa: F401
+                         IsoDiagParams, NonHomogRIParams, StateDiagParams,
+                         UnrestrictedParams)
+from .latent import (LATENT_PARAMS, CovariateParams,  # noqa: F401
+                     IIDParams, MarkovParams, block_rows, enumeration_bytes,
+                     refuse_over_budget)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
@@ -132,10 +136,10 @@ class LatentSpec:
     def __post_init__(self):
         if self.kind not in LATENT_PARAMS:
             raise SpecMismatch(f"unknown latent kind {self.kind!r}")
-        if self.J < 1:
-            raise SpecMismatch(f"J must be >= 1, got {self.J}")
-        if self.kind == "covariate" and self.J < 2:
-            raise SpecMismatch("covariate latent model needs J >= 2")
+        min_J = LATENT_PARAMS[self.kind].min_J
+        if self.J < min_J:
+            raise SpecMismatch(f"{self.kind} latent model needs J >= "
+                               f"{min_J}, got J = {self.J}")
 
 
 @dataclass(frozen=True)
@@ -150,111 +154,7 @@ class CovSpec:
 
     @property
     def diagonal(self):
-        return self.kind in DIAGONAL_KINDS
-
-
-class _Block:
-    """Base of the latent and covariance parameter blocks.
-
-    A block's fields, in declaration order, are its keys in theta JSON.
-    ``float`` fields hold floats and the others float arrays; ``beta``
-    keeps one row per non-reference state even when J = 2.
-    """
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float:
-                value = float(value)
-            else:
-                value = np.asarray(value, dtype=float)
-                if f.name == "beta":
-                    value = np.atleast_2d(value)
-            setattr(self, f.name, value)
-
-
-@dataclass
-class IIDParams(_Block):
-    """State probabilities p, shared by all points."""
-
-    p: np.ndarray
-
-
-@dataclass
-class MarkovParams(_Block):
-    """Initial distribution pi and row-stochastic transition matrix A."""
-
-    pi: np.ndarray
-    A: np.ndarray
-
-
-@dataclass
-class CovariateParams(_Block):
-    """Multinomial-logistic coefficients, one row per non-reference state.
-
-    ``beta[j - 1]`` holds the intercept and slopes for
-    ``log p_j(v) / p_1(v)``, j = 2..J; state 1 is the reference.
-    """
-
-    beta: np.ndarray
-
-
-@dataclass
-class IsoDiagParams(_Block):
-    """V = sigma2 * I."""
-
-    sigma2: float
-
-
-@dataclass
-class StateDiagParams(_Block):
-    """Diagonal V with per-state variances sigma2[j]."""
-
-    sigma2: np.ndarray
-
-
-@dataclass
-class UnrestrictedParams(_Block):
-    """Dense symmetric positive definite V."""
-
-    V: np.ndarray
-
-
-@dataclass
-class HomogRIParams(_Block):
-    """Random-intercept V = sigma2 * (I + d * 11'); tau2 = d * sigma2."""
-
-    sigma2: float
-    d: float
-
-    @property
-    def tau2(self):
-        return self.d * self.sigma2
-
-
-@dataclass
-class NonHomogRIParams(_Block):
-    """Two-state random intercept with a state-2 variance component.
-
-    V_s = sigma2 * (I + d1 * 11' + d2 * u_s u_s') where u_s indicates the
-    points assigned to state 2; tau2_j = d_j * sigma2.
-    """
-
-    sigma2: float
-    d1: float
-    d2: float
-
-    @property
-    def tau2(self):
-        return self.d1 * self.sigma2, self.d2 * self.sigma2
-
-
-# the parameter block of each model kind
-LATENT_PARAMS = {"iid": IIDParams, "markov": MarkovParams,
-                 "covariate": CovariateParams}
-COV_PARAMS = {"iso_diag": IsoDiagParams, "state_diag": StateDiagParams,
-              "unrestricted": UnrestrictedParams, "homog_ri": HomogRIParams,
-              "nonhomog_ri": NonHomogRIParams}
+        return COV_PARAMS[self.kind].diagonal
 
 
 @dataclass
@@ -307,28 +207,30 @@ def validate(dataset, latent_spec, cov_spec):
     """
     violations = []
     J, n, N = latent_spec.J, dataset.n_points, dataset.n_replicates
-    if latent_spec.kind == "covariate" and dataset.covariates is None:
-        violations.append(
-            "covariate latent model requires covariate columns in the data")
-    if cov_spec.kind == "nonhomog_ri" and J != 2:
-        violations.append(
-            f"nonhomog_ri covariance is defined for J = 2 only, got J = {J}")
+    latent, cov = LATENT_PARAMS[latent_spec.kind], COV_PARAMS[cov_spec.kind]
+    if latent.needs_covariates and dataset.covariates is None:
+        violations.append(f"{latent.kind} latent model requires covariate "
+                          "columns in the data")
+    if cov.only_J not in (None, J):
+        violations.append(f"{cov.kind} covariance is defined for J = "
+                          f"{cov.only_J} only, got J = {J}")
     if violations:
         raise SpecMismatch("; ".join(violations))
-    if not cov_spec.diagonal:
+    if not cov.diagonal:
         refuse_over_budget(
-            _fit_peak_bytes(N, n, J, latent_spec.kind, cov_spec.kind),
+            _fit_peak_bytes(N, n, J, latent, cov),
             f"a {latent_spec.kind} x {cov_spec.kind} fit at N = {N}, n = {n}")
 
 
-def _fit_peak_bytes(N, n, J, latent_kind, cov_kind):
-    """Estimated peak bytes of a structured-kind fit, as an exact int.
-    Each count names its arrays; a block is one (rows, S) float64 table of
-    ``block_rows`` replicates."""
+def _fit_peak_bytes(N, n, J, latent, cov):
+    """Estimated peak bytes of a structured-kind fit, as an exact int, for
+    the kinds' blocks ``latent`` and ``cov``.  Each count names its arrays;
+    a block is one (rows, S) float64 table of ``block_rows`` replicates."""
     J, n, N = int(J), int(n), int(N)
-    S, nJ, c = J ** n, n * J, n * J if latent_kind == "covariate" else 1
+    S, nJ = J ** n, n * J
+    c = nJ if latent.needs_covariates else 1      # the log prior's rank
     nu = n * (J - 1)
-    nonhomog = cov_kind == "nonhomog_ri"
+    nonhomog = cov.rank_one
     rows = min(N, block_rows(S, n + 2 + c))
     block = 8 * rows * S
     # the right factor (c the log prior's rank), the iid or markov log
@@ -355,8 +257,7 @@ def _fit_peak_bytes(N, n, J, latent_kind, cov_kind):
         24 * nu * nu * N * (c > 1))
     # y - ybar, marginals, log-likelihoods, transition counts; covariate's
     # log prior and (N, n(J-1), n(J-1)) non-reference co-occupancy
-    per_replicate = n + nJ + 1 + J * J + (
-        nJ + nu * nu if latent_kind == "covariate" else 0)
+    per_replicate = n + nJ + 1 + J * J + (nJ + nu * nu) * (c > 1)
     # 2 ** 16 for the basis, penalty, parameters and Python's own objects
     # (14 to 35 KB under tracemalloc at N = 50 to 1000)
     return (enumeration_bytes(n, J) + 8 * kept * S + widest
@@ -610,10 +511,7 @@ def theta_to_dict(theta):
 def _block_to_dict(block):
     doc = {f.name: _listify(getattr(block, f.name)) for f in fields(block)}
     # the derived variance components, for readers of the file
-    if isinstance(block, HomogRIParams):
-        doc["tau2"] = block.tau2
-    elif isinstance(block, NonHomogRIParams):
-        doc["tau2_1"], doc["tau2_2"] = block.tau2
+    doc.update(block.derived())
     return doc
 
 

@@ -37,18 +37,12 @@ from . import inference
 from . import latent as lat_mod
 from .basis import spline_setup
 from .datamodel import (
+    COV_PARAMS,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    CovariateParams,
+    LATENT_PARAMS,
     FitReport,
-    HomogRIParams,
-    IIDParams,
-    IsoDiagParams,
-    MarkovParams,
-    NonHomogRIParams,
-    StateDiagParams,
     Theta,
-    UnrestrictedParams,
     state_lambdas,
     theta_from_dict,
     validate,
@@ -63,7 +57,6 @@ from .errors import (
 
 _EPS = np.finfo(float).eps
 _ASCENT_RTOL = 1e-8
-_ALPHA_FLOOR = 0.05
 _TIE_TOL = 1e-12
 
 
@@ -114,7 +107,6 @@ def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
     y = dataset.y
     cov = cov_mod.make_structure(cov_spec, theta.cov, dataset.n_points)
     if not cov_spec.diagonal:
-        nonhomog = cov_spec.kind == "nonhomog_ri"
         L, R = lat_mod.log_prior_table(
             enum, latent_spec, theta.latent, covariates=dataset.covariates)
         ybar = y.mean(axis=0)
@@ -130,23 +122,14 @@ def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
                     first=k)
 
         ll, marg, trans, moments = lat_mod.posterior_moments(
-            blocks(), enum, yc, ybar, latent_spec.kind, nonhomog)
+            blocks(), enum, yc, ybar, latent_spec.kind, cov.params.rank_one)
         return EStep(marginals=marg, loglik=ll, transitions=trans,
                      moments=moments)
 
-    pw = cov.pointwise_loglik(y, F)
-    if latent_spec.kind == "markov":
-        marg, pair, ll = lat_mod.forward_backward(
-            pw, theta.latent.pi, theta.latent.A)
-        return EStep(marginals=marg, loglik=ll, pairwise=pair,
-                     transitions=pair.sum(axis=1))
-    if latent_spec.kind == "covariate":
-        lp = lat_mod.log_state_probs(theta.latent.beta, dataset.covariates)
-    else:
-        with np.errstate(divide="ignore"):
-            lp = np.log(theta.latent.p)
-    marg, ll = lat_mod.marginal_posterior_pointwise(pw, lp)
-    return EStep(marginals=marg, loglik=ll)
+    marg, pair, ll = theta.latent.posteriors(cov.pointwise_loglik(y, F),
+                                             dataset.covariates)
+    return EStep(marginals=marg, loglik=ll, pairwise=pair,
+                 transitions=None if pair is None else pair.sum(axis=1))
 
 
 def penalty_value(theta, R):
@@ -230,7 +213,7 @@ def general_normal_system(B, R, lambdas, cov, moments):
     msum = moments.lin[:, :, 0].sum(axis=0)
     C = (moments.C + np.outer(moments.ybar, msum)).reshape(n, n, J)
     r = np.einsum("qi,qij->ij", Vi, C).reshape(n * J)
-    if cov.kind == "nonhomog_ri":
+    if cov.params.rank_one:
         G = moments.cooc.shape[0]
         cm, h, _ = cov.state_terms(np.arange(G))
         a = np.tile((np.arange(J) == 1) - cm[:, None], n)      # (G, n J)
@@ -257,38 +240,8 @@ def update_f_general(B, R, lambdas, cov, moments):
 
 
 # ---------------------------------------------------------------------------
-# covariance dispatch
-# ---------------------------------------------------------------------------
-
-def _update_cov(cov_spec, theta, step, y, F_new):
-    kind = cov_spec.kind
-    if kind == "iso_diag":
-        return IsoDiagParams(
-            sigma2=cov_mod.update_iso(step.marginals, y, F_new))
-    if kind == "state_diag":
-        return StateDiagParams(sigma2=cov_mod.update_state_diag(
-            step.marginals, y, F_new, theta.cov.sigma2))
-    if kind == "unrestricted":
-        return UnrestrictedParams(
-            V=cov_mod.update_unrestricted(step.moments, F_new))
-    if kind == "homog_ri":
-        s2, d = cov_mod.update_homog_ri(step.moments, F_new)
-        return HomogRIParams(sigma2=s2, d=d)
-    s2, d1, d2 = cov_mod.update_nonhomog_ri(step.moments, F_new, theta.cov)
-    return NonHomogRIParams(sigma2=s2, d1=d1, d2=d2)
-
-
-# ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
-
-def _floor_probs(w):
-    """Nonnegative weights as probabilities along the last axis, each
-    weight first raised to ``_ALPHA_FLOOR`` of their total."""
-    w = np.asarray(w, dtype=float)
-    p = np.maximum(w, _ALPHA_FLOOR * w.sum(axis=-1, keepdims=True))
-    return p / p.sum(axis=-1, keepdims=True)
-
 
 def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
                init="quantile-split"):
@@ -331,44 +284,10 @@ def initialize(dataset, latent_spec, cov_spec, B, R, lambdas,
     F0 = phi @ B.T
 
     r = y - F0[assign, np.arange(n)[None, :]]
-    if latent_spec.kind == "iid":
-        alpha = IIDParams(p=_floor_probs(counts / (N * n)))
-    elif latent_spec.kind == "markov":
-        trans = np.einsum("kil,kij->lj", hard[:, :-1], hard[:, 1:])
-        trans[trans.sum(axis=1) == 0] = 1.0       # no move seen: uniform
-        alpha = MarkovParams(pi=_floor_probs(hard[:, 0].sum(axis=0) / N),
-                             A=_floor_probs(trans))
-    else:
-        soft = _ALPHA_FLOOR / J + (1 - _ALPHA_FLOOR) * hard
-        beta0 = np.zeros((J - 1, dataset.n_covariates + 1))
-        alpha, _ = lat_mod.update_alpha(
-            latent_spec, CovariateParams(beta=beta0), soft,
-            covariates=dataset.covariates)
-
-    kind = cov_spec.kind
-    if kind == "iso_diag":
-        cov = IsoDiagParams(sigma2=max(float(np.mean(r ** 2)), 1e-12))
-    elif kind == "state_diag":
-        s2 = np.empty(J)
-        for j in range(J):
-            mask = assign == j
-            s2[j] = np.mean(r[mask] ** 2) if mask.any() else np.mean(r ** 2)
-        cov = StateDiagParams(sigma2=np.maximum(s2, 1e-12))
-    elif kind == "unrestricted":
-        C = (r.T @ r) / N
-        cov = UnrestrictedParams(
-            V=C + (0.05 * np.trace(C) / n + 1e-10) * np.eye(n))
-    else:
-        mk = r.mean(axis=1)
-        within = max(float(np.mean((r - mk[:, None]) ** 2)), 1e-12)
-        between = float(np.var(mk))
-        d = max(between - within / n, 0.0) / within
-        if kind == "homog_ri":
-            cov = HomogRIParams(sigma2=within, d=d)
-        else:
-            cov = NonHomogRIParams(sigma2=within, d1=d, d2=max(d, 1e-2))
-    return Theta(phi=phi, latent=alpha, cov=cov, lambdas=np.asarray(
-        lambdas, dtype=float))
+    alpha = LATENT_PARAMS[latent_spec.kind].start(hard, dataset.covariates)
+    return Theta(phi=phi, latent=alpha,
+                 cov=COV_PARAMS[cov_spec.kind].start(r, hard),
+                 lambdas=np.asarray(lambdas, dtype=float))
 
 
 def check_theta(theta, latent_spec, cov_spec, K, dataset):
@@ -381,32 +300,9 @@ def check_theta(theta, latent_spec, cov_spec, K, dataset):
             raise BadInit(f"{name} must be finite")
     if theta.phi.shape != (J, K):
         raise BadInit(f"phi shape {theta.phi.shape}, expected {(J, K)}")
-    al = theta.latent
-    if latent_spec.kind == "iid":
-        if al.p.shape != (J,) or np.any(al.p < 0) \
-                or abs(al.p.sum() - 1.0) > 1e-8:
-            raise BadInit("p must be a length-J probability vector")
-    elif latent_spec.kind == "markov":
-        if al.pi.shape != (J,) or al.A.shape != (J, J):
-            raise BadInit("pi must be length J and A must be J x J")
-        if np.any(al.pi < 0) or abs(al.pi.sum() - 1.0) > 1e-8 \
-                or np.any(al.A < 0) \
-                or np.max(np.abs(al.A.sum(axis=1) - 1.0)) > 1e-8:
-            raise BadInit("pi and rows of A must be probability vectors")
-    else:
-        if al.beta.shape != (J - 1, M + 1):
-            raise BadInit(
-                f"beta shape {al.beta.shape}, expected {(J - 1, M + 1)}")
-    # CovStructure checks sigma2 > 0, V and d1, d2 >= 0; homog_ri's
-    # structure admits -1/n < d < 0, which the M-step never produces
-    cp = theta.cov
-    kind = cov_spec.kind
-    if kind == "state_diag" and cp.sigma2.shape != (J,):
-        raise BadInit(f"sigma2 must hold J = {J} values")
-    if kind == "homog_ri" and cp.d < 0:
-        raise BadInit("need d >= 0")
+    theta.latent.check(J, M)
     try:
-        cov_mod.make_structure(cov_spec, cp, n)
+        theta.cov.check(n, J)
     except (NonPositiveSigma, NotSPD) as exc:
         raise BadInit(
             f"supplied covariance must be positive definite: {exc}") from None
@@ -425,8 +321,9 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
     dict.  With ``max_iter=0`` a supplied theta is only evaluated: the
     report holds its curves and the E-step at it, which ``classify`` and
     ``sim.run_replication`` rely on.  Standard errors are attempted at
-    J >= 2, and a failure is a report warning.  Flags are kept once each, in first-seen order: each
-    ``empty_state_j`` (mass under ``latent.MASS_EPS``), then the latent's.
+    J >= 2, and a failure is a report warning.  Flags are kept once each,
+    in first-seen order: each ``empty_state_j`` (mass under
+    ``latent.MASS_EPS``), then the latent's.
     """
     validate(dataset, latent_spec, cov_spec)
     J, n = latent_spec.J, dataset.n_points
@@ -470,7 +367,7 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
             phi_new = update_f_diagonal(
                 B, R, lambdas, dataset.y, step.marginals, theta.cov.sigma2)
         F_new = phi_new @ B.T
-        cov_new = _update_cov(cov_spec, theta, step, dataset.y, F_new)
+        cov_new = theta.cov.m_step(step, dataset.y, F_new)
         alpha_new, aflags = lat_mod.update_alpha(
             latent_spec, theta.latent, step.marginals,
             transitions=step.transitions, covariates=dataset.covariates)

@@ -17,15 +17,18 @@ every route below uses.  Free coordinates, at any J:
 * covariate: the multinomial-logit coefficients beta, row by row, labelled
   beta<m> for state 2 and beta<m>_<j> for state j >= 3.
 
-``free_coordinates`` names them for every route and the study harness.
+``free_coordinates`` names them, by the latent kind's own
+``free_coordinates``, for every route and the study harness.
 
-Each covariance family has one route, fed by its own E-step:
+Each covariance family has one route, fed by its own E-step;
+``standard_errors_for_fit`` picks it by the covariance kind's ``diagonal``:
 
 * structured kinds: ``louis_information_generic`` reads the E-step's
   posterior moments: the iid and Markov scores are linear in a state
   vector's indicators and transition counts, so their second moments are
   quadratic forms in the co-occupancy;
-* diagonal kinds: the E-step's pointwise and pairwise posteriors.  States
+* diagonal kinds: the latent kind's ``louis``, one of the three other
+  routes, reads the E-step's pointwise and pairwise posteriors.  States
   are independent across points given y_k (iid, covariate), or form a
   Markov chain whose transitions are pairwise_i / marginal_i; the score
   covariance then sums over points, or is one backward pass along that
@@ -33,14 +36,15 @@ Each covariance family has one route, fed by its own E-step:
 
 All four ``louis_information_*`` names stay (the diagonal iid and Markov
 forms keep their ``_closed`` suffix) because the benchmark's tracing times
-each route by name.
+each route by name; the kinds call them by their module attribute, so
+the tracer's wrappers stay on the path.
 """
 
 import numpy as np
 
-from .datamodel import CovariateParams, IIDParams
 from .errors import BoundaryParameter, SingularInformation
-from .latent import log_state_probs, logit_curvature
+from .latent import (CovariateParams, IIDParams, log_state_probs,
+                     logit_curvature)
 
 _BOUNDARY_EPS = 1e-8
 
@@ -64,17 +68,7 @@ def _se_from_information(info, labels):
 def free_coordinates(latent_params):
     """{label: value} of a latent block's free coordinates, in the
     information matrix's order (see the module docstring)."""
-    al = latent_params
-    if isinstance(al, CovariateParams):
-        return {f"beta{m}" + (f"_{j}" if j > 2 else ""): float(b)
-                for j, row in enumerate(al.beta, start=2)
-                for m, b in enumerate(row)}
-    # each probability vector's entries but its implied one
-    vectors = ([("p", al.p, al.p.size - 1)] if isinstance(al, IIDParams)
-               else [("pi", al.pi, al.pi.size - 1)]
-               + [(f"a{l}", row, l - 1) for l, row in enumerate(al.A, 1)])
-    return {f"{name}{j + 1}": float(v[j]) for name, v, implied in vectors
-            for j in range(v.size) if j != implied}
+    return latent_params.free_coordinates()
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +127,12 @@ def louis_information_generic(step, latent_spec, params, covariates=None):
     The score covariance is sum_k E(g_k g_k' | y_k) - E(g_k | y_k)
     E(g_k | y_k)'.  For iid and Markov, g_s = z_s' H with z_s = [E_s,
     trans_s] (``latent.Moments``) and H the factor scores on the rows they
-    count.  Returns (information matrix, labels).
+    count.  The kind of ``params`` (``latent_spec``'s) picks the form by
+    the moments its E-step collects.  Returns (information matrix, labels).
     """
-    kind = latent_spec.kind
     N, n, J = step.marginals.shape
     labels = list(free_coordinates(params))
-    if kind == "covariate":
+    if params.needs_covariates:
         # g_k = Z_k'(u_k - mu_k), u_k the n(J-1) non-reference indicators
         # and Z_k (n(J-1), (J-1)(M+1)) places x_ki in state j's block, so
         # Cov(g_k | y_k) = Z_k' Cov(u_k | y_k) Z_k
@@ -150,14 +144,14 @@ def louis_information_generic(step, latent_spec, params, covariates=None):
         return (logit_curvature(X, mu)
                 - (Z.transpose(0, 2, 1) @ C @ Z).sum(axis=0)), labels
     z = step.marginals.reshape(N, n * J)
-    if kind == "iid":
-        H = np.tile(_simplex_scores(params.p, J - 1), (n, 1))
-    else:
+    if params.chain:
         F = _markov_factor_scores(params.pi, params.A)
         # z's rows: the indicators (only the first point's have a factor),
         # then the transition counts
         H = np.vstack([F[:J], np.zeros((n * J - J, F.shape[1])), F[J:]])
         z = np.hstack([z, step.transitions.reshape(N, J * J)])
+    else:
+        H = np.tile(_simplex_scores(params.p, J - 1), (n, 1))
     # each row of H scores one factor, so E(-H | y) is the second moment
     # of H's rows weighted by their expected counts
     T1 = _second_moment(z.sum(axis=0), H)
@@ -240,8 +234,8 @@ def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step):
     names the first entry of p, pi or A below ``_BOUNDARY_EPS``, and
     ``SingularInformation`` a singular information matrix.
     """
-    kind, params = latent_spec.kind, theta.latent
-    for field in {"iid": ("p",), "markov": ("pi", "A")}.get(kind, ()):
+    params = theta.latent
+    for field in params.by_state:
         values = getattr(params, field)
         low = np.argwhere(values < _BOUNDARY_EPS)
         if low.size:
@@ -249,15 +243,9 @@ def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step):
                 f"{field.lower()}{''.join(str(i + 1) for i in low[0])} = "
                 f"{float(values[tuple(low[0])])!r} is at the boundary; "
                 "standard errors are unavailable there")
-    if not cov_spec.diagonal:
+    if cov_spec.diagonal:
+        info, labels = params.louis(step, dataset.covariates)
+    else:
         info, labels = louis_information_generic(
             step, latent_spec, params, covariates=dataset.covariates)
-    elif kind == "iid":
-        info, labels = louis_information_iid_closed(step.marginals, params.p)
-    elif kind == "markov":
-        info, labels = louis_information_markov_closed(
-            step.marginals, step.pairwise, params)
-    else:
-        info, labels = louis_information_covariate(
-            step.marginals, dataset.covariates, params.beta)
     return _se_from_information(info, labels)

@@ -3,7 +3,11 @@
 Three latent models share one interface: "iid" (fixed state probabilities),
 "markov" (time-homogeneous chain along the grid), and "covariate"
 (multinomial-logistic probabilities driven by per-point covariates, state 1
-as reference).
+as reference).  Each is its parameter block's class (``IIDParams``,
+``MarkovParams``, ``CovariateParams``; ``LATENT_PARAMS`` by kind), which
+holds the kind's start, M-step, check, prior, diagonal-route posteriors,
+Louis route, coordinates and relabelling; ``update_alpha`` and
+``log_prior_table`` call on it.
 
 State vectors are enumerated in a canonical order: index m written in base
 J, least significant digit first, so the state of the first grid point
@@ -22,15 +26,18 @@ adds its column sums into S-long accumulators, which reduce to fixed-size
 ``Moments``: no (replicate, state vector) table outlives a block.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import DegenerateLikelihood, EnumerationTooLarge
+from .errors import BadInit, DegenerateLikelihood, EnumerationTooLarge
 
 MASS_EPS = 1e-12    # posterior mass below this counts as none
+
+# the quantile-split start raises each count to this share of their total
+_ALPHA_FLOOR = 0.05
 
 # bytes of a (rows, S) float64 block (see block_rows): of the E-step's log
 # joint, or of the state vectors' rows in the reduction to moments
@@ -181,7 +188,8 @@ def _logsumexp(a):
 
 
 def log_prior_table(enum, latent_spec, params, covariates=None):
-    """Log prior of every enumerated state vector, as a factor pair.
+    """Log prior of every enumerated state vector, as a factor pair: the
+    kind's ``log_prior`` (``params`` is of ``latent_spec``'s kind).
 
     Returns (L, R) with L R' the (N, S) log prior table, so that
     ``CovStructure.loglik_table`` adds it inside its GEMM and no (N, S)
@@ -191,20 +199,8 @@ def log_prior_table(enum, latent_spec, params, covariates=None):
     probabilities (floored at -1e300, so that a zero indicator in R =
     ``enum.flat`` meets no -inf) and R the (S, n*J) indicators.
     """
-    kind = latent_spec.kind
     with np.errstate(divide="ignore"):
-        if kind == "iid":
-            out = _weighted_logsum(enum.counts, np.log(params.p))
-        elif kind == "markov":
-            out = _weighted_logsum(enum.onehot[:, 0, :], np.log(params.pi))
-            out = out + _weighted_logsum(
-                enum.trans.reshape(enum.size, -1),
-                np.log(params.A).ravel())
-        else:
-            lp = log_state_probs(params.beta, covariates)   # (N, n, J)
-            return (np.maximum(lp, -1e300).reshape(lp.shape[0], -1),
-                    enum.flat)
-    return np.ones((1, 1)), out[:, None]
+        return params.log_prior(enum, covariates)
 
 
 def _weighted_logsum(W, logs):
@@ -218,7 +214,9 @@ def _weighted_logsum(W, logs):
 
 
 def log_prior_single(states, latent_spec, params, covariate_rows=None):
-    """Log prior of one state vector (0-based); used by tests and tools."""
+    """Log prior of one state vector (0-based); used by tests and tools.
+    It is written apart from the kinds' ``log_prior`` on purpose: the
+    benchmark's brute-force check compares the two."""
     s = np.asarray(states, dtype=int)
     with np.errstate(divide="ignore"):
         if latent_spec.kind == "iid":
@@ -336,10 +334,10 @@ def posterior_moments(blocks, enum, yc, ybar, latent_kind, nonhomog):
     accumulator, reduced on the state vectors with mass after the last.
     A nonhomog_ri block's joint table is overwritten."""
     (N, n), J = yc.shape, enum.J
+    latent, nu = LATENT_PARAMS[latent_kind], n * (J - 1)
     loglik, marginals = np.empty(N), np.empty((N, n, J))
-    transitions = np.empty((N, J, J)) if latent_kind == "markov" else None
-    nu = n * (J - 1)
-    ucooc = np.empty((N, nu, nu)) if latent_kind == "covariate" else None
+    transitions = np.empty((N, J, J)) if latent.chain else None
+    ucooc = np.empty((N, nu, nu)) if latent.needs_covariates else None
     acc = np.zeros((enum.size, 6 if nonhomog else 1))
     for rows, P, ll, cols in blocks:
         loglik[rows] = ll
@@ -453,52 +451,11 @@ def forward_backward(pointwise_loglik, pi, A):
 
 def update_alpha(latent_spec, prev, marginals, transitions=None,
                  covariates=None):
-    """Conditional M-step for the latent parameters.
-
+    """Conditional M-step for the latent parameters: the ``m_step`` of
+    ``prev``'s kind (``latent_spec``'s), which returns ``(params, flags)``.
     ``transitions`` holds the Markov model's (N, J, J) expected transition
-    counts.  Returns ``(params, flags)``.  Markov rows with vanishing
-    occupancy keep their previous values and are flagged.  The covariate
-    coefficients come from ``newton_search``, started at ``prev``; a search
-    that runs out of steps or halvings is flagged "newton_diverged" and
-    returns its last iterate, whose objective is never below the start's.
-    """
-    from .datamodel import CovariateParams, IIDParams, MarkovParams
-
-    flags = []
-    if latent_spec.kind == "iid":
-        p = marginals.mean(axis=(0, 1))
-        return IIDParams(p=p / p.sum()), flags
-
-    if latent_spec.kind == "markov":
-        pi = marginals[:, 0, :].mean(axis=0)
-        pi = pi / pi.sum()
-        totals = transitions.sum(axis=0)
-        den = totals.sum(axis=1)
-        A = np.array(prev.A, dtype=float, copy=True)
-        for l in range(A.shape[0]):
-            if den[l] < MASS_EPS:
-                flags.append(f"zero_occupancy_row_{l + 1}")
-                continue
-            A[l] = totals[l] / den[l]
-        return MarkovParams(pi=pi, A=A), flags
-
-    # the multinomial logit: f = -sum Q log p over all (k, i) points
-    # pooled, Q the marginal posteriors
-    N, n, J = marginals.shape
-    X = np.concatenate(
-        [np.ones((N * n, 1)), covariates.reshape(N * n, -1)], axis=1)
-    Q = marginals.reshape(N * n, J)
-    shape = np.shape(prev.beta)
-
-    def fgh(b):
-        lp = log_state_probs(b.reshape(shape), X[:, 1:])
-        mu = np.exp(lp[:, 1:])
-        g = X.T @ (mu - Q[:, 1:])                       # (M+1, J-1)
-        return -float(np.sum(Q * lp)), g.T.ravel(), logit_curvature(X, mu)
-
-    beta, ok = newton_search(fgh, np.ravel(prev.beta), N * n)
-    return (CovariateParams(beta=beta.reshape(shape)),
-            [] if ok else ["newton_diverged"])
+    counts."""
+    return prev.m_step(marginals, transitions, covariates)
 
 
 def newton_search(fgh, x, scale, bounded=False):
@@ -551,3 +508,241 @@ def _descent_step(g, H):
     w = np.abs(w)
     w = np.maximum(w, 1e-12 * w.max(initial=0.0) + 1e-300)
     return -V @ ((V.T @ g) / w)
+
+
+# ---------------------------------------------------------------------------
+# parameter blocks: one class per latent kind
+# ---------------------------------------------------------------------------
+
+class _Block:
+    """Base of the latent and covariance parameter blocks.
+
+    A block's fields, in declaration order, are its keys in theta JSON.
+    ``float`` fields hold floats and the others float arrays; ``beta``
+    keeps one row per non-reference state even when J = 2.  A block's
+    class is its model kind (``kind``): it holds the kind's ``start``
+    from the quantile split, ``m_step``, ``check`` of a supplied block,
+    ``derived`` values (written beside the fields) and relabelling
+    (``permute``, new state j the old state perm[j], of the ``by_state``
+    fields, each with as many state axes as given).
+    """
+
+    by_state = {}
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float:
+                value = float(value)
+            else:
+                value = np.asarray(value, dtype=float)
+                if f.name == "beta":
+                    value = np.atleast_2d(value)
+            setattr(self, f.name, value)
+
+    def permute(self, perm):
+        return replace(self, **{name: getattr(self, name)[np.ix_(
+            *[perm] * ndim)] for name, ndim in self.by_state.items()})
+
+    def derived(self):
+        return {}
+
+
+class _LatentBlock(_Block):
+    """A latent kind.  ``m_step`` returns ``(block, flags)``, ``log_prior``
+    is its ``log_prior_table`` factor pair and ``louis`` its diagonal-route
+    Louis information.  Route facts: ``min_J``, ``chain`` (its E-step reads
+    transition counts), ``needs_covariates`` and the ``by_state`` fields,
+    its probability vectors, near 0 of which SEs are undefined."""
+
+    min_J = 1
+    chain = False
+    needs_covariates = False
+
+    def check(self, J, M):
+        for name, ndim in self.by_state.items():
+            v = getattr(self, name)
+            if v.shape != (J,) * ndim or np.any(v < 0) \
+                    or np.max(np.abs(v.sum(axis=-1) - 1.0)) > 1e-8:
+                raise BadInit(f"{name} must hold probability vectors of "
+                              f"length J = {J}")
+
+    def posteriors(self, pointwise_loglik, covariates):
+        """Diagonal-route ``(marginals, pairwise, loglik)``: states are
+        independent across points, so pointwise Bayes rules, no pairs."""
+        marginals, loglik = marginal_posterior_pointwise(
+            pointwise_loglik, self.log_point_probs(covariates))
+        return marginals, None, loglik
+
+
+def _floor_probs(w):
+    """Nonnegative weights as probabilities along the last axis, each
+    weight first raised to ``_ALPHA_FLOOR`` of their total."""
+    w = np.asarray(w, dtype=float)
+    p = np.maximum(w, _ALPHA_FLOOR * w.sum(axis=-1, keepdims=True))
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+@dataclass
+class IIDParams(_LatentBlock):
+    """State probabilities p, shared by all points."""
+
+    p: np.ndarray
+
+    kind = "iid"
+    by_state = {"p": 1}
+
+    @classmethod
+    def start(cls, hard, covariates):
+        N, n, _ = hard.shape
+        return cls(p=_floor_probs(np.einsum("kij->j", hard) / (N * n)))
+
+    def m_step(self, marginals, transitions, covariates):
+        p = marginals.mean(axis=(0, 1))
+        return IIDParams(p=p / p.sum()), []
+
+    def log_point_probs(self, covariates):
+        with np.errstate(divide="ignore"):
+            return np.log(self.p)
+
+    def log_prior(self, enum, covariates):
+        return np.ones((1, 1)), _weighted_logsum(
+            enum.counts, np.log(self.p))[:, None]
+
+    def free_coordinates(self):
+        return {f"p{j + 1}": float(v) for j, v in enumerate(self.p[:-1])}
+
+    def louis(self, step, covariates):
+        from . import inference
+        return inference.louis_information_iid_closed(step.marginals, self.p)
+
+
+@dataclass
+class MarkovParams(_LatentBlock):
+    """Initial distribution pi and row-stochastic transition matrix A."""
+
+    pi: np.ndarray
+    A: np.ndarray
+
+    kind = "markov"
+    chain = True
+    by_state = {"pi": 1, "A": 2}
+
+    @classmethod
+    def start(cls, hard, covariates):
+        trans = np.einsum("kil,kij->lj", hard[:, :-1], hard[:, 1:])
+        trans[trans.sum(axis=1) == 0] = 1.0       # no move seen: uniform
+        return cls(pi=_floor_probs(hard[:, 0].sum(axis=0) / hard.shape[0]),
+                   A=_floor_probs(trans))
+
+    def m_step(self, marginals, transitions, covariates):
+        """A row with vanishing occupancy keeps its values, flagged."""
+        flags = []
+        pi = marginals[:, 0, :].mean(axis=0)
+        totals = transitions.sum(axis=0)
+        den = totals.sum(axis=1)
+        A = np.array(self.A, dtype=float, copy=True)
+        for l in range(A.shape[0]):
+            if den[l] < MASS_EPS:
+                flags.append(f"zero_occupancy_row_{l + 1}")
+                continue
+            A[l] = totals[l] / den[l]
+        return MarkovParams(pi=pi / pi.sum(), A=A), flags
+
+    def posteriors(self, pointwise_loglik, covariates):
+        return forward_backward(pointwise_loglik, self.pi, self.A)
+
+    def log_prior(self, enum, covariates):
+        out = _weighted_logsum(enum.onehot[:, 0, :], np.log(self.pi))
+        out = out + _weighted_logsum(enum.trans.reshape(enum.size, -1),
+                                     np.log(self.A).ravel())
+        return np.ones((1, 1)), out[:, None]
+
+    def free_coordinates(self):
+        """pi but its last entry, then each row l of A but a_ll."""
+        J = self.pi.size
+        pi = {f"pi{j + 1}": float(v) for j, v in enumerate(self.pi[:-1])}
+        return pi | {f"a{l + 1}{j + 1}": float(self.A[l, j])
+                     for l in range(J) for j in range(J) if j != l}
+
+    def louis(self, step, covariates):
+        from . import inference
+        return inference.louis_information_markov_closed(
+            step.marginals, step.pairwise, self)
+
+
+@dataclass
+class CovariateParams(_LatentBlock):
+    """Multinomial-logistic coefficients, one row per non-reference state.
+
+    ``beta[j - 1]`` holds the intercept and slopes for
+    ``log p_j(v) / p_1(v)``, j = 2..J; state 1 is the reference.
+    """
+
+    beta: np.ndarray
+
+    kind = "covariate"
+    min_J = 2
+    needs_covariates = True
+
+    @classmethod
+    def start(cls, hard, covariates):
+        """The M-step from beta = 0, on the split floored like p."""
+        J = hard.shape[2]
+        soft = _ALPHA_FLOOR / J + (1 - _ALPHA_FLOOR) * hard
+        beta0 = np.zeros((J - 1, covariates.shape[2] + 1))
+        return cls(beta=beta0).m_step(soft, None, covariates)[0]
+
+    def check(self, J, M):
+        if self.beta.shape != (J - 1, M + 1):
+            raise BadInit(
+                f"beta shape {self.beta.shape}, expected {(J - 1, M + 1)}")
+
+    def m_step(self, marginals, transitions, covariates):
+        """``newton_search`` from this beta; a search that runs out of
+        steps or halvings is flagged "newton_diverged" and returns its
+        last iterate, whose objective is never below the start's."""
+        # the multinomial logit: f = -sum Q log p over all (k, i) points
+        # pooled, Q the marginal posteriors
+        N, n, J = marginals.shape
+        X = np.concatenate(
+            [np.ones((N * n, 1)), covariates.reshape(N * n, -1)], axis=1)
+        Q = marginals.reshape(N * n, J)
+        shape = np.shape(self.beta)
+
+        def fgh(b):
+            lp = log_state_probs(b.reshape(shape), X[:, 1:])
+            mu = np.exp(lp[:, 1:])
+            g = X.T @ (mu - Q[:, 1:])                       # (M+1, J-1)
+            return -float(np.sum(Q * lp)), g.T.ravel(), logit_curvature(X, mu)
+
+        beta, ok = newton_search(fgh, np.ravel(self.beta), N * n)
+        return (CovariateParams(beta=beta.reshape(shape)),
+                [] if ok else ["newton_diverged"])
+
+    def log_point_probs(self, covariates):
+        return log_state_probs(self.beta, covariates)
+
+    def log_prior(self, enum, covariates):
+        lp = np.maximum(log_state_probs(self.beta, covariates), -1e300)
+        return lp.reshape(lp.shape[0], -1), enum.flat
+
+    def free_coordinates(self):
+        return {f"beta{m}" + (f"_{j}" if j > 2 else ""): float(b)
+                for j, row in enumerate(self.beta, start=2)
+                for m, b in enumerate(row)}
+
+    def louis(self, step, covariates):
+        from . import inference
+        return inference.louis_information_covariate(
+            step.marginals, covariates, self.beta)
+
+    def permute(self, perm):
+        """beta re-referenced to the new state 1 (a J = 2 swap negates
+        it)."""
+        eta = np.vstack([np.zeros(self.beta.shape[1]), self.beta])[perm]
+        return CovariateParams(beta=eta[1:] - eta[0])
+
+
+LATENT_PARAMS = {c.kind: c for c in (IIDParams, MarkovParams,
+                                     CovariateParams)}

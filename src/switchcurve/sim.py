@@ -29,8 +29,7 @@ import numpy as np
 from .basis import spline_setup
 from .datamodel import (CovariateParams, CovSpec, HomogRIParams,
                         IIDParams, IsoDiagParams, LatentSpec, MarkovParams,
-                        MultiCurveDataset, StateDiagParams, Theta,
-                        theta_to_dict)
+                        MultiCurveDataset, Theta, theta_to_dict)
 from .em import ecm_fit
 from .inference import free_coordinates
 
@@ -74,9 +73,7 @@ class SimDesign:
 
     @property
     def cov_spec(self):
-        if self.kind == "covariate":
-            return CovSpec(kind="iso_diag")
-        return CovSpec(kind="homog_ri")
+        return CovSpec(kind=self.truth_params()[1].kind)
 
     def truth_params(self):
         """The latent and covariance parameter blocks of the truth."""
@@ -161,21 +158,12 @@ def fit_design(design, dataset):
 # ---------------------------------------------------------------------------
 
 def permute_theta(theta, perm):
-    """Theta with new state j the old state perm[j]: the covariate beta is
-    re-referenced to the new state 1 (a J = 2 swap negates it)."""
+    """Theta with new state j the old state perm[j], each block relabelled
+    by its kind's ``permute``: the covariate beta is re-referenced to the
+    new state 1 (a J = 2 swap negates it)."""
     perm = list(perm)
-    al, cov = theta.latent, theta.cov
-    if isinstance(al, IIDParams):
-        al = IIDParams(p=al.p[perm])
-    elif isinstance(al, MarkovParams):
-        al = MarkovParams(pi=al.pi[perm], A=al.A[np.ix_(perm, perm)])
-    else:
-        eta = np.vstack([np.zeros(al.beta.shape[1]), al.beta])[perm]
-        al = CovariateParams(beta=eta[1:] - eta[0])
-    if isinstance(cov, StateDiagParams):
-        cov = StateDiagParams(sigma2=cov.sigma2[perm])
-    return Theta(phi=theta.phi[perm], latent=al, cov=cov,
-                 lambdas=theta.lambdas[perm])
+    return Theta(phi=theta.phi[perm], latent=theta.latent.permute(perm),
+                 cov=theta.cov.permute(perm), lambdas=theta.lambdas[perm])
 
 
 def align_to_truth(report, F_true):
@@ -187,13 +175,12 @@ def align_to_truth(report, F_true):
 
 
 def _variances(cov):
-    """sigma2 (or sigma2_<j> per state) and the random intercept's tau2."""
+    """sigma2 (or sigma2_<j> per state) and the kind's derived values, the
+    random intercepts' tau2."""
     s2 = np.atleast_1d(getattr(cov, "sigma2", []))
     out = ({"sigma2": float(s2[0])} if s2.size == 1 else
            {f"sigma2_{j}": float(v) for j, v in enumerate(s2, start=1)})
-    if isinstance(cov, HomogRIParams):
-        out["tau2"] = float(cov.tau2)
-    return out
+    return {**out, **{k: float(v) for k, v in cov.derived().items()}}
 
 
 # ---------------------------------------------------------------------------

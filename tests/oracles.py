@@ -549,7 +549,7 @@ def quantile_split_loop(dataset, latent_spec, cov_spec, B, R, lambdas):
     band (the pooled one for a band of fewer than 4 points), counted
     frequencies and transitions floored at 0.05 of their total, the
     multinomial-logit fit to the floored split, and residual moments."""
-    floor = em_mod._ALPHA_FLOOR
+    floor = lat_mod._ALPHA_FLOOR
 
     def floor_probs(w):
         w = np.asarray(w, dtype=float)

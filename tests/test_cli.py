@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +422,47 @@ def test_classify_refuses_an_inconsistent_fit_document(tmp_path,
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "SpecMismatch" and field in err["message"]
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.fixture(scope="module")
+def intercept_fits(tmp_path_factory):
+    """A stock design 2 dataset and its markov x homog_ri and markov x
+    nonhomog_ri fit.json documents."""
+    tmp = tmp_path_factory.mktemp("design2")
+    assert main(["simulate", "--design", "2", "--seed", "1", "--N", "20",
+                 "--out", str(tmp / "sim")]) == 0
+    data, docs = str(tmp / "sim" / "data.csv"), {}
+    for kind in ("homog_ri", "nonhomog_ri"):
+        config = write_config(tmp / f"{kind}.json",
+                              latent={"kind": "markov", "J": 2},
+                              covariance={"kind": kind})
+        assert main(["fit", "--data", data, "--config", config,
+                     "--out", str(tmp / kind)]) == 0
+        docs[kind] = json.loads((tmp / kind / "fit.json").read_text())
+    return data, docs
+
+
+@pytest.mark.parametrize("kind,field", [("homog_ri", "d"),
+                                        ("nonhomog_ri", "d1"),
+                                        ("nonhomog_ri", "d2")])
+def test_classify_refuses_a_covariance_whose_log_det_overflows(
+        tmp_path, intercept_fits, kind, field):
+    """A saved intercept component of 1e308 is finite, but log det V is
+    not (for d2, log det V_s at some count of state-2 points): a bad
+    input, so classify exits 2 with a SpecMismatch that names the field,
+    and numpy warns of no overflow on the way."""
+    data, docs = intercept_fits
+    doc = json.loads(json.dumps(docs[kind]))
+    doc["theta"]["cov"][field] = 1e308
+    out = tmp_path / "bad"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["classify", "--data", data,
+                   "--fit", _write_fit(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "SpecMismatch"
+    assert f"{field} = 1e+308" in err["message"]
 
 
 def test_numerical_failure_exits_with_code_three(tmp_path):

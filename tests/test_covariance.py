@@ -86,6 +86,18 @@ def test_single_density_matches_dense_mvn(kind, make):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_single_density_of_a_vector_in_one_state():
+    """state_diag's density reads each point's own state's variance, also
+    for a state vector that visits one state of the two."""
+    r = np.array([0.3, -1.2, 0.5])
+    cov = make_structure(CovSpec(kind="state_diag"),
+                         StateDiagParams(sigma2=[0.5, 2.0]), 3)
+    for j, sigma2 in enumerate((0.5, 2.0)):
+        want = norm(scale=math.sqrt(sigma2)).logpdf(r).sum()
+        assert log_mvn_density(cov, r, states=[j] * 3) == pytest.approx(
+            want, rel=1e-12)
+
+
 def test_vinv_and_logdet_match_dense():
     rng = np.random.default_rng(1)
     n = 6

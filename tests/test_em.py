@@ -873,6 +873,27 @@ def test_initialize_refuses_a_non_finite_supplied_value(latent, cov, part,
                    init=poisoned)
 
 
+@pytest.mark.parametrize("latent,alpha,field", [
+    ("iid", {"p": [0.2, 0.3, 0.5]}, "p"),
+    ("iid", {"p": 0.5}, "p"),
+    ("markov", {"pi": [0.5, 0.5], "A": [0.9, 0.1]}, "A"),
+    ("markov", {"pi": [[0.5, 0.5]], "A": [[0.9, 0.1], [0.2, 0.8]]}, "pi"),
+    ("markov", {"pi": [0.5, 0.5], "A": [[0.9, 0.1], [0.3, 0.8]]}, "A"),
+])
+def test_initialize_refuses_a_misshapen_probability_field(latent, alpha,
+                                                          field):
+    """Each probability field of a supplied latent block must have an
+    axis of length J per state axis (p and pi one, A two) and hold
+    probability vectors along its last axis."""
+    data, _, _ = two_state_data(seed=13, n=8)
+    x, B, R = design(8, 5)
+    doc = {"phi": np.arange(10.0).reshape(2, 5).tolist(), "alpha": alpha,
+           "cov": SUPPLIED_COV["iso_diag"]}
+    with pytest.raises(BadInit, match=f"^{field} must hold probability"):
+        initialize(data, LatentSpec(kind=latent, J=2),
+                   CovSpec(kind="iso_diag"), B, R, [LAM, LAM], init=doc)
+
+
 def three_state_covariate_data(N, n, seed):
     """Three states with logits 0.5 + 2v and 0.5 - 2v against state 1 in
     one standard-normal covariate v; curves sin(2 pi x) + j, a replicate
