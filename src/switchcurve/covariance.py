@@ -60,7 +60,9 @@ _COND_MAX = 1e-8 / np.finfo(float).eps
 
 class CovStructure:
     """A covariance kind's block on n points, checked once by the kind's
-    ``check``, with the log densities every kind shares."""
+    ``check``, with the log densities every kind shares.  ``ecm_fit``
+    builds one per theta; its V^{-1} and log det V are computed once, on
+    first use, and shared read-only by every caller."""
 
     def __init__(self, kind, params, n):
         self.kind = kind
@@ -73,10 +75,20 @@ class CovStructure:
     def vinv(self):
         """Dense V^{-1}, shape (n, n); for nonhomog_ri the homog_ri inverse
         at d = d1 that every V_s^{-1} shares (see ``state_terms``)."""
-        return self.params.vinv(self.n)
+        return self._vinv
+
+    @cached_property
+    def _vinv(self):
+        Vi = self.params.vinv(self.n)
+        Vi.flags.writeable = False
+        return Vi
 
     def logdet(self):
         """log det V; for nonhomog_ri the homog_ri part at d = d1."""
+        return self._logdet
+
+    @cached_property
+    def _logdet(self):
         return self.params.logdet(self.n)
 
     def state_terms(self, m):
@@ -96,28 +108,34 @@ class CovStructure:
         s2 = self.params.sigma2 * np.ones(F.shape[0])   # one per state
         return -0.5 * (r2 / s2 + np.log(s2) + LOG_2PI)
 
-    def state_factor(self, F, states, ybar, R=None):
+    def state_factor(self, F, flat, ybar, R=None):
         """``loglik_table``'s right factor, built once per E-step:
         ``(right, rank1)`` with right = [Fc, 1, col, R]' (n + 2 + c, S),
-        Fc[s] = F[states[s, i], i] - ybar_i the curves (J, n) along each
-        state vector centred like the response rows, col its terms of the
-        quadratic form and log determinant and R the log prior's right half
-        (S, c); rank1 is nonhomog_ri's (U, U'Fc, h / 2), U the columns u~_s
-        (``state_terms``) read off the state-2 points of ``states``.
-        state_diag has no such factor: its tables decompose pointwise."""
+        Fc[s] = F[s_i, i] - ybar_i the curves (J, n) along each state
+        vector s, given by its (S, n J) indicator rows ``flat``
+        (``latent.StateEnumeration.flat``), centred like the response rows,
+        col its terms of the quadratic form (the kind's ``quad_forms``) and
+        log determinant and R the log prior's right half (S, c); rank1 is
+        nonhomog_ri's (U, U'Fc, h / 2), U the columns u~_s
+        (``state_terms``) read off the state-2 indicators.  state_diag has
+        no such factor: its tables decompose pointwise."""
         n, Vi = self.n, self.vinv()
+        J = F.shape[0]
         c = 0 if R is None else R.shape[1]
-        right = np.empty((n + 2 + c, states.shape[0]))
+        right = np.empty((n + 2 + c, flat.shape[0]))
         Fc = right[:n]
-        for i, curve in enumerate((F - ybar).T):
-            np.take(curve, states[:, i], out=Fc[i])
+        # D (n, n J) holds point i's J curve values in its own columns, so
+        # each entry of D flat' has one nonzero term: an exact gather
+        D = np.zeros((n, n, J))
+        D[np.arange(n), np.arange(n)] = (F - ybar).T
+        np.matmul(D.reshape(n, n * J), flat.T, out=Fc)
         right[n] = 1.0
-        right[n + 1] = -0.5 * np.einsum("is,is->s", Vi @ Fc, Fc)
+        right[n + 1] = -0.5 * self.params.quad_forms(Fc, Vi)
         if c:
             right[n + 2:] = R.T
         if not self.params.rank_one:
             return right, None
-        E2 = (states == 1).astype(float)
+        E2 = flat[:, 1::J]
         cm, h, logD = self.state_terms(E2.sum(axis=1))
         right[n + 1] -= 0.5 * logD
         U = E2.T - cm
@@ -166,15 +184,17 @@ def log_mvn_density(cov, r, states=None):
     state-dependent kinds (state_diag, nonhomog_ri) and ignored otherwise.
     """
     r = np.asarray(r, dtype=float)
-    s = np.zeros((1, r.size), np.int8) if states is None \
-        else np.asarray(states, dtype=np.int8)[None, :]
-    zero = np.zeros((int(s.max()) + 1, r.size))    # a row per state in s
+    s = np.zeros(r.size, np.int8) if states is None \
+        else np.asarray(states, dtype=np.int8)
     if cov.params.diagonal:     # one variance, or one per state
         s2 = np.asarray(cov.params.sigma2)
-        s2 = s2[s[0]] if s2.ndim else s2
+        s2 = s2[s] if s2.ndim else s2
         return float(-0.5 * np.sum(r ** 2 / s2 + np.log(s2) + LOG_2PI))
+    # a row per state in s, and at least nonhomog_ri's two
+    zero = np.zeros((max(int(s.max()) + 1, 2), r.size))
+    flat = (s[:, None] == np.arange(len(zero))).astype(float).reshape(1, -1)
     return float(cov.loglik_table(r[None, :], cov.state_factor(
-        zero, s, zero[0]))[0, 0])
+        zero, flat, zero[0]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +392,13 @@ class _CovBlock(_Block):
     the J of the fit it is supplied to, ``BadInit`` naming the field unless
     it fits J, lies in the M-step's range and has a finite log det V.
     ``vinv`` and ``logdet`` default to V = sigma2 (I + d 11'), d =
-    ``d_shared``.  Route facts: ``diagonal`` (V factorizes over points,
-    with sigma2 one variance or one per state), ``rank_one`` (V_s is a
-    shared V plus a rank-one term in the state vector, so the E-step's
-    moments are stratified by its count of state-2 points) and ``only_J``.
+    ``d_shared``; ``quad_forms``, the E-step's quadratic forms of the
+    curves along each state vector, defaults to the product through
+    V^{-1}, which homog_ri replaces by an O(n S) form.  Route facts:
+    ``diagonal`` (V factorizes over points, with sigma2 one variance or
+    one per state), ``rank_one`` (V_s is a shared V plus a rank-one term
+    in the state vector, so the E-step's moments are stratified by its
+    count of state-2 points) and ``only_J``.
     """
 
     diagonal = False
@@ -391,6 +414,15 @@ class _CovBlock(_Block):
         d = self.d_shared
         c = d / (1.0 + n * d)
         return (np.eye(n) - c * np.ones((n, n))) / self.sigma2
+
+    def quad_forms(self, Fc, Vi):
+        """f'V^{-1}f for each column f of Fc (n, S), given V^{-1} ``Vi``.
+
+        nonhomog_ri keeps this product through V^{-1}: its M-step's
+        maximum in (d1, d2) is flat, and the O(n S) form of homog_ri's
+        ``quad_forms``, rounding differently, moves d1 and d2 by up to
+        1e-9 relative where the objective moves by 3e-15."""
+        return np.einsum("is,is->s", Vi @ Fc, Fc)
 
     def logdet(self, n):
         return n * np.log(self.sigma2) + np.log(1.0 + n * self.d_shared)
@@ -531,6 +563,12 @@ class HomogRIParams(_CovBlock):
 
     def m_step(self, step, y, F):
         return HomogRIParams(*update_homog_ri(step.moments, F))
+
+    def quad_forms(self, Fc, Vi):
+        """In O(n S): (sum f^2 - c (sum f)^2) / sigma2, c = d / (1 + n d)."""
+        c = self.d / (1.0 + Fc.shape[0] * self.d)
+        t = Fc.sum(axis=0)
+        return (np.einsum("is,is->s", Fc, Fc) - c * t * t) / self.sigma2
 
     def derived(self):
         return {"tau2": self.tau2}

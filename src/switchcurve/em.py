@@ -98,20 +98,22 @@ def classify_marginals(marginals):
 # E-step
 # ---------------------------------------------------------------------------
 
-def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
+def e_step(dataset, F, theta, latent_spec, cov_spec, enum=None, cov=None):
     """Posterior tables at the given curve values F (J, n) and theta.
 
     ``enum`` (the J**n state enumeration) is needed by the structured
     covariance kinds only; their ``EStep`` carries the posterior moments.
+    ``cov`` is theta's ``CovStructure`` if the caller has built it.
     """
     y = dataset.y
-    cov = cov_mod.make_structure(cov_spec, theta.cov, dataset.n_points)
+    if cov is None:
+        cov = cov_mod.make_structure(cov_spec, theta.cov, dataset.n_points)
     if not cov_spec.diagonal:
-        L, R = lat_mod.log_prior_table(
-            enum, latent_spec, theta.latent, covariates=dataset.covariates)
+        L, R = lat_mod.log_prior_table(enum, theta.latent,
+                                       covariates=dataset.covariates)
         ybar = y.mean(axis=0)
         yc = y - ybar
-        factor = cov.state_factor(F, enum.states, ybar, R=R)
+        factor = cov.state_factor(F, enum.flat, ybar, R=R)
         b = lat_mod.block_rows(enum.size, factor[0].shape[0])
 
         def blocks():       # one (rows, S) table alive at a time
@@ -207,8 +209,11 @@ def general_normal_system(B, R, lambdas, cov, moments):
     n, K = B.shape
     J = moments.C.shape[1] // n
     Vi = cov.vinv()
-    Bk = np.einsum("ia,jl->ijla", B, np.eye(J)).reshape(n * J, J * K)
-    W = moments.occupancy * np.kron(Vi, np.ones((J, J)))
+    Bk = np.zeros((n, J, J, K))
+    Bk[:, np.arange(J), np.arange(J)] = B[:, None, :]
+    Bk = Bk.reshape(n * J, J * K)
+    W = (moments.occupancy.reshape(n, J, n, J)
+         * Vi[:, None, :, None]).reshape(n * J, n * J)
     # sum_k y_k m_k' from the centred sums: y_k = y_ck + ybar
     msum = moments.lin[:, :, 0].sum(axis=0)
     C = (moments.C + np.outer(moments.ybar, msum)).reshape(n, n, J)
@@ -345,8 +350,9 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
         F = theta.phi @ B.T
         step = None         # the previous E-step's tables go first
         try:
+            cov = cov_mod.make_structure(cov_spec, theta.cov, n)
             step = e_step(dataset, F, theta, latent_spec, cov_spec,
-                          enum=enum)
+                          enum=enum, cov=cov)
         except NotSPD as exc:
             raise NotSPD(f"ECM iteration {it}: {exc}") from None
         obj = float(step.loglik.sum()) - penalty_value(theta, R)
@@ -360,7 +366,6 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
             break
         iterations = it + 1
 
-        cov = cov_mod.make_structure(cov_spec, theta.cov, n)
         if use_enum:
             phi_new = update_f_general(B, R, lambdas, cov, step.moments)
         else:
@@ -369,8 +374,8 @@ def ecm_fit(dataset, latent_spec, cov_spec, lambdas, K=None,
         F_new = phi_new @ B.T
         cov_new = theta.cov.m_step(step, dataset.y, F_new)
         alpha_new, aflags = lat_mod.update_alpha(
-            latent_spec, theta.latent, step.marginals,
-            transitions=step.transitions, covariates=dataset.covariates)
+            theta.latent, step.marginals, transitions=step.transitions,
+            covariates=dataset.covariates)
         empty = [f"empty_state_{j + 1}" for j, mass in enumerate(
             np.einsum("kij->j", step.marginals)) if mass < lat_mod.MASS_EPS]
         for fl in empty + aflags:

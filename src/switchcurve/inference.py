@@ -121,14 +121,14 @@ def _covariate_setup(marginals, covariates, beta):
 # structured kinds: the enumeration route's posterior moments
 # ---------------------------------------------------------------------------
 
-def louis_information_generic(step, latent_spec, params, covariates=None):
+def louis_information_generic(step, params, covariates=None):
     """Louis information from a structured-kind E-step at the estimates.
 
     The score covariance is sum_k E(g_k g_k' | y_k) - E(g_k | y_k)
     E(g_k | y_k)'.  For iid and Markov, g_s = z_s' H with z_s = [E_s,
     trans_s] (``latent.Moments``) and H the factor scores on the rows they
-    count.  The kind of ``params`` (``latent_spec``'s) picks the form by
-    the moments its E-step collects.  Returns (information matrix, labels).
+    count.  The kind of ``params`` picks the form by the moments its E-step
+    collects.  Returns (information matrix, labels).
     """
     N, n, J = step.marginals.shape
     labels = list(free_coordinates(params))
@@ -247,5 +247,5 @@ def standard_errors_for_fit(dataset, latent_spec, cov_spec, theta, step):
         info, labels = params.louis(step, dataset.covariates)
     else:
         info, labels = louis_information_generic(
-            step, latent_spec, params, covariates=dataset.covariates)
+            step, params, covariates=dataset.covariates)
     return _se_from_information(info, labels)

@@ -28,7 +28,7 @@ adds its column sums into S-long accumulators, which reduce to fixed-size
 
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -62,27 +62,43 @@ _NEWTON_RTOL = 1e-14
 
 @dataclass(frozen=True)
 class StateEnumeration:
-    """All J**n state vectors plus the count tables M-steps need."""
+    """All J**n state vectors and one read-only table of their indicator
+    rows, with the counts M-steps need.
+
+    Row s of ``table`` is z_s = [E_s, trans_s] (``Moments``): its first n*J
+    columns flag state j at point i in column i*J + j, its last J*J count
+    the l -> j moves in column l*J + j.  ``flat``, ``onehot`` and ``trans``
+    are views of those columns, not copies."""
 
     n: int
     J: int
     states: np.ndarray       # (S, n) int8, 0-based states
-    onehot: np.ndarray       # (S, n, J) float64 indicators
+    table: np.ndarray        # (S, n*J + J*J) float64 indicators and moves
     counts: np.ndarray       # (S, J) occurrences of each state
-    trans: np.ndarray        # (S, J, J) transition counts n_{s,lj}
 
     @property
     def size(self):
         return self.states.shape[0]
 
-    @property
+    @cached_property
     def flat(self):
-        """(S, n*J) view of ``onehot``; column i*J + j flags state j at i."""
-        return self.onehot.reshape(self.size, -1)
+        """(S, n*J) indicators; column i*J + j flags state j at i."""
+        return self.table[:, :self.n * self.J]
+
+    @cached_property
+    def onehot(self):
+        """(S, n, J) indicators."""
+        return self.flat.reshape(self.size, self.n, self.J)
+
+    @cached_property
+    def trans(self):
+        """(S, J, J) transition counts n_{s,lj}."""
+        return self.table[:, self.n * self.J:].reshape(self.size, self.J,
+                                                        self.J)
 
 
 def enumeration_bytes(n, J):
-    """Bytes of the (n, J) enumeration's four tables, as an exact int."""
+    """Bytes of the (n, J) enumeration's tables, as an exact int."""
     J, n = int(J), int(n)
     return J ** n * (n + 8 * (n * J + J + J * J))
 
@@ -120,19 +136,21 @@ def enumerate_states(n, J):
     tables are read-only: copy one before writing to it."""
     refuse_over_budget(enumeration_bytes(n, J),
                        f"the enumeration of {J}**{n} state vectors")
-    S = J ** n
+    S, nJ = J ** n, n * J
     idx = np.arange(S)
     states = np.empty((S, n), dtype=np.int8)
     for i in range(n):
         states[:, i] = (idx // J ** i) % J
-    onehot = np.zeros((S, n, J))
+    table = np.zeros((S, nJ + J * J))
+    onehot = table[:, :nJ].reshape(S, n, J)
     np.put_along_axis(onehot, states[:, :, None].astype(int), 1.0, axis=2)
     counts = onehot.sum(axis=1)
-    trans = np.einsum("sil,sij->slj", onehot[:, :-1, :], onehot[:, 1:, :])
-    for a in (states, onehot, counts, trans):
+    np.einsum("sil,sij->slj", onehot[:, :-1, :], onehot[:, 1:, :],
+              out=table[:, nJ:].reshape(S, J, J))
+    for a in (states, table, counts):
         a.flags.writeable = False
-    return StateEnumeration(n=n, J=J, states=states, onehot=onehot,
-                            counts=counts, trans=trans)
+    return StateEnumeration(n=n, J=J, states=states, table=table,
+                            counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +205,9 @@ def _logsumexp(a):
         return (np.log(sum(np.exp(c - m) for c in cols)) + m)[..., None]
 
 
-def log_prior_table(enum, latent_spec, params, covariates=None):
+def log_prior_table(enum, params, covariates=None):
     """Log prior of every enumerated state vector, as a factor pair: the
-    kind's ``log_prior`` (``params`` is of ``latent_spec``'s kind).
+    ``log_prior`` of ``params``' kind.
 
     Returns (L, R) with L R' the (N, S) log prior table, so that
     ``CovStructure.loglik_table`` adds it inside its GEMM and no (N, S)
@@ -205,12 +223,11 @@ def log_prior_table(enum, latent_spec, params, covariates=None):
 
 def _weighted_logsum(W, logs):
     """``W @ logs`` where a zero weight kills a -inf log instead of NaN."""
-    finite = np.where(np.isneginf(logs), 0.0, logs)
-    out = W @ finite
     neg = np.isneginf(logs)
-    if np.any(neg):
-        out = np.where(W @ neg.astype(float) > 0, -np.inf, out)
-    return out
+    if not neg.any():
+        return W @ logs
+    out = W @ np.where(neg, 0.0, logs)
+    return np.where(W @ neg.astype(float) > 0, -np.inf, out)
 
 
 def log_prior_single(states, latent_spec, params, covariate_rows=None):
@@ -331,8 +348,9 @@ def posterior_moments(blocks, enum, yc, ybar, latent_kind, nonhomog):
     """``(loglik, marginals, transitions, moments)`` of a structured-kind
     E-step from ``blocks`` of ``(rows, *joint_posterior(...))``: each block
     writes its rows and adds its t_s (``Moments``) into an (S, c)
-    accumulator, reduced on the state vectors with mass after the last.
-    A nonhomog_ri block's joint table is overwritten."""
+    accumulator, reduced on the state vectors with mass after the last
+    (``indicator_moments``).  A nonhomog_ri block's joint table is
+    overwritten."""
     (N, n), J = yc.shape, enum.J
     latent, nu = LATENT_PARAMS[latent_kind], n * (J - 1)
     loglik, marginals = np.empty(N), np.empty((N, n, J))
@@ -364,21 +382,30 @@ def posterior_moments(blocks, enum, yc, ybar, latent_kind, nonhomog):
             acc[cols, 0] += one @ P
         P = uy = None       # freed before the next block is built
 
+    cooc, lin = indicator_moments(acc, enum, nonhomog)
+    return loglik, marginals, transitions, Moments(
+        N=N, ybar=ybar, yy=yc.T @ yc, C=yc.T @ marginals.reshape(N, n * J),
+        cooc=cooc, lin=lin, ucooc=ucooc)
+
+
+def indicator_moments(acc, enum, nonhomog):
+    """``Moments``' ``(cooc, lin)`` from the (S, c) accumulator of t_s: the
+    sums of w_s z_s z_s' and E_s t_s' per stratum over the state vectors
+    with mass (w_s = acc[s, 0] > 0), each over blocks of rows z_s of
+    ``enum.table``."""
+    nJ, width = enum.n * enum.J, enum.table.shape[1]
     live = np.flatnonzero(acc[:, 0])
     g = enum.counts[live, 1] if nonhomog else np.zeros(live.size)
-    trans, nJ = enum.trans.reshape(enum.size, -1), n * J
-    cooc = np.zeros((n + 1 if nonhomog else 1, nJ + J * J, nJ + J * J))
+    cooc = np.zeros((enum.n + 1 if nonhomog else 1, width, width))
     lin = np.zeros((len(cooc), nJ, acc.shape[1]))
-    step = block_rows(cooc.shape[1])
-    for k in range(len(cooc)):      # in blocks of z rows
+    step = block_rows(width)
+    for k in range(len(cooc)):
         ks = live[g == k]
         for s in (ks[a:a + step] for a in range(0, ks.size, step)):
-            z, t = np.hstack([enum.flat[s], trans[s]]), acc[s]
+            z, t = enum.table[s], acc[s]
             cooc[k] += z.T @ (t[:, :1] * z)
             lin[k] += z[:, :nJ].T @ t
-    return loglik, marginals, transitions, Moments(
-        N=N, ybar=ybar, yy=yc.T @ yc, C=yc.T @ marginals.reshape(N, nJ),
-        cooc=cooc, lin=lin, ucooc=ucooc)
+    return cooc, lin
 
 
 def marginal_posterior_pointwise(pointwise_loglik, log_pstate):
@@ -449,10 +476,9 @@ def forward_backward(pointwise_loglik, pi, A):
 # alpha updates and the iterative M-steps' Newton search
 # ---------------------------------------------------------------------------
 
-def update_alpha(latent_spec, prev, marginals, transitions=None,
-                 covariates=None):
+def update_alpha(prev, marginals, transitions=None, covariates=None):
     """Conditional M-step for the latent parameters: the ``m_step`` of
-    ``prev``'s kind (``latent_spec``'s), which returns ``(params, flags)``.
+    ``prev``'s kind, which returns ``(params, flags)``.
     ``transitions`` holds the Markov model's (N, J, J) expected transition
     counts."""
     return prev.m_step(marginals, transitions, covariates)

@@ -23,6 +23,7 @@ import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,12 +138,35 @@ def generate_dataset(design, seed):
 
 def truth_start(design, dataset):
     """Supplied-init dict with the data-generating parameter values."""
-    _, B, _ = spline_setup(dataset.x, design.K)
-    F = default_true_functions(dataset.x)
-    phi0 = np.linalg.lstsq(B, F.T, rcond=None)[0].T
     alpha, cov = design.truth_params()
-    return theta_to_dict(Theta(phi=phi0, latent=alpha, cov=cov,
+    return theta_to_dict(Theta(phi=truth_coefficients(dataset.x, design.K),
+                               latent=alpha, cov=cov,
                                lambdas=design.lambdas))
+
+
+def truth_coefficients(x, K=None):
+    """The least-squares spline coefficients (2, K) of the truth curves on
+    grid x, in ``spline_setup(x, K)``'s basis.
+
+    Cached like ``spline_setup``: per exact grid and resolved K, the 32
+    most recent, read-only.  ``truth_coefficients.cache_clear()`` frees
+    the cache.
+    """
+    x = np.asarray(x, dtype=float)
+    K = min(x.size, 15) if K is None else int(K)
+    return _cached_truth(x.shape, x.tobytes(), K)
+
+
+@lru_cache(maxsize=32)
+def _cached_truth(shape, grid_bytes, K):
+    x = np.frombuffer(grid_bytes).reshape(shape)
+    _, B, _ = spline_setup(x, K)
+    phi = np.linalg.lstsq(B, default_true_functions(x).T, rcond=None)[0].T
+    phi.flags.writeable = False
+    return phi
+
+
+truth_coefficients.cache_clear = _cached_truth.cache_clear
 
 
 def fit_design(design, dataset):

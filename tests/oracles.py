@@ -19,8 +19,14 @@ added as an (N, S) table, every column normalized, and the columns with mass
 taken last.  ``joint_posterior_scattered`` runs the package's
 ``joint_posterior`` on ``loglik + logprior`` and scatters the result back
 to all S columns.  ``gather_curves_fancy`` is the two-array fancy index
-that ``gather_curves`` replaced with one flat ``np.take``; the package
-itself gathers the curves point by point into its GEMM factor.
+that ``gather_curves`` replaced with one flat ``np.take``;
+``gather_curves_take_loop`` is the point-by-point gather the package's
+one product against the indicator rows replaced, and ``quad_forms_dense``
+the dense V^{-1} quadratic form that the random-intercept kinds now take
+in O(n S).  ``general_normal_system_kron`` and ``indicator_moments_hstack``
+are the joint normal system and the moments' reduction as they were
+before broadcasts replaced ``np.kron`` and the identity einsum, and one
+table's rows the per-block ``np.hstack``.
 ``quantile_split_loop`` is the quantile-split start as it was before it
 ran the ECM's own coefficient update on the split's one-hot posteriors:
 one normal-system solve per state, bincounts, and a loop over the J**2
@@ -79,14 +85,38 @@ def gather_curves(F, states):
     return np.take(F, flat)
 
 
+def indicator_rows(states, J):
+    """(S, n J) indicators of the 0-based state vectors ``states``, laid
+    out like ``StateEnumeration.flat``."""
+    states = np.asarray(states)
+    return (states[:, :, None] == np.arange(J)).reshape(
+        states.shape[0], -1).astype(float)
+
+
 def loglik_table_whole(cov, y, F, states, prior=None):
     """The package's ``loglik_table`` over every replicate at once: (N, S)
     log densities about the curves F along ``states``, plus the log
     prior's factor pair, if given."""
     ybar = y.mean(axis=0)
     L, R = prior if prior is not None else (None, None)
-    return cov.loglik_table(
-        y - ybar, cov.state_factor(F, states, ybar, R=R), L=L)
+    return cov.loglik_table(y - ybar, cov.state_factor(
+        F, indicator_rows(states, F.shape[0]), ybar, R=R), L=L)
+
+
+def gather_curves_take_loop(F, states, ybar):
+    """(n, S) curves F - ybar along each state vector, one ``np.take`` per
+    point, as ``CovStructure.state_factor`` gathered them before its one
+    product against the indicator rows."""
+    Fc = np.empty((F.shape[1], states.shape[0]))
+    for i, curve in enumerate((F - ybar).T):
+        np.take(curve, states[:, i], out=Fc[i])
+    return Fc
+
+
+def quad_forms_dense(Vi, Fc):
+    """f'V^{-1}f for each column f of Fc (n, S) through the dense inverse,
+    the form the random-intercept kinds' O(n S) ``quad_forms`` replaced."""
+    return np.einsum("is,is->s", Vi @ Fc, Fc)
 
 
 def estep_from_joint(P, y, enum, latent_kind, nonhomog=False,
@@ -260,8 +290,7 @@ def enumeration_joint_dense(dataset, F, theta, latent_spec, cov_spec, enum):
     E2 = enum.onehot[:, :, 1] if cov_spec.kind == "nonhomog_ri" else None
     table = loglik_table_dense(cov, dataset.y,
                                gather_curves(F, enum.states), E2=E2)
-    prior = log_prior_table(enum, latent_spec, theta.latent,
-                            covariates=dataset.covariates)
+    prior = log_prior_table(enum, theta.latent, covariates=dataset.covariates)
     P, ll = joint_posterior_full(table, prior)
     cols = np.flatnonzero(state_mass(P))
     return np.take(P, cols, axis=1), ll, cols
@@ -362,8 +391,7 @@ def enumerated_e_step(dataset, F, theta, latent_spec, cov_spec, enum):
     r = dataset.y[:, :, None] - F.T[None, :, :]
     pointwise = -0.5 * (r * r / s2 + np.log(2.0 * np.pi * s2))
     table = np.einsum("kij,sij->ks", pointwise, enum.onehot)
-    prior = log_prior_table(enum, latent_spec, theta.latent,
-                            covariates=dataset.covariates)
+    prior = log_prior_table(enum, theta.latent, covariates=dataset.covariates)
     P, ll = joint_posterior_scattered(table, prior)
     step = estep_from_joint(P, dataset.y, enum, latent_spec.kind, loglik=ll)
     step.marginals = marginals_einsum(P, enum)
@@ -398,6 +426,35 @@ def expected_latent_loglik(latent_spec, params, marginals, pairwise=None,
 # ---------------------------------------------------------------------------
 # the structured consumers on a dense joint table
 # ---------------------------------------------------------------------------
+
+def general_normal_system_kron(B, R, lambdas, cov, moments):
+    """``em.general_normal_system`` with V^{-1} spread over the indicator
+    pairs by ``np.kron`` and the stacked basis from an einsum against the
+    identity, the forms its broadcasts replaced."""
+    n, K = B.shape
+    J = moments.C.shape[1] // n
+    Vi = cov.vinv()
+    Bk = np.einsum("ia,jl->ijla", B, np.eye(J)).reshape(n * J, J * K)
+    W = moments.occupancy * np.kron(Vi, np.ones((J, J)))
+    msum = moments.lin[:, :, 0].sum(axis=0)
+    C = (moments.C + np.outer(moments.ybar, msum)).reshape(n, n, J)
+    r = np.einsum("qi,qij->ij", Vi, C).reshape(n * J)
+    if cov.params.rank_one:
+        G = moments.cooc.shape[0]
+        cm, h, _ = cov.state_terms(np.arange(G))
+        a = np.tile((np.arange(J) == 1) - cm[:, None], n)
+        occ = moments.cooc[:, :n * J, :n * J]
+        e = (moments.lin[:, :, 3] - cm[:, None] * moments.lin[:, :, 1]
+             + np.einsum("mpq,mq->mp", occ,
+                         np.repeat(moments.ybar, J)[None, :] * a))
+        W -= np.einsum("m,mp,mpq,mq->pq", h, a, occ, a)
+        r -= np.einsum("m,mp,mp->p", h, a, e)
+    A = Bk.T @ W @ Bk
+    b = Bk.T @ r
+    for j in range(J):
+        A[j * K:(j + 1) * K, j * K:(j + 1) * K] += 2.0 * lambdas[j] * R
+    return A, b
+
 
 def general_normal_system_dense(B, R, lambdas, y, cov, enum, P):
     """``em.general_normal_system`` from the (N, S) joint table: A from
@@ -495,6 +552,26 @@ def nonhomog_sufficient_stats_dense(P, y, Fs, E2):
             np.bincount(m_s, weights=b2, minlength=size),
             np.bincount(m_s, weights=bc, minlength=size),
             np.bincount(m_s, weights=c2, minlength=size))
+
+
+def indicator_moments_hstack(acc, enum, nonhomog):
+    """``latent.indicator_moments`` with each block's rows z_s stacked
+    from the indicator and transition-count tables by ``np.hstack``."""
+    n, J = enum.n, enum.J
+    nJ = n * J
+    live = np.flatnonzero(acc[:, 0])
+    g = enum.counts[live, 1] if nonhomog else np.zeros(live.size)
+    trans = enum.trans.reshape(enum.size, -1)
+    cooc = np.zeros((n + 1 if nonhomog else 1, nJ + J * J, nJ + J * J))
+    lin = np.zeros((len(cooc), nJ, acc.shape[1]))
+    step = lat_mod.block_rows(cooc.shape[1])
+    for k in range(len(cooc)):
+        ks = live[g == k]
+        for s in (ks[a:a + step] for a in range(0, ks.size, step)):
+            z, t = np.hstack([enum.flat[s], trans[s]]), acc[s]
+            cooc[k] += z.T @ (t[:, :1] * z)
+            lin[k] += z[:, :nJ].T @ t
+    return cooc, lin
 
 
 def simplex_score_terms(C, p, implied):
@@ -599,9 +676,8 @@ def quantile_split_loop(dataset, latent_spec, cov_spec, B, R, lambdas):
         np.put_along_axis(hard, assign[:, :, None], 1.0, axis=2)
         soft = floor / J + (1 - floor) * hard
         beta0 = np.zeros((J - 1, dataset.n_covariates + 1))
-        alpha, _ = lat_mod.update_alpha(
-            latent_spec, CovariateParams(beta=beta0), soft,
-            covariates=dataset.covariates)
+        alpha, _ = lat_mod.update_alpha(CovariateParams(beta=beta0), soft,
+                                        covariates=dataset.covariates)
 
     kind = cov_spec.kind
     if kind == "iso_diag":

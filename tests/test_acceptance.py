@@ -186,8 +186,7 @@ def test_03_posterior_routes_match_enumeration():
         enum = enumerate_states(n, J)
         every = np.arange(enum.size)
         loglik = np.einsum("kij,sij->ks", pointwise, enum.onehot)
-        table = log_prior_table(enum, LatentSpec(kind="markov", J=J),
-                                MarkovParams(pi=pi, A=A))
+        table = log_prior_table(enum, MarkovParams(pi=pi, A=A))
         P, ll = joint_posterior_scattered(loglik, table)
         marg = marginals_from_joint(P, enum, every)
         errs = [np.max(np.abs(marg_fb - marg)),
@@ -205,8 +204,7 @@ def test_03_posterior_routes_match_enumeration():
 
         p = rng.dirichlet(np.ones(J))
         marg, _ = marginal_posterior_pointwise(pointwise, np.log(p))
-        table = log_prior_table(enum, LatentSpec(kind="iid", J=J),
-                                IIDParams(p=p))
+        table = log_prior_table(enum, IIDParams(p=p))
         P, _ = joint_posterior_scattered(loglik, table)
         err = np.max(np.abs(marg - marginals_from_joint(P, enum, every)))
         if err > 1e-9:
@@ -216,8 +214,8 @@ def test_03_posterior_routes_match_enumeration():
         v = rng.standard_normal((3, n, 1))
         marg, _ = marginal_posterior_pointwise(pointwise,
                                                log_state_probs(beta, v))
-        table = log_prior_table(enum, LatentSpec(kind="covariate", J=J),
-                                CovariateParams(beta=beta), covariates=v)
+        table = log_prior_table(enum, CovariateParams(beta=beta),
+                                covariates=v)
         P, _ = joint_posterior_scattered(loglik, table)
         err = np.max(np.abs(marg - marginals_from_joint(P, enum, every)))
         if err > 1e-9:
@@ -276,7 +274,7 @@ def toy_fixed_point(kind):
     for _ in range(3000):
         step = enumerated_e_step(data, f, toy_theta(alpha), lat,
                                  TOY_COV_SPEC, enum)
-        new, _ = update_alpha(lat, alpha, step.marginals, step.transitions,
+        new, _ = update_alpha(alpha, step.marginals, step.transitions,
                               data.covariates)
         delta = np.max(np.abs(coords(new) - coords(alpha)))
         alpha = new
@@ -314,7 +312,7 @@ def test_04_information_matches_numerical_hessian():
             return float(s.loglik.sum())
 
         info_fd = -fd_hessian(observed, coords(alpha))
-        info, _ = louis_information_generic(step, lat, alpha,
+        info, _ = louis_information_generic(step, alpha,
                                             covariates=data.covariates)
         rel = np.max(np.abs(info - info_fd)) \
             / max(1.0, float(np.max(np.abs(info_fd))))
@@ -322,7 +320,7 @@ def test_04_information_matches_numerical_hessian():
             failures.append(f"{kind} vs finite differences rel={rel:.2e}")
 
     data, enum, lat, alpha, step = toy_fixed_point("iid")
-    info_gen, _ = louis_information_generic(step, lat, alpha)
+    info_gen, _ = louis_information_generic(step, alpha)
     info_cls, _ = louis_information_iid_closed(step.marginals, alpha.p)
     rel = np.max(np.abs(info_cls - info_gen)) \
         / max(1.0, float(np.max(np.abs(info_gen))))
@@ -330,7 +328,7 @@ def test_04_information_matches_numerical_hessian():
         failures.append(f"iid closed form rel={rel:.2e}")
 
     data, enum, lat, alpha, step = toy_fixed_point("markov")
-    info_gen, _ = louis_information_generic(step, lat, alpha)
+    info_gen, _ = louis_information_generic(step, alpha)
     info_cls, _ = louis_information_markov_closed(step.marginals,
                                                   step.pairwise, alpha)
     rel = np.max(np.abs(info_cls - info_gen)) \

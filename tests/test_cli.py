@@ -188,7 +188,8 @@ def test_classify_validates_at_the_saved_fit_size(tmp_path, monkeypatch):
     monkeypatch.setattr(latent, "enumerate_states",
                         lambda n_points, J: ("enum", n_points, J))
 
-    def fake_e_step(dataset, F, theta, latent_spec, cov_spec, enum=None):
+    def fake_e_step(dataset, F, theta, latent_spec, cov_spec, enum=None,
+                    cov=None):
         calls.append(enum)
         return EStep(marginals=np.full((dataset.n_replicates, n, 2), 0.5),
                      loglik=np.zeros(dataset.n_replicates))

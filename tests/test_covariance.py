@@ -29,10 +29,12 @@ from switchcurve.em import ecm_fit
 from switchcurve.errors import NonPositiveSigma, NotSPD
 from switchcurve.latent import enumerate_states
 
-from oracles import (estep_from_joint, intercept_sums_tables,
-                     loglik_table_whole, nonhomog_simplex_update,
-                     nonhomog_sufficient_stats_dense, update_homog_ri_dense,
-                     update_unrestricted_dense, vinv_for_state)
+from oracles import (estep_from_joint, gather_curves_take_loop,
+                     intercept_sums_tables, loglik_table_whole,
+                     nonhomog_simplex_update,
+                     nonhomog_sufficient_stats_dense, quad_forms_dense,
+                     update_homog_ri_dense, update_unrestricted_dense,
+                     vinv_for_state)
 
 
 def dense_v(kind, params, n, u=None):
@@ -187,12 +189,58 @@ def test_nonhomog_loglik_table_resolves_the_all_state_2_column():
     np.testing.assert_allclose(got, want.astype(float), rtol=1e-12, atol=0)
 
 
+def _structured_params(kind, n, d=1.3):
+    A = np.random.default_rng(n).standard_normal((n, n))
+    return {"homog_ri": HomogRIParams(sigma2=0.02, d=d),
+            "nonhomog_ri": NonHomogRIParams(sigma2=0.02, d1=d, d2=0.8),
+            "unrestricted": UnrestrictedParams(V=A @ A.T + n * np.eye(n))
+            }[kind]
+
+
+@pytest.mark.parametrize("kind, J", [
+    ("homog_ri", 2), ("homog_ri", 3), ("nonhomog_ri", 2),
+    ("unrestricted", 3)])
+def test_state_factor_gathers_the_curves_exactly(kind, J):
+    """The curves along every state vector are one product against the
+    indicator rows; each entry has one nonzero term, so they equal the
+    point-by-point ``np.take`` gather bit for bit."""
+    n = 7
+    rng = np.random.default_rng(J)
+    F = rng.standard_normal((J, n)) * 10.0 ** rng.uniform(-3, 3, (J, n))
+    ybar = rng.standard_normal(n)
+    enum = enumerate_states(n, J)
+    cov = make_structure(CovSpec(kind=kind), _structured_params(kind, n), n)
+    right, _ = cov.state_factor(F, enum.flat, ybar)
+    np.testing.assert_array_equal(
+        right[:n], gather_curves_take_loop(F, enum.states, ybar), strict=True)
+
+
+@pytest.mark.parametrize("d", [0.0, 1.3, 1e6])
+@pytest.mark.parametrize("kind", ["homog_ri", "nonhomog_ri"])
+def test_state_factor_quadratic_forms_match_the_dense_inverse(kind, d):
+    """The random-intercept kinds' O(n S) quadratic forms, with log D_m
+    for nonhomog_ri, against f'V^{-1}f through the dense inverse, at d = 0
+    (V = sigma2 I), a moderate d and a large one (c near 1 / n)."""
+    n = 9
+    rng = np.random.default_rng(12)
+    F = rng.standard_normal((2, n))
+    ybar = rng.standard_normal(n)
+    enum = enumerate_states(n, 2)
+    cov = make_structure(CovSpec(kind=kind), _structured_params(kind, n, d),
+                         n)
+    right, _ = cov.state_factor(F, enum.flat, ybar)
+    want = -0.5 * quad_forms_dense(
+        cov.vinv(), gather_curves_take_loop(F, enum.states, ybar))
+    if kind == "nonhomog_ri":
+        want -= 0.5 * cov.state_terms(enum.counts[:, 1])[2]
+    np.testing.assert_allclose(right[n + 1], want, rtol=1e-13, atol=0)
+
+
 def test_loglik_table_guards():
     cov = make_structure(CovSpec(kind="state_diag"),
                          StateDiagParams(sigma2=[1.0, 2.0]), 3)
     with pytest.raises(ValueError, match="pointwise"):
-        cov.state_factor(np.zeros((2, 3)), np.zeros((1, 3), np.int8),
-                         np.zeros(3))
+        cov.state_factor(np.zeros((2, 3)), np.zeros((1, 6)), np.zeros(3))
 
 
 def test_pointwise_loglik_matches_norm_logpdf():

@@ -17,6 +17,7 @@ from switchcurve import em as em_mod
 from switchcurve import latent as lat_mod
 from switchcurve import sim
 from switchcurve.basis import basis_matrix, build_basis, penalty_matrix
+from switchcurve.covariance import make_structure
 from switchcurve.datamodel import (CovSpec, CovariateParams, HomogRIParams,
                                    IIDParams, IsoDiagParams, LatentSpec,
                                    MarkovParams, MultiCurveDataset,
@@ -33,7 +34,8 @@ from switchcurve.latent import enumerate_states
 
 from oracles import (enumerated_e_step, enumeration_joint_dense,
                      estep_from_joint, gather_curves, gather_curves_fancy,
-                     general_normal_system_dense, joint_posterior_dense,
+                     general_normal_system_dense,
+                     general_normal_system_kron, joint_posterior_dense,
                      joint_posterior_full, log_prior_dense,
                      loglik_table_dense, loglik_table_whole,
                      louis_information_dense, nonhomog_normal_system_loop,
@@ -198,7 +200,6 @@ def test_general_coefficient_update_solves_loop_system(kind, params, J):
     P /= P.sum(axis=1, keepdims=True)
     lambdas = np.array([0.05, 0.4, 1.5])[:J]
 
-    from switchcurve.covariance import make_structure
     cov = make_structure(CovSpec(kind=kind), params, n)
     moments = estep_from_joint(P, y, enum, "iid",
                                nonhomog=kind == "nonhomog_ri").moments
@@ -246,7 +247,6 @@ def test_nonhomog_normal_system_matches_state_vector_loop(n, d1, d2):
     lambdas = np.array([0.05, 0.4])
     params = NonHomogRIParams(sigma2=0.5, d1=d1, d2=d2)
 
-    from switchcurve.covariance import make_structure
     cov = make_structure(CovSpec(kind="nonhomog_ri"), params, n)
     moments = estep_from_joint(P, y, enum, "iid", nonhomog=True).moments
     got_A, got_b = general_normal_system(B, R, lambdas, cov, moments)
@@ -255,6 +255,63 @@ def test_nonhomog_normal_system_matches_state_vector_loop(n, d1, d2):
                                atol=1e-12 * np.max(np.abs(A)))
     np.testing.assert_allclose(got_b, b, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("cov_kind, J", [
+    ("homog_ri", 2), ("homog_ri", 3), ("nonhomog_ri", 2),
+    ("unrestricted", 2), ("unrestricted", 3)])
+def test_general_normal_system_matches_its_kron_form(cov_kind, J):
+    """The (n, J, n, J) broadcast of V^{-1} and the stacked basis built by
+    assignment give the same normal system, bit for bit, as ``np.kron``
+    and the einsum against the identity."""
+    n, K, N = 6, 5, 9
+    rng = np.random.default_rng(70 + J)
+    _, B, R = design(n, K)
+    enum = enumerate_states(n, J)
+    y = rng.standard_normal((N, n)) + 3.0
+    P = rng.uniform(0.1, 1.0, (N, enum.size))
+    P /= P.sum(axis=1, keepdims=True)
+    lambdas = np.linspace(0.05, 0.4, J)
+    A = rng.standard_normal((n, n))
+    params = {"homog_ri": HomogRIParams(sigma2=0.5, d=1.3),
+              "nonhomog_ri": NonHomogRIParams(sigma2=0.5, d1=1.3, d2=0.4),
+              "unrestricted": UnrestrictedParams(V=A @ A.T + n * np.eye(n))}
+    cov = make_structure(CovSpec(kind=cov_kind), params[cov_kind], n)
+    moments = estep_from_joint(P, y, enum, "iid",
+                               nonhomog=cov_kind == "nonhomog_ri").moments
+    got = general_normal_system(B, R, lambdas, cov, moments)
+    want = general_normal_system_kron(B, R, lambdas, cov, moments)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
+@pytest.mark.parametrize("cov_kind", ["homog_ri", "nonhomog_ri",
+                                      "unrestricted"])
+def test_one_structure_check_and_one_inverse_per_iteration(cov_kind,
+                                                           monkeypatch):
+    """``ecm_fit`` builds one ``CovStructure`` per theta and hands it to
+    the E-step and the coefficient update, which share its V^{-1}: the
+    covariance block is checked, and V^{-1} formed, once per E-step."""
+    kind = dm.COV_PARAMS[cov_kind]
+    calls = {"check": 0, "vinv": 0}
+
+    def counting(name):
+        method = getattr(kind, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kind, name, counting(name))
+    design_ = sim.SimDesign(kind="markov", N=20, x=np.linspace(1, 100, 8))
+    data = sim.generate_dataset(design_, 2)[0]
+    fit = ecm_fit(data, LatentSpec(kind="markov", J=2),
+                  CovSpec(kind=cov_kind), lambdas=LAM)
+    assert fit.iterations >= 2
+    e_steps = len(fit.loglik_trace)
+    assert calls == {"check": e_steps, "vinv": e_steps}
 
 
 @pytest.mark.parametrize("lat_kind", ["iid", "markov", "covariate"])
@@ -395,8 +452,7 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind,
 
         structure = make_structure(cspec, cov, n)
         E2 = enum.onehot[:, :, 1] if cov_kind == "nonhomog_ri" else None
-        prior = log_prior_table(enum, spec, alpha,
-                                covariates=data.covariates)
+        prior = log_prior_table(enum, alpha, covariates=data.covariates)
         W = loglik_table_whole(structure, data.y, f, enum.states,
                                prior=prior)
         own, own_ll, cols = joint_posterior(W.copy())
@@ -486,7 +542,7 @@ def test_compact_joint_matches_the_dense_route(lat_kind, cov_kind,
         if lat_kind == "markov-zero":
             continue        # a21 = 0 is on the boundary: no information
         info, labels = louis_information_generic(
-            step, spec, alpha, covariates=data.covariates)
+            step, alpha, covariates=data.covariates)
         want_info, want_labels = louis_information_dense(
             P, enum, spec, alpha, covariates=data.covariates)
         assert labels == want_labels

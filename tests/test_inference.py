@@ -76,7 +76,7 @@ def fixed_point(kind):
     for _ in range(3000):
         step = enumerated_e_step(data, f, make_theta(alpha), lat, COV_SPEC,
                                  enum)
-        new, _ = update_alpha(lat, alpha, step.marginals, step.transitions,
+        new, _ = update_alpha(alpha, step.marginals, step.transitions,
                               data.covariates)
         delta = np.max(np.abs(coords(new) - coords(alpha)))
         alpha = new
@@ -118,7 +118,7 @@ def test_generic_information_matches_finite_differences(kind):
 
     I_fd = -fd_hessian(ll_of, coords(alpha))
     I_gen, labels = inf_mod.louis_information_generic(
-        step, lat, alpha, covariates=data.covariates)
+        step, alpha, covariates=data.covariates)
     assert len(labels) == coords(alpha).size
     scale = max(1.0, float(np.max(np.abs(I_fd))))
     assert np.max(np.abs(I_gen - I_fd)) / scale < 1e-4
@@ -169,7 +169,7 @@ def test_information_matches_finite_differences_away_from_fixed_point(
                              enum)
     if route == "generic":
         info, _ = inf_mod.louis_information_generic(
-            step, lat, alpha, covariates=data.covariates)
+            step, alpha, covariates=data.covariates)
     else:
         info, _ = diagonal_form(kind, step, data, alpha)
     scale = max(1.0, float(np.max(np.abs(I_fd))))
@@ -232,7 +232,7 @@ def test_information_matches_finite_differences_at_three_states(kind,
         step = enumerated_e_step(data, f, theta_of(alpha), lat, COV_SPEC,
                                  enum)
         info, labels = inf_mod.louis_information_generic(
-            step, lat, alpha, covariates=data.covariates)
+            step, alpha, covariates=data.covariates)
     else:
         step = e_step(data, f, theta_of(alpha), lat, COV_SPEC)
         info, labels = diagonal_form(kind, step, data, alpha)
@@ -243,8 +243,7 @@ def test_information_matches_finite_differences_at_three_states(kind,
 
 def test_iid_closed_form_matches_generic():
     data, enum, lat, alpha, step = fixed_point("iid")
-    I_gen, _ = inf_mod.louis_information_generic(step, lat,
-                                                 alpha)
+    I_gen, _ = inf_mod.louis_information_generic(step, alpha)
     I_closed, labels = inf_mod.louis_information_iid_closed(
         step.marginals, alpha.p)
     assert labels == ["p1"]
@@ -254,8 +253,7 @@ def test_iid_closed_form_matches_generic():
 
 def test_markov_closed_form_matches_generic():
     data, enum, lat, alpha, step = fixed_point("markov")
-    I_gen, _ = inf_mod.louis_information_generic(step, lat,
-                                                 alpha)
+    I_gen, _ = inf_mod.louis_information_generic(step, alpha)
     I_closed, labels = inf_mod.louis_information_markov_closed(
         step.marginals, step.pairwise, alpha)
     assert labels == ["pi1", "a12", "a21"]
@@ -266,7 +264,7 @@ def test_markov_closed_form_matches_generic():
 def test_covariate_marginal_form_matches_generic():
     data, enum, lat, alpha, step = fixed_point("covariate")
     I_gen, _ = inf_mod.louis_information_generic(
-        step, lat, alpha, covariates=data.covariates)
+        step, alpha, covariates=data.covariates)
     diag_step = e_step(data, toy_data()[1], make_theta(alpha), lat, COV_SPEC)
     I_marg, labels = inf_mod.louis_information_covariate(
         diag_step.marginals, data.covariates, alpha.beta)
@@ -314,8 +312,7 @@ def test_generic_information_matches_per_state_vector_scores(kind, J):
     v = rng.standard_normal((N, n, M))
     lat, alpha = LatentSpec(kind=kind, J=J), random_latent(kind, J, M, rng)
     step = estep_from_joint(P, np.zeros((N, n)), enum, kind)
-    got, labels = inf_mod.louis_information_generic(step, lat, alpha,
-                                                    covariates=v)
+    got, labels = inf_mod.louis_information_generic(step, alpha, covariates=v)
     want, want_labels = louis_information_dense(P, enum, lat, alpha,
                                                 covariates=v)
     assert labels == want_labels
@@ -404,7 +401,7 @@ def test_diagonal_kind_ses_match_the_enumerated_oracle(kind, cov_kind):
         oracle = enumerated_e_step(data, report.curves, theta, lat, cspec,
                                    enum)
         want, labels = inf_mod.louis_information_generic(
-            oracle, lat, alpha, covariates=data.covariates)
+            oracle, alpha, covariates=data.covariates)
         step = e_step(data, report.curves, theta, lat, cspec)
         got, got_labels = diagonal_form(kind, step, data, alpha)
         assert got_labels == labels

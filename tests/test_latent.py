@@ -24,9 +24,10 @@ from switchcurve.latent import (enumerate_states, forward_backward,
                                 marginals_from_joint, pairwise_from_joint,
                                 update_alpha)
 
-from oracles import (expected_latent_loglik, joint_posterior_dense,
-                     joint_posterior_full, joint_posterior_scattered,
-                     log_prior_dense, marginals_einsum, pairwise_einsum)
+from oracles import (expected_latent_loglik, indicator_moments_hstack,
+                     joint_posterior_dense, joint_posterior_full,
+                     joint_posterior_scattered, log_prior_dense,
+                     marginals_einsum, pairwise_einsum)
 
 
 
@@ -203,6 +204,37 @@ def test_enumeration_cached_and_capped(monkeypatch):
     assert lat_mod.enumeration_bytes(np.int64(60), 2) == 2 ** 60 * 1068
 
 
+def test_enumeration_views_share_one_table():
+    """``flat``, ``onehot`` and ``trans`` are views of the one indicator
+    table, whose rows are z_s = [E_s, trans_s]."""
+    enum = enumerate_states(5, 3)
+    assert enum.table.shape == (3 ** 5, 5 * 3 + 3 * 3)
+    for view in (enum.flat, enum.onehot, enum.trans):
+        assert view.base is not None and np.shares_memory(view, enum.table)
+    np.testing.assert_array_equal(
+        enum.table, np.hstack([enum.onehot.reshape(enum.size, -1),
+                               enum.trans.reshape(enum.size, -1)]))
+
+
+@pytest.mark.parametrize("n, J, nonhomog", [
+    (6, 2, False), (6, 2, True), (4, 3, False)])
+def test_indicator_moments_match_the_hstack_reduction(n, J, nonhomog,
+                                                      monkeypatch):
+    """The reduction to ``Moments``' sums reads rows of the one indicator
+    table and gives, bit for bit, what stacking each block's indicator and
+    transition-count rows gave; small blocks make several per stratum,
+    and a third of the state vectors carry no mass."""
+    monkeypatch.setattr(lat_mod, "_BLOCK_BYTES", 8 * 16 * 5)
+    enum = enumerate_states(n, J)
+    rng = np.random.default_rng(n + J)
+    acc = rng.random((enum.size, 6 if nonhomog else 1))
+    acc[rng.random(enum.size) < 1 / 3, 0] = 0.0
+    got = lat_mod.indicator_moments(acc, enum, nonhomog)
+    want = indicator_moments_hstack(acc, enum, nonhomog)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
 def test_cached_enumeration_refuses_writes():
     enum = enumerate_states(4, 2)
     before = [a.copy() for a in (enum.states, enum.onehot, enum.counts,
@@ -267,7 +299,7 @@ def test_logistic_probs_match_scalar_softmax():
 def test_iid_prior_table_uniform():
     enum = enumerate_states(10, 2)
     table = log_prior_dense(log_prior_table(
-        enum, LatentSpec(kind="iid", J=2), IIDParams(p=[0.5, 0.5])))
+        enum, IIDParams(p=[0.5, 0.5])))
     assert table.shape == (1024,)
     np.testing.assert_allclose(table, -10.0 * math.log(2.0), atol=1e-12)
 
@@ -277,11 +309,11 @@ def test_prior_table_matches_single_vector_evaluation():
     enum = enumerate_states(4, 3)
     p = rng.dirichlet(np.ones(3))
     table = log_prior_dense(log_prior_table(
-        enum, LatentSpec(kind="iid", J=3), IIDParams(p=p)))
+        enum, IIDParams(p=p)))
     pi, A = random_stochastic(rng, 3)
     mk = MarkovParams(pi=pi, A=A)
     mtable = log_prior_dense(log_prior_table(
-        enum, LatentSpec(kind="markov", J=3), mk))
+        enum, mk))
     for s in range(0, enum.size, 7):
         vec = enum.states[s]
         assert table[s] == pytest.approx(
@@ -296,7 +328,7 @@ def test_prior_table_matches_single_vector_evaluation():
     v = rng.standard_normal((2, 4, 1))
     spec = LatentSpec(kind="covariate", J=3)
     ctable = log_prior_dense(log_prior_table(
-        enum, spec, CovariateParams(beta=beta), covariates=v))
+        enum, CovariateParams(beta=beta), covariates=v))
     assert ctable.shape == (2, 81)
     lp = log_state_probs(beta, v)
     for k in range(2):
@@ -312,14 +344,14 @@ def test_prior_table_matches_single_vector_evaluation():
 def test_prior_table_zero_probabilities_give_neginf_not_nan():
     enum = enumerate_states(3, 2)
     table = log_prior_dense(log_prior_table(
-        enum, LatentSpec(kind="iid", J=2), IIDParams(p=[1.0, 0.0])))
+        enum, IIDParams(p=[1.0, 0.0])))
     assert not np.any(np.isnan(table))
     assert table[0] == 0.0                     # the all-state-1 vector
     assert np.all(np.isneginf(table[1:]))
 
     frozen = MarkovParams(pi=[0.5, 0.5], A=np.eye(2))
     mtable = log_prior_dense(log_prior_table(
-        enum, LatentSpec(kind="markov", J=2), frozen))
+        enum, frozen))
     assert not np.any(np.isnan(mtable))
     const = [0, 7]                             # (0,0,0) and (1,1,1)
     np.testing.assert_allclose(mtable[const], math.log(0.5), atol=1e-15)
@@ -347,7 +379,7 @@ def test_joint_posterior_two_point_hand_example():
 
     enum = enumerate_states(2, 2)
     loglik = np.einsum("kij,sij->ks", pointwise, enum.onehot)
-    table = log_prior_table(enum, LatentSpec(kind="iid", J=2), IIDParams(p=p))
+    table = log_prior_table(enum, IIDParams(p=p))
     P, ll = joint_posterior_scattered(loglik, table)
     assert ll[0] == pytest.approx(math.log(z), abs=1e-14)
     for s, vec in enumerate(all_vectors(2, 2)):
@@ -536,8 +568,7 @@ def test_joint_summaries_match_brute_force():
 
         enum = enumerate_states(n, J)
         loglik = np.einsum("kij,sij->ks", pointwise, enum.onehot)
-        table = log_prior_table(enum, LatentSpec(kind="iid", J=J),
-                                IIDParams(p=p))
+        table = log_prior_table(enum, IIDParams(p=p))
         P, ll = joint_posterior_scattered(loglik, table)
         every = np.arange(enum.size)
         np.testing.assert_allclose(ll, want_ll, atol=1e-12)
@@ -588,7 +619,7 @@ def test_pointwise_bayes_matches_enumeration():
 
     p = rng.dirichlet(np.ones(J))
     marg, ll = marginal_posterior_pointwise(pointwise, np.log(p))
-    table = log_prior_table(enum, LatentSpec(kind="iid", J=J), IIDParams(p=p))
+    table = log_prior_table(enum, IIDParams(p=p))
     P, ll_enum = joint_posterior_scattered(loglik, table)
     np.testing.assert_allclose(ll, ll_enum, rtol=1e-12)
     np.testing.assert_allclose(
@@ -597,11 +628,9 @@ def test_pointwise_bayes_matches_enumeration():
 
     beta = rng.standard_normal((1, 2))
     v = rng.standard_normal((4, n, 1))
-    spec = LatentSpec(kind="covariate", J=2)
     lp = log_state_probs(beta, v)
     marg, ll = marginal_posterior_pointwise(pointwise, lp)
-    ctable = log_prior_table(enum, spec, CovariateParams(beta=beta),
-                             covariates=v)
+    ctable = log_prior_table(enum, CovariateParams(beta=beta), covariates=v)
     P, ll_enum = joint_posterior_scattered(loglik, ctable)
     np.testing.assert_allclose(ll, ll_enum, rtol=1e-12)
     np.testing.assert_allclose(
@@ -656,16 +685,14 @@ def test_forward_backward_zero_mass_raises():
 def test_iid_update_is_mean_marginal():
     rng = np.random.default_rng(5)
     marg = rng.dirichlet(np.ones(3), size=(4, 6))
-    params, flags = update_alpha(LatentSpec(kind="iid", J=3),
-                                 IIDParams(p=np.ones(3) / 3), marg)
+    params, flags = update_alpha(IIDParams(p=np.ones(3) / 3), marg)
     assert flags == []
     np.testing.assert_allclose(params.p, marg.mean(axis=(0, 1)), atol=1e-15)
     assert params.p.sum() == pytest.approx(1.0, abs=1e-15)
 
     hard = np.zeros((2, 3, 2))
     hard[:, :, 0] = 1.0
-    params, _ = update_alpha(LatentSpec(kind="iid", J=2),
-                             IIDParams(p=[0.5, 0.5]), hard)
+    params, _ = update_alpha(IIDParams(p=[0.5, 0.5]), hard)
     np.testing.assert_array_equal(params.p, [1.0, 0.0])
 
 
@@ -674,8 +701,7 @@ def test_markov_update_moment_matching():
     pi, A = random_stochastic(rng, 2)
     pointwise = rng.standard_normal((3, 5, 2))
     marg, pair, _ = forward_backward(pointwise, pi, A)
-    params, flags = update_alpha(LatentSpec(kind="markov", J=2),
-                                 MarkovParams(pi=pi, A=A), marg,
+    params, flags = update_alpha(MarkovParams(pi=pi, A=A), marg,
                                  transitions=pair.sum(axis=1))
     assert flags == []
     np.testing.assert_allclose(params.pi, marg[:, 0, :].mean(axis=0),
@@ -697,8 +723,7 @@ def test_markov_update_keeps_unoccupied_rows():
     pair[:, :2, 0, 0] = 1.0
     pair[:, 2, 0, :] = [0.5, 0.5]
     prev = MarkovParams(pi=[0.5, 0.5], A=[[0.6, 0.4], [0.3, 0.7]])
-    params, flags = update_alpha(LatentSpec(kind="markov", J=2), prev,
-                                 marg, transitions=pair.sum(axis=1))
+    params, flags = update_alpha(prev, marg, transitions=pair.sum(axis=1))
     assert flags == ["zero_occupancy_row_2"]
     np.testing.assert_array_equal(params.A[1], [0.3, 0.7])
     np.testing.assert_allclose(params.A[0], [5.0 / 6.0, 1.0 / 6.0],
@@ -714,8 +739,7 @@ def test_covariate_update_recovers_generating_coefficients():
         v = rng.standard_normal((6, 8, M))
         targets = np.exp(log_state_probs(beta_true, v))
         start = CovariateParams(beta=np.zeros((J - 1, M + 1)))
-        params, flags = update_alpha(LatentSpec(kind="covariate", J=J),
-                                     start, targets, covariates=v)
+        params, flags = update_alpha(start, targets, covariates=v)
         assert flags == []
         np.testing.assert_allclose(params.beta, beta_true, atol=1e-7)
 
@@ -726,8 +750,7 @@ def test_covariate_update_flags_unfinished_newton(monkeypatch):
     v = rng.standard_normal((4, 6, 1))
     targets = np.exp(log_state_probs(np.array([[0.5, -2.0]]), v))
     start = CovariateParams(beta=np.array([[8.0, 8.0]]))
-    params, flags = update_alpha(LatentSpec(kind="covariate", J=2), start,
-                                 targets, covariates=v)
+    params, flags = update_alpha(start, targets, covariates=v)
     assert "newton_diverged" in flags
     assert np.all(np.isfinite(params.beta))
 
@@ -738,7 +761,7 @@ def test_alpha_update_increases_expected_latent_loglik():
         marg = rng.dirichlet(np.ones(2), size=(3, 6))
         prev = IIDParams(p=rng.dirichlet(np.ones(2)))
         spec = LatentSpec(kind="iid", J=2)
-        new, _ = update_alpha(spec, prev, marg)
+        new, _ = update_alpha(prev, marg)
         assert expected_latent_loglik(spec, new, marg) >= \
             expected_latent_loglik(spec, prev, marg) - 1e-12
 
@@ -747,7 +770,7 @@ def test_alpha_update_increases_expected_latent_loglik():
         marg, pair, _ = forward_backward(pointwise, pi, A)
         prev_m = MarkovParams(*random_stochastic(rng, 2))
         spec = LatentSpec(kind="markov", J=2)
-        new, _ = update_alpha(spec, prev_m, marg,
+        new, _ = update_alpha(prev_m, marg,
                               transitions=pair.sum(axis=1))
         assert expected_latent_loglik(spec, new, marg, pairwise=pair) >= \
             expected_latent_loglik(spec, prev_m, marg, pairwise=pair) - 1e-12
@@ -756,7 +779,7 @@ def test_alpha_update_increases_expected_latent_loglik():
         marg = rng.dirichlet(np.ones(2), size=(3, 6))
         prev_c = CovariateParams(beta=rng.standard_normal((1, 2)))
         spec = LatentSpec(kind="covariate", J=2)
-        new, _ = update_alpha(spec, prev_c, marg, covariates=v)
+        new, _ = update_alpha(prev_c, marg, covariates=v)
         assert expected_latent_loglik(spec, new, marg, covariates=v) >= \
             expected_latent_loglik(spec, prev_c, marg, covariates=v) - 1e-10
 

@@ -300,6 +300,7 @@ def test_replications_are_the_same_from_a_cold_or_warm_spline_setup(number):
 
     def cold(rep):
         spline_setup.cache_clear()
+        sim.truth_coefficients.cache_clear()
         return run_replication(d, 0, rep)
 
     for rep in range(3):
