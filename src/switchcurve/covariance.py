@@ -352,7 +352,7 @@ def update_state_diag(marginals, y, F, prev_sigma2):
     ``latent.MASS_EPS``) keeps its previous value."""
     r2 = (y[:, :, None] - F.T[None, :, :]) ** 2
     num = np.einsum("kij,kij->j", marginals, r2)
-    den = marginals.sum(axis=(0, 1))
+    den = np.einsum("kij->j", marginals)
     sigma2 = np.array(prev_sigma2, dtype=float, copy=True)
     for j in np.flatnonzero(den >= MASS_EPS):
         sigma2[j] = num[j] / den[j]

@@ -624,7 +624,7 @@ class IIDParams(_LatentBlock):
         return cls(p=_floor_probs(np.einsum("kij->j", hard) / (N * n)))
 
     def m_step(self, marginals, transitions, covariates):
-        p = marginals.mean(axis=(0, 1))
+        p = np.einsum("kij->j", marginals)
         return IIDParams(p=p / p.sum()), []
 
     def log_point_probs(self, covariates):
