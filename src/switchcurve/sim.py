@@ -145,15 +145,14 @@ def truth_start(design, dataset):
 
 
 def truth_coefficients(x, K=None):
-    """The least-squares spline coefficients (2, K) of the truth curves on
-    grid x, in ``spline_setup(x, K)``'s basis.
+    """The least-squares spline coefficients of the truth curves on grid
+    x, in ``spline_setup(x, K)``'s basis.
 
-    Cached like ``spline_setup``: per exact grid and resolved K, the 32
-    most recent, read-only.  ``truth_coefficients.cache_clear()`` frees
-    the cache.
+    Cached like ``spline_setup``, per exact grid and K (``None`` and the
+    K it stands for are two entries), the 32 most recent, read-only.
+    ``truth_coefficients.cache_clear()`` frees the cache.
     """
     x = np.asarray(x, dtype=float)
-    K = min(x.size, 15) if K is None else int(K)
     return _cached_truth(x.shape, x.tobytes(), K)
 
 
