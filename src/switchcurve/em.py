@@ -29,10 +29,11 @@ the state enumeration (``latent.enumerate_states``, cached per (n, J)) and
 the start.  Once per theta: one ``covariance.CovStructure``, which checks
 the covariance block and computes V^{-1} and log det V on first use; the
 E-step at theta and the coefficient update from it share it.  Once per
-structured-kind E-step: the log prior's factor pair and the log-density table's right
-factor (the curves along every state vector, gathered by one product
-against the enumeration's indicator rows, with their quadratic forms),
-then one GEMM per block of replicates and the reduction to moments.
+structured-kind E-step: the log prior's factor pair and the log-density
+table's right factor (the curves along every state vector, gathered by one
+product against the enumeration's indicator rows, with their quadratic
+forms), then one GEMM per block of replicates and the reduction to
+moments.
 
 A state without posterior mass leaves lambda R alone in its block of the
 coefficient system; that singular system gets its minimum-norm solution,
